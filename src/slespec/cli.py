@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -80,28 +79,18 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---- spectrum ----
 
 def _cmd_spectrum(args) -> int:
     qs = _parse_grid(args.q)
     ks = _parse_grid(args.kappa)
-    points = [(q, k) for q in qs for k in ks]
-
-    def one(point):
-        q, k = point
-        sv = sp.beta_spectrum(sp.SLEParams(q=float(q), kappa=float(k)))
-        gtxt = "" if sv.gamma is None else _fmt(sv.gamma)
-        return {"q": _fmt(q), "kappa": _fmt(k), "gamma_minus": gtxt,
-                "branch": sv.branch.value, "beta": _fmt(sv.beta)}
-
-    rows = _parallel_map(one, points, args.threads)
+    rows = []
+    for q in qs:
+        for k in ks:
+            sv = sp.beta_spectrum(sp.SLEParams(q=float(q), kappa=float(k)))
+            gtxt = "" if sv.gamma is None else _fmt(sv.gamma)
+            rows.append({"q": _fmt(q), "kappa": _fmt(k), "gamma_minus": gtxt,
+                         "branch": sv.branch.value, "beta": _fmt(sv.beta)})
     if args.format == "csv":
         header = ["q", "kappa", "gamma_minus", "branch", "beta"]
         _emit_csv(args, header, [[r[h] for h in header] for r in rows])
@@ -278,8 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp_):
         sp_.add_argument("--out", default="-", help="output path, '-' = stdout")
-        sp_.add_argument("--seed", type=int, default=0)
-        sp_.add_argument("--threads", type=int, default=1)
 
     ps = sub.add_parser("spectrum", help="closed-form beta(q; kappa) sweep")
     common(ps)
@@ -331,6 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--steps", type=int, default=None,
                     help="default: t-horizon / 2.5e-3")
     pm.add_argument("--dump", default=None, help="raw per-path dump file")
+    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--threads", type=int, default=1)
     pm.add_argument("--format", choices=("json",), default="json")
     pm.set_defaults(func=_cmd_mc)
 

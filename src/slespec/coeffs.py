@@ -1,17 +1,18 @@
 """Coefficient tables theta_{i,j} of the two-variable moment series.
 
-The table is generated row by row from the four-term recurrence
+The table is generated from the four-term recurrence
 sum_{l,k in {0,1}} C^{l,k}_{i,j} theta_{i-l, j-k} = 0, theta_{1,1} = 1,
 with out-of-range entries zero.  C^{0,0} vanishes only at (1,1) for
-kappa >= 0, so the solve is always well posed.  Two backends: exact
-Fraction arithmetic and a numpy float path filled along anti-diagonals.
+kappa >= 0, so the solve is always well posed.  One builder fills the
+table along anti-diagonals; the backend only picks the scalar.  Entries are
+an (N, N) ndarray: dtype=object Fractions for the rational backend, float64
+for the float backend.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,30 +70,27 @@ def recurrence_coeff(i: int, j: int, l: int, k: int, gamma, kappa):
 
 # ---- table construction ----
 
+_SCALAR = {BACKEND_RATIONAL: Fraction, BACKEND_FLOAT: float}
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     N: int
     gamma: object
     kappa: object
     backend: str
-    entries: object   # nested Fraction lists (rational) or (N,N) float ndarray
+    entries: np.ndarray   # (N, N): object Fractions (rational) or float64
 
     def get(self, i: int, j: int):
         if not (1 <= i <= self.N and 1 <= j <= self.N):
             raise IndexError(f"(i,j)=({i},{j}) outside 1..{self.N}")
-        if self.backend == BACKEND_RATIONAL:
-            return self.entries[i - 1][j - 1]
-        return float(self.entries[i - 1, j - 1])
+        return self.entries.item(i - 1, j - 1)
 
-    def diagonal(self):
-        if self.backend == BACKEND_RATIONAL:
-            return [self.entries[i][i] for i in range(self.N)]
+    def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries).copy()
 
     def _float_entries(self) -> np.ndarray:
-        if self.backend == BACKEND_FLOAT:
-            return self.entries
-        return np.array([[float(v) for v in row] for row in self.entries])
+        return np.asarray(self.entries, dtype=float)
 
 
 def _is_rational_like(x) -> bool:
@@ -113,79 +111,47 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
         backend = BACKEND_RATIONAL if (
             _is_rational_like(gamma) and _is_rational_like(kappa)
             and N <= _RATIONAL_N_CAP) else BACKEND_FLOAT
-    if backend == BACKEND_RATIONAL:
-        return _build_rational(Fraction(gamma), Fraction(kappa), N)
-    if backend == BACKEND_FLOAT:
-        return _build_float(float(gamma), float(kappa), N)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _build_rational(g: Fraction, kap: Fraction, N: int) -> CoeffTable:
-    zero = Fraction(0)
-    rows = [[zero] * N for _ in range(N)]
-    rows[0][0] = Fraction(1)
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i == 1 and j == 1:
-                continue
-            acc = zero
-            if j >= 2:
-                acc += recurrence_coeff(i, j, 0, 1, g, kap) * rows[i - 1][j - 2]
-            if i >= 2:
-                acc += recurrence_coeff(i, j, 1, 0, g, kap) * rows[i - 2][j - 1]
-            if i >= 2 and j >= 2:
-                acc += recurrence_coeff(i, j, 1, 1, g, kap) * rows[i - 2][j - 2]
-            rows[i - 1][j - 1] = -acc / recurrence_coeff(i, j, 0, 0, g, kap)
-    return CoeffTable(N=N, gamma=g, kappa=kap, backend=BACKEND_RATIONAL, entries=rows)
-
-
-def _build_float(g: float, kap: float, N: int) -> CoeffTable:
+    if backend not in _SCALAR:
+        raise ValueError(f"unknown backend {backend!r}")
+    scalar = _SCALAR[backend]
+    g, kap, two = scalar(gamma), scalar(kappa), scalar(2)
     # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
-    G = np.zeros((N + 1, N + 1))
-    G[1, 1] = 1.0
-    cg = kap * g * g - kap * g / 2.0 - 3.0 * g
-    c11_const = -kap * g * g + kap * g + 6.0 * g - 4.0
+    G = np.full((N + 1, N + 1), scalar(0))
+    G[1, 1] = scalar(1)
+    cg = kap * g * g - kap * g / two - 3 * g
+    c11_const = -kap * g * g + kap * g + 6 * g - 4
     for s in range(3, 2 * N + 1):
         i = np.arange(max(1, s - N), min(N, s - 1) + 1)
         j = s - i
-        d = (i - j).astype(float)
-        c00 = -kap * d * d / 2.0 - (s - 2.0)
-        c01 = kap * (d + 1.0) ** 2 / 2.0 + (1.0 - kap * g) * (d + 1.0) + cg
-        c10 = kap * (1.0 - d) ** 2 / 2.0 + (1.0 - kap * g) * (1.0 - d) + cg
-        c11 = -kap * d * d / 2.0 + s + c11_const
+        d = (i - j).astype(G.dtype)   # object dtype: Python ints, not np.int64
+        c00 = -kap * d * d / two - (s - 2)
+        c01 = kap * (d + 1) ** 2 / two + (1 - kap * g) * (d + 1) + cg
+        c10 = kap * (1 - d) ** 2 / two + (1 - kap * g) * (1 - d) + cg
+        c11 = -kap * d * d / two + s + c11_const
         with np.errstate(over="ignore", invalid="ignore"):
             vals = -((c01 * G[i, j - 1] + c10 * G[i - 1, j])
                      + c11 * G[i - 1, j - 1]) / c00
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            b = int(np.argmax(bad))
-            raise OverflowError(
-                f"float overflow at theta({int(i[b])},{int(j[b])}); "
-                f"use the rational backend or a smaller N")
+        if backend == BACKEND_FLOAT:
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                b = int(np.argmax(bad))
+                raise OverflowError(
+                    f"float overflow at theta({int(i[b])},{int(j[b])}); "
+                    f"use the rational backend or a smaller N")
         G[i, j] = vals
-    return CoeffTable(N=N, gamma=g, kappa=kap, backend=BACKEND_FLOAT,
-                      entries=G[1:, 1:])
+    return CoeffTable(N=N, gamma=g, kappa=kap, backend=backend, entries=G[1:, 1:])
 
 
 # ---- band structure ----
 
-def truncation_width(table: CoeffTable, tol=None) -> Optional[int]:
+def truncation_width(table: CoeffTable, tol=0) -> Optional[int]:
     """Smallest M with all |theta| <= tol beyond |i-j| > M; None if no band fits.
 
     Nonzero entries reaching the table corner |i-j| = N-1 leave no in-table
     evidence of banding, hence None.
     """
-    if tol is None:
-        tol = Fraction(0) if table.backend == BACKEND_RATIONAL else 0.0
-    if table.backend == BACKEND_RATIONAL:
-        m = 0
-        for i in range(1, table.N + 1):
-            for j in range(1, table.N + 1):
-                if abs(table.entries[i - 1][j - 1]) > tol:
-                    m = max(m, abs(i - j))
-    else:
-        ii, jj = np.nonzero(np.abs(table.entries) > tol)
-        m = int(np.max(np.abs(ii - jj))) if len(ii) else 0
+    ii, jj = np.nonzero(np.abs(table.entries) > tol)
+    m = int(np.max(np.abs(ii - jj))) if len(ii) else 0
     if m >= table.N - 1:
         return None
     return m
@@ -226,7 +192,7 @@ def eval_rho(table: CoeffTable, w, wbar) -> SeriesValue:
                        warning=base.warning)
 
 
-def fourier_series(table: CoeffTable, n: int):
+def fourier_series(table: CoeffTable, n: int) -> np.ndarray:
     """Coefficients of f_n(xi) = sum_j theta_{j+n, j} xi^{j-1}.
 
     Negative n is extracted literally and checked against the reflection
@@ -235,28 +201,17 @@ def fourier_series(table: CoeffTable, n: int):
     N = table.N
     if abs(n) > N - 1:
         raise ValueError(f"|n| must be < N={N}, got n={n}")
-    rational = table.backend == BACKEND_RATIONAL
-    zero = Fraction(0) if rational else 0.0
-    length = N - max(n, 0)
-    out = []
-    for j in range(1, length + 1):
-        i = j + n
-        out.append(table.get(i, j) if i >= 1 else zero)
-    if n < 0:
-        m = -n
-        ref = fourier_series(table, m)
-        for k in range(m):
-            if abs(out[k]) > (0 if rational else 1e-12):
-                raise AssertionError(
-                    f"reflection identity violated: f_{n} has nonzero xi^{k} term")
-        for k, v in enumerate(ref):
-            d = abs(out[m + k] - v)
-            if d > (0 if rational else 1e-12 * max(1.0, abs(float(v)))):
-                raise AssertionError(
-                    f"reflection identity violated at coefficient {k} of f_{n}")
-    if not rational:
-        return np.array(out, dtype=float)
-    return out
+    band = np.diagonal(table.entries, offset=-n)
+    if n >= 0:
+        return band.copy()
+    ref = np.diagonal(table.entries, offset=n)
+    tol = (0 if table.backend == BACKEND_RATIONAL
+           else 1e-12 * np.maximum(1.0, np.abs(ref.astype(float))))
+    bad = np.nonzero(np.abs(band - ref) > tol)[0]
+    if len(bad):
+        raise AssertionError(
+            f"reflection identity violated at coefficient {int(bad[0])} of f_{n}")
+    return np.concatenate((np.full(-n, _SCALAR[table.backend](0)), band))
 
 
 def rec3_residual(table: CoeffTable, n: int, order: int):
@@ -281,13 +236,11 @@ def rec3_residual(table: CoeffTable, n: int, order: int):
     fp = fourier_series(table, n + 1)
     fm = fourier_series(table, n - 1)
     f0 = fourier_series(table, n)
-    rational = table.backend == BACKEND_RATIONAL
-    zero = Fraction(0) if rational else 0.0
 
     def at(c, idx):
-        return c[idx] if 0 <= idx < len(c) else zero
+        return c[idx] if 0 <= idx < len(c) else 0
 
-    worst = zero
+    worst = 0
     for p in range(order + 1):
         r = A_up * at(fp, p - 1) + A_dn * at(fm, p) + B * at(f0, p) \
             + C * (at(f0, p) - at(f0, p - 1)) \
@@ -308,7 +261,7 @@ def diagonal_growth_exponent(table: CoeffTable) -> float:
     N = table.N
     if N < 8:
         raise ValueError("table too small for a growth fit")
-    d = np.array([float(v) for v in table.diagonal()])
+    d = np.asarray(table.diagonal(), dtype=float)
     lo = N // 2
     window = d[lo - 1:]
     if np.any(window <= 0):
@@ -393,29 +346,27 @@ def fit_beta(samples: Sequence[Tuple[float, float]]) -> FitResult:
 
 # ---- text export ----
 
-def _fmt_scalar(v, backend: str) -> str:
-    if backend == BACKEND_RATIONAL:
-        return str(Fraction(v))
-    return "%.17g" % float(v)
-
-
 def save_table(table: CoeffTable, dest) -> None:
-    """Plain-text dump: header line, then one `i j value` row per entry."""
+    """Plain-text dump: header line, then one `i j value` row per entry.
+
+    Values are written with str(): exact `p/q` Fractions, or the shortest
+    decimal that reads back to the same float.
+    """
     own = not hasattr(dest, "write")
     fh = open(dest, "w") if own else dest
     try:
-        fh.write(f"{_TABLE_MAGIC} gamma={_fmt_scalar(table.gamma, table.backend)} "
-                 f"kappa={_fmt_scalar(table.kappa, table.backend)} "
+        fh.write(f"{_TABLE_MAGIC} gamma={table.gamma} kappa={table.kappa} "
                  f"N={table.N} backend={table.backend}\n")
-        for i in range(1, table.N + 1):
-            for j in range(1, table.N + 1):
-                fh.write(f"{i} {j} {_fmt_scalar(table.get(i, j), table.backend)}\n")
+        for i, row in enumerate(table.entries.tolist(), 1):
+            for j, v in enumerate(row, 1):
+                fh.write(f"{i} {j} {v}\n")
     finally:
         if own:
             fh.close()
 
 
 def load_table(src) -> CoeffTable:
+    """Read a save_table dump; every (i, j) in 1..N must appear exactly once."""
     own = not hasattr(src, "read")
     fh = open(src) if own else src
     try:
@@ -425,30 +376,27 @@ def load_table(src) -> CoeffTable:
         fields = dict(tok.split("=", 1) for tok in header[len(_TABLE_MAGIC):].split())
         N = int(fields["N"])
         backend = fields["backend"]
-        if backend not in (BACKEND_RATIONAL, BACKEND_FLOAT):
+        if backend not in _SCALAR:
             raise ValueError(f"unknown backend {backend!r} in table file")
-        rational = backend == BACKEND_RATIONAL
-        gamma = Fraction(fields["gamma"]) if rational else float(fields["gamma"])
-        kappa = Fraction(fields["kappa"]) if rational else float(fields["kappa"])
-        if rational:
-            entries = [[Fraction(0)] * N for _ in range(N)]
-        else:
-            entries = np.zeros((N, N))
-        seen = 0
+        scalar = _SCALAR[backend]
+        entries = np.full((N, N), scalar(0))
+        seen = np.zeros((N, N), dtype=bool)
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             si, sj, sv = line.split()
             i, j = int(si), int(sj)
-            if rational:
-                entries[i - 1][j - 1] = Fraction(sv)
-            else:
-                entries[i - 1, j - 1] = float(sv)
-            seen += 1
-        if seen != N * N:
-            raise ValueError(f"expected {N * N} entries, found {seen}")
-        return CoeffTable(N=N, gamma=gamma, kappa=kappa, backend=backend,
+            if not (1 <= i <= N and 1 <= j <= N):
+                raise ValueError(f"entry ({i},{j}) outside 1..{N}")
+            if seen[i - 1, j - 1]:
+                raise ValueError(f"duplicate entry ({i},{j})")
+            seen[i - 1, j - 1] = True
+            entries[i - 1, j - 1] = scalar(sv)
+        if not seen.all():
+            raise ValueError(f"expected {N * N} entries, found {int(seen.sum())}")
+        return CoeffTable(N=N, gamma=scalar(fields["gamma"]),
+                          kappa=scalar(fields["kappa"]), backend=backend,
                           entries=entries)
     finally:
         if own:

@@ -48,21 +48,12 @@ class TridiagSystem:
     gamma: object
     kappa: object
 
-    def a(self, n: int):
-        return a_coef(n, self.gamma, self.kappa)
-
-    def b(self, n: int):
-        return b_coef(n, self.gamma, self.kappa)
-
-    def c(self, n: int):
-        return c_coef(n, self.gamma, self.kappa)
-
 
 def build_system(curve: CurveParams) -> TridiagSystem:
     """Coefficients A, B, C on the curve; checks the band closure A_{-M} = 0."""
     params = curve_point(curve)
     sys = TridiagSystem(M=curve.M, gamma=_exact(curve.gamma), kappa=params.kappa)
-    closure = sys.a(-curve.M)
+    closure = a_coef(-curve.M, sys.gamma, sys.kappa)
     if isinstance(closure, Fraction):
         if closure != 0:
             raise InvalidCurveError(
@@ -79,39 +70,35 @@ def build_system(curve: CurveParams) -> TridiagSystem:
 
 # ---- matrices ----
 
-def reduced_matrix(sys: TridiagSystem) -> List[list]:
-    """Symmetric-subspace matrix, rows n = 0..M.
+def _band_matrix(sys: TridiagSystem, ns: range, fold: bool) -> List[list]:
+    """R on the basis n in ns: sub A_{-n+1}/2, diag B_n/2, super A_{n+1}/2.
 
-    Row 0 carries the folded off-diagonal A_1 (doubled); rows n >= 1 carry
-    sub A_{-n+1}/2, diag B_n/2, super A_{n+1}/2.  Scalar type follows gamma.
+    fold doubles row 0's super-diagonal A_1, the psi_{-1} = psi_1 term of
+    the reflection-symmetric reduction.  Scalar type follows gamma.
     """
-    M = sys.M
+    g, k = sys.gamma, sys.kappa
     two = _exact(2)
-    R = [[sys.b(0) * 0 for _ in range(M + 1)] for _ in range(M + 1)]
-    R[0][0] = sys.b(0) / two
-    if M >= 1:
-        R[0][1] = sys.a(1)
-    for n in range(1, M + 1):
-        R[n][n - 1] = sys.a(-n + 1) / two
-        R[n][n] = sys.b(n) / two
-        if n < M:
-            R[n][n + 1] = sys.a(n + 1) / two
+    size = len(ns)
+    R = [[b_coef(0, g, k) * 0] * size for _ in range(size)]
+    for idx, n in enumerate(ns):
+        R[idx][idx] = b_coef(n, g, k) / two
+        if idx > 0:
+            R[idx][idx - 1] = a_coef(-n + 1, g, k) / two
+        if idx < size - 1:
+            R[idx][idx + 1] = a_coef(n + 1, g, k) / two
+    if fold and size > 1:
+        R[0][1] *= 2
     return R
+
+
+def reduced_matrix(sys: TridiagSystem) -> List[list]:
+    """Symmetric-subspace matrix, rows n = 0..M, row 0 folded."""
+    return _band_matrix(sys, range(0, sys.M + 1), fold=True)
 
 
 def full_matrix(sys: TridiagSystem) -> List[list]:
     """Unreduced matrix on the full band, basis n = -M..M."""
-    M = sys.M
-    two = _exact(2)
-    size = 2 * M + 1
-    R = [[sys.b(0) * 0 for _ in range(size)] for _ in range(size)]
-    for idx, n in enumerate(range(-M, M + 1)):
-        R[idx][idx] = sys.b(n) / two
-        if idx > 0:
-            R[idx][idx - 1] = sys.a(-n + 1) / two
-        if idx < size - 1:
-            R[idx][idx + 1] = sys.a(n + 1) / two
-    return R
+    return _band_matrix(sys, range(-sys.M, sys.M + 1), fold=False)
 
 
 def antisymmetric_matrix(sys: TridiagSystem) -> List[list]:
@@ -120,16 +107,7 @@ def antisymmetric_matrix(sys: TridiagSystem) -> List[list]:
     Excluded from spectrum selection; kept so the full-matrix spectrum can be
     reconciled as reduced + antisymmetric.
     """
-    M = sys.M
-    two = _exact(2)
-    R = [[sys.b(1) * 0 for _ in range(M)] for _ in range(M)]
-    for idx, n in enumerate(range(1, M + 1)):
-        R[idx][idx] = sys.b(n) / two
-        if idx > 0:
-            R[idx][idx - 1] = sys.a(-n + 1) / two
-        if idx < M - 1:
-            R[idx][idx + 1] = sys.a(n + 1) / two
-    return R
+    return _band_matrix(sys, range(1, sys.M + 1), fold=False)
 
 
 # ---- numeric eigensolve with certification ----

@@ -56,6 +56,13 @@ def test_unknown_flag_exits_1(capsys):
     assert code == 1
 
 
+def test_threads_only_on_mc(capsys):
+    code, _, err = run(capsys, "spectrum", "--q", "1", "--kappa", "2",
+                       "--threads", "2")
+    assert code == 1
+    assert "--threads" in err
+
+
 def test_missing_subcommand_exits_1(capsys):
     assert run(capsys)[0] == 1
 

@@ -56,17 +56,34 @@ def test_kappa_zero_binomial_product(g):
             assert t.get(i, j) == binom(-3 * g, i - 1) * binom(-3 * g, j - 1)
 
 
-@given(g=gammas, k=kappas, i=st.integers(2, 10), j=st.integers(2, 10))
-def test_four_term_relation_holds(g, k, i, j):
-    t = S.build_theta_table(g, k, 11, backend="rational")
-
+def assert_four_term_relation(t, g, k):
+    """Every entry of t satisfies the relation with the reference coefficients."""
     def th(a, b):
         return t.get(a, b) if a >= 1 and b >= 1 else Fraction(0)
 
-    acc = Fraction(0)
-    for (l, m) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        acc += S.recurrence_coeff(i, j, l, m, g, k) * th(i - l, j - m)
-    assert acc == 0
+    assert t.get(1, 1) == 1
+    for i in range(1, t.N + 1):
+        for j in range(1, t.N + 1):
+            if (i, j) == (1, 1):
+                continue
+            acc = Fraction(0)
+            for (l, m) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                acc += S.recurrence_coeff(i, j, l, m, g, k) * th(i - l, j - m)
+            assert acc == 0, (i, j)
+
+
+@given(g=gammas, k=kappas)
+def test_four_term_relation_holds(g, k):
+    assert_four_term_relation(S.build_theta_table(g, k, 11, backend="rational"), g, k)
+
+
+@pytest.mark.parametrize("M,g", [(0, Fraction(1)), (1, Fraction(1)),
+                                 (1, Fraction(1, 2)), (2, Fraction(1, 2)),
+                                 (3, Fraction(1, 3))])
+def test_four_term_relation_holds_on_band_curves(M, g):
+    kappa = S.curve_point(S.CurveParams(M, g)).kappa
+    assert_four_term_relation(S.build_theta_table(g, kappa, 40, backend="rational"),
+                              g, kappa)
 
 
 @given(g=gammas, k=kappas)
@@ -153,7 +170,7 @@ def test_root_invariance_of_rho():
 def test_fourier_series_diagonal_table():
     t = S.build_theta_table(1, 6, 8, backend="rational")
     f0 = S.fourier_series(t, 0)
-    assert f0[:4] == [Fraction(1), Fraction(3), Fraction(6), Fraction(10)]
+    assert list(f0[:4]) == [Fraction(1), Fraction(3), Fraction(6), Fraction(10)]
     assert all(v == 0 for v in S.fourier_series(t, 2))
 
 
@@ -161,8 +178,8 @@ def test_fourier_series_negative_reflection():
     t = S.build_theta_table(1, 2, 10, backend="rational")
     f2 = S.fourier_series(t, 2)
     fm2 = S.fourier_series(t, -2)
-    assert fm2[:2] == [Fraction(0), Fraction(0)]
-    assert fm2[2:] == f2
+    assert list(fm2[:2]) == [Fraction(0), Fraction(0)]
+    assert list(fm2[2:]) == list(f2)
     with pytest.raises(ValueError):
         S.fourier_series(t, 10)
 
@@ -258,3 +275,16 @@ def test_load_rejects_corrupt_header(tmp_path):
     p.write_text("not a table\n")
     with pytest.raises(ValueError):
         S.load_table(str(p))
+
+
+@pytest.mark.parametrize("bad_row,replaces", [
+    ("0 0 9", "1 1 "),   # index 0 would wrap to theta(N, N)
+    ("1 1 7", "3 3 "),   # duplicate (1,1): the row count still reads N*N
+], ids=["index-out-of-range", "duplicate-entry"])
+def test_load_rejects_corrupt_entries(bad_row, replaces):
+    buf = io.StringIO()
+    S.save_table(S.build_theta_table(1, 2, 3, backend="rational"), buf)
+    rows = [bad_row if r.startswith(replaces) else r
+            for r in buf.getvalue().splitlines()]
+    with pytest.raises(ValueError):
+        S.load_table(io.StringIO("\n".join(rows) + "\n"))

@@ -50,7 +50,7 @@ def test_band_closure_on_curves():
     for (M, g) in [(0, Fraction(1)), (1, Fraction(1)), (2, Fraction(1, 2)),
                    (3, Fraction(1, 3)), (5, Fraction(3, 4))]:
         sysM = S.build_system(S.CurveParams(M, g))
-        assert sysM.a(-M) == 0
+        assert S.a_coef(-M, sysM.gamma, sysM.kappa) == 0
 
 
 # ---- matrices ----
