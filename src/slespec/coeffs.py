@@ -101,7 +101,8 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     """theta table up to index N.
 
     backend None picks rational for rational-like inputs up to N=60,
-    float otherwise.  Float overflow raises with the failing index.
+    float otherwise; backend "rational" takes only int or Fraction gamma and
+    kappa.  Float overflow raises with the failing index.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -113,6 +114,10 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
             and N <= _RATIONAL_N_CAP) else BACKEND_FLOAT
     if backend not in _SCALAR:
         raise ValueError(f"unknown backend {backend!r}")
+    if backend == BACKEND_RATIONAL and not (
+            _is_rational_like(gamma) and _is_rational_like(kappa)):
+        raise ValueError("the rational backend needs int or Fraction gamma and "
+                         f"kappa, got {gamma!r} and {kappa!r}")
     scalar = _SCALAR[backend]
     g, kap, two = scalar(gamma), scalar(kappa), scalar(2)
     # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
@@ -374,6 +379,9 @@ def load_table(src) -> CoeffTable:
         if not header.startswith(_TABLE_MAGIC):
             raise ValueError(f"not a theta-table file: header {header!r}")
         fields = dict(tok.split("=", 1) for tok in header[len(_TABLE_MAGIC):].split())
+        missing = [k for k in ("N", "gamma", "kappa", "backend") if k not in fields]
+        if missing:
+            raise ValueError(f"table header lacks {', '.join(missing)}: {header!r}")
         N = int(fields["N"])
         backend = fields["backend"]
         if backend not in _SCALAR:

@@ -3,9 +3,11 @@
 Independent of the series/closed-form modules on purpose: the finite-horizon
 interior map is built by composing frozen-driving elementary flows
 dz/ds = z (z + u)/(z - u) (latest increment applied first, which is the
-backward-characteristic order), with the log-derivative integrated along the
-same trajectory.  The moment estimator is the sample mean of
-exp(q (T + Re log F')) at the rotated point w e^{i B(T)}.
+backward-characteristic order).  Each increment is solved exactly in the
+driving frame v = z/u, where the singularity sits at 1, and the
+log-derivative is accumulated from the exact step's derivative.  The moment
+estimator is the sample mean of exp(q (T + Re log F')) at the rotated point
+w e^{i B(T)}.
 """
 from __future__ import annotations
 
@@ -18,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_DELTA = 1e-2
-_D_FLOOR = 1e-12
-_C_SUB = 0.2          # substep cap h <= _C_SUB * |z-u|^2
 _CHUNK = 2048
-_MAX_SUBSTEPS = 200000
+_BLOCK = 256          # steps whose driving rotations are materialised at once
 
 
 class StepUnderflowError(RuntimeError):
@@ -32,7 +32,7 @@ class StepUnderflowError(RuntimeError):
 class DrivingPath:
     u: np.ndarray        # frozen driving per increment, time order
     delta: float
-    b_total: float       # B(T)
+    b_total: float       # B(T); u[-1] = e^{i B(T)}
 
 
 @dataclass(frozen=True)
@@ -91,52 +91,58 @@ def sample_driving(kappa: float, T: float, n_steps: int,
 
 # ---- elementary frozen-driving flow ----
 
-def _field(z, u):
-    return z * (z + u) / (z - u)
+def _increment(v: np.ndarray, delta: float, log_re: np.ndarray,
+               log_im: np.ndarray) -> np.ndarray:
+    """Exact flow of dv/ds = v (v+1)/(v-1) over time delta, a batch of lanes.
 
-
-def _dlog_field(z, u):
-    return (z * z - 2 * u * z - u * u) / (z - u) ** 2
-
-
-def _advance(z: np.ndarray, logd: np.ndarray, u, delta: float):
-    """One frozen-driving increment for a batch of lanes, adaptive RK4.
-
-    Substeps shrink quadratically with the distance to the singularity u so
-    intermediate stages cannot jump across it; lanes finish independently.
+    This is dz/ds = z (z+u)/(z-u) in the driving frame v = z/u.  (v+1)^2/v
+    grows as e^s, so the endpoint is the small root 2v/D of a quadratic,
+    written without dividing by v (the origin stays a fixed point).  Returns
+    the endpoint; adds the real and imaginary parts of the log of its
+    derivative, delta + log(-2 (v-1)(v+1)/(D Q)), to log_re and log_im.
     """
-    rem = np.full(z.shape, delta)
-    u_arr = np.asarray(u)
-    per_lane = u_arr.ndim > 0
-    iters = 0
-    while True:
-        idx = np.flatnonzero(rem > 0)
-        if idx.size == 0:
-            return z, logd
-        zi = z[idx]
-        ui = u_arr[idx] if per_lane else u_arr
-        d = np.abs(zi - ui)
-        if np.any(d < _D_FLOOR):
-            raise StepUnderflowError(
-                f"substep underflow: |z - u| < {_D_FLOOR} during increment")
-        h = np.minimum(rem[idx], _C_SUB * d * d)
-        k1 = _field(zi, ui)
-        l1 = _dlog_field(zi, ui)
-        z2 = zi + 0.5 * h * k1
-        k2 = _field(z2, ui)
-        l2 = _dlog_field(z2, ui)
-        z3 = zi + 0.5 * h * k2
-        k3 = _field(z3, ui)
-        l3 = _dlog_field(z3, ui)
-        z4 = zi + h * k3
-        k4 = _field(z4, ui)
-        l4 = _dlog_field(z4, ui)
-        z[idx] = zi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        logd[idx] = logd[idx] + (h / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4)
-        rem[idx] -= h
-        iters += 1
-        if iters > _MAX_SUBSTEPS:
-            raise StepUnderflowError("substep underflow: iteration cap hit")
+    e = math.exp(delta)
+    two_v = v + v
+    one_m = 1.0 - v
+    one_p = 1.0 + v
+    P = one_m * one_m
+    P *= e
+    P += (4.0 * math.expm1(delta)) * v
+    A = P + two_v
+    # Q = sqrt(P (A + 2v)) with Re(conj(A) Q) >= 0, as A sqrt(P (A + 2v)/A^2)
+    # and A + 2v = e^delta (1+v)^2, which does not cancel near v = -1.
+    # Complex products stay out of place: numpy's in-place product rounds a
+    # single lane differently, and scalar and array calls must agree bitwise.
+    t = one_p / A
+    Q = A * np.sqrt(t * t * e * P)
+    D = A + Q
+    r = one_m * one_p / (Q * D)
+    # the factor 2 e^delta goes inside the log so each summand stays small
+    log_re += np.log(np.abs(r) * (2.0 * e))
+    log_im += np.arctan2(r.imag, r.real)
+    return two_v / D
+
+
+def _compose(w, delta: float, rotation_blocks):
+    """Compose frozen-driving increments latest-first in the driving frame.
+
+    The point starts as w in the frame of the latest increment, where the
+    driving sits at 1.  rotation_blocks yields the rotations e^{i dB_k},
+    latest block first, each block in time order: after increment k, v is
+    rotated into the frame of increment k-1, and after increment 0 into the
+    fixed frame.  Returns (z, log dz/dw) as 1-d arrays.
+    """
+    v = np.atleast_1d(np.asarray(w, dtype=complex))
+    log_re = np.zeros(v.shape)
+    log_im = np.zeros(v.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rot in rotation_blocks:
+            for k in range(len(rot) - 1, -1, -1):
+                v = _increment(v, delta, log_re, log_im) * rot[k]
+    if not (np.isfinite(v).all() and np.isfinite(log_re + log_im).all()):
+        raise StepUnderflowError(
+            "flow reached the driving singularity: non-finite result")
+    return v, log_re + 1j * log_im
 
 
 def elementary_step(z, logd, u, delta: float):
@@ -150,8 +156,9 @@ def elementary_step(z, logd, u, delta: float):
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex)).copy()
     l_arr = np.atleast_1d(np.asarray(logd, dtype=complex)).copy()
     if delta > 0:
-        z_arr, l_arr = _advance(z_arr, l_arr, complex(u) if np.ndim(u) == 0 else u,
-                                float(delta))
+        u = np.asarray(u, dtype=complex)
+        v, dl = _compose(z_arr / u, float(delta), [np.ones(1)])
+        z_arr, l_arr = v * u, l_arr + dl
     if scalar:
         return complex(z_arr[0]), complex(l_arr[0])
     return z_arr, l_arr
@@ -185,19 +192,26 @@ def conic_flow(w, T: float):
 def whole_plane_map_derivative(w, path: DrivingPath):
     """F(w e^{i B(T)}, T) and log of its derivative in the first argument.
 
-    Increments compose latest-first.  Log-space throughout: the raw value
-    contracts like e^{-T}.  w may be a scalar or a 1-d array (one shared
-    driving path).
+    Increments compose latest-first in the driving frame, where the start
+    point w e^{i B(T)} / u_{n-1} is w itself.  Log-space throughout: the raw
+    value contracts like e^{-T}.  w may be a scalar or a 1-d array (one
+    shared driving path).
     """
     scalar = np.ndim(w) == 0
-    z = np.atleast_1d(np.asarray(w, dtype=complex)) * np.exp(1j * path.b_total)
-    logd = np.zeros(z.shape, dtype=complex)
-    z = z.copy()
-    for k in range(len(path.u) - 1, -1, -1):
-        z, logd = _advance(z, logd, complex(path.u[k]), path.delta)
+    u = np.asarray(path.u, dtype=complex)
+    rot = u / np.concatenate(([1.0], u[:-1]))    # e^{i (B(t_k) - B(t_{k-1}))}
+    z, logd = _compose(w, path.delta, [rot])
     if scalar:
         return complex(z[0]), complex(logd[0])
     return z, logd
+
+
+def _unit(angle: np.ndarray) -> np.ndarray:
+    """e^{i angle} from cos and sin, cheaper than a complex exp."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def _flow_chunk(w: complex, T: float, n_steps: int, kappa: float,
@@ -209,15 +223,11 @@ def _flow_chunk(w: complex, T: float, n_steps: int, kappa: float,
         gen = np.random.Generator(np.random.PCG64(ss))
         inc[row] = gen.standard_normal(n_steps)
     inc *= math.sqrt(kappa * delta)
-    B = np.cumsum(inc, axis=1)
-    bT = B[:, -1].copy()
-    U = np.exp(1j * B)
-    del inc, B
-    z = w * np.exp(1j * bT)
-    logd = np.zeros(m, dtype=complex)
-    for k in range(n_steps - 1, -1, -1):
-        z, logd = _advance(z, logd, U[:, k], delta)
-    return logd, bT
+    starts = range((n_steps - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
+    # one step's rotations for all lanes form one contiguous row
+    blocks = (_unit(np.ascontiguousarray(inc[:, a:a + _BLOCK].T)) for a in starts)
+    _, logd = _compose(np.full(m, w), delta, blocks)
+    return logd, inc.sum(axis=1)
 
 
 def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate:

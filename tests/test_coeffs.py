@@ -102,6 +102,13 @@ def test_float_matches_rational():
     assert np.max(np.abs(tf.entries - fr) / scale) < 1e-12
 
 
+@pytest.mark.parametrize("g,k", [(0.1, 2), (Fraction(1, 10), 2.0)])
+def test_rational_backend_rejects_float_inputs(g, k):
+    # a float would be built on its binary expansion, not the decimal meant
+    with pytest.raises(ValueError, match="rational backend"):
+        S.build_theta_table(g, k, 12, backend="rational")
+
+
 def test_backend_autoselect_and_get_bounds():
     assert S.build_theta_table(Fraction(1, 2), 2, 10).backend == "rational"
     assert S.build_theta_table(0.5, 2.0, 10).backend == "float"
@@ -275,6 +282,15 @@ def test_load_rejects_corrupt_header(tmp_path):
     p.write_text("not a table\n")
     with pytest.raises(ValueError):
         S.load_table(str(p))
+
+
+@pytest.mark.parametrize("field", ["N", "gamma", "kappa", "backend"])
+def test_load_rejects_header_missing_a_field(field):
+    fields = {"gamma": "1", "kappa": "2", "N": "3", "backend": "rational"}
+    del fields[field]
+    header = "theta-table v1 " + " ".join(f"{k}={v}" for k, v in fields.items())
+    with pytest.raises(ValueError, match=field):
+        S.load_table(io.StringIO(header + "\n"))
 
 
 @pytest.mark.parametrize("bad_row,replaces", [

@@ -1,5 +1,6 @@
 """Interior-flow Monte Carlo: integrator, driving, estimator, reproducibility."""
 
+import io
 import math
 import warnings
 
@@ -91,6 +92,70 @@ def test_whole_plane_derivative_infinite_horizon_limit():
         assert abs(np.exp(T + logd) - target) < 1e-6 * abs(target)
 
 
+def test_kappa_zero_flow_exact_near_driving_point():
+    # the flow is composed from exact steps, so it holds to round-off even
+    # where w sits close to the driving point 1
+    T, n = 20.0, 8000
+    ws = np.array([0.9, 0.95, 0.99, 0.88 + 0.03j])
+    _, logd = S.whole_plane_map_derivative(ws, unit_path(T, n))
+    for w, ld in zip(ws, logd):
+        _, dz = S.conic_flow(w, T)
+        assert abs(np.exp(ld) - dz) < 1e-10 * abs(dz)
+
+
+def rk4_reference(w, path, min_substeps=16):
+    """Fixed-frame composition by classical RK4.
+
+    Each increment is split into at least min_substeps substeps, and finely
+    enough that h <= 0.002 d^2 for the lane closest to the driving point.
+    Returns (z, logd, closest approach of z to the driving point).
+    """
+    def fields(z, u):
+        return z * (z + u) / (z - u), (z * z - 2 * u * z - u * u) / (z - u) ** 2
+
+    z = np.asarray(w, dtype=complex) * np.exp(1j * path.b_total)
+    logd = np.zeros_like(z)
+    closest = np.full(z.shape, np.inf)
+    for u in path.u[::-1]:
+        closest = np.minimum(closest, abs(z - u))
+        d = np.min(abs(z - u))
+        m = max(min_substeps, math.ceil(path.delta / (0.002 * d * d)))
+        h = path.delta / m
+        for _ in range(m):
+            k1, l1 = fields(z, u)
+            k2, l2 = fields(z + h / 2 * k1, u)
+            k3, l3 = fields(z + h / 2 * k2, u)
+            k4, l4 = fields(z + h * k3, u)
+            z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            logd = logd + h / 6 * (l1 + 2 * l2 + 2 * l3 + l4)
+    return z, logd, closest
+
+
+def test_exact_steps_match_finely_substepped_rk4():
+    p = S.sample_driving(6.0, 0.5, 200, np.random.default_rng(11))
+    rng = np.random.default_rng(12)
+    ws = np.concatenate((
+        [0.9, 0.93 * np.exp(0.05j)],
+        0.97 * np.exp(2j * np.pi * np.arange(16) / 16),
+        0.9 * np.sqrt(rng.uniform(size=46)) * np.exp(2j * np.pi * rng.uniform(size=46))))
+    z, logd = S.whole_plane_map_derivative(ws, p)
+    z_ref, logd_ref, closest = rk4_reference(ws, p)
+    # lanes within 0.11 of the driving point, and a lane whose arg F' has
+    # wound past pi, are included
+    assert np.sum(closest < 0.11) >= 3
+    assert np.max(np.abs(logd.imag)) > np.pi
+    assert np.max(np.abs(z - z_ref)) < 1e-9
+    # imaginary parts compared as they are: no reduction mod 2 pi
+    assert np.max(np.abs(logd.real - logd_ref.real)) < 1e-9
+    assert np.max(np.abs(logd.imag - logd_ref.imag)) < 1e-9
+
+
+def test_flow_from_the_driving_point_raises():
+    # the step's derivative vanishes at v = 1, so log F' is not finite
+    with pytest.raises(S.StepUnderflowError):
+        S.whole_plane_map_derivative(np.array([0.5, 1.0]), unit_path(1.0, 100))
+
+
 def test_array_and_scalar_paths_agree():
     p = S.sample_driving(2.0, 3.0, 1200, np.random.default_rng(9))
     ws = np.array([0.5, -0.2 + 0.3j, 0.1j])
@@ -170,6 +235,20 @@ def test_dump_file_reproducible(tmp_path):
     x = np.array([float(r[1]) for r in rows])
     est = S.moment_estimate(small_config(n_samples=16))
     assert np.mean(np.exp(1.0 * (4.0 + x))) == pytest.approx(est.mean, rel=1e-12)
+
+
+def test_dump_matches_per_path_flow():
+    # the batched kernel and whole_plane_map_derivative see the same paths:
+    # path i draws from child i of the seed's SeedSequence
+    cfg = small_config(kappa=6.0, n_steps=1000, n_samples=6, w=0.6 + 0.2j)
+    buf = io.StringIO()
+    S.moment_estimate(cfg, dump=buf)
+    rows = np.array([[float(x) for x in ln.split()] for ln in buf.getvalue().splitlines()])
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_samples)):
+        p = S.sample_driving(cfg.kappa, cfg.T, cfg.n_steps, np.random.default_rng(child))
+        _, logd = S.whole_plane_map_derivative(cfg.w, p)
+        assert abs(rows[i, 1] - logd.real) < 1e-9 and abs(rows[i, 2] - logd.imag) < 1e-9
+        assert rows[i, 3] == pytest.approx(p.b_total, abs=1e-12)
 
 
 def test_finite_difference_consistency_of_logd():
