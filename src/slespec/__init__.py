@@ -13,6 +13,7 @@ from .spectrum import (
     NoRealGammaError,
     SLEParams,
     SpectrumValue,
+    beta_on_curve,
     beta_spectrum,
     beta_tilde_on_curve,
     curve_point,

@@ -101,12 +101,6 @@ def _cmd_spectrum(args) -> int:
 
 # ---- curves ----
 
-def _beta_from_tilde(bt, gamma):
-    if gamma <= Fraction(-1, 2):
-        return bt - 2 * sp._exact(gamma) - 1
-    return bt
-
-
 def _cmd_curves(args) -> int:
     gammas = _parse_grid(args.gamma)
     kappas = _parse_grid(args.kappa)
@@ -121,7 +115,7 @@ def _cmd_curves(args) -> int:
                 skipped += 1
                 continue
             bt = sp.beta_tilde_on_curve(curve)
-            beta = _beta_from_tilde(bt, g)
+            beta = sp.beta_on_curve(curve)
             rows.append({"M": str(M), "gamma": _fmt(g), "q": _fmt(params.q),
                          "kappa": _fmt(params.kappa), "beta_tilde": _fmt(bt),
                          "beta": _fmt(beta)})
@@ -144,6 +138,10 @@ def _cmd_curves(args) -> int:
 # ---- truncate ----
 
 def _cmd_truncate(args) -> int:
+    if args.order < args.m + 2:
+        print(f"slespec truncate: error: --order must be at least M+2 = {args.m + 2} "
+              f"to show a band of width M={args.m}, got {args.order}", file=sys.stderr)
+        return 1
     gamma = Fraction(args.gamma)
     curve = sp.CurveParams(M=args.m, gamma=gamma)
     params = sp.curve_point(curve)
@@ -151,7 +149,7 @@ def _cmd_truncate(args) -> int:
     kappa_used = Fraction(args.kappa) if args.kappa is not None else kappa_curve
     N = args.order
     table = coeffs.build_theta_table(gamma, kappa_used, N, backend="rational")
-    width = coeffs.truncation_width(table, tol=Fraction(0))
+    width = coeffs.truncation_width(table)
     a_minus = eigen.a_coef(-args.m, gamma, kappa_used)
     band_pass = width is not None and width <= args.m and a_minus == 0
     report = {

@@ -4,9 +4,9 @@ The table is generated from the four-term recurrence
 sum_{l,k in {0,1}} C^{l,k}_{i,j} theta_{i-l, j-k} = 0, theta_{1,1} = 1,
 with out-of-range entries zero.  C^{0,0} vanishes only at (1,1) for
 kappa >= 0, so the solve is always well posed.  One builder fills the
-table along anti-diagonals; the backend only picks the scalar.  Entries are
-an (N, N) ndarray: dtype=object Fractions for the rational backend, float64
-for the float backend.
+table along anti-diagonals from eigen's A_n, B_n, C_n; the backend only
+picks the scalar.  Entries are an (N, N) ndarray: dtype=object Fractions
+for the rational backend, float64 for the float backend.
 """
 from __future__ import annotations
 
@@ -102,7 +102,10 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
 
     backend None picks rational for rational-like inputs up to N=60,
     float otherwise; backend "rational" takes only int or Fraction gamma and
-    kappa.  Float overflow raises with the failing index.
+    kappa.  Float overflow raises with the first failing index (smallest
+    i+j, then i).  An entry at offset n = i-j depends only on offsets n-1,
+    n, n+1, so entries more than one offset beyond the widest nonzero one
+    so far are not computed: they stay zero, as the stencil would give.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -119,43 +122,47 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
         raise ValueError("the rational backend needs int or Fraction gamma and "
                          f"kappa, got {gamma!r} and {kappa!r}")
     scalar = _SCALAR[backend]
-    g, kap, two = scalar(gamma), scalar(kappa), scalar(2)
+    g, kap = scalar(gamma), scalar(kappa)
     # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
     G = np.full((N + 1, N + 1), scalar(0))
     G[1, 1] = scalar(1)
-    cg = kap * g * g - kap * g / two - 3 * g
-    c11_const = -kap * g * g + kap * g + 6 * g - 4
-    for s in range(3, 2 * N + 1):
-        i = np.arange(max(1, s - N), min(N, s - 1) + 1)
-        j = s - i
-        d = (i - j).astype(G.dtype)   # object dtype: Python ints, not np.int64
-        c00 = -kap * d * d / two - (s - 2)
-        c01 = kap * (d + 1) ** 2 / two + (1 - kap * g) * (d + 1) + cg
-        c10 = kap * (1 - d) ** 2 / two + (1 - kap * g) * (1 - d) + cg
-        c11 = -kap * d * d / two + s + c11_const
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = -((c01 * G[i, j - 1] + c10 * G[i - 1, j])
-                     + c11 * G[i - 1, j - 1]) / c00
-        if backend == BACKEND_FLOAT:
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                b = int(np.argmax(bad))
-                raise OverflowError(
-                    f"float overflow at theta({int(i[b])},{int(j[b])}); "
-                    f"use the rational backend or a smaller N")
-        G[i, j] = vals
+    # stencil on the offsets n = i-j in -N..N+1, stored at index n + N:
+    # C01 = A_{n+1}, C10 = A_{1-n}, C00 = H_n - (s-2), C11 = K_n + (s-4), s = i+j
+    ns = range(-N, N + 2)
+    n = np.array(ns, dtype=G.dtype)   # object dtype: Python ints, not np.int64
+    A, B, C = (np.array([f(m, g, kap) for m in ns], dtype=G.dtype)
+               for f in (a_coef, b_coef, c_coef))
+    H, K = B + C + n, -C - n   # H_n = -kappa n^2/2
+    width = 0   # largest |i-j| of a nonzero entry so far
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(3, 2 * N + 1):
+            i = np.arange(max(1, s - N, (s - width) // 2),
+                          min(N, s - 1, (s + width + 1) // 2) + 1)
+            j = s - i
+            at = N + i - j
+            vals = -((A[at + 1] * G[i, j - 1] + A[2 * N + 1 - at] * G[i - 1, j])
+                     + (K[at] + (s - 4)) * G[i - 1, j - 1]) / (H[at] - (s - 2))
+            G[i, j] = vals
+            width = max(width, int(np.abs(i - j)[vals != 0].max(initial=0)))
+    if backend == BACKEND_FLOAT:
+        i, j = np.nonzero(~np.isfinite(G))
+        if len(i):
+            b = np.lexsort((i, i + j))[0]
+            raise OverflowError(
+                f"float overflow at theta({int(i[b])},{int(j[b])}); "
+                f"use the rational backend or a smaller N")
     return CoeffTable(N=N, gamma=g, kappa=kap, backend=backend, entries=G[1:, 1:])
 
 
 # ---- band structure ----
 
-def truncation_width(table: CoeffTable, tol=0) -> Optional[int]:
-    """Smallest M with all |theta| <= tol beyond |i-j| > M; None if no band fits.
+def truncation_width(table: CoeffTable) -> Optional[int]:
+    """Smallest M with theta exactly zero wherever |i-j| > M; None if no band fits.
 
     Nonzero entries reaching the table corner |i-j| = N-1 leave no in-table
     evidence of banding, hence None.
     """
-    ii, jj = np.nonzero(np.abs(table.entries) > tol)
+    ii, jj = np.nonzero(table.entries)
     m = int(np.max(np.abs(ii - jj))) if len(ii) else 0
     if m >= table.N - 1:
         return None

@@ -237,3 +237,9 @@ def beta_tilde_on_curve(curve: CurveParams) -> Scalar:
     if _crossing_poly(curve.M, curve.gamma) <= 0:
         return eigen_beta_closed(curve, 0)
     return eigen_beta_closed(curve, 2 * curve.M)
+
+
+def beta_on_curve(curve: CurveParams) -> Scalar:
+    """beta on the curve: beta~ - 2g - 1 on the tip branch gamma <= -1/2, else beta~."""
+    bt = beta_tilde_on_curve(curve)
+    return bt - 2 * curve.gamma - 1 if curve.gamma <= Fraction(-1, 2) else bt

@@ -1,9 +1,13 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
+import slespec as S
 from slespec.cli import main
 
 
@@ -91,6 +95,26 @@ def test_curves_skips_invalid_points(capsys):
     assert "skipped 1" in err
 
 
+def test_curves_beta_matches_closed_spectrum(capsys):
+    # the README grid and gamma = k/48 (tip rows included), every row checked
+    # against the closed spectrum at the curve's (q, kappa)
+    grids = ["0.05:3:60", ",".join(f"{k}/48" for k in range(-60, 160))]
+    rows = []
+    for grid in grids:
+        code, out, _ = run(capsys, "curves", "--m-max", "3", f"--gamma={grid}",
+                           "--kappa", "0")
+        assert code == 0
+        rows += [r for r in csv.DictReader(io.StringIO(out)) if r["M"] != "Q"]
+    assert len(rows) == 941
+    tip = 0
+    for r in rows:
+        g = Fraction(r["gamma"]) if "/" in r["gamma"] else float(r["gamma"])
+        tip += g <= Fraction(-1, 2)
+        want = S.beta_spectrum(S.curve_point(S.CurveParams(int(r["M"]), g))).beta
+        assert float(Fraction(r["beta"])) == pytest.approx(want, rel=1e-9, abs=1e-9), r
+    assert tip > 0
+
+
 # ---- truncate ----
 
 def test_truncate_certificate_pass(capsys):
@@ -113,6 +137,19 @@ def test_truncate_negative_control(capsys):
     doc = json.loads(out)
     assert doc["band_pass"] is False
     assert doc["band_width"] is None
+
+
+def test_truncate_order_below_m_plus_2_is_a_usage_error(capsys):
+    # a table of order M+1 has no corner beyond width M, so it cannot show a band
+    code, out, err = run(capsys, "truncate", "--m", "2", "--gamma", "1/2",
+                         "--order", "3")
+    assert code == 1
+    assert out == ""
+    assert "at least M+2 = 4" in err
+    code, out, _ = run(capsys, "truncate", "--m", "2", "--gamma", "1/2",
+                       "--order", "4")
+    assert code == 0
+    assert json.loads(out)["band_width"] == 2
 
 
 def test_truncate_invalid_curve_exits_2(capsys):

@@ -86,6 +86,22 @@ def test_four_term_relation_holds_on_band_curves(M, g):
                               g, kappa)
 
 
+@given(g=st.fractions(min_value=-2, max_value=3, max_denominator=12), k=kappas,
+       i=st.integers(1, 80), j=st.integers(1, 80))
+def test_recurrence_coeff_is_the_radial_stencil(g, k, i, j):
+    # the builder's stencil, stated through eigen's A_n, B_n, C_n at d = i-j
+    d = i - j
+
+    def C(l, m):
+        return S.recurrence_coeff(i, j, l, m, g, k)
+
+    assert C(0, 1) == S.a_coef(d + 1, g, k)
+    assert C(1, 0) == S.a_coef(1 - d, g, k)
+    assert C(0, 0) == S.b_coef(d, g, k) + S.c_coef(d, g, k) - 2 * (j - 1)
+    assert C(0, 0) == -k * d * d / 2 - (i + j - 2)
+    assert C(1, 1) == 2 * (j - 2) - S.c_coef(d, g, k)
+
+
 @given(g=gammas, k=kappas)
 def test_table_symmetry(g, k):
     t = S.build_theta_table(g, k, 9, backend="rational")
@@ -94,9 +110,14 @@ def test_table_symmetry(g, k):
             assert t.get(i, j) == t.get(j, i)
 
 
-def test_float_matches_rational():
-    tf = S.build_theta_table(2 / 3, 6.0, 30, backend="float")
-    tr = S.build_theta_table(Fraction(2, 3), 6, 30, backend="rational")
+@pytest.mark.parametrize("g,k,N", [
+    (Fraction(2, 3), Fraction(6), 30),
+    (Fraction(1, 2), S.curve_point(S.CurveParams(2, Fraction(1, 2))).kappa, 60),
+    (Fraction(1, 2), Fraction(3), 60),
+], ids=["offcurve-N30", "band-M2-N60", "offcurve-N60"])
+def test_float_matches_rational(g, k, N):
+    tf = S.build_theta_table(float(g), float(k), N, backend="float")
+    tr = S.build_theta_table(g, k, N, backend="rational")
     fr = tr._float_entries()
     scale = np.maximum(1.0, np.abs(fr))
     assert np.max(np.abs(tf.entries - fr) / scale) < 1e-12
@@ -121,7 +142,8 @@ def test_backend_autoselect_and_get_bounds():
 
 
 def test_float_overflow_reported():
-    with pytest.raises(OverflowError):
+    # the first non-finite entry in anti-diagonal order (smallest i+j, then i)
+    with pytest.raises(OverflowError, match=r"theta\(52,54\)"):
         S.build_theta_table(20.0, 100.0, 60, backend="float")
 
 
@@ -133,6 +155,14 @@ def test_float_overflow_reported():
 def test_band_width_on_curves(M, g):
     p = S.curve_point(S.CurveParams(M, g))
     t = S.build_theta_table(g, p.kappa, 24, backend="rational")
+    assert S.truncation_width(t) == M
+
+
+@pytest.mark.parametrize("M", range(11))
+def test_band_width_on_curves_at_n120(M):
+    g = Fraction(1, 2) if M else Fraction(1)
+    p = S.curve_point(S.CurveParams(M, g))
+    t = S.build_theta_table(g, p.kappa, 120, backend="rational")
     assert S.truncation_width(t) == M
 
 
