@@ -208,10 +208,15 @@ def _cmd_betafit(args) -> int:
 # ---- mc ----
 
 def _cmd_mc(args) -> int:
+    if args.samples < 2:
+        print(f"slespec mc: error: --samples must be at least 2 for a standard "
+              f"error, got {args.samples}", file=sys.stderr)
+        return 1
     q = float(_parse_number(args.q))
     kappa = float(_parse_number(args.kappa))
     w = complex(args.w)
-    n_steps = args.steps if args.steps else max(1, math.ceil(args.t_horizon / 2.5e-3))
+    n_steps = (args.steps if args.steps is not None
+               else max(1, math.ceil(args.t_horizon / 2.5e-3)))
     config = mc.MCConfig(kappa=kappa, q=q, T=args.t_horizon, n_steps=n_steps,
                          n_samples=args.samples, seed=args.seed, w=w)
     caught = []

@@ -13,6 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .special import _terminating_terms
 from .spectrum import CurveParams, InvalidCurveError, curve_point, _exact
 
 _CERT_TOL = 1e-10
@@ -259,22 +260,9 @@ def eigenfunction_poly(curve: CurveParams, l: int) -> list:
         raise InvalidCurveError("gamma = -M/3 is outside the admissible range")
     G = g * (3 * M + 1 + 4 * g) / denom
     half = l // 2
-    a = half - M
-    b = half + G
-    c = Fraction(1, 2) + l - M + G if isinstance(G, Fraction) else 0.5 + l - M + G
-    coeffs = [g * 0 for _ in range(half)]
-    term = g * 0 + 1
-    coeffs.append(term)
-    k = 0
-    while a + k != 0:
-        ck = c + k
-        if ck == 0:
-            raise ValueError(
-                f"hypergeometric lower parameter hits a nonpositive integer at k={k}")
-        term = term * (a + k) * (b + k) / (ck * (k + 1))
-        coeffs.append(term)
-        k += 1
-    return coeffs
+    one = g * 0 + 1
+    c = one / 2 + l - M + G
+    return [g * 0] * half + _terminating_terms(half - M, half + G, c, one, M - half)
 
 
 def _polyval(coeffs: Sequence, x):

@@ -2,13 +2,14 @@
 
 The hypergeometric routine covers exactly what the closed forms need:
 terminating series (exact in rational arithmetic), direct series for
-x <= 0.9, and the 1-x connection formula up to x < 1.
+x <= 0.9, and Taylor steps of the hypergeometric equation up to x < 1.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, NamedTuple
 
 from .spectrum import _exact
@@ -30,24 +31,18 @@ def _nonpositive_int(v):
     return None
 
 
-def _terminating_sum(a, b, c, x, n_terms: int):
-    term = x * 0 + 1
-    acc = term
+def _terminating_terms(a, b, c, x, n_terms: int) -> list:
+    """The n_terms + 1 terms of the 2F1 series that stops after x^n_terms.
+
+    Exact for rational inputs; raises ValueError if c + k hits zero first.
+    """
+    terms = [x * 0 + 1]
     for k in range(n_terms):
-        ck = c + k
-        if ck == 0:
+        if c + k == 0:
             raise ValueError(
                 f"2F1 lower parameter c={c} hits zero at k={k} before termination")
-        term = term * (a + k) * (b + k) * x / (ck * (k + 1))
-        acc = acc + term
-    return acc
-
-
-def _gamma_or_none(v: float):
-    try:
-        return math.gamma(v)
-    except ValueError:
-        return None   # pole: nonpositive integer
+        terms.append(terms[-1] * (a + k) * (b + k) * x / ((c + k) * (k + 1)))
+    return terms
 
 
 def hyp2f1(a, b, c, x):
@@ -55,14 +50,13 @@ def hyp2f1(a, b, c, x):
 
     Terminating cases (a or b a nonpositive integer) are summed exactly and
     stay rational for rational inputs.  Otherwise: direct series up to
-    x = 0.9, the 1-x connection formula beyond; integral c-a-b degenerates
-    the connection, so those fall back to the (slow) direct series.
+    x = 0.9; beyond, local Taylor series of the hypergeometric equation
+    (DLMF 15.10.1) continue y and y' = (ab/c) 2F1(a+1, b+1; c+1; x) from
+    x = 1/2, where both series converge like 2^-k, each step at most half way
+    to the singular point x = 1; integral c-a-b is no special case.
     """
-    na = _nonpositive_int(a)
-    nb = _nonpositive_int(b)
-    n_stop = None
-    if na is not None or nb is not None:
-        n_stop = min(v for v in (na, nb) if v is not None)
+    stops = [n for n in (_nonpositive_int(a), _nonpositive_int(b)) if n is not None]
+    n_stop = min(stops, default=None)
     nc = _nonpositive_int(c)
     if nc is not None and (n_stop is None or nc < n_stop):
         raise ValueError(
@@ -70,9 +64,8 @@ def hyp2f1(a, b, c, x):
 
     if n_stop is not None:
         exact = all(isinstance(v, (int, Fraction)) for v in (a, b, c, x))
-        if exact:
-            return _terminating_sum(_exact(a), _exact(b), _exact(c), _exact(x), n_stop)
-        return _terminating_sum(float(a), float(b), float(c), float(x), n_stop)
+        a, b, c, x = map(_exact if exact else float, (a, b, c, x))
+        return reduce(lambda acc, t: acc + t, _terminating_terms(a, b, c, x, n_stop))
 
     xf = float(x)
     if not -1.0 < xf < 1.0:
@@ -82,28 +75,15 @@ def hyp2f1(a, b, c, x):
     if xf <= _SERIES_SPLIT:
         return _direct_series(af, bf, cf, xf)
 
-    # 1-x connection
-    s = cf - af - bf
-    if abs(s - round(s)) < 1e-12:
-        # degenerate (logarithmic) case: the direct series still converges
-        # for |x| < 1, only slowly, so take the slow path instead of failing
-        return _direct_series(af, bf, cf, xf)
-    y = 1.0 - xf
-    gc = math.gamma(cf)
-    g1a, g1b = _gamma_or_none(cf - af), _gamma_or_none(cf - bf)
-    coef1 = 0.0
-    if g1a is not None and g1b is not None:
-        coef1 = gc * math.gamma(s) / (g1a * g1b)
-    g2a, g2b = _gamma_or_none(af), _gamma_or_none(bf)
-    coef2 = 0.0
-    if g2a is not None and g2b is not None:
-        coef2 = gc * math.gamma(-s) / (g2a * g2b)
-    out = 0.0
-    if coef1 != 0.0:
-        out += coef1 * _direct_series(af, bf, af + bf - cf + 1.0, y)
-    if coef2 != 0.0:
-        out += coef2 * y ** s * _direct_series(cf - af, cf - bf, s + 1.0, y)
-    return out
+    x0 = 0.5
+    y = _direct_series(af, bf, cf, x0)
+    dy = af * bf / cf * _direct_series(af + 1.0, bf + 1.0, cf + 1.0, x0)
+    while x0 < xf:
+        # x0 runs through 1 - 2^-k, so every step length x1 - x0 is exact
+        x1 = min(xf, x0 + (1.0 - x0) / 2.0)
+        y, dy = _taylor_step(af, bf, cf, x0, x1 - x0, y, dy)
+        x0 = x1
+    return y
 
 
 def _direct_series(a: float, b: float, c: float, x: float) -> float:
@@ -120,6 +100,29 @@ def _direct_series(a: float, b: float, c: float, x: float) -> float:
         else:
             small = 0
     raise RuntimeError(f"2F1 series did not converge at x={x}")
+
+
+def _taylor_step(a: float, b: float, c: float, x0: float, h: float,
+                 y: float, dy: float) -> tuple:
+    """(y, y') at x0 + h from (y, y') at x0, for x(1-x)y'' + (c-(a+b+1)x)y' = ab y.
+
+    y = sum u_k (x-x0)^k with x0(1-x0)(k+1)(k+2) u_{k+2} = (k+a)(k+b) u_k
+    - ((1-2x0)k + c-(a+b+1)x0)(k+1) u_{k+1}; the loop carries v_k = u_k h^k.
+    """
+    p = x0 * (1.0 - x0)
+    r = 1.0 - 2.0 * x0
+    s = c - (a + b + 1.0) * x0
+    v0, v1 = y, dy * h
+    y, hdy = v0 + v1, v1
+    for k in range(_SERIES_CAP):
+        v2 = h * ((k + a) * (k + b) * h * v0 - (r * k + s) * (k + 1) * v1) \
+            / (p * (k + 1) * (k + 2))
+        y += v2
+        hdy += (k + 2) * v2
+        if (k + 1) * abs(v1) + (k + 2) * abs(v2) <= _SERIES_EPS * max(abs(y), abs(hdy)):
+            return y, hdy / h
+        v0, v1 = v1, v2
+    raise RuntimeError(f"2F1 Taylor step from x={x0} did not converge")
 
 
 # ---- closed-form moment functions ----

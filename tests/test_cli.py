@@ -229,6 +229,26 @@ def test_mc_rejects_bad_w(capsys):
     assert "validation failure" in err
 
 
+@pytest.mark.parametrize("samples", ["1", "0"])
+def test_mc_samples_below_two_is_a_usage_error(capsys, samples):
+    # one sample has no standard error (stderr = inf made z = 0 and the gate
+    # passed whatever the mean)
+    code, out, err = run(capsys, "mc", "--q", "2", "--kappa", "6", "--w", "0.5",
+                         "--samples", samples, "--t-horizon", "4")
+    assert code == 1
+    assert out == ""
+    assert "--samples must be at least 2" in err
+
+
+def test_mc_zero_steps_fails_validation(capsys):
+    # --steps 0 is an invalid step count, not "use the default"
+    code, out, err = run(capsys, "mc", "--q", "1", "--kappa", "2", "--w", "0.4",
+                         "--samples", "4", "--t-horizon", "4", "--steps", "0")
+    assert code == 2
+    assert out == ""
+    assert "validation failure" in err and "n_steps" in err
+
+
 # ---- output redirection ----
 
 def test_out_file(capsys, tmp_path):

@@ -15,7 +15,7 @@ scipy_special = pytest.importorskip("scipy.special")
 # ---- 2F1 ----
 
 def test_hyp2f1_log_anchor():
-    # 2F1(1,1;2;x) = -log(1-x)/x; x=0.95 takes the degenerate-case slow path
+    # 2F1(1,1;2;x) = -log(1-x)/x; x=0.95 has the logarithmic case c-a-b = 0
     got = S.hyp2f1(1.0, 1.0, 2.0, 0.5)
     assert got == pytest.approx(2 * math.log(2.0), abs=5e-15)
     got = S.hyp2f1(1.0, 1.0, 2.0, 0.95)
@@ -48,13 +48,54 @@ def test_hyp2f1_domain():
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3),
        c=st.floats(0.3, 4.0), x=st.floats(-0.9, 0.95))
 def test_hyp2f1_against_scipy(a, b, c, x):
-    # keep away from the 1-x connection's gamma poles
+    # scipy is unreliable at (near-)integer c-a-b; mpmath checks those below
     cab = c - a - b
     assume(abs(cab - round(cab)) > 1e-3)
     want = float(scipy_special.hyp2f1(a, b, c, x))
     assume(math.isfinite(want) and abs(want) < 1e8)
     got = S.hyp2f1(a, b, c, x)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _mp_hyp2f1(a, b, c, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return float(mpmath.hyp2f1(a, b, c, x))
+
+
+@pytest.mark.parametrize("x", [0.999, 0.9999, 1 - 1e-9])
+@pytest.mark.parametrize("a,b,c", [(0.3, 0.4, 0.7), (0.3, 0.4, 1.7), (0.3, 0.4, 2.7),
+                                   (1.25, 0.5, 1.75), (1.25, 0.5, 3.75),
+                                   (1.25, 0.5, 0.75)])
+def test_hyp2f1_integer_c_minus_a_minus_b_near_one(a, b, c, x):
+    # c-a-b in {-1, 0, 1, 2}: the logarithmic cases of the 1-x connection;
+    # at c-a-b = -1, x = 1 - 1e-9 the value grows like 1/(1-x), so a step
+    # that ended one rounding away from its stored x would err by ~1e-8
+    assert S.hyp2f1(a, b, c, x) == pytest.approx(_mp_hyp2f1(a, b, c, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.95, 0.99])
+@pytest.mark.parametrize("ds", [1e-6, -1e-6])
+def test_hyp2f1_near_integer_c_minus_a_minus_b(ds, x):
+    # c-a-b = 1 +- 1e-6, where the Gamma(s) and Gamma(-s) terms of the 1-x
+    # connection formula nearly cancel
+    a, b = 0.35, 0.8
+    c = a + b + 1 + ds
+    assert S.hyp2f1(a, b, c, x) == pytest.approx(_mp_hyp2f1(a, b, c, x), rel=1e-12)
+
+
+@given(a=st.floats(0.1, 1.5), b=st.floats(0.1, 1.5), n=st.integers(-1, 2),
+       kind=st.sampled_from(["generic", "integer", "near-integer"]),
+       frac=st.floats(0.05, 0.95), log_ds=st.floats(-7, -5),
+       sign=st.sampled_from([-1, 1]), x=st.floats(0.9, 0.9999))
+def test_hyp2f1_near_one_against_mpmath(a, b, n, kind, frac, log_ds, sign, x):
+    # c-a-b generic, an integer, or within 1e-7..1e-5 of an integer
+    s = {"generic": n + frac, "integer": n,
+         "near-integer": n + sign * 10 ** log_ds}[kind]
+    c = a + b + s
+    assume(c > 0.05)      # clear of the poles of 2F1 at c = 0, -1, ...
+    want = _mp_hyp2f1(a, b, c, x)
+    assert S.hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-12)
 
 
 # ---- closed-form moment functions ----
@@ -99,6 +140,17 @@ def test_rho_M1_matches_recurrence_table():
         want = S.rho_M1(w, np.conj(w), 1.0).value
         got = S.eval_rho(t, w, np.conj(w)).value
         assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+def test_rho_M1_near_one_where_phi1_is_logarithmic():
+    # at gamma = (-3 + sqrt 57)/8 the first Gauss function has c-a-b = 2
+    g = (-3.0 + math.sqrt(57.0)) / 8.0
+    D1 = 2.0 * g * g + g + 1.0
+    a, b = (g + 1.0) * (1.0 - 3.0 * g) / D1, (1.0 - g - 4.0 * g * g) / D1
+    assert (g + 1.0) ** 2 / D1 - a - b == pytest.approx(2.0, abs=1e-12)
+    w = math.sqrt(0.9999)
+    v = S.rho_M1(w, w, g).value
+    assert math.isfinite(v.real) and math.isfinite(v.imag)
 
 
 def test_deterministic_map_derivative():
