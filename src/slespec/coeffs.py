@@ -106,6 +106,9 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     i+j, then i).  An entry at offset n = i-j depends only on offsets n-1,
     n, n+1, so entries more than one offset beyond the widest nonzero one
     so far are not computed: they stay zero, as the stencil would give.
+    Each anti-diagonal and its three stencil operands are strided slices of
+    the flattened padded grid, so the sweep gathers and scatters nothing by
+    index.
     Float tables are accurate to ~1e-15 of max(1, |theta|); tiny entries
     that come out of cancellation can be off by far more, relatively (2.9e-8
     at gamma=-0.3, kappa=4, N=120).
@@ -136,24 +139,30 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     A, B, C = (np.array([f(m, g, kap) for m in ns], dtype=G.dtype)
                for f in (a_coef, b_coef, c_coef))
     H, K = B + C + n, -C - n   # H_n = -kappa n^2/2
+    A1, Ar = A[1:], A[::-1]   # A1[at] = A_{n+1}, Ar[at] = A_{1-n}
+    # (i, s-i) sits at flat index i*N + s of G: anti-diagonal s is a step-N slice
+    # d of G11, and theta(i, j-1), (i-1, j), (i-1, j-1) the same slice of G10, G01, G00
+    Gf = G.reshape(-1)
+    G00, G01, G10, G11 = (Gf[k:] for k in (0, 1, N + 1, N + 2))
     width = 0   # largest |i-j| of a nonzero entry so far
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(3, 2 * N + 1):
-            i = np.arange(max(1, s - N, (s - width) // 2),
-                          min(N, s - 1, (s + width + 1) // 2) + 1)
-            j = s - i
-            at = N + i - j
-            vals = -((A[at + 1] * G[i, j - 1] + A[2 * N + 1 - at] * G[i - 1, j])
-                     + (K[at] + (s - 4)) * G[i - 1, j - 1]) / (H[at] - (s - 2))
-            G[i, j] = vals
-            width = max(width, int(np.abs(i - j)[vals != 0].max(initial=0)))
-    if backend == BACKEND_FLOAT:
+            lo = max(1, s - N, (s - width) // 2)
+            hi = min(N, s - 1, (s + width + 1) // 2)
+            at = slice(N + 2 * lo - s, N + 2 * hi - s + 1, 2)   # n + N, n = 2i - s
+            d = slice(lo * N + s - N - 2, hi * N + s - N - 1, N)
+            vals = -((A1[at] * G10[d] + Ar[at] * G01[d])
+                     + (K[at] + (s - 4)) * G00[d]) / (H[at] - (s - 2))
+            G11[d] = vals
+            nz = vals.nonzero()[0]   # |i-j| = |2i-s| peaks at an end
+            if len(nz):
+                width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
+    if backend == BACKEND_FLOAT and not np.isfinite(G).all():
         i, j = np.nonzero(~np.isfinite(G))
-        if len(i):
-            b = np.lexsort((i, i + j))[0]
-            raise OverflowError(
-                f"float overflow at theta({int(i[b])},{int(j[b])}); "
-                f"use the rational backend or a smaller N")
+        b = np.lexsort((i, i + j))[0]
+        raise OverflowError(
+            f"float overflow at theta({int(i[b])},{int(j[b])}); "
+            f"use the rational backend or a smaller N")
     return CoeffTable(N=N, gamma=g, kappa=kap, backend=backend, entries=G[1:, 1:])
 
 
@@ -290,23 +299,15 @@ def diagonal_growth_exponent(table: CoeffTable) -> float:
     return float(np.median(R[-take:])) + 1.0
 
 
-def _fourier_values(entries: np.ndarray, xi: float) -> np.ndarray:
-    N = entries.shape[0]
-    xp = xi ** np.arange(N)
-    out = np.empty(N)
-    for n in range(N):
-        band = np.diagonal(entries, offset=-n)
-        out[n] = band @ xp[:band.size]
-    return out
-
-
 def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
                    tail_tol: float = 1e-6) -> float:
     """Integral of rho(r e^{i phi}, r e^{-i phi}) over phi in [0, 2pi).
 
     Preconditions: n_phi a power of two >= 256; the corner-block tail at
     radius r must stay below tail_tol of the absolute partial sum, else a
-    TailCheckError reports the largest admissible radius.
+    TailCheckError reports the largest admissible radius.  On phi_k = 2 pi
+    k/n_phi, Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n f_n(r^2), is one
+    FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0,1), got {r}")
@@ -333,11 +334,16 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
             f"(increase N or tail_tol)", r_max=lo)
 
     N = table.N
-    xi = r * r
-    ff = _fourier_values(ent, xi)
-    cn = ff * r ** np.arange(N)
+    # row j of the zero-padded transpose, read with a row stride one longer,
+    # lists theta_{j+n,j} for n = 0..N-1: the N diagonal sums are one product
+    T = np.zeros((N, 2 * N))
+    T[:, :N] = ent.T
+    skew = np.lib.stride_tricks.as_strided(
+        T, (N, N), (T.strides[0] + T.itemsize, T.itemsize))
+    cn = ((r * r) ** np.arange(N) @ skew) * r ** np.arange(N)
+    fold = np.bincount(np.arange(N) % n_phi, weights=cn, minlength=n_phi)
+    theta_vals = 2.0 * np.fft.fft(fold).real - cn[0]
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    theta_vals = cn[0] + 2.0 * (np.cos(np.outer(np.arange(1, N), phi)).T @ cn[1:])
     g = float(table.gamma)
     integrand = (1.0 - 2.0 * r * np.cos(phi) + r * r) ** g * theta_vals
     return float(2.0 * np.pi * np.mean(integrand))

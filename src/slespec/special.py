@@ -1,8 +1,8 @@
 """Gauss 2F1 on the real interval, closed-form moment functions, PDE residual.
 
 The hypergeometric routine covers exactly what the closed forms need:
-terminating series (exact in rational arithmetic), direct series for
-x <= 0.9, and Taylor steps of the hypergeometric equation up to x < 1.
+terminating series (exact in rational arithmetic), Pfaff's transformation for
+x < 0, direct series to 0.9, Taylor steps of the hypergeometric equation to 1.
 """
 from __future__ import annotations
 
@@ -49,8 +49,9 @@ def hyp2f1(a, b, c, x):
     """2F1(a, b; c; x) for real x in (-1, 1).
 
     Terminating cases (a or b a nonpositive integer) are summed exactly and
-    stay rational for rational inputs.  Otherwise: direct series up to
-    x = 0.9; beyond, local Taylor series of the hypergeometric equation
+    stay rational for rational inputs.  Otherwise x < 0 goes through Pfaff's
+    (1-x)^-a 2F1(a, c-b; c; x/(x-1)) (DLMF 15.8.1), a series in x/(x-1) < 1/2;
+    direct series up to x = 0.9; beyond, local Taylor series of the equation
     (DLMF 15.10.1) continue y and y' = (ab/c) 2F1(a+1, b+1; c+1; x) from
     x = 1/2, where both series converge like 2^-k, each step at most half way
     to the singular point x = 1; integral c-a-b is no special case.
@@ -72,6 +73,8 @@ def hyp2f1(a, b, c, x):
         raise ValueError(
             f"non-terminating 2F1 needs -1 < x < 1, got x={xf}")
     af, bf, cf = float(a), float(b), float(c)
+    if xf < 0.0:
+        return (1.0 - xf) ** -af * _direct_series(af, cf - bf, cf, xf / (xf - 1.0))
     if xf <= _SERIES_SPLIT:
         return _direct_series(af, bf, cf, xf)
 

@@ -141,6 +141,56 @@ def test_backend_autoselect_and_get_bounds():
         t.get(1, 6)
 
 
+def _gather_build(gamma, kappa, N, scalar):
+    """The builder's anti-diagonal sweep with fancy-index gathers, as it was
+    before the strided-slice rewrite: the reference for bit-identity."""
+    g, kap = scalar(gamma), scalar(kappa)
+    G = np.full((N + 1, N + 1), scalar(0))
+    G[1, 1] = scalar(1)
+    ns = range(-N, N + 2)
+    n = np.array(ns, dtype=G.dtype)
+    A, B, C = (np.array([f(m, g, kap) for m in ns], dtype=G.dtype)
+               for f in (S.a_coef, S.b_coef, S.c_coef))
+    H, K = B + C + n, -C - n
+    width = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(3, 2 * N + 1):
+            i = np.arange(max(1, s - N, (s - width) // 2),
+                          min(N, s - 1, (s + width + 1) // 2) + 1)
+            j = s - i
+            at = N + i - j
+            vals = -((A[at + 1] * G[i, j - 1] + A[2 * N + 1 - at] * G[i - 1, j])
+                     + (K[at] + (s - 4)) * G[i - 1, j - 1]) / (H[at] - (s - 2))
+            G[i, j] = vals
+            width = max(width, int(np.abs(i - j)[vals != 0].max(initial=0)))
+    return G[1:, 1:]
+
+
+def _on_curve(M, g):
+    return g, S.curve_point(S.CurveParams(M, g)).kappa
+
+
+@pytest.mark.parametrize("g,k,N", [
+    (*_on_curve(0, 1.6), 600), (*_on_curve(0, 0.8), 250), (*_on_curve(1, 0.7), 1200),
+    (*_on_curve(1, 1.4), 400), (1.3, 2.5, 400), (-0.3, 4.0, 120),
+], ids=["width0-N600", "width0-N250", "width1-N1200", "width1-N400",
+        "offband-N400", "cancellation-N120"])
+def test_float_build_bit_identical_to_gather_build(g, k, N):
+    t = S.build_theta_table(g, k, N, backend="float")
+    assert np.array_equal(t.entries, _gather_build(g, k, N, float))
+
+
+@pytest.mark.parametrize("g,k,N", [
+    (Fraction(1, 2), S.curve_point(S.CurveParams(2, Fraction(1, 2))).kappa, 60),
+    (Fraction(-3, 10), Fraction(4), 40),
+], ids=["on-curve-M2-N60", "off-curve-N40"])
+def test_rational_build_equals_gather_build(g, k, N):
+    got = S.build_theta_table(g, k, N, backend="rational").entries
+    want = _gather_build(g, k, N, Fraction)
+    assert all(isinstance(v, Fraction) for v in got.flat)
+    assert got.tolist() == want.tolist()
+
+
 def test_float_overflow_reported():
     # the first non-finite entry in anti-diagonal order (smallest i+j, then i)
     with pytest.raises(OverflowError, match=r"theta\(52,54\)"):
@@ -254,6 +304,32 @@ def test_integral_means_analytic_oracle():
         want = 2 * np.pi * (1 + r * r) / (1 - r * r) ** 3
         got = S.integral_means(t, r, n_phi=2048)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def _cosine_matrix_means(table, r, n_phi):
+    """integral_means by the N x n_phi cosine matrix it used before the FFT."""
+    ent, N = table._float_entries(), table.N
+    xp = (r * r) ** np.arange(N)
+    cn = np.array([np.diagonal(ent, -n) @ xp[:N - n] for n in range(N)]) * r ** np.arange(N)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    theta = cn[0] + 2.0 * (np.cos(np.outer(np.arange(1, N), phi)).T @ cn[1:])
+    g = float(table.gamma)
+    return 2.0 * np.pi * np.mean((1.0 - 2.0 * r * np.cos(phi) + r * r) ** g * theta)
+
+
+@pytest.mark.parametrize("q,k,N,rs,n_phi", [
+    (2, 6, 400, [1 - 2.0 ** -k for k in range(3, 8)], 1024),    # criterion 6
+    (1, 4, 600, [1 - 2.0 ** -k for k in range(3, 8)], 1024),    # criterion 7
+    (None, 2.5, 1200, [0.5, 0.9, 0.95], 256),    # N > n_phi: the fold wraps
+    (None, 2.5, 1200, [0.5, 0.9, 0.95], 1024),
+], ids=["criterion6-N400", "criterion7-N600", "N1200-nphi256", "N1200-nphi1024"])
+def test_fft_integral_means_match_cosine_matrix(q, k, N, rs, n_phi):
+    g = 1.3 if q is None else S.gamma_roots(S.SLEParams(q, k)).gamma_minus
+    t = S.build_theta_table(g, k, N, backend="float")
+    for r in rs:
+        want = _cosine_matrix_means(t, r, n_phi)
+        got = S.integral_means(t, r, n_phi=n_phi, tail_tol=1e-3)
+        assert abs(got - want) <= 1e-13 * abs(want), r
 
 
 def test_integral_means_guards():

@@ -9,8 +9,6 @@ from hypothesis import assume, given, strategies as st
 
 import slespec as S
 
-scipy_special = pytest.importorskip("scipy.special")
-
 
 # ---- 2F1 ----
 
@@ -49,6 +47,7 @@ def test_hyp2f1_domain():
        c=st.floats(0.3, 4.0), x=st.floats(-0.9, 0.95))
 def test_hyp2f1_against_scipy(a, b, c, x):
     # scipy is unreliable at (near-)integer c-a-b; mpmath checks those below
+    scipy_special = pytest.importorskip("scipy.special")
     cab = c - a - b
     assume(abs(cab - round(cab)) > 1e-3)
     want = float(scipy_special.hyp2f1(a, b, c, x))
@@ -61,6 +60,21 @@ def _mp_hyp2f1(a, b, c, x):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         return float(mpmath.hyp2f1(a, b, c, x))
+
+
+@pytest.mark.parametrize("x", [-0.999, -0.9999, -0.999999, -0.9, -0.5, -1e-3])
+@pytest.mark.parametrize("a,b,c", [(0.5, 0.5, 1.5), (0.3, 0.4, 1.7), (1.25, 2.0, 0.75),
+                                   (-2.5, 1.5, 0.3), (2.5, -1.3, 0.7)])
+def test_hyp2f1_negative_x_against_mpmath(a, b, c, x):
+    # the direct series converges like |x|^k and gave up at x = -0.9999;
+    # Pfaff's transformation sums a series in x/(x-1) < 1/2 instead
+    assert S.hyp2f1(a, b, c, x) == pytest.approx(_mp_hyp2f1(a, b, c, x), rel=1e-12)
+
+
+@given(a=st.floats(0.1, 1.5), b=st.floats(-1.5, 1.5), c=st.floats(0.3, 4.0),
+       x=st.floats(-0.999999, -1e-6))
+def test_hyp2f1_generic_negative_x_against_mpmath(a, b, c, x):
+    assert S.hyp2f1(a, b, c, x) == pytest.approx(_mp_hyp2f1(a, b, c, x), rel=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.999, 0.9999, 1 - 1e-9])
