@@ -7,9 +7,11 @@ The reflection-symmetric subspace psi_n = psi_{-n} reduces to (M+1)x(M+1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from numbers import Rational
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -118,45 +120,94 @@ class EigenResult:
     values: np.ndarray       # ascending
     vectors: np.ndarray      # column k pairs with values[k], unit 2-norm
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
+    # exact input only (None on float input), one entry per value:
+    newton_steps: Optional[np.ndarray] = None        # Newton updates taken
+    bracket_halfwidths: Optional[np.ndarray] = None  # h of the sign change at value -+ h
 
 
 def _tridiag_exact(matrix):
-    """(diag, sub, super) as Fractions when the input is exact and tridiagonal."""
+    """(diag, sub, super) as Fractions when the input is exact and tridiagonal.
+
+    Exact means every entry is a numbers.Rational: int, Fraction, or a numpy
+    integer; any float sends the matrix down the float path.
+    """
     rows = [list(r) for r in matrix]
     n = len(rows)
     for r in rows:
         if len(r) != n:
             return None
         for x in r:
-            if not isinstance(x, (int, Fraction)):
+            if not isinstance(x, Rational):
                 return None
     for i in range(n):
         for j in range(n):
             if abs(i - j) > 1 and rows[i][j] != 0:
                 return None
-    diag = [Fraction(rows[i][i]) for i in range(n)]
-    sub = [Fraction(rows[i + 1][i]) for i in range(n - 1)]
-    sup = [Fraction(rows[i][i + 1]) for i in range(n - 1)]
+
+    def exact(x):
+        # Fraction(x) would keep a numpy integer's fixed width
+        return Fraction(int(x.numerator), int(x.denominator))
+
+    diag = [exact(rows[i][i]) for i in range(n)]
+    sub = [exact(rows[i + 1][i]) for i in range(n - 1)]
+    sup = [exact(rows[i][i + 1]) for i in range(n - 1)]
     return diag, sub, sup
 
 
-def _char_poly(diag, sub, sup):
-    # leading principal minors of (T - x I); ascending coefficients, exact
-    prev = [Fraction(1)]
-    cur = [diag[0], Fraction(-1)]
-    for k in range(1, len(diag)):
-        d, ef = diag[k], sub[k - 1] * sup[k - 1]
-        nxt = [Fraction(0)] * (len(cur) + 1)
+def _char_poly(diag, sub, sup) -> list:
+    """Primitive integer multiple of det(T - x I), ascending coefficients.
+
+    With L the lcm of the entries' denominators, the leading principal minors
+    of the integer matrix L*T in y = L*x give det(L*T - y I) = L^n det(T - x I);
+    coefficient i times L^i returns to x, and dividing by the content leaves
+    a positive multiple of det(T - x I): same signs, same ratios p/p'.
+    """
+    L = math.lcm(*(f.denominator for f in (*diag, *sub, *sup)))
+
+    def scaled(f):
+        return f.numerator * (L // f.denominator)
+
+    d = [scaled(f) for f in diag]
+    ef = [scaled(s) * scaled(u) for s, u in zip(sub, sup)]
+    prev, cur = [1], [d[0], -1]
+    for k in range(1, len(d)):
+        nxt = [0] * (len(cur) + 1)
         for i, c in enumerate(cur):
-            nxt[i] += d * c
+            nxt[i] += d[k] * c
             nxt[i + 1] -= c
         for i, c in enumerate(prev):
-            nxt[i] -= ef * c
+            nxt[i] -= ef[k - 1] * c
         prev, cur = cur, nxt
-    return cur
+    coeffs = [c * L ** i for i, c in enumerate(cur)]
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs]
 
 
-_DEN_CAP = 1 << 200   # stops Newton iterates from squaring bignum denominators
+def _homogeneous(coeffs: Sequence[int], a: int, e: int, D: int = 1):
+    """(H, H') = (b^d p(a/b), b^(d-1) p'(a/b)) at b = D 2^e, in integers.
+
+    One Horner pass: h <- h a + c_k b^(d-k) for the value, dh <- dh a + h for
+    the derivative; the powers of 2^e are shifts.  H has the sign of p(a/b).
+    """
+    h, dh, Dk, k = coeffs[-1], 0, 1, 0
+    for c in reversed(coeffs[:-1]):
+        Dk *= D
+        k += e
+        dh = dh * a + h
+        h = h * a + (c * Dk << k)
+    return h, dh
+
+
+def _round_half_even(n: int, d: int) -> int:
+    """round(n/d), ties to even, as round(Fraction(n, d)) gives."""
+    if d < 0:
+        n, d = -n, -d
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
+_DEN_BITS = 200   # iterates are m / 2^200: stops denominators squaring each step
+_STOP_BITS = 150  # Newton stops once |step| < 2^-150 max(1, |x|)
 
 
 def _exact_eigenvalues(diag, sub, sup, seeds):
@@ -168,49 +219,65 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
     crossings the matrix is nonnormal enough that float eigenvalues carry
     ~1e-9 error, far above the certification bound, which is why this path
     exists at all.
+
+    Everything runs on Python integers, with no gcd: p is _char_poly's
+    integer polynomial, an iterate x = a/2^e is evaluated as
+    H(a, 2^e) = 2^(ed) p(x), which has the sign of p(x), and the Newton
+    update x - H/(2^e H') is rounded half-even onto the grid 2^-200.  The
+    bracket ends x -+ h, h = 1e-13 max(1, |x|) (shrunk by 7 up to three times
+    while an end is a root), are tested the same way over a common
+    denominator.  The iterates are the rationals that Fraction arithmetic on
+    det(T - x I) would give.
+
+    Returns the eigenvalues, the Newton steps each took and each bracket's
+    half-width, all ascending by eigenvalue.
     """
     p = _char_poly(diag, sub, sup)
-    dp = _polyder(p)
     out = []
     for seed in seeds:
-        x = Fraction(seed)
-        for _ in range(8):
-            fx = _polyval(p, x)
-            if fx == 0:
+        a, b = seed.as_integer_ratio()
+        e = b.bit_length() - 1
+        steps = 0
+        while steps < 8:
+            H, dH = _homogeneous(p, a, e)
+            if H == 0:
                 break
-            dfx = _polyval(dp, x)
-            if dfx == 0:
+            if dH == 0:
                 raise EigenCertificationError(
-                    f"stationary characteristic polynomial at {float(x)}")
-            step = fx / dfx
-            x = Fraction(round((x - step) * _DEN_CAP), _DEN_CAP)
-            if abs(step) * (1 << 150) < max(1, abs(x)):
+                    f"stationary characteristic polynomial at {a / (1 << e)}")
+            m = _round_half_even((a * dH - H) << _DEN_BITS, dH << e)
+            steps += 1
+            # |H / (2^e H')| 2^150 < max(1, |m| / 2^200), cleared of denominators
+            done = (abs(H) << (_DEN_BITS + _STOP_BITS)
+                    < (max(1 << _DEN_BITS, abs(m)) * abs(dH)) << e)
+            a, e = m, _DEN_BITS
+            if done:
                 break
-        h = Fraction(1, 10 ** 13) * max(1, abs(x))
-        lo, hi = _polyval(p, x - h), _polyval(p, x + h)
-        for _ in range(3):
+        s = max(1 << e, abs(a))   # h = s / (2^e D) = max(1, |x|) / D
+        for D in (10 ** 13 * 7 ** j for j in range(4)):
+            lo, hi = (_homogeneous(p, a * D + t, e, D)[0] for t in (-s, s))
             if lo != 0 and hi != 0:
                 break
-            h /= 7
-            lo, hi = _polyval(p, x - h), _polyval(p, x + h)
         if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
             raise EigenCertificationError(
-                f"no sign-change certificate at eigenvalue {float(x)}")
-        out.append((x, h))
+                f"no sign-change certificate at eigenvalue {a / (1 << e)}")
+        out.append((Fraction(a, 1 << e), Fraction(s, D << e), steps))
     out.sort(key=lambda t: t[0])
-    for (a, ha), (b, hb) in zip(out, out[1:]):
-        if b - a <= ha + hb:
+    for (x, hx, _), (y, hy, _) in zip(out, out[1:]):
+        if y - x <= hx + hy:
             raise EigenCertificationError(
-                f"eigenvalue brackets at {float(a)} and {float(b)} overlap")
-    return [float(x) for x, _ in out]
+                f"eigenvalue brackets at {float(x)} and {float(y)} overlap")
+    return ([float(x) for x, _, _ in out], [n for _, _, n in out],
+            [float(h) for _, h, _ in out])
 
 
 def eigen_solve(matrix) -> EigenResult:
     """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
 
-    Exact tridiagonal input (int or Fraction entries) gets its eigenvalues
-    refined on the exact characteristic polynomial, each certified by a
-    sign-change bracket; float input keeps the plain LAPACK values.  Every
+    Exact tridiagonal input (int, Fraction or numpy-integer entries) gets its
+    eigenvalues refined on the integer characteristic polynomial, each
+    certified by a sign-change bracket whose half-width the result reports;
+    float input keeps the plain LAPACK values.  Every
     returned vector is the smallest singular vector of (R - lambda I), the
     minimizer of ||R v - lambda v|| at that lambda; any pair failing the
     1e-10 bound raises EigenCertificationError carrying the offending matrix.
@@ -221,9 +288,11 @@ def eigen_solve(matrix) -> EigenResult:
         raise EigenCertificationError(
             f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
     lams = sorted(float(v) for v in vals.real)
+    steps = widths = None
     exact = _tridiag_exact(matrix)
     if exact is not None:
-        lams = _exact_eigenvalues(*exact, lams)
+        lams, steps, widths = _exact_eigenvalues(*exact, lams)
+        steps, widths = np.array(steps), np.array(widths)
     eye = np.eye(mat.shape[0])
     out_vecs = []
     out_res = []
@@ -238,7 +307,9 @@ def eigen_solve(matrix) -> EigenResult:
         out_res.append(res)
     return EigenResult(values=np.array(lams),
                        vectors=np.array(out_vecs).T,
-                       residuals=np.array(out_res))
+                       residuals=np.array(out_res),
+                       newton_steps=steps,
+                       bracket_halfwidths=widths)
 
 
 # ---- closed-form eigenfunctions and the angular ODE residual ----
