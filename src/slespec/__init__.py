@@ -72,7 +72,6 @@ from .mc import (
     MCEstimate,
     StepUnderflowError,
     conic_flow,
-    elementary_step,
     moment_estimate,
     sample_driving,
     whole_plane_map_derivative,

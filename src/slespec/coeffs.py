@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,18 +95,20 @@ class CoeffTable:
 
 
 def _is_rational_like(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    # the exactness rule of eigen._tridiag_exact; bool is refused as in spectrum._exact
+    return isinstance(x, Rational) and not isinstance(x, bool)
 
 
 def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> CoeffTable:
     """theta table up to index N.
 
-    backend None picks rational for rational-like inputs up to N=60,
-    float otherwise; backend "rational" takes only int or Fraction gamma and
-    kappa.  Float overflow raises with the first failing index (smallest
-    i+j, then i).  An entry at offset n = i-j depends only on offsets n-1,
-    n, n+1, so entries more than one offset beyond the widest nonzero one
-    so far are not computed: they stay zero, as the stencil would give.
+    backend None picks rational for rational-like inputs (int, Fraction or
+    numpy integer, not bool) up to N=60, float otherwise; backend "rational"
+    takes only rational-like gamma and kappa.  Float overflow raises with
+    the first failing index (smallest i+j, then i).  An entry at offset
+    n = i-j depends only on offsets n-1, n, n+1, so entries more than one
+    offset beyond the widest nonzero one so far are not computed: they stay
+    zero, as the stencil would give.
     Each anti-diagonal and its three stencil operands are strided slices of
     the flattened padded grid, so the sweep gathers and scatters nothing by
     index.
@@ -123,10 +126,13 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
             and N <= _RATIONAL_N_CAP) else BACKEND_FLOAT
     if backend not in _SCALAR:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == BACKEND_RATIONAL and not (
-            _is_rational_like(gamma) and _is_rational_like(kappa)):
-        raise ValueError("the rational backend needs int or Fraction gamma and "
-                         f"kappa, got {gamma!r} and {kappa!r}")
+    if backend == BACKEND_RATIONAL:
+        if not (_is_rational_like(gamma) and _is_rational_like(kappa)):
+            raise ValueError("the rational backend needs int, Fraction or numpy "
+                             f"integer gamma and kappa, got {gamma!r} and {kappa!r}")
+        # numpy integers become Python ints, whose products cannot overflow
+        gamma, kappa = (Fraction(int(x.numerator), int(x.denominator))
+                        for x in (gamma, kappa))
     scalar = _SCALAR[backend]
     g, kap = scalar(gamma), scalar(kappa)
     # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal

@@ -30,9 +30,9 @@ class StepUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class DrivingPath:
-    u: np.ndarray        # frozen driving per increment, time order
+    inc: np.ndarray      # driving increments dB_k, time order
     delta: float
-    b_total: float       # B(T); u[-1] = e^{i B(T)}
+    b_total: float       # B(T), the sum of inc
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,17 @@ class MCEstimate:
 
 def sample_driving(kappa: float, T: float, n_steps: int,
                    stream: np.random.Generator) -> DrivingPath:
-    """Brownian driving on the circle: B(t_0) = 0, var kappa * delta per step.
+    """Brownian driving on the circle: B(0) = 0, var kappa * delta per step.
 
-    u_k freezes e^{i B} at the right endpoint t_k of each increment.
+    Increment k freezes the driving at B(t_k), its right endpoint.
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
+    if not (T > 0 and n_steps >= 1):
+        raise ValueError(f"need T > 0 and n_steps >= 1, got {T} and {n_steps}")
     delta = T / n_steps
     inc = stream.standard_normal(n_steps) * math.sqrt(kappa * delta)
-    B = np.cumsum(inc)
-    return DrivingPath(u=np.exp(1j * B), delta=delta, b_total=float(B[-1]))
+    return DrivingPath(inc=inc, delta=delta, b_total=float(inc.sum()))
 
 
 # ---- elementary frozen-driving flow ----
@@ -123,45 +124,30 @@ def _increment(v: np.ndarray, delta: float, log_re: np.ndarray,
     return two_v / D
 
 
-def _compose(w, delta: float, rotation_blocks):
+def _compose(w, delta: float, inc: np.ndarray):
     """Compose frozen-driving increments latest-first in the driving frame.
 
-    The point starts as w in the frame of the latest increment, where the
-    driving sits at 1.  rotation_blocks yields the rotations e^{i dB_k},
-    latest block first, each block in time order: after increment k, v is
-    rotated into the frame of increment k-1, and after increment 0 into the
-    fixed frame.  Returns (z, log dz/dw) as 1-d arrays.
+    inc holds the driving increments dB_k with time on the last axis: shape
+    (n,) for one path shared by every lane of w, (lanes, n) for one path per
+    lane.  The point starts as w in the frame of the latest increment, where
+    the driving sits at 1; after increment k it is rotated by e^{i dB_k} into
+    the frame of increment k-1, and after increment 0 into the fixed frame.
+    Returns (z, log dz/dw) as 1-d arrays.
     """
     v = np.atleast_1d(np.asarray(w, dtype=complex))
     log_re = np.zeros(v.shape)
     log_im = np.zeros(v.shape)
+    n = inc.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rot in rotation_blocks:
+        for a in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+            # one step's rotations for all lanes form one contiguous row
+            rot = _unit(np.ascontiguousarray(inc[..., a:a + _BLOCK].T))
             for k in range(len(rot) - 1, -1, -1):
                 v = _increment(v, delta, log_re, log_im) * rot[k]
     if not (np.isfinite(v).all() and np.isfinite(log_re + log_im).all()):
         raise StepUnderflowError(
             "flow reached the driving singularity: non-finite result")
     return v, log_re + 1j * log_im
-
-
-def elementary_step(z, logd, u, delta: float):
-    """Advance (z, log-derivative) through one frozen-driving increment.
-
-    Accepts scalars or matching 1-d arrays; delta = 0 is the identity.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    scalar = np.ndim(z) == 0
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex)).copy()
-    l_arr = np.atleast_1d(np.asarray(logd, dtype=complex)).copy()
-    if delta > 0:
-        u = np.asarray(u, dtype=complex)
-        v, dl = _compose(z_arr / u, float(delta), [np.ones(1)])
-        z_arr, l_arr = v * u, l_arr + dl
-    if scalar:
-        return complex(z_arr[0]), complex(l_arr[0])
-    return z_arr, l_arr
 
 
 def conic_flow(w, T: float):
@@ -192,15 +178,13 @@ def conic_flow(w, T: float):
 def whole_plane_map_derivative(w, path: DrivingPath):
     """F(w e^{i B(T)}, T) and log of its derivative in the first argument.
 
-    Increments compose latest-first in the driving frame, where the start
-    point w e^{i B(T)} / u_{n-1} is w itself.  Log-space throughout: the raw
+    Increments compose latest-first in the frame of the latest one, where
+    the start point w e^{i B(T)} is w itself.  Log-space throughout: the raw
     value contracts like e^{-T}.  w may be a scalar or a 1-d array (one
-    shared driving path).
+    shared driving path); a lane equals its batched lane bit for bit.
     """
     scalar = np.ndim(w) == 0
-    u = np.asarray(path.u, dtype=complex)
-    rot = u / np.concatenate(([1.0], u[:-1]))    # e^{i (B(t_k) - B(t_{k-1}))}
-    z, logd = _compose(w, path.delta, [rot])
+    z, logd = _compose(w, path.delta, path.inc)
     if scalar:
         return complex(z[0]), complex(logd[0])
     return z, logd
@@ -216,17 +200,11 @@ def _unit(angle: np.ndarray) -> np.ndarray:
 
 def _flow_chunk(w: complex, T: float, n_steps: int, kappa: float,
                 seeds) -> tuple:
-    delta = T / n_steps
-    m = len(seeds)
-    inc = np.empty((m, n_steps))
-    for row, ss in enumerate(seeds):
-        gen = np.random.Generator(np.random.PCG64(ss))
-        inc[row] = gen.standard_normal(n_steps)
-    inc *= math.sqrt(kappa * delta)
-    starts = range((n_steps - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
-    # one step's rotations for all lanes form one contiguous row
-    blocks = (_unit(np.ascontiguousarray(inc[:, a:a + _BLOCK].T)) for a in starts)
-    _, logd = _compose(np.full(m, w), delta, blocks)
+    # rows filled in place: one chunk's increments are held once
+    inc = np.empty((len(seeds), n_steps))
+    for row, child in enumerate(seeds):
+        inc[row] = sample_driving(kappa, T, n_steps, np.random.default_rng(child)).inc
+    _, logd = _compose(np.full(len(seeds), w), T / n_steps, inc)
     return logd, inc.sum(axis=1)
 
 

@@ -130,6 +130,23 @@ def test_rational_backend_rejects_float_inputs(g, k):
         S.build_theta_table(g, k, 12, backend="rational")
 
 
+def test_numpy_integers_are_exact():
+    # the same rule as eigen's exact path: numpy integers are rational
+    t = S.build_theta_table(np.int64(1), np.int32(2), 6)
+    assert t.backend == "rational"
+    assert type(t.gamma) is Fraction and type(t.gamma.numerator) is int
+    assert t.entries.tolist() == S.build_theta_table(1, 2, 6).entries.tolist()
+    t = S.build_theta_table(np.int64(1), 6, 8, backend="rational")
+    assert t.gamma == 1 and all(type(x) is Fraction for x in t.entries.flat)
+
+
+def test_bool_is_not_rational():
+    # as in spectrum, where a bool gamma raises TypeError
+    assert S.build_theta_table(True, 2, 6).backend == "float"
+    with pytest.raises(ValueError, match="rational backend"):
+        S.build_theta_table(True, 2, 6, backend="rational")
+
+
 def test_backend_autoselect_and_get_bounds():
     assert S.build_theta_table(Fraction(1, 2), 2, 10).backend == "rational"
     assert S.build_theta_table(0.5, 2.0, 10).backend == "float"

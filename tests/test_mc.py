@@ -17,12 +17,25 @@ def unit_path(T, n):
 
 # ---- driving ----
 
+def one_step(delta):
+    return S.DrivingPath(inc=np.zeros(1), delta=delta, b_total=0.0)
+
+
 def test_sample_driving_shapes_and_kappa_zero():
     p = S.sample_driving(0.0, 4.0, 160, np.random.default_rng(1))
-    assert len(p.u) == 160
+    assert p.inc.shape == (160,)
     assert p.delta == pytest.approx(0.025)
-    assert np.all(p.u == 1.0 + 0j)
+    assert np.all(p.inc == 0.0)
     assert p.b_total == 0.0
+
+
+@pytest.mark.parametrize("kappa,T,n", [(0.0, -1.0, 10), (1.0, -1.0, 10),
+                                       (2.0, 0.0, 10), (2.0, math.nan, 10),
+                                       (2.0, 1.0, 0)])
+def test_sample_driving_rejects_impossible_horizon(kappa, T, n):
+    # a negative horizon would run the flow backwards, silently
+    with pytest.raises(ValueError, match="T > 0"):
+        S.sample_driving(kappa, T, n, np.random.default_rng(0))
 
 
 def test_sample_driving_variance_scale():
@@ -34,28 +47,18 @@ def test_sample_driving_variance_scale():
     assert abs(var - kappa * T) < 0.8   # ~4 sigma for 400 draws
 
 
-# ---- elementary step and the exact conic solution ----
+# ---- one step and the exact conic solution ----
 
-def test_elementary_step_fixed_point_origin():
-    z, logd = S.elementary_step(0.0, 0.0, 1.0 + 0j, 0.01)
+def test_one_step_path_fixes_origin():
+    z, logd = S.whole_plane_map_derivative(0.0, one_step(0.01))
     assert z == 0
     assert logd == pytest.approx(-0.01, abs=1e-12)
-
-
-def test_elementary_step_identity_at_zero_delta():
-    z, logd = S.elementary_step(0.3 + 0.1j, 0.2j, 1.0 + 0j, 0.0)
-    assert z == 0.3 + 0.1j and logd == 0.2j
-
-
-def test_elementary_step_rejects_negative_delta():
-    with pytest.raises(ValueError):
-        S.elementary_step(0.1, 0.0, 1.0 + 0j, -0.01)
 
 
 def test_single_step_matches_conic():
     w = 0.4 + 0.2j
     zc, _ = S.conic_flow(w, 0.01)
-    z, _ = S.elementary_step(w, 0.0, 1.0 + 0j, 0.01)
+    z, _ = S.whole_plane_map_derivative(w, one_step(0.01))
     assert abs(z - zc) < 1e-8
 
 
@@ -116,7 +119,7 @@ def rk4_reference(w, path, min_substeps=16):
     z = np.asarray(w, dtype=complex) * np.exp(1j * path.b_total)
     logd = np.zeros_like(z)
     closest = np.full(z.shape, np.inf)
-    for u in path.u[::-1]:
+    for u in np.exp(1j * np.cumsum(path.inc))[::-1]:
         closest = np.minimum(closest, abs(z - u))
         d = np.min(abs(z - u))
         m = max(min_substeps, math.ceil(path.delta / (0.002 * d * d)))
@@ -148,6 +151,33 @@ def test_exact_steps_match_finely_substepped_rk4():
     # imaginary parts compared as they are: no reduction mod 2 pi
     assert np.max(np.abs(logd.real - logd_ref.real)) < 1e-9
     assert np.max(np.abs(logd.imag - logd_ref.imag)) < 1e-9
+
+
+def u_quotient_reference(w, path):
+    """The composition as it stood before paths carried only increments.
+
+    The driving u_k = e^{i B(t_k)} is divided back into the rotations
+    u_k / u_{k-1}, and the same exact step composes latest-first.
+    """
+    u = np.exp(1j * np.cumsum(path.inc))
+    rot = u / np.concatenate(([1.0], u[:-1]))
+    v = np.atleast_1d(np.asarray(w, dtype=complex))
+    log_re, log_im = np.zeros(v.shape), np.zeros(v.shape)
+    for k in range(len(rot) - 1, -1, -1):
+        v = S.mc._increment(v, path.delta, log_re, log_im) * rot[k]
+    return v, log_re + 1j * log_im
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_increment_composition_matches_u_quotient(seed):
+    rng = np.random.default_rng(100 + seed)
+    kappa = (1.0, 2.0, 8 / 3, 4.0, 6.0)[seed]
+    p = S.sample_driving(kappa, 2.0, 600, rng)
+    ws = 0.85 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+    z, logd = S.whole_plane_map_derivative(ws, p)
+    z_ref, logd_ref = u_quotient_reference(ws, p)
+    assert np.max(np.abs(z - z_ref)) < 1e-12
+    assert np.max(np.abs(logd - logd_ref)) < 1e-12
 
 
 def test_flow_from_the_driving_point_raises():
@@ -237,18 +267,45 @@ def test_dump_file_reproducible(tmp_path):
     assert np.mean(np.exp(1.0 * (4.0 + x))) == pytest.approx(est.mean, rel=1e-12)
 
 
-def test_dump_matches_per_path_flow():
-    # the batched kernel and whole_plane_map_derivative see the same paths:
-    # path i draws from child i of the seed's SeedSequence
-    cfg = small_config(kappa=6.0, n_steps=1000, n_samples=6, w=0.6 + 0.2j)
+def dump_rows(cfg):
     buf = io.StringIO()
     S.moment_estimate(cfg, dump=buf)
-    rows = np.array([[float(x) for x in ln.split()] for ln in buf.getvalue().splitlines()])
+    return np.array([[float(x) for x in ln.split()] for ln in buf.getvalue().splitlines()])
+
+
+def test_dump_matches_per_path_flow():
+    # the batched kernel and whole_plane_map_derivative see the same paths:
+    # path i draws from child i of the seed's SeedSequence, and a single
+    # flow equals its batched lane bit for bit
+    cfg = small_config(kappa=6.0, n_steps=1000, n_samples=6, w=0.6 + 0.2j)
+    rows = dump_rows(cfg)
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_samples)):
         p = S.sample_driving(cfg.kappa, cfg.T, cfg.n_steps, np.random.default_rng(child))
         _, logd = S.whole_plane_map_derivative(cfg.w, p)
-        assert abs(rows[i, 1] - logd.real) < 1e-9 and abs(rows[i, 2] - logd.imag) < 1e-9
-        assert rows[i, 3] == pytest.approx(p.b_total, abs=1e-12)
+        assert rows[i, 1] == logd.real and rows[i, 2] == logd.imag
+        assert rows[i, 3] == p.b_total
+
+
+# Re log F', Im log F', B_T per path of the dump above, as float.hex.  The
+# mc-moments benchmark gates on seeded samples, so batch samples must not
+# move silently; the literals come from numpy's float64 log, arctan2, sqrt,
+# cos and sin as built for x86-64 (numpy 2.4).
+PINNED_DUMP = [
+    ("-0x1.a4f1ead6aaa80p+1", "-0x1.833a1366f071cp+0", "0x1.3a31be86d8b46p+2"),
+    ("-0x1.251307056f20ep+2", "-0x1.9ba704aa6cc47p-2", "0x1.ac9e11d8e417fp+1"),
+    ("-0x1.bfaa65237d11dp+1", "-0x1.d15cc6ea5c2eap-2", "0x1.1f9ce92de1eeep+3"),
+    ("-0x1.51c0a6e20d7a9p+2", "-0x1.a5e854ac15697p-3", "0x1.d161553294b06p+1"),
+    ("-0x1.66224ddd77aa3p+2", "-0x1.0e90e3570b3e9p+0", "0x1.68677bb0e3afbp+1"),
+    ("-0x1.4c5c56915eb34p+2", "-0x1.6ad13b8639b79p+0", "0x1.6f488f0781e2bp-1"),
+]
+
+
+def test_batch_samples_are_pinned():
+    cfg = small_config(kappa=6.0, n_steps=1000, n_samples=6, w=0.6 + 0.2j)
+    rows = dump_rows(cfg)
+    assert rows[:, 0].tolist() == list(range(6))
+    want = np.array([[float.fromhex(x) for x in r] for r in PINNED_DUMP])
+    assert rows[:, 1:].tolist() == want.tolist()
 
 
 def test_finite_difference_consistency_of_logd():
