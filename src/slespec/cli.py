@@ -55,6 +55,18 @@ def _parse_grid(spec: str):
     return out
 
 
+def _arg(parse):
+    # argparse type: an unreadable value is a usage error (exit 1); argparse
+    # itself lets the ZeroDivisionError of Fraction('1/0') escape
+    def read(tok: str):
+        try:
+            return parse(tok)
+        except (ValueError, ZeroDivisionError) as e:
+            why = e if isinstance(e, ValueError) else "zero denominator"
+            raise argparse.ArgumentTypeError(f"cannot read {tok!r}: {why}") from None
+    return read
+
+
 def _fmt(v) -> str:
     if isinstance(v, Fraction):
         return str(v)
@@ -82,11 +94,9 @@ def _emit_json(args, obj) -> None:
 # ---- spectrum ----
 
 def _cmd_spectrum(args) -> int:
-    qs = _parse_grid(args.q)
-    ks = _parse_grid(args.kappa)
     rows = []
-    for q in qs:
-        for k in ks:
+    for q in args.q:
+        for k in args.kappa:
             sv = sp.beta_spectrum(sp.SLEParams(q=float(q), kappa=float(k)))
             gtxt = "" if sv.gamma is None else _fmt(sv.gamma)
             rows.append({"q": _fmt(q), "kappa": _fmt(k), "gamma_minus": gtxt,
@@ -102,12 +112,10 @@ def _cmd_spectrum(args) -> int:
 # ---- curves ----
 
 def _cmd_curves(args) -> int:
-    gammas = _parse_grid(args.gamma)
-    kappas = _parse_grid(args.kappa)
     rows = []
     skipped = 0
     for M in range(args.m_max + 1):
-        for g in gammas:
+        for g in args.gamma:
             curve = sp.CurveParams(M=M, gamma=g)
             try:
                 params = sp.curve_point(curve)
@@ -119,7 +127,7 @@ def _cmd_curves(args) -> int:
             rows.append({"M": str(M), "gamma": _fmt(g), "q": _fmt(params.q),
                          "kappa": _fmt(params.kappa), "beta_tilde": _fmt(bt),
                          "beta": _fmt(beta)})
-    for k in kappas:
+    for k in args.kappa:
         qs = sp.q_transition(k)
         sv = sp.beta_spectrum(sp.SLEParams(q=qs, kappa=float(k)))
         rows.append({"M": "Q", "gamma": "", "q": _fmt(qs), "kappa": _fmt(k),
@@ -142,20 +150,19 @@ def _cmd_truncate(args) -> int:
         print(f"slespec truncate: error: --order must be at least M+2 = {args.m + 2} "
               f"to show a band of width M={args.m}, got {args.order}", file=sys.stderr)
         return 1
-    gamma = Fraction(args.gamma)
-    curve = sp.CurveParams(M=args.m, gamma=gamma)
+    curve = sp.CurveParams(M=args.m, gamma=args.gamma)
     params = sp.curve_point(curve)
     kappa_curve = params.kappa
-    kappa_used = Fraction(args.kappa) if args.kappa is not None else kappa_curve
+    kappa_used = args.kappa if args.kappa is not None else kappa_curve
     N = args.order
-    table = coeffs.build_theta_table(gamma, kappa_used, N, backend="rational")
+    table = coeffs.build_theta_table(args.gamma, kappa_used, N, backend="rational")
     width = coeffs.truncation_width(table)
-    a_minus = eigen.a_coef(-args.m, gamma, kappa_used)
+    a_minus = eigen.a_coef(-args.m, args.gamma, kappa_used)
     band_pass = width is not None and width <= args.m and a_minus == 0
     report = {
         "schema_version": SCHEMA_VERSION,
         "M": args.m,
-        "gamma": str(gamma),
+        "gamma": str(args.gamma),
         "q": str(params.q),
         "kappa_curve": str(kappa_curve),
         "kappa_used": str(kappa_used),
@@ -172,8 +179,7 @@ def _cmd_truncate(args) -> int:
 # ---- betafit ----
 
 def _cmd_betafit(args) -> int:
-    q = float(_parse_number(args.q))
-    kappa = float(_parse_number(args.kappa))
+    q, kappa = float(args.q), float(args.kappa)
     roots = sp.gamma_roots(sp.SLEParams(q=q, kappa=kappa))
     if args.root == "plus":
         if not roots.has_plus:
@@ -212,9 +218,7 @@ def _cmd_mc(args) -> int:
         print(f"slespec mc: error: --samples must be at least 2 for a standard "
               f"error, got {args.samples}", file=sys.stderr)
         return 1
-    q = float(_parse_number(args.q))
-    kappa = float(_parse_number(args.kappa))
-    w = complex(args.w)
+    q, kappa, w = float(args.q), float(args.kappa), args.w
     n_steps = (args.steps if args.steps is not None
                else max(1, math.ceil(args.t_horizon / 2.5e-3)))
     config = mc.MCConfig(kappa=kappa, q=q, T=args.t_horizon, n_steps=n_steps,
@@ -273,17 +277,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("spectrum", help="closed-form beta(q; kappa) sweep")
     common(ps)
-    ps.add_argument("--q", required=True,
+    ps.add_argument("--q", required=True, type=_arg(_parse_grid),
                     help="grid: comma list of numbers/fractions or a:b:n")
-    ps.add_argument("--kappa", required=True, help="grid, same syntax")
+    ps.add_argument("--kappa", required=True, type=_arg(_parse_grid),
+                    help="grid, same syntax")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.set_defaults(func=_cmd_spectrum)
 
     pc = sub.add_parser("curves", help="exact truncation-curve table")
     common(pc)
     pc.add_argument("--m-max", type=int, default=3)
-    pc.add_argument("--gamma", default="0.05:3:60", help="gamma grid")
-    pc.add_argument("--kappa", default="0:10:41",
+    pc.add_argument("--gamma", default="0.05:3:60", type=_arg(_parse_grid),
+                    help="gamma grid")
+    pc.add_argument("--kappa", default="0:10:41", type=_arg(_parse_grid),
                     help="kappa grid for the transition locus rows")
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
     pc.set_defaults(func=_cmd_curves)
@@ -291,8 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("truncate", help="exact band truncation certificate")
     common(pt)
     pt.add_argument("--m", type=int, required=True)
-    pt.add_argument("--gamma", required=True, help="rational, e.g. 1/2")
-    pt.add_argument("--kappa", default=None,
+    pt.add_argument("--gamma", required=True, type=_arg(Fraction),
+                    help="rational, e.g. 1/2")
+    pt.add_argument("--kappa", default=None, type=_arg(Fraction),
                     help="override kappa (negative control); default curve value")
     pt.add_argument("--order", type=int, default=40, help="table size N")
     pt.add_argument("--format", choices=("json",), default="json")
@@ -300,8 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("betafit", help="integral-means slope fit vs closed form")
     common(pb)
-    pb.add_argument("--q", required=True)
-    pb.add_argument("--kappa", required=True)
+    pb.add_argument("--q", required=True, type=_arg(_parse_number))
+    pb.add_argument("--kappa", required=True, type=_arg(_parse_number))
     pb.add_argument("--order", type=int, default=400, help="table size N")
     pb.add_argument("--k-lo", type=int, default=3, help="radii 1 - 2^-k from")
     pb.add_argument("--k-hi", type=int, default=7, help="radii 1 - 2^-k to")
@@ -313,9 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("mc", help="Monte Carlo moment vs oracle")
     common(pm)
-    pm.add_argument("--q", required=True)
-    pm.add_argument("--kappa", required=True)
-    pm.add_argument("--w", required=True, help="evaluation point, e.g. 0.5 or 0.3+0.2j")
+    pm.add_argument("--q", required=True, type=_arg(_parse_number))
+    pm.add_argument("--kappa", required=True, type=_arg(_parse_number))
+    pm.add_argument("--w", required=True, type=_arg(complex),
+                    help="evaluation point, e.g. 0.5 or 0.3+0.2j")
     pm.add_argument("--samples", type=int, default=10000)
     pm.add_argument("--t-horizon", type=float, default=8.0)
     pm.add_argument("--steps", type=int, default=None,

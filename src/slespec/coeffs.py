@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,17 +93,13 @@ class CoeffTable:
         return np.asarray(self.entries, dtype=float)
 
 
-def _is_rational_like(x) -> bool:
-    # the exactness rule of eigen._tridiag_exact; bool is refused as in spectrum._exact
-    return isinstance(x, Rational) and not isinstance(x, bool)
-
-
 def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> CoeffTable:
     """theta table up to index N.
 
-    backend None picks rational for rational-like inputs (int, Fraction or
-    numpy integer, not bool) up to N=60, float otherwise; backend "rational"
-    takes only rational-like gamma and kappa.  Float overflow raises with
+    gamma and kappa are read by spectrum._exact, the package's exactness
+    rule; they are exact when both come back as Fractions.  backend None
+    picks rational for exact inputs up to N=60, float otherwise; backend
+    "rational" takes only exact inputs.  Float overflow raises with
     the first failing index (smallest i+j, then i).  An entry at offset
     n = i-j depends only on offsets n-1, n, n+1, so entries more than one
     offset beyond the widest nonzero one so far are not computed: they stay
@@ -116,25 +111,21 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     that come out of cancellation can be off by far more, relatively (2.9e-8
     at gamma=-0.3, kappa=4, N=120).
     """
+    g, kap = _exact(gamma), _exact(kappa)
+    exact = isinstance(g, Fraction) and isinstance(kap, Fraction)
     if N < 1:
         raise ValueError("N must be positive")
-    if not float(kappa) >= 0:
+    if not float(kap) >= 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     if backend is None:
-        backend = BACKEND_RATIONAL if (
-            _is_rational_like(gamma) and _is_rational_like(kappa)
-            and N <= _RATIONAL_N_CAP) else BACKEND_FLOAT
+        backend = BACKEND_RATIONAL if exact and N <= _RATIONAL_N_CAP else BACKEND_FLOAT
     if backend not in _SCALAR:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == BACKEND_RATIONAL:
-        if not (_is_rational_like(gamma) and _is_rational_like(kappa)):
-            raise ValueError("the rational backend needs int, Fraction or numpy "
-                             f"integer gamma and kappa, got {gamma!r} and {kappa!r}")
-        # numpy integers become Python ints, whose products cannot overflow
-        gamma, kappa = (Fraction(int(x.numerator), int(x.denominator))
-                        for x in (gamma, kappa))
+    if backend == BACKEND_RATIONAL and not exact:
+        raise ValueError("the rational backend needs int, Fraction or numpy "
+                         f"integer gamma and kappa, got {gamma!r} and {kappa!r}")
     scalar = _SCALAR[backend]
-    g, kap = scalar(gamma), scalar(kappa)
+    g, kap = scalar(g), scalar(kap)
     # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
     G = np.full((N + 1, N + 1), scalar(0))
     G[1, 1] = scalar(1)
@@ -405,6 +396,8 @@ def load_table(src) -> CoeffTable:
         if missing:
             raise ValueError(f"table header lacks {', '.join(missing)}: {header!r}")
         N = int(fields["N"])
+        if N < 1:
+            raise ValueError(f"N must be positive, got {N} in table header")
         backend = fields["backend"]
         if backend not in _SCALAR:
             raise ValueError(f"unknown backend {backend!r} in table file")

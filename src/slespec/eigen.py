@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -80,15 +79,14 @@ def _band_matrix(sys: TridiagSystem, ns: range, fold: bool) -> List[list]:
     the reflection-symmetric reduction.  Scalar type follows gamma.
     """
     g, k = sys.gamma, sys.kappa
-    two = _exact(2)
     size = len(ns)
     R = [[b_coef(0, g, k) * 0] * size for _ in range(size)]
     for idx, n in enumerate(ns):
-        R[idx][idx] = b_coef(n, g, k) / two
+        R[idx][idx] = b_coef(n, g, k) / 2
         if idx > 0:
-            R[idx][idx - 1] = a_coef(-n + 1, g, k) / two
+            R[idx][idx - 1] = a_coef(-n + 1, g, k) / 2
         if idx < size - 1:
-            R[idx][idx + 1] = a_coef(n + 1, g, k) / two
+            R[idx][idx + 1] = a_coef(n + 1, g, k) / 2
     if fold and size > 1:
         R[0][1] *= 2
     return R
@@ -128,29 +126,20 @@ class EigenResult:
 def _tridiag_exact(matrix):
     """(diag, sub, super) as Fractions when the input is exact and tridiagonal.
 
-    Exact means every entry is a numbers.Rational: int, Fraction, or a numpy
-    integer; any float sends the matrix down the float path.
+    Exact means every entry is a Fraction under spectrum._exact's rule;
+    any other entry sends the matrix down the float path.
     """
-    rows = [list(r) for r in matrix]
+    rows = [[_exact(x) for x in r] for r in matrix]
     n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            return None
-        for x in r:
-            if not isinstance(x, Rational):
-                return None
+    if any(len(r) != n or not all(isinstance(x, Fraction) for x in r) for r in rows):
+        return None
     for i in range(n):
         for j in range(n):
             if abs(i - j) > 1 and rows[i][j] != 0:
                 return None
-
-    def exact(x):
-        # Fraction(x) would keep a numpy integer's fixed width
-        return Fraction(int(x.numerator), int(x.denominator))
-
-    diag = [exact(rows[i][i]) for i in range(n)]
-    sub = [exact(rows[i + 1][i]) for i in range(n - 1)]
-    sup = [exact(rows[i][i + 1]) for i in range(n - 1)]
+    diag = [rows[i][i] for i in range(n)]
+    sub = [rows[i + 1][i] for i in range(n - 1)]
+    sup = [rows[i][i + 1] for i in range(n - 1)]
     return diag, sub, sup
 
 
@@ -274,7 +263,7 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
 def eigen_solve(matrix) -> EigenResult:
     """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
 
-    Exact tridiagonal input (int, Fraction or numpy-integer entries) gets its
+    Exact tridiagonal input (entries exact under spectrum._exact) gets its
     eigenvalues refined on the integer characteristic polynomial, each
     certified by a sign-change bracket whose half-width the result reports;
     float input keeps the plain LAPACK values.  Every

@@ -49,13 +49,14 @@ def hyp2f1(a, b, c, x):
     """2F1(a, b; c; x) for real x in (-1, 1).
 
     Terminating cases (a or b a nonpositive integer) are summed exactly and
-    stay rational for rational inputs.  Otherwise x < 0 goes through Pfaff's
+    stay rational for exact inputs.  Otherwise x < 0 goes through Pfaff's
     (1-x)^-a 2F1(a, c-b; c; x/(x-1)) (DLMF 15.8.1), a series in x/(x-1) < 1/2;
     direct series up to x = 0.9; beyond, local Taylor series of the equation
     (DLMF 15.10.1) continue y and y' = (ab/c) 2F1(a+1, b+1; c+1; x) from
     x = 1/2, where both series converge like 2^-k, each step at most half way
     to the singular point x = 1; integral c-a-b is no special case.
     """
+    a, b, c, x = map(_exact, (a, b, c, x))
     stops = [n for n in (_nonpositive_int(a), _nonpositive_int(b)) if n is not None]
     n_stop = min(stops, default=None)
     nc = _nonpositive_int(c)
@@ -64,8 +65,8 @@ def hyp2f1(a, b, c, x):
             f"2F1 undefined: c={c} is a nonpositive integer reached by the series")
 
     if n_stop is not None:
-        exact = all(isinstance(v, (int, Fraction)) for v in (a, b, c, x))
-        a, b, c, x = map(_exact if exact else float, (a, b, c, x))
+        if not all(isinstance(v, Fraction) for v in (a, b, c, x)):
+            a, b, c, x = map(float, (a, b, c, x))
         return reduce(lambda acc, t: acc + t, _terminating_terms(a, b, c, x, n_stop))
 
     xf = float(x)

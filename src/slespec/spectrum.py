@@ -3,8 +3,8 @@
 Everything here is elementary arithmetic on the defining relation
 q = 2*gamma + kappa*gamma/2 - kappa*gamma**2/2 and the exact truncation
 curves (M, gamma).  Rational inputs stay rational wherever no square root
-is involved; ints are promoted to Fraction so exact callers never see a
-silent float.
+is involved; _exact is the package's one rule for which scalars are
+exact.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Union
 
 Scalar = Union[int, float, Fraction]
@@ -34,11 +35,16 @@ class Branch(str, Enum):
 
 
 def _exact(x):
-    # ints promote to Fraction so that /2 etc stays exact
+    """The exactness rule: bool raises TypeError; any other numbers.Rational
+    (int, numpy integer, Fraction) becomes a Fraction of Python ints, which
+    cannot overflow; float, numpy float, complex and the rest pass unchanged.
+    """
+    if isinstance(x, (float, Fraction)):   # the hot case, before any ABC check
+        return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar here")
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
     return x
 
 
@@ -242,4 +248,5 @@ def beta_tilde_on_curve(curve: CurveParams) -> Scalar:
 def beta_on_curve(curve: CurveParams) -> Scalar:
     """beta on the curve: beta~ - 2g - 1 on the tip branch gamma <= -1/2, else beta~."""
     bt = beta_tilde_on_curve(curve)
-    return bt - 2 * curve.gamma - 1 if curve.gamma <= Fraction(-1, 2) else bt
+    g = _exact(curve.gamma)
+    return bt - 2 * g - 1 if g <= Fraction(-1, 2) else bt

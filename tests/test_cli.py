@@ -71,6 +71,26 @@ def test_missing_subcommand_exits_1(capsys):
     assert run(capsys)[0] == 1
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("spectrum", "--q", "1/0", "--kappa", "2"), "--q"),
+    (("curves", "--gamma", "1/0"), "--gamma"),
+    (("truncate", "--m", "1", "--gamma", "1/0"), "--gamma"),
+    (("betafit", "--q", "1", "--kappa", "1/0"), "--kappa"),
+    (("spectrum", "--q", "abc", "--kappa", "2"), "--q"),
+    (("spectrum", "--q", "0:1:-2", "--kappa", "2"), "--q"),
+    (("mc", "--q", "1", "--kappa", "2", "--w", "abc", "--samples", "4"), "--w"),
+], ids=["spectrum-zero-den", "curves-zero-den", "truncate-zero-den",
+        "betafit-zero-den", "spectrum-not-a-number", "spectrum-negative-count",
+        "mc-not-complex"])
+def test_unreadable_number_is_a_usage_error(capsys, tmp_path, argv, option):
+    # read by the parser, before any work: exit 1 naming the option, no traceback
+    dest = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(dest))
+    assert code == 1
+    assert out == "" and not dest.exists()
+    assert f"argument {option}: cannot read" in err
+
+
 # ---- curves ----
 
 def test_curves_contains_known_anchor(capsys):

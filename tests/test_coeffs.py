@@ -141,10 +141,10 @@ def test_numpy_integers_are_exact():
 
 
 def test_bool_is_not_rational():
-    # as in spectrum, where a bool gamma raises TypeError
-    assert S.build_theta_table(True, 2, 6).backend == "float"
-    with pytest.raises(ValueError, match="rational backend"):
-        S.build_theta_table(True, 2, 6, backend="rational")
+    # spectrum._exact's rule: a bool is no scalar on any backend
+    for backend in (None, "rational", "float"):
+        with pytest.raises(TypeError, match="bool"):
+            S.build_theta_table(True, 2, 6, backend=backend)
 
 
 def test_backend_autoselect_and_get_bounds():
@@ -414,6 +414,12 @@ def test_load_rejects_header_missing_a_field(field):
     header = "theta-table v1 " + " ".join(f"{k}={v}" for k, v in fields.items())
     with pytest.raises(ValueError, match=field):
         S.load_table(io.StringIO(header + "\n"))
+
+
+def test_load_rejects_empty_table():
+    # N=0 would load as an empty table that eval_rho then indexes at -1
+    with pytest.raises(ValueError, match="N must be positive"):
+        S.load_table(io.StringIO("theta-table v1 gamma=1 kappa=2 N=0 backend=float\n"))
 
 
 @pytest.mark.parametrize("bad_row,replaces", [

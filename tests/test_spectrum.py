@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,3 +208,50 @@ def test_spectrum_consistency_on_curves():
         bt = S.beta_tilde_on_curve(c)
         want = S.beta_spectrum(S.SLEParams(float(p.q), float(p.kappa)))
         assert float(bt) == pytest.approx(want.beta_tilde, abs=1e-10)
+
+
+# ---- one exactness rule (spectrum._exact) for every module ----
+
+def _rule_results(kind):
+    """Results that must be exact when gamma, kappa and the rest are of kind."""
+    g, k = kind(1), kind(2)
+    c = S.CurveParams(2, g)
+    p = S.curve_point(c)
+    table = S.build_theta_table(g, k, 6)
+    return [p.q, p.kappa, S.q_of_gamma(g, k), S.q_tip(k),
+            S.eigen_beta_closed(c, 2), S.beta_tilde_on_curve(c), S.beta_on_curve(c),
+            S.beta_on_curve(S.CurveParams(4, -g)),   # tip branch: beta~ - 2g - 1
+            S.a_coef(3, g, k), S.b_coef(3, g, k), S.c_coef(3, g, k),
+            S.beta_from_lambda(c, k),
+            *(x for row in S.reduced_matrix(S.build_system(c)) for x in row),
+            table.gamma, table.kappa, *table.entries.flat,
+            S.hyp2f1(kind(-2), kind(1), kind(3), kind(-1))]
+
+
+@pytest.mark.parametrize("kind", [int, np.int32, np.int64, Fraction],
+                         ids=lambda t: t.__name__)
+def test_rational_scalars_stay_exact_in_every_module(kind):
+    got, want = _rule_results(kind), _rule_results(int)
+    assert got == want
+    # Fractions of Python ints: a numpy integer inside would wrap on overflow
+    assert all(type(x) is Fraction and type(x.numerator) is int for x in got)
+    m = [[kind(3), kind(-2)], [kind(-1), kind(2)]]
+    assert S.eigen_solve(np.array(m) if kind is not Fraction else m).newton_steps is not None
+
+
+_T = S.CurveParams(2, True)
+
+
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(fn, args, id=f"{fn.__name__}-{i}") for i, (fn, args) in enumerate([
+        (S.curve_point, (_T,)), (S.q_of_gamma, (1, True)), (S.q_tip, (True,)),
+        (S.eigen_beta_closed, (_T, 2)), (S.beta_tilde_on_curve, (_T,)),
+        (S.beta_on_curve, (_T,)), (S.a_coef, (3, True, 2)), (S.b_coef, (3, 1, True)),
+        (S.c_coef, (3, True, 2)),
+        (S.beta_from_lambda, (S.CurveParams(2, 1), True)), (S.build_system, (_T,)),
+        (S.build_theta_table, (1, True, 6)), (S.hyp2f1, (-2, 1, 3, True)),
+        (S.hyp2f1, (-2, True, 3, 0.5)), (S.eigen_solve, ([[True, 0], [0, 1]],)),
+    ])])
+def test_bool_is_refused_at_every_entry_point(fn, args):
+    with pytest.raises(TypeError, match="bool"):
+        fn(*args)
