@@ -5,18 +5,23 @@ sum_{l,k in {0,1}} C^{l,k}_{i,j} theta_{i-l, j-k} = 0, theta_{1,1} = 1,
 with out-of-range entries zero.  C^{0,0} vanishes only at (1,1) for
 kappa >= 0, so the solve is always well posed.  One builder fills the
 table along anti-diagonals from eigen's A_n, B_n, C_n; the backend only
-picks the scalar.  Entries are an (N, N) ndarray: dtype=object Fractions
-for the rational backend, float64 for the float backend.
+picks the scalar.  The float sweep runs on float64; the rational sweep is
+fraction-free, on Python integers: the stencil times one integer L, and
+integer numerators over one denominator per anti-diagonal, turned into
+reduced Fractions once at the end.  Entries are an (N, N) ndarray:
+dtype=object Fractions for the rational backend, float64 for the float
+backend.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigen import a_coef, b_coef, c_coef
+from .eigen import _int_quadratics, _quad, a_coef, b_coef, c_coef
 from .spectrum import _exact
 
 BACKEND_RATIONAL = "rational"
@@ -106,7 +111,11 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     zero, as the stencil would give.
     Each anti-diagonal and its three stencil operands are strided slices of
     the flattened padded grid, so the sweep gathers and scatters nothing by
-    index.
+    index.  The rational sweep runs on Python integers: the stencil is
+    A_n, B_n, C_n times one integer L (eigen._int_quadratics), and
+    anti-diagonal s holds integer numerators over one denominator den[s]
+    (see _solve_diagonal); each nonzero entry becomes a reduced Fraction
+    once, at the end, through the public Fraction constructor.
     Float tables are accurate to ~1e-15 of max(1, |theta|); tiny entries
     that come out of cancellation can be off by far more, relatively (2.9e-8
     at gamma=-0.3, kappa=4, N=120).
@@ -121,20 +130,28 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
         backend = BACKEND_RATIONAL if exact and N <= _RATIONAL_N_CAP else BACKEND_FLOAT
     if backend not in _SCALAR:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == BACKEND_RATIONAL and not exact:
+    rational = backend == BACKEND_RATIONAL
+    if rational and not exact:
         raise ValueError("the rational backend needs int, Fraction or numpy "
                          f"integer gamma and kappa, got {gamma!r} and {kappa!r}")
-    scalar = _SCALAR[backend]
-    g, kap = scalar(g), scalar(kap)
-    # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
-    G = np.full((N + 1, N + 1), scalar(0))
-    G[1, 1] = scalar(1)
     # stencil on the offsets n = i-j in -N..N+1, stored at index n + N:
-    # C01 = A_{n+1}, C10 = A_{1-n}, C00 = H_n - (s-2), C11 = K_n + (s-4), s = i+j
+    # C01 = A_{n+1}, C10 = A_{1-n}, C00 = H_n - (s-2), C11 = K_n + (s-4), s = i+j,
+    # all times L (1 for floats)
     ns = range(-N, N + 2)
-    n = np.array(ns, dtype=G.dtype)   # object dtype: Python ints, not np.int64
-    A, B, C = (np.array([f(m, g, kap) for m in ns], dtype=G.dtype)
-               for f in (a_coef, b_coef, c_coef))
+    if rational:
+        L, *quads = _int_quadratics(g, kap)
+        n = np.array(ns, dtype=object)   # Python ints, not np.int64
+        A, B, C = (_quad(q, n) for q in quads)
+        n = n * L
+    else:
+        L, g, kap = 1, float(g), float(kap)
+        n = np.array(ns, dtype=float)
+        A, B, C = (np.array([f(m, g, kap) for m in ns], dtype=float)
+                   for f in (a_coef, b_coef, c_coef))
+    # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
+    G = np.zeros((N + 1, N + 1), dtype=n.dtype)
+    G[1, 1] = 1
+    den = [1] * (2 * N + 1)   # rational: den[s] is anti-diagonal s's denominator
     H, K = B + C + n, -C - n   # H_n = -kappa n^2/2
     A1, Ar = A[1:], A[::-1]   # A1[at] = A_{n+1}, Ar[at] = A_{1-n}
     # (i, s-i) sits at flat index i*N + s of G: anti-diagonal s is a step-N slice
@@ -148,19 +165,53 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
             hi = min(N, s - 1, (s + width + 1) // 2)
             at = slice(N + 2 * lo - s, N + 2 * hi - s + 1, 2)   # n + N, n = 2i - s
             d = slice(lo * N + s - N - 2, hi * N + s - N - 1, N)
-            vals = -((A1[at] * G10[d] + Ar[at] * G01[d])
-                     + (K[at] + (s - 4)) * G00[d]) / (H[at] - (s - 2))
+            near = A1[at] * G10[d] + Ar[at] * G01[d]   # anti-diagonal s-1
+            far = (K[at] + L * (s - 4)) * G00[d]      # anti-diagonal s-2
+            c00 = H[at] - L * (s - 2)
+            if rational:
+                vals, den[s] = _solve_diagonal(near, far, c00, den[s - 1], den[s - 2])
+            else:
+                vals = -(near + far) / c00
             G11[d] = vals
             nz = vals.nonzero()[0]   # |i-j| = |2i-s| peaks at an end
             if len(nz):
                 width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
-    if backend == BACKEND_FLOAT and not np.isfinite(G).all():
+    if rational:
+        # the stencil is symmetric under i <-> j, and so are the numerators:
+        # one Fraction (one gcd) per pair, shared by theta_{i,j} and theta_{j,i}
+        entries = np.full((N, N), Fraction(0))
+        i, j = np.nonzero(np.triu(G))
+        fr = [Fraction(v, den[s]) for v, s in zip(G[i, j], (i + j).tolist())]
+        entries[i - 1, j - 1] = entries[j - 1, i - 1] = fr
+        return CoeffTable(N=N, gamma=g, kappa=kap, backend=backend, entries=entries)
+    if not np.isfinite(G).all():
         i, j = np.nonzero(~np.isfinite(G))
         b = np.lexsort((i, i + j))[0]
         raise OverflowError(
             f"float overflow at theta({int(i[b])},{int(j[b])}); "
             f"use the rational backend or a smaller N")
     return CoeffTable(N=N, gamma=g, kappa=kap, backend=backend, entries=G[1:, 1:])
+
+
+def _solve_diagonal(near, far, c00, d_near: int, d_far: int):
+    """One rational anti-diagonal -(near/d_near + far/d_far)/c00, in integers.
+
+    near, far and c00 are object arrays of Python ints, and c00 has no zero.
+    Both operands go over lcm(d_near, d_far), the nonzero entries over the
+    lcm of their c00 too, and one gcd reduces numerators and denominator
+    together (fraction-free, in the spirit of Bareiss 1968).  Returns the
+    numerators and their one positive denominator.
+    """
+    l = math.lcm(d_near, d_far)
+    t = near * (l // d_near) + far * (l // d_far)
+    nz = t.nonzero()[0]
+    if not len(nz):
+        return t, 1
+    m = math.lcm(*c00[nz])
+    t = t * (m // -c00)
+    D = l * m
+    r = math.gcd(D, *t[nz])
+    return t // r, D // r
 
 
 # ---- band structure ----

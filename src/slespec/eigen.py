@@ -44,6 +44,26 @@ def c_coef(n: int, gamma, kappa):
     return k * (n * n - 2 * g + 2 * g * g) / 2 - n - 6 * g
 
 
+def _int_quadratics(gamma, kappa):
+    """(L, qa, qb, qc) for exact gamma and kappa: L A_n, L B_n and L C_n are
+    the integer quadratics _quad(q, n), with L > 0 the least common
+    denominator of their coefficients, read off a_coef, b_coef and c_coef
+    at n = 0, 1, 2.
+    """
+    quads = []
+    for f in (a_coef, b_coef, c_coef):
+        f0, f1, f2 = (f(n, gamma, kappa) for n in (0, 1, 2))
+        q2 = (f2 - 2 * f1 + f0) / 2
+        quads.append((f0, f1 - f0 - q2, q2))
+    L = math.lcm(*(c.denominator for q in quads for c in q))
+    return (L, *(tuple(int(c * L) for c in q) for q in quads))
+
+
+def _quad(q, n):
+    """q[0] + q[1] n + q[2] n^2, for an int n or an object array of them."""
+    return q[0] + (q[1] + q[2] * n) * n
+
+
 @dataclass(frozen=True)
 class TridiagSystem:
     M: int
@@ -76,17 +96,23 @@ def _band_matrix(sys: TridiagSystem, ns: range, fold: bool) -> List[list]:
     """R on the basis n in ns: sub A_{-n+1}/2, diag B_n/2, super A_{n+1}/2.
 
     fold doubles row 0's super-diagonal A_1, the psi_{-1} = psi_1 term of
-    the reflection-symmetric reduction.  Scalar type follows gamma.
+    the reflection-symmetric reduction.  Scalar type follows gamma: exact
+    entries come from _int_quadratics, float ones from a_coef and b_coef.
     """
     g, k = sys.gamma, sys.kappa
+    if isinstance(g, Fraction) and isinstance(k, Fraction):
+        L, qa, qb, _ = _int_quadratics(g, k)
+        a, b = (lambda n, q=q: Fraction(_quad(q, n), 2 * L) for q in (qa, qb))
+    else:
+        a, b = (lambda n, f=f: f(n, g, k) / 2 for f in (a_coef, b_coef))
     size = len(ns)
-    R = [[b_coef(0, g, k) * 0] * size for _ in range(size)]
+    R = [[b(0) * 0] * size for _ in range(size)]
     for idx, n in enumerate(ns):
-        R[idx][idx] = b_coef(n, g, k) / 2
+        R[idx][idx] = b(n)
         if idx > 0:
-            R[idx][idx - 1] = a_coef(-n + 1, g, k) / 2
+            R[idx][idx - 1] = a(-n + 1)
         if idx < size - 1:
-            R[idx][idx + 1] = a_coef(n + 1, g, k) / 2
+            R[idx][idx + 1] = a(n + 1)
     if fold and size > 1:
         R[0][1] *= 2
     return R

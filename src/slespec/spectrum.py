@@ -15,6 +15,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
+import numpy as np
+
 Scalar = Union[int, float, Fraction]
 
 _REL_TOL = 1e-12  # branch-boundary comparisons in float mode
@@ -35,13 +37,14 @@ class Branch(str, Enum):
 
 
 def _exact(x):
-    """The exactness rule: bool raises TypeError; any other numbers.Rational
-    (int, numpy integer, Fraction) becomes a Fraction of Python ints, which
-    cannot overflow; float, numpy float, complex and the rest pass unchanged.
+    """The exactness rule: bool and numpy bool raise TypeError; any other
+    numbers.Rational (int, numpy integer, Fraction) becomes a Fraction of
+    Python ints, which cannot overflow; float, numpy float, complex and the
+    rest pass unchanged.
     """
     if isinstance(x, (float, Fraction)):   # the hot case, before any ABC check
         return x
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         raise TypeError("bool is not a scalar here")
     if isinstance(x, Rational):
         return Fraction(int(x.numerator), int(x.denominator))

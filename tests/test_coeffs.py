@@ -183,6 +183,53 @@ def _gather_build(gamma, kappa, N, scalar):
     return G[1:, 1:]
 
 
+def _fraction_build(gamma, kappa, N):
+    """The rational backend as it was before the integer sweep: the same
+    strided anti-diagonal slices, on Fraction scalars.  The reference for
+    the integer sweep."""
+    g, kap = Fraction(gamma), Fraction(kappa)
+    G = np.full((N + 1, N + 1), Fraction(0))
+    G[1, 1] = Fraction(1)
+    ns = range(-N, N + 2)
+    n = np.array(ns, dtype=object)
+    A, B, C = (np.array([f(m, g, kap) for m in ns], dtype=object)
+               for f in (S.a_coef, S.b_coef, S.c_coef))
+    H, K = B + C + n, -C - n
+    A1, Ar = A[1:], A[::-1]
+    Gf = G.reshape(-1)
+    G00, G01, G10, G11 = (Gf[k:] for k in (0, 1, N + 1, N + 2))
+    width = 0
+    for s in range(3, 2 * N + 1):
+        lo = max(1, s - N, (s - width) // 2)
+        hi = min(N, s - 1, (s + width + 1) // 2)
+        at = slice(N + 2 * lo - s, N + 2 * hi - s + 1, 2)
+        d = slice(lo * N + s - N - 2, hi * N + s - N - 1, N)
+        vals = -((A1[at] * G10[d] + Ar[at] * G01[d])
+                 + (K[at] + (s - 4)) * G00[d]) / (H[at] - (s - 2))
+        G11[d] = vals
+        nz = vals.nonzero()[0]
+        if len(nz):
+            width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
+    return G[1:, 1:]
+
+
+def assert_exact_table(got, want, M=None):
+    """got == want entry for entry, every entry a reduced Fraction of Python
+    ints with a positive denominator, and every entry beyond the band (the
+    widest nonzero offset of want, at most M on an M-curve) an exact zero."""
+    assert got.tolist() == want.tolist()
+    for v in got.flat:
+        assert type(v) is Fraction and type(v.numerator) is int
+        assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+    i, j = np.nonzero(want)
+    width = int(np.abs(i - j).max()) if len(i) else 0
+    if M is not None:
+        assert width <= M
+    N = len(got)
+    beyond = np.abs(np.subtract.outer(np.arange(N), np.arange(N))) > width
+    assert all(v == 0 and v.denominator == 1 for v in got[beyond])
+
+
 def _on_curve(M, g):
     return g, S.curve_point(S.CurveParams(M, g)).kappa
 
@@ -197,15 +244,32 @@ def test_float_build_bit_identical_to_gather_build(g, k, N):
     assert np.array_equal(t.entries, _gather_build(g, k, N, float))
 
 
-@pytest.mark.parametrize("g,k,N", [
-    (Fraction(1, 2), S.curve_point(S.CurveParams(2, Fraction(1, 2))).kappa, 60),
-    (Fraction(-3, 10), Fraction(4), 40),
-], ids=["on-curve-M2-N60", "off-curve-N40"])
-def test_rational_build_equals_gather_build(g, k, N):
+@pytest.mark.parametrize("g,k,N,M", [
+    (*_on_curve(2, Fraction(1, 2)), 60, 2),
+    (*_on_curve(3, Fraction(7, 4)), 40, 3),
+    (Fraction(-3, 10), Fraction(4), 40, None),
+    (Fraction(-3, 10), Fraction(4), 60, None),
+    (Fraction(7, 4), Fraction(1497, 1337), 40, None),
+    (Fraction(1, 3), Fraction(0), 30, None),
+    (Fraction(-2, 3), Fraction(0), 20, None),
+    (Fraction(-5, 7), Fraction(5, 2), 30, None),
+    (Fraction(1, 2), Fraction(3), 1, None),
+    (Fraction(1, 2), Fraction(3), 2, None),
+], ids=["on-curve-M2-N60", "on-curve-M3-N40", "off-curve-N40", "off-curve-N60",
+        "off-curve-7/4-N40", "kappa0-N30", "kappa0-block-N20", "negative-gamma-N30",
+        "N1", "N2"])
+def test_rational_build_equals_gather_build(g, k, N, M):
     got = S.build_theta_table(g, k, N, backend="rational").entries
-    want = _gather_build(g, k, N, Fraction)
-    assert all(isinstance(v, Fraction) for v in got.flat)
-    assert got.tolist() == want.tolist()
+    assert_exact_table(got, _gather_build(g, k, N, Fraction), M)
+    assert got.tolist() == _fraction_build(g, k, N).tolist()
+
+
+@given(g=st.fractions(min_value=-3, max_value=3, max_denominator=12),
+       k=st.fractions(min_value=0, max_value=12, max_denominator=12),
+       N=st.integers(1, 16))
+def test_rational_build_equals_fraction_sweep(g, k, N):
+    got = S.build_theta_table(g, k, N, backend="rational").entries
+    assert_exact_table(got, _fraction_build(g, k, N))
 
 
 def test_float_overflow_reported():

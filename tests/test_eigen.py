@@ -76,6 +76,43 @@ def test_full_matrix_anchor_and_split():
     assert np.allclose(full, merged, atol=1e-12)
 
 
+def _scalar_band_matrix(sysM, ns, fold):
+    """eigen._band_matrix on scalar a_coef/b_coef calls, as it was before the
+    exact matrices were read off the integer quadratics: the reference."""
+    g, k = sysM.gamma, sysM.kappa
+    size = len(ns)
+    R = [[S.b_coef(0, g, k) * 0] * size for _ in range(size)]
+    for idx, n in enumerate(ns):
+        R[idx][idx] = S.b_coef(n, g, k) / 2
+        if idx > 0:
+            R[idx][idx - 1] = S.a_coef(-n + 1, g, k) / 2
+        if idx < size - 1:
+            R[idx][idx + 1] = S.a_coef(n + 1, g, k) / 2
+    if fold and size > 1:
+        R[0][1] *= 2
+    return R
+
+
+@pytest.mark.parametrize("M", range(1, 21))
+def test_matrices_equal_scalar_coefficient_reference(M):
+    checked = 0
+    for num in (1, 7, 19, 40, 77, 118, 159):
+        for g in (Fraction(num, 48), num / 48):   # the exact and the float path
+            try:
+                sysM = S.build_system(S.CurveParams(M, g))
+            except S.InvalidCurveError:
+                continue
+            for fn, ns, fold in ((S.reduced_matrix, range(0, M + 1), True),
+                                 (S.full_matrix, range(-M, M + 1), False),
+                                 (S.antisymmetric_matrix, range(1, M + 1), False)):
+                got = fn(sysM)
+                assert got == _scalar_band_matrix(sysM, ns, fold)
+                kind = Fraction if isinstance(g, Fraction) else float
+                assert all(type(x) is kind for row in got for x in row)
+            checked += 1
+    assert checked >= 6
+
+
 def test_eigen_solve_certifies_residuals():
     res = S.eigen_solve([[Fraction(3), Fraction(-2)], [Fraction(-1), Fraction(2)]])
     assert sorted(res.values) == [pytest.approx(1.0), pytest.approx(4.0)]

@@ -255,3 +255,13 @@ _T = S.CurveParams(2, True)
 def test_bool_is_refused_at_every_entry_point(fn, args):
     with pytest.raises(TypeError, match="bool"):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (S.curve_point, (S.CurveParams(1, np.True_),)),
+    (S.build_theta_table, (np.True_, 2, 6)),
+    (S.hyp2f1, (-2, np.True_, 3, 0.5)),
+], ids=["curve_point", "build_theta_table", "hyp2f1"])
+def test_numpy_bool_is_refused_like_bool(fn, args):
+    with pytest.raises(TypeError, match="bool"):
+        fn(*args)
