@@ -1,8 +1,8 @@
 """Command line front end: spectrum sweeps, curve tables, truncation
 certificates, integral-means slope fits, and Monte Carlo cross-checks.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure.  Outputs are
-deterministic for a fixed invocation (CSV floats as %.17g, JSON with sorted
+Exit codes: 0 success, 1 usage error or unwritable output, 2 validation
+failure.  Outputs are deterministic (CSV floats as %.17g, JSON with sorted
 keys); fraction inputs `p/q` stay exact wherever the math is rational.
 """
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -223,10 +224,11 @@ def _cmd_mc(args) -> int:
                else max(1, math.ceil(args.t_horizon / 2.5e-3)))
     config = mc.MCConfig(kappa=kappa, q=q, T=args.t_horizon, n_steps=n_steps,
                          n_samples=args.samples, seed=args.seed, w=w)
-    caught = []
-    with warnings.catch_warnings(record=True) as wlist:
+    # open the dump before simulating, so a bad path fails at once
+    with (open(args.dump, "w") if args.dump is not None else nullcontext()) as dump, \
+            warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        est = mc.moment_estimate(config, dump=args.dump, threads=args.threads)
+        est = mc.moment_estimate(config, dump=dump, threads=args.threads)
         caught = [str(x.message) for x in wlist]
     if kappa == 0.0:
         # exact finite-horizon flow, so the gate sees only integrator error
@@ -347,6 +349,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, RuntimeError) as e:
         print(f"slespec: validation failure: {e}", file=sys.stderr)
         return 2
+    except OSError as e:
+        print(f"slespec: error: cannot write output: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,13 +4,13 @@ The table is generated from the four-term recurrence
 sum_{l,k in {0,1}} C^{l,k}_{i,j} theta_{i-l, j-k} = 0, theta_{1,1} = 1,
 with out-of-range entries zero.  C^{0,0} vanishes only at (1,1) for
 kappa >= 0, so the solve is always well posed.  One builder fills the
-table along anti-diagonals from eigen's A_n, B_n, C_n; the backend only
-picks the scalar.  The float sweep runs on float64; the rational sweep is
-fraction-free, on Python integers: the stencil times one integer L, and
-integer numerators over one denominator per anti-diagonal, turned into
-reduced Fractions once at the end.  Entries are an (N, N) ndarray:
-dtype=object Fractions for the rational backend, float64 for the float
-backend.
+table along anti-diagonals from the A_n, B_n, C_n arrays of
+eigen._stencil; the backend only picks the scalar.  The float sweep runs
+on float64; the rational sweep is fraction-free, on Python integers: the
+stencil times one integer L, and integer numerators over one denominator
+per anti-diagonal, turned into reduced Fractions once at the end.  Entries
+are an (N, N) ndarray: dtype=object Fractions for the rational backend,
+float64 for the float backend.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigen import _int_quadratics, _quad, a_coef, b_coef, c_coef
+from .eigen import _stencil, a_coef, b_coef, c_coef
 from .spectrum import _exact
 
 BACKEND_RATIONAL = "rational"
@@ -112,7 +112,7 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     Each anti-diagonal and its three stencil operands are strided slices of
     the flattened padded grid, so the sweep gathers and scatters nothing by
     index.  The rational sweep runs on Python integers: the stencil is
-    A_n, B_n, C_n times one integer L (eigen._int_quadratics), and
+    A_n, B_n, C_n times one integer L (eigen._stencil), and
     anti-diagonal s holds integer numerators over one denominator den[s]
     (see _solve_diagonal); each nonzero entry becomes a reduced Fraction
     once, at the end, through the public Fraction constructor.
@@ -137,17 +137,11 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     # stencil on the offsets n = i-j in -N..N+1, stored at index n + N:
     # C01 = A_{n+1}, C10 = A_{1-n}, C00 = H_n - (s-2), C11 = K_n + (s-4), s = i+j,
     # all times L (1 for floats)
+    if not rational:
+        g, kap = float(g), float(kap)
     ns = range(-N, N + 2)
-    if rational:
-        L, *quads = _int_quadratics(g, kap)
-        n = np.array(ns, dtype=object)   # Python ints, not np.int64
-        A, B, C = (_quad(q, n) for q in quads)
-        n = n * L
-    else:
-        L, g, kap = 1, float(g), float(kap)
-        n = np.array(ns, dtype=float)
-        A, B, C = (np.array([f(m, g, kap) for m in ns], dtype=float)
-                   for f in (a_coef, b_coef, c_coef))
+    L, A, B, C = _stencil(g, kap, ns)
+    n = np.array(ns, dtype=A.dtype) * L   # rational: Python ints, not np.int64
     # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
     G = np.zeros((N + 1, N + 1), dtype=n.dtype)
     G[1, 1] = 1

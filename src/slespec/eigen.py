@@ -8,6 +8,7 @@ The reflection-symmetric subspace psi_n = psi_{-n} reduces to (M+1)x(M+1).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -26,42 +27,47 @@ class EigenCertificationError(RuntimeError):
 
 # ---- recurrence coefficients of the radial ODE system ----
 
-def a_coef(n: int, gamma, kappa):
+def a_coef(n, gamma, kappa):
+    """A_n for an int or a float array n; the square is a product, so both agree."""
     g = _exact(gamma)
     k = _exact(kappa)
-    return k * (n - g) ** 2 / 2 + n - 3 * g - k * g * (1 - g) / 2
+    return k * ((n - g) * (n - g)) / 2 + n - 3 * g - k * g * (1 - g) / 2
 
 
-def b_coef(n: int, gamma, kappa):
+def b_coef(n, gamma, kappa):
     g = _exact(gamma)
     k = _exact(kappa)
     return -k * (n * n + g * g - g) + 6 * g
 
 
-def c_coef(n: int, gamma, kappa):
+def c_coef(n, gamma, kappa):
     g = _exact(gamma)
     k = _exact(kappa)
     return k * (n * n - 2 * g + 2 * g * g) / 2 - n - 6 * g
 
 
-def _int_quadratics(gamma, kappa):
-    """(L, qa, qb, qc) for exact gamma and kappa: L A_n, L B_n and L C_n are
-    the integer quadratics _quad(q, n), with L > 0 the least common
-    denominator of their coefficients, read off a_coef, b_coef and c_coef
-    at n = 0, 1, 2.
+def _stencil(gamma, kappa, ns):
+    """(L, A, B, C): L A_n, L B_n and L C_n on the offsets ns, as arrays.
+
+    Exact gamma and kappa give object arrays of Python ints, with L > 0 the
+    least common denominator of the three quadratics' coefficients (read off
+    a_coef, b_coef and c_coef at n = 0, 1, 2); otherwise L = 1 and each is
+    one float64 call of a_coef, b_coef or c_coef on the offsets.
     """
+    g, k = _exact(gamma), _exact(kappa)
+    fs = (a_coef, b_coef, c_coef)
+    if not (isinstance(g, Fraction) and isinstance(k, Fraction)):
+        n = np.array(ns, dtype=float)
+        return (1, *(f(n, float(g), float(k)) for f in fs))
     quads = []
-    for f in (a_coef, b_coef, c_coef):
-        f0, f1, f2 = (f(n, gamma, kappa) for n in (0, 1, 2))
+    for f in fs:
+        f0, f1, f2 = (f(m, g, k) for m in (0, 1, 2))
         q2 = (f2 - 2 * f1 + f0) / 2
         quads.append((f0, f1 - f0 - q2, q2))
     L = math.lcm(*(c.denominator for q in quads for c in q))
-    return (L, *(tuple(int(c * L) for c in q) for q in quads))
-
-
-def _quad(q, n):
-    """q[0] + q[1] n + q[2] n^2, for an int n or an object array of them."""
-    return q[0] + (q[1] + q[2] * n) * n
+    n = np.array(ns, dtype=object)   # Python ints, not np.int64
+    return (L, *(int(q0 * L) + (int(q1 * L) + int(q2 * L) * n) * n
+                 for q0, q1, q2 in quads))
 
 
 @dataclass(frozen=True)
@@ -96,23 +102,26 @@ def _band_matrix(sys: TridiagSystem, ns: range, fold: bool) -> List[list]:
     """R on the basis n in ns: sub A_{-n+1}/2, diag B_n/2, super A_{n+1}/2.
 
     fold doubles row 0's super-diagonal A_1, the psi_{-1} = psi_1 term of
-    the reflection-symmetric reduction.  Scalar type follows gamma: exact
-    entries come from _int_quadratics, float ones from a_coef and b_coef.
+    the reflection-symmetric reduction.  A and B come from one _stencil call
+    on -M..M+1; scalar type follows it: exact entries are Fraction(L A_n, 2L),
+    float ones A_n/2.  Off-band zeros are B_0 * 0.
     """
-    g, k = sys.gamma, sys.kappa
-    if isinstance(g, Fraction) and isinstance(k, Fraction):
-        L, qa, qb, _ = _int_quadratics(g, k)
-        a, b = (lambda n, q=q: Fraction(_quad(q, n), 2 * L) for q in (qa, qb))
-    else:
-        a, b = (lambda n, f=f: f(n, g, k) / 2 for f in (a_coef, b_coef))
+    M = sys.M
+    L, A, B, _ = _stencil(sys.gamma, sys.kappa, range(-M, M + 2))
+    half = Fraction if A.dtype == object else operator.truediv
+    A, B = A.tolist(), B.tolist()   # Python ints or floats
+
+    def entry(coef, n):
+        return half(coef[n + M], 2 * L)
+
     size = len(ns)
-    R = [[b(0) * 0] * size for _ in range(size)]
+    R = [[entry(B, 0) * 0] * size for _ in range(size)]
     for idx, n in enumerate(ns):
-        R[idx][idx] = b(n)
+        R[idx][idx] = entry(B, n)
         if idx > 0:
-            R[idx][idx - 1] = a(-n + 1)
+            R[idx][idx - 1] = entry(A, 1 - n)
         if idx < size - 1:
-            R[idx][idx + 1] = a(n + 1)
+            R[idx][idx + 1] = entry(A, n + 1)
     if fold and size > 1:
         R[0][1] *= 2
     return R
@@ -292,10 +301,11 @@ def eigen_solve(matrix) -> EigenResult:
     Exact tridiagonal input (entries exact under spectrum._exact) gets its
     eigenvalues refined on the integer characteristic polynomial, each
     certified by a sign-change bracket whose half-width the result reports;
-    float input keeps the plain LAPACK values.  Every
-    returned vector is the smallest singular vector of (R - lambda I), the
-    minimizer of ||R v - lambda v|| at that lambda; any pair failing the
-    1e-10 bound raises EigenCertificationError carrying the offending matrix.
+    float input keeps the plain LAPACK values.  Every returned vector is the
+    smallest singular vector of (R - lambda I), the minimizer of
+    ||R v - lambda v|| at that lambda, all from one stacked SVD; the first
+    pair failing the 1e-10 bound raises EigenCertificationError carrying the
+    offending matrix.
     """
     mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
     vals, _ = np.linalg.eig(mat)
@@ -308,23 +318,18 @@ def eigen_solve(matrix) -> EigenResult:
     if exact is not None:
         lams, steps, widths = _exact_eigenvalues(*exact, lams)
         steps, widths = np.array(steps), np.array(widths)
-    eye = np.eye(mat.shape[0])
-    out_vecs = []
-    out_res = []
-    for lam in lams:
-        vec = np.linalg.svd(mat - lam * eye)[2][-1]
-        res = float(np.linalg.norm(mat @ vec - lam * vec))
-        if res > _CERT_TOL:
-            raise EigenCertificationError(
-                f"residual {res:.3e} > {_CERT_TOL} for eigenvalue {lam} of "
-                f"matrix {mat.tolist()}")
-        out_vecs.append(vec)
-        out_res.append(res)
-    return EigenResult(values=np.array(lams),
-                       vectors=np.array(out_vecs).T,
-                       residuals=np.array(out_res),
-                       newton_steps=steps,
-                       bracket_halfwidths=widths)
+    lam = np.array(lams)
+    # column k of vecs: the last right singular vector of R - lams[k] I
+    vecs = np.linalg.svd(mat - lam[:, None, None] * np.eye(len(mat)))[2][:, -1].T
+    res = np.linalg.norm(mat @ vecs - vecs * lam, axis=0)
+    bad = np.nonzero(res > _CERT_TOL)[0]
+    if len(bad):
+        i = bad[0]
+        raise EigenCertificationError(
+            f"residual {res[i]:.3e} > {_CERT_TOL} for eigenvalue {lams[i]} of "
+            f"matrix {mat.tolist()}")
+    return EigenResult(values=lam, vectors=vecs, residuals=res,
+                       newton_steps=steps, bracket_halfwidths=widths)
 
 
 # ---- closed-form eigenfunctions and the angular ODE residual ----
@@ -351,17 +356,6 @@ def eigenfunction_poly(curve: CurveParams, l: int) -> list:
     return [g * 0] * half + _terminating_terms(half - M, half + G, c, one, M - half)
 
 
-def _polyval(coeffs: Sequence, x):
-    acc = x * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _polyder(coeffs: Sequence) -> list:
-    return [k * c for k, c in enumerate(coeffs)][1:] or [coeffs[0] * 0]
-
-
 def lpsi_residual(psi: Sequence, beta_tilde, gamma, kappa, phi_grid) -> float:
     """Max abs residual of the angular ODE over phi_grid.
 
@@ -370,19 +364,17 @@ def lpsi_residual(psi: Sequence, beta_tilde, gamma, kappa, phi_grid) -> float:
     Psi'  = p'(x) sin(phi)/2,
     Psi'' = p''(x) x (1-x) + p'(x) (1 - 2x)/2.
     """
+    poly = np.polynomial.polynomial   # by attribute: loaded on first use
     p = [float(c) for c in psi]
-    dp = _polyder(p)
-    ddp = _polyder(dp)
-    g = float(gamma)
-    k = float(kappa)
-    bt = float(beta_tilde)
+    dp = poly.polyder(p)
+    ddp = poly.polyder(dp)
+    g, k, bt = float(gamma), float(kappa), float(beta_tilde)
     phi = np.asarray(phi_grid, dtype=float)
-    cphi = np.cos(phi)
-    sphi = np.sin(phi)
+    cphi, sphi = np.cos(phi), np.sin(phi)
     x = (1.0 - cphi) / 2.0
-    P = _polyval(p, x)
-    P1 = _polyval(dp, x) * sphi / 2.0
-    P2 = _polyval(ddp, x) * x * (1.0 - x) + _polyval(dp, x) * (1.0 - 2.0 * x) / 2.0
+    P, D1, D2 = (poly.polyval(x, c) for c in (p, dp, ddp))
+    P1 = D1 * sphi / 2.0
+    P2 = D2 * x * (1.0 - x) + D1 * (1.0 - 2.0 * x) / 2.0
     res = (k / 2.0) * (1.0 - cphi) * P2 - (1.0 - k * g) * sphi * P1 \
         + ((k * (2 * g - 1) / 2.0 - 3.0) * g * cphi
            - (k * (g - 1) / 2.0 - 3.0) * g - bt) * P

@@ -46,16 +46,19 @@ class MCConfig:
     w: complex
 
     def __post_init__(self):
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
+        if not all(math.isfinite(float(x)) for x in (self.kappa, self.q, self.T)):
+            raise ValueError(f"kappa, q and T must be finite, got {self.kappa}, "
+                             f"{self.q} and {self.T}")
         if self.T <= 0 or self.n_steps < 1 or self.n_samples < 1:
             raise ValueError("T, n_steps, n_samples must be positive")
         if self.delta > _MAX_DELTA * (1 + 1e-12):
             raise ValueError(
                 f"delta = T/n_steps = {self.delta:.3e} exceeds {_MAX_DELTA}")
         aw = abs(complex(self.w))
-        if aw >= 1:
-            raise ValueError("|w| must be below 1")
+        if not aw < 1:   # NaN and inf too
+            raise ValueError(f"|w| must be below 1, got w={self.w}")
         if math.exp(-self.T) > (1 - aw) / 10 + 1e-300:
             raise ValueError(
                 f"horizon too short: need exp(-T) <= (1-|w|)/10 = {(1 - aw) / 10:.3e}")

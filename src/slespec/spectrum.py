@@ -59,8 +59,11 @@ class SLEParams:
     kappa: Scalar
 
     def __post_init__(self):
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        if not (math.isfinite(float(self.q)) and math.isfinite(float(self.kappa))):
+            raise ValueError(f"q and kappa must be finite, got q={self.q}, "
+                             f"kappa={self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,8 @@ def q_transition(kappa: Scalar) -> float:
     Rationalized so that kappa -> 0 is regular (limit 1/3) instead of 0/0.
     """
     k = float(kappa)
-    if k < 0.0:
-        raise ValueError("kappa must be nonnegative")
+    if not (k >= 0.0 and math.isfinite(k)):
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
     s = math.sqrt(2.0 * k * k + 16.0 * k + 36.0)
     return (k ** 3 + 16.0 * k * k + 80.0 * k + 128.0) / (
         16.0 * (k * k + 8.0 * k + 12.0 + 2.0 * s))

@@ -278,3 +278,49 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert dest.read_text().splitlines()[0] == "q,kappa,gamma_minus,branch,beta"
+
+
+def test_unwritable_out_path_exits_1(capsys, tmp_path):
+    bad = str(tmp_path / "missing" / "rows.csv")
+    code, out, err = run(capsys, "spectrum", "--q", "2", "--kappa", "6",
+                         "--out", bad)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and bad in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_dump_path_fails_before_simulating(capsys, tmp_path,
+                                                      monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated although the dump path is unwritable")
+
+    monkeypatch.setattr(S.mc, "moment_estimate", simulate)
+    bad = str(tmp_path / "missing" / "paths.txt")
+    code, out, err = run(capsys, "mc", "--q", "1", "--kappa", "2", "--w", "0.4",
+                         "--samples", "4", "--t-horizon", "4", "--dump", bad)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and bad in err
+
+
+# ---- non-finite numbers ----
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--q", "nan", "--kappa", "2"),
+    ("spectrum", "--q", "2", "--kappa", "nan"),
+    ("spectrum", "--q", "inf", "--kappa", "2"),
+    ("spectrum", "--q", "2", "--kappa", "inf"),
+    ("curves", "--m-max", "0", "--gamma", "1", "--kappa", "nan"),
+    ("curves", "--m-max", "0", "--gamma", "1", "--kappa", "inf"),
+    ("mc", "--q", "nan", "--kappa", "2", "--w", "0.4", "--samples", "4"),
+    ("mc", "--q", "1", "--kappa", "nan", "--w", "0.4", "--samples", "4"),
+    ("mc", "--q", "1", "--kappa", "2", "--w", "nan", "--samples", "4"),
+], ids=["spectrum-q-nan", "spectrum-kappa-nan", "spectrum-q-inf",
+        "spectrum-kappa-inf", "curves-kappa-nan", "curves-kappa-inf",
+        "mc-q-nan", "mc-kappa-nan", "mc-w-nan"])
+def test_non_finite_number_fails_validation(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "validation failure" in err

@@ -106,11 +106,72 @@ def test_matrices_equal_scalar_coefficient_reference(M):
                                  (S.full_matrix, range(-M, M + 1), False),
                                  (S.antisymmetric_matrix, range(1, M + 1), False)):
                 got = fn(sysM)
-                assert got == _scalar_band_matrix(sysM, ns, fold)
+                want = _scalar_band_matrix(sysM, ns, fold)
+                assert got == want
+                assert repr(got) == repr(want)   # -0.0 included
                 kind = Fraction if isinstance(g, Fraction) else float
                 assert all(type(x) is kind for row in got for x in row)
             checked += 1
     assert checked >= 6
+
+
+# ---- eigen._stencil against the evaluators it replaced ----
+
+def _ref_int_quadratics(gamma, kappa):
+    """The replaced eigen._int_quadratics: (L, qa, qb, qc), L A_n, L B_n and
+    L C_n as integer quadratics read off a_coef, b_coef, c_coef at n = 0, 1, 2."""
+    quads = []
+    for f in (S.a_coef, S.b_coef, S.c_coef):
+        f0, f1, f2 = (f(n, gamma, kappa) for n in (0, 1, 2))
+        q2 = (f2 - 2 * f1 + f0) / 2
+        quads.append((f0, f1 - f0 - q2, q2))
+    L = math.lcm(*(c.denominator for q in quads for c in q))
+    return (L, *(tuple(int(c * L) for c in q) for q in quads))
+
+
+def _ref_quad(q, n):
+    return q[0] + (q[1] + q[2] * n) * n
+
+
+def _pow_a_coef(n, g, k):
+    """a_coef as it was, squaring with **."""
+    return k * (n - g) ** 2 / 2 + n - 3 * g - k * g * (1 - g) / 2
+
+
+def test_float_stencil_equals_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    ns = range(-1200, 1202)
+    for _ in range(300):
+        g, k = float(rng.uniform(-1, 3)), float(rng.uniform(0, 10))
+        L, *arrays = S.eigen._stencil(g, k, ns)
+        assert L == 1
+        for f, arr in zip((S.a_coef, S.b_coef, S.c_coef), arrays):
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, [f(m, g, k) for m in ns])
+        # against the ** form: the square moves by at most 1 ulp, and A_n,
+        # after the sum's own roundings, by at most 2 ulps at these points
+        old = np.array([_pow_a_coef(m, g, k) for m in ns])
+        assert np.all(np.abs(arrays[0] - old) <= 2 * np.spacing(np.abs(old)))
+        sq = np.array([(m - g) ** 2 for m in ns])
+        d = np.array(ns) - g
+        assert np.all(np.abs(d * d - sq) <= np.spacing(sq))
+
+
+@pytest.mark.parametrize("g,k", [
+    (Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(3)),
+    (Fraction(-3, 10), Fraction(4)), (Fraction(7, 4), Fraction(1497, 1337)),
+    (Fraction(1, 3), Fraction(0)), (Fraction(-5, 7), Fraction(5, 2)),
+    (Fraction(40, 48), S.curve_point(S.CurveParams(20, Fraction(40, 48))).kappa),
+])
+def test_exact_stencil_is_l_times_the_fraction_values(g, k):
+    ns = range(-60, 62)
+    L, *arrays = S.eigen._stencil(g, k, ns)
+    ref_L, *quads = _ref_int_quadratics(g, k)
+    assert L == ref_L
+    for f, q, arr in zip((S.a_coef, S.b_coef, S.c_coef), quads, arrays):
+        assert arr.dtype == object and all(type(v) is int for v in arr)
+        assert arr.tolist() == [L * f(m, g, k) for m in ns]
+        assert arr.tolist() == [_ref_quad(q, m) for m in ns]
 
 
 def test_eigen_solve_certifies_residuals():
@@ -254,6 +315,59 @@ def test_integer_path_matches_fraction_reference():
         assert got == want, where
 
 
+def _ref_eigen_solve(matrix):
+    """eigen_solve with one SVD and one residual norm per eigenvalue, as it
+    was before the stacked SVD: the reference."""
+    mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
+    vals, _ = np.linalg.eig(mat)
+    if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
+        raise S.EigenCertificationError(
+            f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
+    lams = sorted(float(v) for v in vals.real)
+    exact = S.eigen._tridiag_exact(matrix)
+    if exact is not None:
+        lams = S.eigen._exact_eigenvalues(*exact, lams)[0]
+    eye = np.eye(mat.shape[0])
+    out_vecs, out_res = [], []
+    for lam in lams:
+        vec = np.linalg.svd(mat - lam * eye)[2][-1]
+        res = float(np.linalg.norm(mat @ vec - lam * vec))
+        if res > 1e-10:
+            raise S.EigenCertificationError(
+                f"residual {res:.3e} > 1e-10 for eigenvalue {lam} of "
+                f"matrix {mat.tolist()}")
+        out_vecs.append(vec)
+        out_res.append(res)
+    return np.array(lams), np.array(out_vecs).T, np.array(out_res)
+
+
+# entries ~1e7: rounding alone leaves residuals ~1e-9, above the absolute
+# bound 1e-10, so eigen_solve raises in its residual check
+_RESIDUAL_FAILURE = [[3e7, 1e7], [1e7, -2e7]]
+
+
+def test_stacked_svd_matches_per_eigenvalue_reference():
+    matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, g)))
+                for M, k in EQUIVALENCE_CURVES
+                for g in (Fraction(k, 48), k / 48)]   # exact and float twins
+    matrices.append(_RESIDUAL_FAILURE)
+    failures = 0
+    for R in matrices:
+        try:
+            want = _ref_eigen_solve(R)
+        except S.EigenCertificationError as exc:
+            failures += 1
+            with pytest.raises(S.EigenCertificationError) as got:
+                S.eigen_solve(R)
+            assert str(got.value) == str(exc)
+            continue
+        got = S.eigen_solve(R)
+        assert np.array_equal(got.values, want[0])
+        assert np.array_equal(got.vectors, want[1])
+        assert np.max(np.abs(got.residuals - want[2])) <= 1e-14
+    assert 0 < failures < len(matrices)
+
+
 # Open defects: a double eigenvalue has no sign change and LAPACK splits it
 # into a complex pair; at (20, 28/48) a seed misses.  These pass once the
 # spectrum is certified without float seeds.
@@ -332,6 +446,49 @@ def test_eigenfunction_poly_anchor():
     c = S.CurveParams(1, 1)
     assert S.eigenfunction_poly(c, 0) == [Fraction(1), Fraction(-4, 3)]
     assert S.eigenfunction_poly(c, 2) == [Fraction(0), Fraction(1)]
+
+
+def _ref_polyder(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:] or [coeffs[0] * 0]
+
+
+def _ref_lpsi_residual(psi, beta_tilde, gamma, kappa, phi_grid):
+    """lpsi_residual on hand-written Horner and derivative helpers, as it
+    was before numpy's polynomial helpers: the reference."""
+    p = [float(c) for c in psi]
+    dp = _ref_polyder(p)
+    ddp = _ref_polyder(dp)
+    g, k, bt = float(gamma), float(kappa), float(beta_tilde)
+    phi = np.asarray(phi_grid, dtype=float)
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    x = (1.0 - cphi) / 2.0
+    P = _ref_polyval(p, x)
+    P1 = _ref_polyval(dp, x) * sphi / 2.0
+    P2 = _ref_polyval(ddp, x) * x * (1.0 - x) + _ref_polyval(dp, x) * (1.0 - 2.0 * x) / 2.0
+    res = (k / 2.0) * (1.0 - cphi) * P2 - (1.0 - k * g) * sphi * P1 \
+        + ((k * (2 * g - 1) / 2.0 - 3.0) * g * cphi
+           - (k * (g - 1) / 2.0 - 3.0) * g - bt) * P
+    return float(np.max(np.abs(res)))
+
+
+def test_lpsi_residual_matches_hand_written_reference():
+    cases = 0
+    for M, g in [(1, Fraction(1)), (2, Fraction(1, 2)), (3, Fraction(1, 3)),
+                 (4, Fraction(5, 4))]:
+        c = S.CurveParams(M, g)
+        kappa = float(S.curve_point(c).kappa)
+        phi = np.linspace(0.15, 2 * np.pi - 0.15, 60)
+        for l in range(0, 2 * M + 1, 2):
+            psi = [float(v) for v in S.eigenfunction_poly(c, l)]
+            for bt in (float(S.eigen_beta_closed(c, l)), 3.9):
+                args = (psi, bt, float(g), kappa, phi)
+                assert S.lpsi_residual(*args) == _ref_lpsi_residual(*args)
+                cases += 1
+    # constant and linear psi: the derivatives reach the zero polynomial
+    for psi in ([2.0], [1.0, -0.5]):
+        args = (psi, 1.0, 0.5, 2.0, np.linspace(0.1, 3.0, 9))
+        assert S.lpsi_residual(*args) == _ref_lpsi_residual(*args)
+    assert cases == 28
 
 
 def test_lpsi_residual_small_on_eigenpairs():

@@ -38,6 +38,16 @@ def test_sample_driving_rejects_impossible_horizon(kappa, T, n):
         S.sample_driving(kappa, T, n, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("field", ["kappa", "q", "T", "w"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite(field, bad):
+    base = dict(kappa=2.0, q=1.0, T=8.0, n_steps=3200, n_samples=4, seed=0,
+                w=0.5 + 0j)
+    S.MCConfig(**base)
+    with pytest.raises(ValueError):
+        S.MCConfig(**{**base, field: bad})
+
+
 def test_sample_driving_variance_scale():
     # total variance of B(T) is kappa*T
     kappa, T = 3.0, 2.0

@@ -265,3 +265,14 @@ def test_bool_is_refused_at_every_entry_point(fn, args):
 def test_numpy_bool_is_refused_like_bool(fn, args):
     with pytest.raises(TypeError, match="bool"):
         fn(*args)
+
+
+@pytest.mark.parametrize("q,kappa", [(math.nan, 2.0), (math.inf, 2.0),
+                                     (1.0, math.nan), (1.0, math.inf)])
+def test_non_finite_parameters_are_rejected(q, kappa):
+    with pytest.raises(ValueError):
+        S.SLEParams(q, kappa)
+    if not math.isfinite(kappa):
+        with pytest.raises(ValueError):
+            S.q_transition(kappa)
+    S.SLEParams(Fraction(1, 2), Fraction(8, 3))   # exact inputs still pass
