@@ -156,7 +156,7 @@ def _cmd_truncate(args) -> int:
     kappa_curve = params.kappa
     kappa_used = args.kappa if args.kappa is not None else kappa_curve
     N = args.order
-    table = coeffs.build_theta_table(args.gamma, kappa_used, N, backend="rational")
+    table = coeffs.build_theta_table(args.gamma, kappa_used, N)
     width = coeffs.truncation_width(table)
     a_minus = eigen.a_coef(-args.m, args.gamma, kappa_used)
     band_pass = width is not None and width <= args.m and a_minus == 0
@@ -188,7 +188,7 @@ def _cmd_betafit(args) -> int:
         gamma = roots.gamma_plus
     else:
         gamma = roots.gamma_minus
-    table = coeffs.build_theta_table(gamma, kappa, args.order, backend="float")
+    table = coeffs.build_theta_table(gamma, kappa, args.order)
     radii = [1.0 - 2.0 ** (-k) for k in range(args.k_lo, args.k_hi + 1)]
     samples = []
     for r in radii:
@@ -219,10 +219,15 @@ def _cmd_mc(args) -> int:
         print(f"slespec mc: error: --samples must be at least 2 for a standard "
               f"error, got {args.samples}", file=sys.stderr)
         return 1
+    if args.threads < 1:
+        print(f"slespec mc: error: --threads must be at least 1, got {args.threads}",
+              file=sys.stderr)
+        return 1
     q, kappa, w = float(args.q), float(args.kappa), args.w
-    n_steps = (args.steps if args.steps is not None
-               else max(1, math.ceil(args.t_horizon / 2.5e-3)))
-    config = mc.MCConfig(kappa=kappa, q=q, T=args.t_horizon, n_steps=n_steps,
+    T, n_steps = args.t_horizon, args.steps
+    if n_steps is None:   # a non-finite T takes one step, and MCConfig names it
+        n_steps = max(1, math.ceil(T / 2.5e-3)) if math.isfinite(T) else 1
+    config = mc.MCConfig(kappa=kappa, q=q, T=T, n_steps=n_steps,
                          n_samples=args.samples, seed=args.seed, w=w)
     # open the dump before simulating, so a bad path fails at once
     with (open(args.dump, "w") if args.dump is not None else nullcontext()) as dump, \
@@ -237,8 +242,7 @@ def _cmd_mc(args) -> int:
         oracle_source = "deterministic"
     else:
         roots = sp.gamma_roots(sp.SLEParams(q=q, kappa=kappa))
-        table = coeffs.build_theta_table(roots.gamma_minus, kappa, 250,
-                                         backend="float")
+        table = coeffs.build_theta_table(roots.gamma_minus, kappa, 250)
         oracle = coeffs.eval_rho(table, w, w.conjugate()).value.real
         oracle_source = "series"
     rel_dev = abs(est.mean - oracle) / max(1e-300, abs(oracle))

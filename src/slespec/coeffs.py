@@ -5,12 +5,12 @@ sum_{l,k in {0,1}} C^{l,k}_{i,j} theta_{i-l, j-k} = 0, theta_{1,1} = 1,
 with out-of-range entries zero.  C^{0,0} vanishes only at (1,1) for
 kappa >= 0, so the solve is always well posed.  One builder fills the
 table along anti-diagonals from the A_n, B_n, C_n arrays of
-eigen._stencil; the backend only picks the scalar.  The float sweep runs
-on float64; the rational sweep is fraction-free, on Python integers: the
-stencil times one integer L, and integer numerators over one denominator
-per anti-diagonal, turned into reduced Fractions once at the end.  Entries
-are an (N, N) ndarray: dtype=object Fractions for the rational backend,
-float64 for the float backend.
+eigen._stencil; exact gamma and kappa (spectrum._exact) build a rational
+table at any N, other inputs a float one.  The float sweep runs on float64;
+the rational sweep is fraction-free, on Python integers: the stencil times
+one integer L, and integer numerators over one denominator per
+anti-diagonal, turned into reduced Fractions once at the end.  Entries are
+an (N, N) ndarray: dtype=object Fractions (rational) or float64 (float).
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .spectrum import _exact
 BACKEND_RATIONAL = "rational"
 BACKEND_FLOAT = "float"
 
-_RATIONAL_N_CAP = 60  # auto backend switches to float above this
 _TABLE_MAGIC = "theta-table v1"
 
 
@@ -80,11 +79,15 @@ _SCALAR = {BACKEND_RATIONAL: Fraction, BACKEND_FLOAT: float}
 
 @dataclass(frozen=True)
 class CoeffTable:
+    """theta_{i,j} for 1 <= i, j <= N; the entries' dtype is the backend."""
     N: int
     gamma: object
     kappa: object
-    backend: str
     entries: np.ndarray   # (N, N): object Fractions (rational) or float64
+
+    @property
+    def backend(self) -> str:
+        return BACKEND_RATIONAL if self.entries.dtype == object else BACKEND_FLOAT
 
     def get(self, i: int, j: int):
         if not (1 <= i <= self.N and 1 <= j <= self.N):
@@ -102,9 +105,9 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     """theta table up to index N.
 
     gamma and kappa are read by spectrum._exact, the package's exactness
-    rule; they are exact when both come back as Fractions.  backend None
-    picks rational for exact inputs up to N=60, float otherwise; backend
-    "rational" takes only exact inputs.  Float overflow raises with
+    rule: when both come back as Fractions the table is rational, at any N,
+    and otherwise it is float.  backend, if given, must name that same
+    arithmetic, else ValueError.  Float overflow raises with
     the first failing index (smallest i+j, then i).  An entry at offset
     n = i-j depends only on offsets n-1, n, n+1, so entries more than one
     offset beyond the widest nonzero one so far are not computed: they stay
@@ -121,19 +124,15 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     at gamma=-0.3, kappa=4, N=120).
     """
     g, kap = _exact(gamma), _exact(kappa)
-    exact = isinstance(g, Fraction) and isinstance(kap, Fraction)
+    rational = isinstance(g, Fraction) and isinstance(kap, Fraction)
     if N < 1:
         raise ValueError("N must be positive")
     if not float(kap) >= 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if backend is None:
-        backend = BACKEND_RATIONAL if exact and N <= _RATIONAL_N_CAP else BACKEND_FLOAT
-    if backend not in _SCALAR:
-        raise ValueError(f"unknown backend {backend!r}")
-    rational = backend == BACKEND_RATIONAL
-    if rational and not exact:
-        raise ValueError("the rational backend needs int, Fraction or numpy "
-                         f"integer gamma and kappa, got {gamma!r} and {kappa!r}")
+    if backend not in (None, BACKEND_RATIONAL if rational else BACKEND_FLOAT):
+        raise ValueError(f"backend {backend!r} does not fit gamma={gamma!r}, "
+                         f"kappa={kappa!r}: int, Fraction or numpy integer inputs "
+                         "select the rational backend, any others the float one")
     # stencil on the offsets n = i-j in -N..N+1, stored at index n + N:
     # C01 = A_{n+1}, C10 = A_{1-n}, C00 = H_n - (s-2), C11 = K_n + (s-4), s = i+j,
     # all times L (1 for floats)
@@ -177,14 +176,14 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
         i, j = np.nonzero(np.triu(G))
         fr = [Fraction(v, den[s]) for v, s in zip(G[i, j], (i + j).tolist())]
         entries[i - 1, j - 1] = entries[j - 1, i - 1] = fr
-        return CoeffTable(N=N, gamma=g, kappa=kap, backend=backend, entries=entries)
+        return CoeffTable(N=N, gamma=g, kappa=kap, entries=entries)
     if not np.isfinite(G).all():
         i, j = np.nonzero(~np.isfinite(G))
         b = np.lexsort((i, i + j))[0]
         raise OverflowError(
             f"float overflow at theta({int(i[b])},{int(j[b])}); "
-            f"use the rational backend or a smaller N")
-    return CoeffTable(N=N, gamma=g, kappa=kap, backend=backend, entries=G[1:, 1:])
+            f"use exact inputs or a smaller N")
+    return CoeffTable(N=N, gamma=g, kappa=kap, entries=G[1:, 1:])
 
 
 def _solve_diagonal(near, far, c00, d_near: int, d_far: int):
@@ -443,10 +442,9 @@ def load_table(src) -> CoeffTable:
         N = int(fields["N"])
         if N < 1:
             raise ValueError(f"N must be positive, got {N} in table header")
-        backend = fields["backend"]
-        if backend not in _SCALAR:
-            raise ValueError(f"unknown backend {backend!r} in table file")
-        scalar = _SCALAR[backend]
+        scalar = _SCALAR.get(fields["backend"])
+        if scalar is None:
+            raise ValueError(f"unknown backend {fields['backend']!r} in table file")
         entries = np.full((N, N), scalar(0))
         seen = np.zeros((N, N), dtype=bool)
         for line in fh:
@@ -464,8 +462,7 @@ def load_table(src) -> CoeffTable:
         if not seen.all():
             raise ValueError(f"expected {N * N} entries, found {int(seen.sum())}")
         return CoeffTable(N=N, gamma=scalar(fields["gamma"]),
-                          kappa=scalar(fields["kappa"]), backend=backend,
-                          entries=entries)
+                          kappa=scalar(fields["kappa"]), entries=entries)
     finally:
         if own:
             fh.close()

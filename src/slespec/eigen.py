@@ -403,28 +403,22 @@ def _angular_profile(vec: np.ndarray, x_grid: np.ndarray) -> np.ndarray:
 
 
 def select_beta_tilde(result: EigenResult, curve: CurveParams) -> float:
-    """Pick the eigenvalue whose angular profile is nonnegative, largest wins.
-
-    Checked on a 1024-point x grid at tolerance -1e-10 after sign
-    normalization; the selected value must also be the global maximum.
+    """Largest eigenvalue with a nonnegative angular profile, which must be the
+    spectral maximum: so only eigenvalues within 1e-10 max(1, |top|) of the
+    top are read, largest first, and the first whose sign-normalized profile
+    stays >= -1e-10 of its maximum on a 1024-point x grid wins.
     """
     x_grid = np.linspace(0.0, 1.0, 1024)
-    candidates = []
-    for k, lam in enumerate(result.values):
+    top = float(np.max(result.values))
+    for k in np.argsort(result.values)[::-1]:
+        lam = float(result.values[k])
+        if top - lam > 1e-10 * max(1.0, abs(top)):
+            break
         prof = _angular_profile(result.vectors[:, k], x_grid)
-        hi = prof[np.argmax(np.abs(prof))]
-        if hi < 0:
+        if prof[np.argmax(np.abs(prof))] < 0:
             prof = -prof
         if prof.min() >= -1e-10 * max(1.0, prof.max()):
-            candidates.append(float(lam))
-    if not candidates:
-        raise EigenCertificationError(
-            f"no eigenvalue with nonnegative profile on (M={curve.M}, "
-            f"gamma={curve.gamma})")
-    pick = max(candidates)
-    top = float(np.max(result.values))
-    if abs(pick - top) > 1e-10 * max(1.0, abs(top)):
-        raise EigenCertificationError(
-            f"nonnegative-profile eigenvalue {pick} is not the spectral "
-            f"maximum {top} on (M={curve.M}, gamma={curve.gamma})")
-    return pick
+            return lam
+    raise EigenCertificationError(
+        f"the spectral maximum {top} has no nonnegative profile on (M={curve.M}, "
+        f"gamma={curve.gamma})")

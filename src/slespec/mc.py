@@ -218,6 +218,8 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
     independent of chunking and thread count, and bit-identical per seed.
     Optional dump: one `index log_deriv_re log_deriv_im B_T` line per path.
     """
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if abs(config.q) > 2 or abs(complex(config.w)) > 0.9:
         warnings.warn("outside the validated envelope |q| <= 2, |w| <= 0.9",
                       RuntimeWarning, stacklevel=2)

@@ -269,6 +269,30 @@ def test_mc_zero_steps_fails_validation(capsys):
     assert "validation failure" in err and "n_steps" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_mc_non_finite_horizon_names_t(capsys, value):
+    # the default --steps comes from T, so it must not be derived from nan/inf
+    code, out, err = run(capsys, "mc", "--q", "1", "--kappa", "2", "--w", "0.4",
+                         "--samples", "4", "--t-horizon", value)
+    assert code == 2
+    assert out == ""
+    assert "T must be finite" in err and value in err
+    assert "convert" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_mc_threads_below_one_is_a_usage_error(capsys, monkeypatch, threads):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated although --threads is invalid")
+
+    monkeypatch.setattr(S.mc, "moment_estimate", simulate)
+    code, out, err = run(capsys, "mc", "--q", "1", "--kappa", "2", "--w", "0.4",
+                         "--samples", "4", "--t-horizon", "4", "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert f"--threads must be at least 1, got {threads}" in err
+
+
 # ---- output redirection ----
 
 def test_out_file(capsys, tmp_path):

@@ -150,12 +150,39 @@ def test_bool_is_not_rational():
 def test_backend_autoselect_and_get_bounds():
     assert S.build_theta_table(Fraction(1, 2), 2, 10).backend == "rational"
     assert S.build_theta_table(0.5, 2.0, 10).backend == "float"
-    assert S.build_theta_table(Fraction(1, 2), 2, 80).backend == "float"
+    # exact inputs build exactly at any N
+    assert S.build_theta_table(Fraction(1, 2), 2, 80).backend == "rational"
     t = S.build_theta_table(1, 2, 5)
     with pytest.raises(IndexError):
         t.get(0, 1)
     with pytest.raises(IndexError):
         t.get(1, 6)
+
+
+@pytest.mark.parametrize("g,k,backend", [
+    (Fraction(1, 2), 2, "float"),   # exact inputs: pass floats for a float table
+    (1, Fraction(6), "float"),
+    (Fraction(1, 2), 2, "fraction"),
+    (0.5, 2.0, "double"),
+])
+def test_backend_must_name_the_inputs_arithmetic(g, k, backend):
+    with pytest.raises(ValueError, match="does not fit"):
+        S.build_theta_table(g, k, 6, backend=backend)
+
+
+@pytest.mark.parametrize("g,k,backend", [(Fraction(1, 2), Fraction(5, 2), "rational"),
+                                         (0.5, 2.5, "float")])
+def test_backend_follows_entries_dtype(g, k, backend, tmp_path):
+    t = S.build_theta_table(g, k, 8)
+    assert t.backend == backend
+    p = tmp_path / "t.txt"
+    S.save_table(t, str(p))
+    t2 = S.load_table(str(p))
+    assert t2.backend == backend and t2.entries.dtype == t.entries.dtype
+    # backend is read off the entries, not stored beside them
+    with pytest.raises(TypeError):
+        S.CoeffTable(N=t.N, gamma=t.gamma, kappa=t.kappa, entries=t.entries,
+                     backend=backend)
 
 
 def _gather_build(gamma, kappa, N, scalar):

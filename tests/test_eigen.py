@@ -440,6 +440,78 @@ def test_selection_agrees_with_piecewise_rule(M):
         assert bt == pytest.approx(float(S.beta_tilde_on_curve(c)), abs=1e-9)
 
 
+def _ref_select_beta_tilde(result, curve):
+    """select_beta_tilde as it was before it read only the top of the
+    spectrum: every profile tested, the largest passing value kept, then
+    checked against the spectral maximum.  The reference."""
+    x_grid = np.linspace(0.0, 1.0, 1024)
+    candidates = []
+    for k, lam in enumerate(result.values):
+        prof = S.eigen._angular_profile(result.vectors[:, k], x_grid)
+        if prof[np.argmax(np.abs(prof))] < 0:
+            prof = -prof
+        if prof.min() >= -1e-10 * max(1.0, prof.max()):
+            candidates.append(float(lam))
+    if not candidates:
+        raise S.EigenCertificationError("no eigenvalue with nonnegative profile")
+    pick = max(candidates)
+    top = float(np.max(result.values))
+    if abs(pick - top) > 1e-10 * max(1.0, abs(top)):
+        raise S.EigenCertificationError("not the spectral maximum")
+    return pick
+
+
+def _select_outcome(result, curve, select):
+    try:
+        return select(result, curve)
+    except S.EigenCertificationError as exc:
+        return type(exc)
+
+
+def test_selection_matches_all_profiles_reference():
+    selected = 0
+    for M, k in EQUIVALENCE_CURVES:
+        for g in (Fraction(k, 48), k / 48):   # exact and float twins
+            c = S.CurveParams(M, g)
+            try:
+                res = S.eigen_solve(S.reduced_matrix(S.build_system(c)))
+            except S.EigenCertificationError:
+                continue
+            got = _select_outcome(res, c, S.select_beta_tilde)
+            assert got == _select_outcome(res, c, _ref_select_beta_tilde), (M, g)
+            selected += isinstance(got, float)
+    assert selected > 60
+
+
+def _two_level_result(values, columns):
+    """A hand-built EigenResult on M = 1: psi = (psi_0, psi_1) per value."""
+    return S.EigenResult(values=np.array(values), vectors=np.array(columns).T,
+                         residuals=np.zeros(len(values)))
+
+
+# psi = (1, 0) has the constant profile 1; psi = (0, 1) has 2 (1 - 2x),
+# which changes sign on [0, 1]
+_FLAT, _SIGN_CHANGE = (1.0, 0.0), (0.0, 1.0)
+
+
+def test_selection_raises_when_the_top_profile_changes_sign():
+    c = S.CurveParams(1, Fraction(1))
+    res = _two_level_result([1.0, 2.0], [_FLAT, _SIGN_CHANGE])
+    assert _select_outcome(res, c, _ref_select_beta_tilde) is S.EigenCertificationError
+    with pytest.raises(S.EigenCertificationError,
+                       match=r"spectral maximum 2\.0 .*\(M=1, gamma=1\)"):
+        S.select_beta_tilde(res, c)
+
+
+def test_selection_takes_a_near_tie_below_the_top():
+    # the two top values lie 1e-12 apart, inside the 1e-10 tie band; only the
+    # lower one has a nonnegative profile, and it is taken, as before
+    c = S.CurveParams(1, Fraction(1))
+    res = _two_level_result([1.0, 1.0 + 1e-12], [_FLAT, _SIGN_CHANGE])
+    assert S.select_beta_tilde(res, c) == 1.0
+    assert _ref_select_beta_tilde(res, c) == 1.0
+
+
 # ---- eigenfunctions ----
 
 def test_eigenfunction_poly_anchor():

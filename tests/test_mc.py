@@ -242,6 +242,12 @@ def test_estimate_deterministic_and_thread_invariant():
     assert d.mean != a.mean
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.5])
+def test_estimate_rejects_threads_below_one_or_not_integer(threads):
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        S.moment_estimate(small_config(n_samples=4), threads=threads)
+
+
 def test_estimate_q_zero_trivial():
     est = S.moment_estimate(small_config(q=0.0))
     assert est.mean == 1.0 and est.stderr == 0.0
