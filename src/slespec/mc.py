@@ -8,6 +8,10 @@ driving frame v = z/u, where the singularity sits at 1, and the
 log-derivative is accumulated from the exact step's derivative.  The moment
 estimator is the sample mean of exp(q (T + Re log F')) at the rotated point
 w e^{i B(T)}.
+
+Each path's Brownian increments are drawn from its own generator one block of
+_BLOCK steps at a time, latest block first, as the composition consumes them,
+so a batch holds one block of increments per lane, never all of its steps.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 
 _MAX_DELTA = 1e-2
 _CHUNK = 2048
-_BLOCK = 256          # steps whose driving rotations are materialised at once
+_BLOCK = 256          # steps whose increments and rotations are held at once
 
 
 class StepUnderflowError(RuntimeError):
@@ -32,7 +36,7 @@ class StepUnderflowError(RuntimeError):
 class DrivingPath:
     inc: np.ndarray      # driving increments dB_k, time order
     delta: float
-    b_total: float       # B(T), the sum of inc
+    b_total: float       # B(T), the sum of inc's block sums, latest first
 
 
 @dataclass(frozen=True)
@@ -82,15 +86,44 @@ def sample_driving(kappa: float, T: float, n_steps: int,
                    stream: np.random.Generator) -> DrivingPath:
     """Brownian driving on the circle: B(0) = 0, var kappa * delta per step.
 
-    Increment k freezes the driving at B(t_k), its right endpoint.
+    Increment k freezes the driving at B(t_k), its right endpoint.  The
+    increments are drawn one _BLOCK of steps at a time, latest block first
+    (time order within a block), as the composition consumes them; a batch
+    lane of `moment_estimate` draws the same way, so it sees this very path.
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     if not (T > 0 and n_steps >= 1):
         raise ValueError(f"need T > 0 and n_steps >= 1, got {T} and {n_steps}")
-    delta = T / n_steps
-    inc = stream.standard_normal(n_steps) * math.sqrt(kappa * delta)
-    return DrivingPath(inc=inc, delta=delta, b_total=float(inc.sum()))
+    inc = np.empty(n_steps)
+    b_total = np.zeros(1)
+    for a, blk in _driving_blocks(kappa, T, n_steps, [stream], b_total):
+        inc[a:a + blk.shape[1]] = blk[0]
+    return DrivingPath(inc=inc, delta=T / n_steps, b_total=float(b_total[0]))
+
+
+def _block_starts(n_steps: int) -> range:
+    """First step of each _BLOCK of steps, latest block first."""
+    return range((n_steps - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
+
+
+def _driving_blocks(kappa: float, T: float, n_steps: int, streams, b_total):
+    """Draw one path per stream, one block at a time, latest block first.
+
+    Yields (a, blk) with blk[i] = dB_a, ..., dB_{a+m-1} of path i, time order
+    within the block; blk is overwritten by the next block.  Adds each
+    block's row sums to b_total, so that after the last block it holds B(T)
+    as a sum of block sums.
+    """
+    scale = math.sqrt(kappa * (T / n_steps))
+    buf = np.empty((len(streams), min(_BLOCK, n_steps)))
+    for a in _block_starts(n_steps):
+        blk = buf[:, :min(_BLOCK, n_steps - a)]
+        for row, stream in zip(blk, streams):
+            stream.standard_normal(out=row)
+        blk *= scale
+        b_total += blk.sum(axis=1)
+        yield a, blk
 
 
 # ---- elementary frozen-driving flow ----
@@ -127,26 +160,27 @@ def _increment(v: np.ndarray, delta: float, log_re: np.ndarray,
     return two_v / D
 
 
-def _compose(w, delta: float, inc: np.ndarray):
+def _compose(w, delta: float, blocks):
     """Compose frozen-driving increments latest-first in the driving frame.
 
-    inc holds the driving increments dB_k with time on the last axis: shape
-    (n,) for one path shared by every lane of w, (lanes, n) for one path per
-    lane.  The point starts as w in the frame of the latest increment, where
-    the driving sits at 1; after increment k it is rotated by e^{i dB_k} into
-    the frame of increment k-1, and after increment 0 into the fixed frame.
-    Returns (z, log dz/dw) as 1-d arrays.
+    blocks yields the driving increments dB_k one block at a time, latest
+    block first, each with time in order on its last axis: shape (m,) for one
+    path shared by every lane of w, (lanes, m) for one path per lane.  The
+    point starts as w in the frame of the latest increment, where the driving
+    sits at 1; after increment k it is rotated by e^{i dB_k} into the frame
+    of increment k-1, and after increment 0 into the fixed frame.  Returns
+    (z, log dz/dw) as 1-d arrays.
     """
     v = np.atleast_1d(np.asarray(w, dtype=complex))
     log_re = np.zeros(v.shape)
     log_im = np.zeros(v.shape)
-    n = inc.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        for blk in blocks:
             # one step's rotations for all lanes form one contiguous row
-            rot = _unit(np.ascontiguousarray(inc[..., a:a + _BLOCK].T))
+            rot = _unit(np.ascontiguousarray(blk.T))
             for k in range(len(rot) - 1, -1, -1):
                 v = _increment(v, delta, log_re, log_im) * rot[k]
+            del rot   # freed before the next block is drawn
     if not (np.isfinite(v).all() and np.isfinite(log_re + log_im).all()):
         raise StepUnderflowError(
             "flow reached the driving singularity: non-finite result")
@@ -187,7 +221,9 @@ def whole_plane_map_derivative(w, path: DrivingPath):
     shared driving path); a lane equals its batched lane bit for bit.
     """
     scalar = np.ndim(w) == 0
-    z, logd = _compose(w, path.delta, path.inc)
+    inc = path.inc
+    z, logd = _compose(w, path.delta,
+                       (inc[a:a + _BLOCK] for a in _block_starts(len(inc))))
     if scalar:
         return complex(z[0]), complex(logd[0])
     return z, logd
@@ -203,12 +239,13 @@ def _unit(angle: np.ndarray) -> np.ndarray:
 
 def _flow_chunk(w: complex, T: float, n_steps: int, kappa: float,
                 seeds) -> tuple:
-    # rows filled in place: one chunk's increments are held once
-    inc = np.empty((len(seeds), n_steps))
-    for row, child in enumerate(seeds):
-        inc[row] = sample_driving(kappa, T, n_steps, np.random.default_rng(child)).inc
-    _, logd = _compose(np.full(len(seeds), w), T / n_steps, inc)
-    return logd, inc.sum(axis=1)
+    # each path's generator draws its increments block by block as the
+    # composition consumes them: a chunk holds one block, never all steps
+    streams = [np.random.default_rng(child) for child in seeds]
+    b_total = np.zeros(len(seeds))
+    blocks = (blk for _, blk in _driving_blocks(kappa, T, n_steps, streams, b_total))
+    _, logd = _compose(np.full(len(seeds), w), T / n_steps, blocks)
+    return logd, b_total
 
 
 def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate:

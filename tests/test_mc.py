@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -305,14 +306,15 @@ def test_dump_matches_per_path_flow():
 # Re log F', Im log F', B_T per path of the dump above, as float.hex.  The
 # mc-moments benchmark gates on seeded samples, so batch samples must not
 # move silently; the literals come from numpy's float64 log, arctan2, sqrt,
-# cos and sin as built for x86-64 (numpy 2.4).
+# cos and sin as built for x86-64 (numpy 2.4), with each path's increments
+# drawn block by block, latest block first.
 PINNED_DUMP = [
-    ("-0x1.a4f1ead6aaa80p+1", "-0x1.833a1366f071cp+0", "0x1.3a31be86d8b46p+2"),
-    ("-0x1.251307056f20ep+2", "-0x1.9ba704aa6cc47p-2", "0x1.ac9e11d8e417fp+1"),
-    ("-0x1.bfaa65237d11dp+1", "-0x1.d15cc6ea5c2eap-2", "0x1.1f9ce92de1eeep+3"),
-    ("-0x1.51c0a6e20d7a9p+2", "-0x1.a5e854ac15697p-3", "0x1.d161553294b06p+1"),
-    ("-0x1.66224ddd77aa3p+2", "-0x1.0e90e3570b3e9p+0", "0x1.68677bb0e3afbp+1"),
-    ("-0x1.4c5c56915eb34p+2", "-0x1.6ad13b8639b79p+0", "0x1.6f488f0781e2bp-1"),
+    ("-0x1.4c54bcac3cd93p+2", "-0x1.48e05773bb69fp-1", "0x1.3a31be86d8b46p+2"),
+    ("-0x1.2fcdb55213af7p+2", "-0x1.3365557d2bcf5p+0", "0x1.ac9e11d8e4181p+1"),
+    ("-0x1.3a189a090c6cbp+2", "-0x1.6ef92617c3f2bp+0", "0x1.1f9ce92de1eeep+3"),
+    ("-0x1.8080abcde8f43p+1", "0x1.7a5d250d82aefp-2", "0x1.d161553294b06p+1"),
+    ("-0x1.bf5f0e92ab898p+1", "-0x1.b9b589e48b944p+0", "0x1.68677bb0e3afbp+1"),
+    ("-0x1.35e6c8a492d34p+2", "-0x1.12b8d1215b81fp+0", "0x1.6f488f0781e30p-1"),
 ]
 
 
@@ -322,6 +324,78 @@ def test_batch_samples_are_pinned():
     assert rows[:, 0].tolist() == list(range(6))
     want = np.array([[float.fromhex(x) for x in r] for r in PINNED_DUMP])
     assert rows[:, 1:].tolist() == want.tolist()
+
+
+def materialised_chunk(w, T, n_steps, kappa, seeds):
+    """The batch chunk as it stood before increments were streamed.
+
+    Every path's increments are drawn at once and held, (lanes, n_steps),
+    then composed block by block from the held array.  The draws are
+    assigned to steps in block order, latest block first, and B_T is summed
+    block by block in that order, as the streamed chunk does.
+    """
+    B = S.mc._BLOCK
+    starts = range((n_steps - 1) // B * B, -1, -B)
+    delta = T / n_steps
+    inc = np.empty((len(seeds), n_steps))
+    for row, child in zip(inc, seeds):
+        draws = np.random.default_rng(child).standard_normal(n_steps) * math.sqrt(kappa * delta)
+        used = 0
+        for a in starts:
+            m = min(B, n_steps - a)
+            row[a:a + m] = draws[used:used + m]
+            used += m
+    v = np.full(len(seeds), w, dtype=complex)
+    log_re, log_im = np.zeros(len(seeds)), np.zeros(len(seeds))
+    b_total = np.zeros(len(seeds))
+    for a in starts:
+        rot = S.mc._unit(np.ascontiguousarray(inc[:, a:a + B].T))
+        for k in range(len(rot) - 1, -1, -1):
+            v = S.mc._increment(v, delta, log_re, log_im) * rot[k]
+        b_total += inc[:, a:a + B].sum(axis=1)
+    assert np.max(np.abs(b_total - inc.sum(axis=1))) < 1e-13
+    return log_re + 1j * log_im, b_total
+
+
+def test_streamed_chunk_equals_materialised_chunk():
+    # 1000 steps: the latest block, drawn first, holds only 232 steps
+    assert 1000 % S.mc._BLOCK == 232
+    seeds = np.random.SeedSequence(7).spawn(8)
+    args = (0.6 + 0.2j, 4.0, 1000, 6.0)
+    logd, b_total = S.mc._flow_chunk(*args, seeds)
+    logd_ref, b_ref = materialised_chunk(*args, seeds)
+    assert logd.real.tolist() == logd_ref.real.tolist()
+    assert logd.imag.tolist() == logd_ref.imag.tolist()
+    assert b_total.tolist() == b_ref.tolist()
+
+
+def test_batch_memory_does_not_grow_with_steps():
+    # a chunk holds one block of increments, not all of its steps
+    def traced_peak(n_steps):
+        cfg = S.MCConfig(kappa=2.0, q=1.0, T=8.0, n_steps=n_steps,
+                         n_samples=256, seed=0, w=0.5)
+        tracemalloc.start()
+        try:
+            S.moment_estimate(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(800)   # warm-up: first-call allocations are not the batch's
+    assert traced_peak(3200) <= 1.05 * traced_peak(800)
+
+
+def test_chunk_boundary_thread_invariant():
+    # one full chunk and a 3-lane one; 300 steps are a 44-step block and a
+    # full one
+    cfg = small_config(T=3.0, n_steps=300, n_samples=S.mc._CHUNK + 3)
+    ests, dumps = [], []
+    for threads in (1, 2):
+        buf = io.StringIO()
+        ests.append(S.moment_estimate(cfg, dump=buf, threads=threads))
+        dumps.append(buf.getvalue())
+    assert ests[0] == ests[1]
+    assert dumps[0] == dumps[1]
 
 
 def test_finite_difference_consistency_of_logd():
