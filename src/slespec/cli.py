@@ -74,7 +74,16 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, report: dict) -> None:
+    """Write a report: its rows as CSV (columns in row-key order), or the
+    whole report as JSON with sorted keys and the schema version."""
+    if args.format == "csv":
+        rows = report["rows"]
+        lines = [",".join(rows[0])] + [",".join(r.values()) for r in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **report},
+                          sort_keys=True, indent=2) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -82,19 +91,12 @@ def _emit(args, text: str) -> None:
             fh.write(text)
 
 
-def _emit_csv(args, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    _emit(args, "\n".join(lines) + "\n")
-
-
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
+# Each command returns (exit code, report); main writes a report with _emit,
+# and a None report (a usage error already printed) writes nothing.
 
 # ---- spectrum ----
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     rows = []
     for q in args.q:
         for k in args.kappa:
@@ -102,17 +104,12 @@ def _cmd_spectrum(args) -> int:
             gtxt = "" if sv.gamma is None else _fmt(sv.gamma)
             rows.append({"q": _fmt(q), "kappa": _fmt(k), "gamma_minus": gtxt,
                          "branch": sv.branch.value, "beta": _fmt(sv.beta)})
-    if args.format == "csv":
-        header = ["q", "kappa", "gamma_minus", "branch", "beta"]
-        _emit_csv(args, header, [[r[h] for h in header] for r in rows])
-    else:
-        _emit_json(args, {"schema_version": SCHEMA_VERSION, "rows": rows})
-    return 0
+    return 0, {"rows": rows}
 
 
 # ---- curves ----
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args):
     rows = []
     skipped = 0
     for M in range(args.m_max + 1):
@@ -135,22 +132,16 @@ def _cmd_curves(args) -> int:
                      "beta_tilde": _fmt(sv.beta_tilde), "beta": _fmt(sv.beta)})
     if skipped:
         print(f"skipped {skipped} invalid (M, gamma) points", file=sys.stderr)
-    if args.format == "csv":
-        header = ["M", "gamma", "q", "kappa", "beta_tilde", "beta"]
-        _emit_csv(args, header, [[r[h] for h in header] for r in rows])
-    else:
-        _emit_json(args, {"schema_version": SCHEMA_VERSION, "rows": rows,
-                          "skipped": skipped})
-    return 0
+    return 0, {"rows": rows, "skipped": skipped}
 
 
 # ---- truncate ----
 
-def _cmd_truncate(args) -> int:
+def _cmd_truncate(args):
     if args.order < args.m + 2:
         print(f"slespec truncate: error: --order must be at least M+2 = {args.m + 2} "
               f"to show a band of width M={args.m}, got {args.order}", file=sys.stderr)
-        return 1
+        return 1, None
     curve = sp.CurveParams(M=args.m, gamma=args.gamma)
     params = sp.curve_point(curve)
     kappa_curve = params.kappa
@@ -161,7 +152,6 @@ def _cmd_truncate(args) -> int:
     a_minus = eigen.a_coef(-args.m, args.gamma, kappa_used)
     band_pass = width is not None and width <= args.m and a_minus == 0
     report = {
-        "schema_version": SCHEMA_VERSION,
         "M": args.m,
         "gamma": str(args.gamma),
         "q": str(params.q),
@@ -173,13 +163,12 @@ def _cmd_truncate(args) -> int:
         "a_minus_M_is_zero": a_minus == 0,
         "band_pass": band_pass,
     }
-    _emit_json(args, report)
-    return 0 if band_pass else 2
+    return (0 if band_pass else 2), report
 
 
 # ---- betafit ----
 
-def _cmd_betafit(args) -> int:
+def _cmd_betafit(args):
     q, kappa = float(args.q), float(args.kappa)
     roots = sp.gamma_roots(sp.SLEParams(q=q, kappa=kappa))
     if args.root == "plus":
@@ -198,7 +187,6 @@ def _cmd_betafit(args) -> int:
     closed = sp.beta_spectrum(sp.SLEParams(q=q, kappa=kappa)).beta
     rel_dev = abs(fit.slope - closed) / max(1.0, abs(closed))
     report = {
-        "schema_version": SCHEMA_VERSION,
         "q": q, "kappa": kappa, "gamma": gamma, "root": args.root,
         "order": args.order, "n_phi": args.n_phi, "tail_tol": args.tail_tol,
         "radii": radii,
@@ -208,21 +196,20 @@ def _cmd_betafit(args) -> int:
         "beta_closed_form": closed,
         "relative_deviation": rel_dev,
     }
-    _emit_json(args, report)
-    return 0
+    return 0, report
 
 
 # ---- mc ----
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args):
     if args.samples < 2:
         print(f"slespec mc: error: --samples must be at least 2 for a standard "
               f"error, got {args.samples}", file=sys.stderr)
-        return 1
+        return 1, None
     if args.threads < 1:
         print(f"slespec mc: error: --threads must be at least 1, got {args.threads}",
               file=sys.stderr)
-        return 1
+        return 1, None
     q, kappa, w = float(args.q), float(args.kappa), args.w
     T, n_steps = args.t_horizon, args.steps
     if n_steps is None:   # a non-finite T takes one step, and MCConfig names it
@@ -257,7 +244,6 @@ def _cmd_mc(args) -> int:
         ok = rel_dev <= 1e-6
         z = 0.0 if ok else math.inf
     report = {
-        "schema_version": SCHEMA_VERSION,
         "q": q, "kappa": kappa, "w_re": w.real, "w_im": w.imag,
         "T": config.T, "n_steps": config.n_steps,
         "n_samples": est.n_samples, "seed": est.seed,
@@ -266,8 +252,7 @@ def _cmd_mc(args) -> int:
         "z_score": z, "rel_dev": rel_dev,
         "warnings": caught,
     }
-    _emit_json(args, report)
-    return 0 if ok else 2
+    return (0 if ok else 2), report
 
 
 # ---- parser ----
@@ -278,41 +263,39 @@ def _build_parser() -> argparse.ArgumentParser:
                             "interior whole-plane SLE")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp_):
+    def common(sp_, *formats):
         sp_.add_argument("--out", default="-", help="output path, '-' = stdout")
+        sp_.add_argument("--format", choices=formats, default=formats[0])
 
     ps = sub.add_parser("spectrum", help="closed-form beta(q; kappa) sweep")
-    common(ps)
+    common(ps, "csv", "json")
     ps.add_argument("--q", required=True, type=_arg(_parse_grid),
                     help="grid: comma list of numbers/fractions or a:b:n")
     ps.add_argument("--kappa", required=True, type=_arg(_parse_grid),
                     help="grid, same syntax")
-    ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.set_defaults(func=_cmd_spectrum)
 
     pc = sub.add_parser("curves", help="exact truncation-curve table")
-    common(pc)
+    common(pc, "csv", "json")
     pc.add_argument("--m-max", type=int, default=3)
     pc.add_argument("--gamma", default="0.05:3:60", type=_arg(_parse_grid),
                     help="gamma grid")
     pc.add_argument("--kappa", default="0:10:41", type=_arg(_parse_grid),
                     help="kappa grid for the transition locus rows")
-    pc.add_argument("--format", choices=("csv", "json"), default="csv")
     pc.set_defaults(func=_cmd_curves)
 
     pt = sub.add_parser("truncate", help="exact band truncation certificate")
-    common(pt)
+    common(pt, "json")
     pt.add_argument("--m", type=int, required=True)
     pt.add_argument("--gamma", required=True, type=_arg(Fraction),
                     help="rational, e.g. 1/2")
     pt.add_argument("--kappa", default=None, type=_arg(Fraction),
                     help="override kappa (negative control); default curve value")
     pt.add_argument("--order", type=int, default=40, help="table size N")
-    pt.add_argument("--format", choices=("json",), default="json")
     pt.set_defaults(func=_cmd_truncate)
 
     pb = sub.add_parser("betafit", help="integral-means slope fit vs closed form")
-    common(pb)
+    common(pb, "json")
     pb.add_argument("--q", required=True, type=_arg(_parse_number))
     pb.add_argument("--kappa", required=True, type=_arg(_parse_number))
     pb.add_argument("--order", type=int, default=400, help="table size N")
@@ -321,11 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--n-phi", type=int, default=1024)
     pb.add_argument("--tail-tol", type=float, default=1e-3)
     pb.add_argument("--root", choices=("minus", "plus"), default="minus")
-    pb.add_argument("--format", choices=("json",), default="json")
     pb.set_defaults(func=_cmd_betafit)
 
     pm = sub.add_parser("mc", help="Monte Carlo moment vs oracle")
-    common(pm)
+    common(pm, "json")
     pm.add_argument("--q", required=True, type=_arg(_parse_number))
     pm.add_argument("--kappa", required=True, type=_arg(_parse_number))
     pm.add_argument("--w", required=True, type=_arg(complex),
@@ -337,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--dump", default=None, help="raw per-path dump file")
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--threads", type=int, default=1)
-    pm.add_argument("--format", choices=("json",), default="json")
     pm.set_defaults(func=_cmd_mc)
 
     return p
@@ -349,7 +330,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        if report is not None:
+            _emit(args, report)
+        return code
     except (ValueError, OverflowError, RuntimeError) as e:
         print(f"slespec: validation failure: {e}", file=sys.stderr)
         return 2

@@ -91,10 +91,9 @@ def sample_driving(kappa: float, T: float, n_steps: int,
     (time order within a block), as the composition consumes them; a batch
     lane of `moment_estimate` draws the same way, so it sees this very path.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    if not (T > 0 and n_steps >= 1):
-        raise ValueError(f"need T > 0 and n_steps >= 1, got {T} and {n_steps}")
+    if not (0 <= kappa < math.inf and 0 < T < math.inf and n_steps >= 1):  # NaN too
+        raise ValueError(f"need finite kappa >= 0, finite T > 0 and n_steps >= 1, "
+                         f"got {kappa}, {T} and {n_steps}")
     inc = np.empty(n_steps)
     b_total = np.zeros(1)
     for a, blk in _driving_blocks(kappa, T, n_steps, [stream], b_total):
@@ -176,8 +175,9 @@ def _compose(w, delta: float, blocks):
     log_im = np.zeros(v.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for blk in blocks:
-            # one step's rotations for all lanes form one contiguous row
-            rot = _unit(np.ascontiguousarray(blk.T))
+            # _unit writes a fresh C-ordered array, so one step's rotations
+            # for all lanes form one contiguous row without copying blk.T
+            rot = _unit(blk.T)
             for k in range(len(rot) - 1, -1, -1):
                 v = _increment(v, delta, log_re, log_im) * rot[k]
             del rot   # freed before the next block is drawn
@@ -260,15 +260,16 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
     if abs(config.q) > 2 or abs(complex(config.w)) > 0.9:
         warnings.warn("outside the validated envelope |q| <= 2, |w| <= 0.9",
                       RuntimeWarning, stacklevel=2)
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.n_samples)
+    entropy = np.random.SeedSequence(config.seed).entropy
     spans = [(a, min(a + _CHUNK, config.n_samples))
              for a in range(0, config.n_samples, _CHUNK)]
 
     def work(span):
-        a, b = span
+        # path i draws from child i of root.spawn, rebuilt here so that a
+        # batch holds only its running chunks' seeds, not all n_samples
+        seeds = [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(*span)]
         return _flow_chunk(complex(config.w), config.T,
-                           config.n_steps, config.kappa, children[a:b])
+                           config.n_steps, config.kappa, seeds)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import slespec as S
+from slespec import cli
 from slespec.cli import main
 
 
@@ -52,6 +53,13 @@ def test_spectrum_grid_accepts_fractions(capsys):
     row = out.strip().splitlines()[1].split(",")
     assert row[0] == "-2" and row[1] == "8/3"
     assert float(row[4]) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_empty_grid_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "spectrum", "--q", ",", "--kappa", "2")
+    assert code == 1
+    assert out == ""
+    assert "argument --q: cannot read ',': empty grid" in err
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -105,6 +113,19 @@ def test_curves_contains_known_anchor(capsys):
     assert anchor[0][4] == "4" and anchor[0][5] == "4"
     # one transition row per kappa grid point
     assert sum(1 for r in rows if r[0] == "Q") == 1
+
+
+def test_curves_json(capsys):
+    code, out, err = run(capsys, "curves", "--m-max", "0", "--gamma", "1/4,1",
+                         "--kappa", "2", "--format", "json")
+    assert code == 0
+    assert "skipped 1" in err
+    doc = json.loads(out)
+    assert doc["schema_version"] == 1 and doc["skipped"] == 1
+    assert doc["rows"] == [
+        {"M": "0", "gamma": "1", "q": "2", "kappa": "6", "beta_tilde": "3",
+         "beta": "3"},
+        dict(doc["rows"][1], M="Q", gamma="", kappa="2")]
 
 
 def test_curves_skips_invalid_points(capsys):
@@ -194,6 +215,18 @@ def test_betafit_no_real_gamma_exits_2(capsys):
     code, _, err = run(capsys, "betafit", "--q", "10", "--kappa", "4")
     assert code == 2
     assert "validation failure" in err
+
+
+def test_betafit_plus_root(capsys):
+    code, out, _ = run(capsys, "betafit", "--q", "1", "--kappa", "4",
+                       "--root", "plus", "--order", "200", "--k-lo", "3",
+                       "--k-hi", "6")
+    assert code == 0
+    doc = json.loads(out)
+    roots = S.gamma_roots(S.SLEParams(1.0, 4.0))
+    assert doc["root"] == "plus"
+    assert doc["gamma"] == roots.gamma_plus != roots.gamma_minus
+    assert doc["relative_deviation"] < 0.05
 
 
 def test_betafit_plus_root_rejected_at_kappa_zero(capsys):
@@ -348,3 +381,54 @@ def test_non_finite_number_fails_validation(capsys, argv):
     assert code == 2
     assert out == ""
     assert "validation failure" in err
+
+
+# ---- one report writer ----
+
+# the per-format writers the single writer replaced, kept as its reference
+OLD_HEADERS = {"spectrum": ["q", "kappa", "gamma_minus", "branch", "beta"],
+               "curves": ["M", "gamma", "q", "kappa", "beta_tilde", "beta"]}
+
+
+def old_csv(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def old_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--q=-2:3:21", "--kappa", "0,8/3,6"),
+    ("spectrum", "--q=-2:3:21", "--kappa", "0,8/3,6", "--format", "json"),
+    ("curves", "--m-max", "1", "--gamma", "1/4,1/2,1", "--kappa", "0,2"),
+    ("curves", "--m-max", "1", "--gamma", "1/4,1/2,1", "--kappa", "0,2",
+     "--format", "json"),
+    ("truncate", "--m", "1", "--gamma", "1/2", "--order", "24"),
+    ("truncate", "--m", "1", "--gamma", "1/2", "--kappa", "3", "--order", "24"),
+    ("betafit", "--q", "2", "--kappa", "6", "--order", "200", "--k-lo", "3",
+     "--k-hi", "6"),
+    ("mc", "--q", "1.5", "--kappa", "0", "--w", "0.4", "--samples", "4",
+     "--t-horizon", "6", "--steps", "2400"),
+], ids=["spectrum-csv", "spectrum-json", "curves-csv", "curves-json",
+        "truncate-pass", "truncate-fail", "betafit", "mc"])
+def test_report_writer_matches_old_writers(capsys, argv):
+    args = cli._build_parser().parse_args(argv)
+    code, report = args.func(args)
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    if args.format == "csv":
+        header = OLD_HEADERS[args.command]
+        assert out == old_csv(header, [[r[h] for h in header] for r in report["rows"]])
+    else:
+        assert out == old_json({"schema_version": 1, **report})
+
+
+@pytest.mark.parametrize("command", ["truncate", "betafit", "mc"])
+def test_json_only_commands_reject_csv(capsys, command):
+    code, out, err = run(capsys, command, "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert "argument --format: invalid choice: 'csv'" in err

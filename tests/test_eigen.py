@@ -196,6 +196,20 @@ def test_eigen_solve_reports_brackets_on_exact_input():
     assert floats.newton_steps is None and floats.bracket_halfwidths is None
 
 
+def test_exact_matrix_off_the_tridiagonal_takes_float_path():
+    # exact entries alone do not make the exact path: the corner 1/2 lies off
+    # the tridiagonal, so the values are LAPACK's and carry no brackets
+    m = [[Fraction(2), Fraction(1), Fraction(1, 2)],
+         [Fraction(1), Fraction(3), Fraction(1)],
+         [Fraction(1, 2), Fraction(1), Fraction(4)]]
+    assert S.eigen._tridiag_exact(m) is None
+    res = S.eigen_solve(m)
+    assert res.newton_steps is None and res.bracket_halfwidths is None
+    assert np.allclose(res.values, np.linalg.eigvalsh(np.array(m, dtype=float)),
+                       rtol=0, atol=1e-12)
+    assert max(res.residuals) < 1e-12
+
+
 def test_numpy_integer_matrix_takes_exact_path():
     ints = [[3, -2], [-1, 2]]
     arr = np.array(ints)

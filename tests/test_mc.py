@@ -32,9 +32,12 @@ def test_sample_driving_shapes_and_kappa_zero():
 
 @pytest.mark.parametrize("kappa,T,n", [(0.0, -1.0, 10), (1.0, -1.0, 10),
                                        (2.0, 0.0, 10), (2.0, math.nan, 10),
-                                       (2.0, 1.0, 0)])
+                                       (2.0, 1.0, 0), (math.nan, 1, 10),
+                                       (math.inf, 1, 10), (2, math.inf, 10)])
 def test_sample_driving_rejects_impossible_horizon(kappa, T, n):
-    # a negative horizon would run the flow backwards, silently
+    # a negative horizon would run the flow backwards, silently; a NaN kappa
+    # or an infinite T would make a NaN or infinite path, which the flow
+    # would report as a misleading StepUnderflowError
     with pytest.raises(ValueError, match="T > 0"):
         S.sample_driving(kappa, T, n, np.random.default_rng(0))
 
@@ -269,6 +272,30 @@ def test_estimate_warns_outside_envelope():
     assert any("envelope" in str(w.message) for w in got)
 
 
+def test_estimate_overflow_raises():
+    # at kappa = 0 every sample is the conic flow's; q = 150 at w = -0.9
+    # takes exp(q (T + Re log F')) past the float range
+    cfg = S.MCConfig(kappa=0.0, q=150.0, T=5.0, n_steps=500, n_samples=2,
+                     seed=0, w=-0.9)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="sample overflow"):
+            S.moment_estimate(cfg)
+    assert any("envelope" in str(w.message) for w in got)
+
+
+def test_estimate_warns_when_not_converged():
+    # eight heavy-tailed samples near |w| = 0.9: stderr exceeds mean/2
+    cfg = S.MCConfig(kappa=6.0, q=2.0, T=5.0, n_steps=500, n_samples=8,
+                     seed=1, w=0.89)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        est = S.moment_estimate(cfg)
+    assert est.stderr > 0.5 * est.mean
+    assert [str(w.message) for w in got] == [
+        "estimate not converged: stderr exceeds mean/2"]
+
+
 def test_dump_file_reproducible(tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     S.moment_estimate(small_config(n_samples=16), dump=str(p1))
@@ -369,20 +396,37 @@ def test_streamed_chunk_equals_materialised_chunk():
     assert b_total.tolist() == b_ref.tolist()
 
 
+def traced_peak(**kw):
+    # tracemalloc peak of one moment_estimate run at kappa=2, q=1, w=0.5
+    cfg = S.MCConfig(kappa=2.0, q=1.0, seed=0, w=0.5, **kw)
+    tracemalloc.start()
+    try:
+        S.moment_estimate(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_memory_does_not_grow_with_steps():
     # a chunk holds one block of increments, not all of its steps
-    def traced_peak(n_steps):
-        cfg = S.MCConfig(kappa=2.0, q=1.0, T=8.0, n_steps=n_steps,
-                         n_samples=256, seed=0, w=0.5)
-        tracemalloc.start()
-        try:
-            S.moment_estimate(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def peak(n_steps):
+        return traced_peak(T=8.0, n_steps=n_steps, n_samples=256)
 
-    traced_peak(800)   # warm-up: first-call allocations are not the batch's
-    assert traced_peak(3200) <= 1.05 * traced_peak(800)
+    peak(800)   # warm-up: first-call allocations are not the batch's
+    assert peak(3200) <= 1.05 * peak(800)
+
+
+def test_batch_memory_does_not_grow_with_samples():
+    # a batch holds its running chunks' state only: the per-path seeds are
+    # rebuilt chunk by chunk, so what grows with n_samples is the per-sample
+    # results (log F', B_T and the moments), tens of bytes per sample
+    def peak(n_samples):
+        return traced_peak(T=3.0, n_steps=300, n_samples=n_samples)
+
+    peak(64)   # warm-up: first-call allocations are not the batch's
+    chunk = S.mc._CHUNK
+    growth = (peak(4 * chunk) - peak(chunk)) / (3 * chunk)
+    assert growth <= 100, f"{growth:.0f} B traced per extra sample"
 
 
 def test_chunk_boundary_thread_invariant():
