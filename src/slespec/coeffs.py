@@ -396,8 +396,10 @@ def fit_beta(samples: Sequence[Tuple[float, float]]) -> FitResult:
         raise ValueError("need at least 4 samples for a slope fit")
     r = np.array([s[0] for s in samples], dtype=float)
     I = np.array([s[1] for s in samples], dtype=float)
-    if np.any(I <= 0):
-        raise ValueError("non-positive integral means in fit input")
+    if not np.all((0 < r) & (r < 1)):   # NaN too
+        raise ValueError(f"radii must lie in (0, 1), got {r.tolist()}")
+    if not np.all((0 < I) & (I < np.inf)):
+        raise ValueError(f"non-positive or non-finite integral means in fit input: {I.tolist()}")
     x = -np.log1p(-r)
     y = np.log(I)
     slope, intercept = np.polyfit(x, y, 1)
@@ -432,7 +434,7 @@ def load_table(src) -> CoeffTable:
     own = not hasattr(src, "read")
     fh = open(src) if own else src
     try:
-        header = fh.readline().strip()
+        line = header = fh.readline().strip()
         if not header.startswith(_TABLE_MAGIC):
             raise ValueError(f"not a theta-table file: header {header!r}")
         fields = dict(tok.split("=", 1) for tok in header[len(_TABLE_MAGIC):].split())
@@ -445,6 +447,7 @@ def load_table(src) -> CoeffTable:
         scalar = _SCALAR.get(fields["backend"])
         if scalar is None:
             raise ValueError(f"unknown backend {fields['backend']!r} in table file")
+        gamma, kappa = scalar(fields["gamma"]), scalar(fields["kappa"])
         entries = np.full((N, N), scalar(0))
         seen = np.zeros((N, N), dtype=bool)
         for line in fh:
@@ -461,8 +464,9 @@ def load_table(src) -> CoeffTable:
             entries[i - 1, j - 1] = scalar(sv)
         if not seen.all():
             raise ValueError(f"expected {N * N} entries, found {int(seen.sum())}")
-        return CoeffTable(N=N, gamma=scalar(fields["gamma"]),
-                          kappa=scalar(fields["kappa"]), entries=entries)
+        return CoeffTable(N=N, gamma=gamma, kappa=kappa, entries=entries)
+    except ZeroDivisionError:   # Fraction('1/0')
+        raise ValueError(f"zero denominator in {line!r}") from None
     finally:
         if own:
             fh.close()

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .special import _terminating_terms
-from .spectrum import CurveParams, InvalidCurveError, curve_point, _exact
+from .spectrum import CurveParams, curve_point, _exact
 
 _CERT_TOL = 1e-10
 
@@ -78,22 +78,8 @@ class TridiagSystem:
 
 
 def build_system(curve: CurveParams) -> TridiagSystem:
-    """Coefficients A, B, C on the curve; checks the band closure A_{-M} = 0."""
-    params = curve_point(curve)
-    sys = TridiagSystem(M=curve.M, gamma=_exact(curve.gamma), kappa=params.kappa)
-    closure = a_coef(-curve.M, sys.gamma, sys.kappa)
-    if isinstance(closure, Fraction):
-        if closure != 0:
-            raise InvalidCurveError(
-                f"band closure violated: A_{{-M}} = {closure} on (M={curve.M}, "
-                f"gamma={curve.gamma})")
-    else:
-        scale = max(1.0, abs(float(params.kappa)) * (curve.M + abs(float(curve.gamma))) ** 2)
-        if abs(float(closure)) > 1e-10 * scale:
-            raise InvalidCurveError(
-                f"band closure violated: A_{{-M}} = {closure} on (M={curve.M}, "
-                f"gamma={curve.gamma})")
-    return sys
+    """The system on a curve; curve_point's kappa closes the band, A_{-M} = 0."""
+    return TridiagSystem(curve.M, _exact(curve.gamma), curve_point(curve).kappa)
 
 
 # ---- matrices ----
@@ -340,15 +326,18 @@ def eigenfunction_poly(curve: CurveParams, l: int) -> list:
     x^{l/2} * F(l/2 - M, l/2 + G; 1/2 + l - M + G; x) with
     G = gamma (3M + 1 + 4 gamma)/(M + 3 gamma); the first parameter is a
     nonpositive integer so the series terminates at total degree M.
-    Coefficients are exact for rational gamma, ascending in x.
+    Coefficients are exact for rational gamma, ascending in x.  G is
+    singular on the kappa = 0 curves gamma = -M/3: ValueError there.
     """
+    curve_point(curve)
     M = curve.M
     if l % 2 != 0 or not 0 <= l <= 2 * M:
         raise ValueError(f"l must be even in [0, {2 * M}], got {l}")
     g = _exact(curve.gamma)
     denom = M + 3 * g
     if denom == 0:
-        raise InvalidCurveError("gamma = -M/3 is outside the admissible range")
+        raise ValueError(f"the closed eigenfunction is singular at kappa = 0 "
+                         f"(M={M}, gamma={curve.gamma})")
     G = g * (3 * M + 1 + 4 * g) / denom
     half = l // 2
     one = g * 0 + 1
@@ -387,8 +376,7 @@ def beta_from_lambda(curve: CurveParams, lam):
     beta~ = kappa lam^2/4 + (kappa gamma - kappa/4 - 1) lam + kappa gamma^2/2;
     agrees with eigen_beta_closed at integer lam = l.
     """
-    params = curve_point(curve)
-    k = _exact(params.kappa)
+    k = curve_point(curve).kappa
     g = _exact(curve.gamma)
     lam = _exact(lam)
     return k * lam * lam / 4 + (k * g - k / 4 - 1) * lam + k * g * g / 2

@@ -28,6 +28,10 @@ _CHUNK = 2048
 _BLOCK = 256          # steps whose increments and rotations are held at once
 
 
+def _is_count(n) -> bool:   # steps, samples, threads: int or numpy integer, not bool
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 class StepUnderflowError(RuntimeError):
     """Trajectory approached the driving singularity beyond recovery."""
 
@@ -55,6 +59,9 @@ class MCConfig:
         if not all(math.isfinite(float(x)) for x in (self.kappa, self.q, self.T)):
             raise ValueError(f"kappa, q and T must be finite, got {self.kappa}, "
                              f"{self.q} and {self.T}")
+        if not (_is_count(self.n_steps) and _is_count(self.n_samples)):
+            raise ValueError(f"n_steps and n_samples must be integers: {self.n_steps!r}, "
+                             f"{self.n_samples!r}")
         if self.T <= 0 or self.n_steps < 1 or self.n_samples < 1:
             raise ValueError("T, n_steps, n_samples must be positive")
         if self.delta > _MAX_DELTA * (1 + 1e-12):
@@ -91,9 +98,10 @@ def sample_driving(kappa: float, T: float, n_steps: int,
     (time order within a block), as the composition consumes them; a batch
     lane of `moment_estimate` draws the same way, so it sees this very path.
     """
-    if not (0 <= kappa < math.inf and 0 < T < math.inf and n_steps >= 1):  # NaN too
-        raise ValueError(f"need finite kappa >= 0, finite T > 0 and n_steps >= 1, "
-                         f"got {kappa}, {T} and {n_steps}")
+    if not (0 <= kappa < math.inf and 0 < T < math.inf  # NaN too
+            and _is_count(n_steps) and n_steps >= 1):
+        raise ValueError(f"need finite kappa >= 0, finite T > 0 and integer "
+                         f"n_steps >= 1, got {kappa}, {T} and {n_steps}")
     inc = np.empty(n_steps)
     b_total = np.zeros(1)
     for a, blk in _driving_blocks(kappa, T, n_steps, [stream], b_total):
@@ -195,8 +203,8 @@ def conic_flow(w, T: float):
     K = (w+1)^2/w, small root.  Returns (z_T, dz_T/dw).
     """
     w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError(f"need |w| < 1, got {abs(w)}")
+    if not (abs(w) < 1.0 and math.isfinite(T)):   # NaN too
+        raise ValueError(f"need |w| < 1 and a finite T, got |w| = {abs(w)}, T = {T}")
     if w == 0:
         return 0j, complex(math.exp(-T))
     E = math.exp(T)
@@ -255,7 +263,7 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
     independent of chunking and thread count, and bit-identical per seed.
     Optional dump: one `index log_deriv_re log_deriv_im B_T` line per path.
     """
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+    if not _is_count(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if abs(config.q) > 2 or abs(complex(config.w)) > 0.9:
         warnings.warn("outside the validated envelope |q| <= 2, |w| <= 0.9",
@@ -278,7 +286,8 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
         parts = [work(s) for s in spans]
     logd = np.concatenate([p[0] for p in parts])
     bT = np.concatenate([p[1] for p in parts])
-    X = np.exp(config.q * (config.T + logd.real))
+    with np.errstate(over="ignore"):   # reported below as one OverflowError
+        X = np.exp(config.q * (config.T + logd.real))
     if not np.all(np.isfinite(X)):
         raise OverflowError(
             "sample overflow in the moment estimator; reduce |q| or |w|")

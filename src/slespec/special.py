@@ -138,11 +138,11 @@ def rho_M0(w, wbar, kappa) -> complex:
     exponent is q = (2+kappa)(6+kappa)/(8 kappa).
     """
     k = float(kappa)
-    if k <= 0:
-        raise ValueError("kappa must be positive for the width-0 family")
+    if not 0 < k < math.inf:   # NaN too
+        raise ValueError(f"the width-0 family needs a finite kappa > 0, got {kappa}")
     w = complex(w)
     wbar = complex(wbar)
-    if abs(w * wbar) >= 1 or abs(w) >= 1 or abs(wbar) >= 1:
+    if not (abs(w * wbar) < 1 and abs(w) < 1 and abs(wbar) < 1):
         raise ValueError("arguments must satisfy |w|, |wbar| < 1")
     e1 = (6.0 + k) / (2.0 * k)
     e2 = (6.0 + k) ** 2 / (8.0 * k)

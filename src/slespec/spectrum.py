@@ -190,7 +190,8 @@ def curve_point(curve: CurveParams) -> SLEParams:
     """(q, kappa) carried by the truncation curve (M, gamma).
 
     kappa = 2(M + 3g)/D, q = g(M + g)(2M + 1 + g)/D with
-    D = M^2 + 2Mg + 2g^2 - g.  Exact for rational gamma.
+    D = M^2 + 2Mg + 2g^2 - g.  Exact for rational gamma.  The one curve rule,
+    for every function of a curve: M a nonnegative int, 3g >= -M and D > 0.
     """
     M = curve.M
     if not isinstance(M, int) or M < 0:
@@ -227,13 +228,12 @@ def eigen_beta_closed(curve: CurveParams, l: int) -> Scalar:
     beta_l = [2(M+3g) g^2 - (2M^2 + M - 8g^2 + g) l + (M+3g) l^2] / (2D).
     Rational in gamma (no square root), so exact for Fraction input.
     """
+    curve_point(curve)
     M = curve.M
     if not 0 <= l <= 2 * M:
         raise ValueError(f"l must lie in [0, {2 * M}], got {l}")
     g = _exact(curve.gamma)
     D = curve_denominator(M, g)
-    if not D > 0:
-        raise InvalidCurveError(f"D={D} not positive for (M={M}, gamma={curve.gamma})")
     num = 2 * (M + 3 * g) * g * g - (2 * M * M + M - 8 * g * g + g) * l \
         + (M + 3 * g) * l * l
     return num / (2 * D)
@@ -245,7 +245,6 @@ def beta_tilde_on_curve(curve: CurveParams) -> Scalar:
     The branch test uses the sign of 8g^2 + (6M-1)g - M, which is exact for
     rational gamma (no surd comparison needed).
     """
-    curve_point(curve)  # validate
     if _crossing_poly(curve.M, curve.gamma) <= 0:
         return eigen_beta_closed(curve, 0)
     return eigen_beta_closed(curve, 2 * curve.M)

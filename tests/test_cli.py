@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -432,3 +433,28 @@ def test_json_only_commands_reject_csv(capsys, command):
     assert code == 1
     assert out == ""
     assert "argument --format: invalid choice: 'csv'" in err
+
+
+# ---- golden outputs of the exact README commands ----
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+_SKIPPED = "skipped 10 invalid (M, gamma) points\n"
+_SPECTRUM = ("spectrum", "--q=-2:3:41", "--kappa", "2,8/3,6")
+_CURVES = ("curves", "--m-max", "3", "--gamma", "0.05:3:60", "--kappa", "0:10:41")
+
+
+@pytest.mark.parametrize("name,code,err,argv", [
+    ("spectrum.csv", 0, "", (*_SPECTRUM, "--format", "csv")),
+    ("spectrum.json", 0, "", (*_SPECTRUM, "--format", "json")),
+    ("curves.csv", 0, _SKIPPED, _CURVES),
+    ("curves.json", 0, _SKIPPED, (*_CURVES, "--format", "json")),
+    ("truncate.json", 0, "", ("truncate", "--m", "2", "--gamma", "1/2", "--order", "40")),
+    ("truncate_kappa3.json", 2, "", ("truncate", "--m", "2", "--gamma", "1/2",
+                                     "--kappa", "3", "--order", "40")),
+], ids=["spectrum-csv", "spectrum-json", "curves-csv", "curves-json",
+        "truncate-pass", "truncate-fail"])
+def test_readme_commands_match_golden_output(capsys, name, code, err, argv):
+    # tests/golden/<name> is `python -m slespec <argv>` stdout, byte for byte;
+    # betafit and mc are left out: their FFT, LAPACK and complex ufunc
+    # round-off may differ between numpy versions
+    assert run(capsys, *argv) == (code, (_GOLDEN / name).read_bytes().decode(), err)

@@ -462,6 +462,20 @@ def test_fit_beta_on_powerlaw_data():
         S.fit_beta([(0.5, 1.0), (0.6, -1.0), (0.7, 1.0), (0.8, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [
+    {"r": 1.0}, {"r": 0.0}, {"r": 1.5}, {"r": math.nan},
+    {"I": math.nan}, {"I": math.inf},
+], ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()))
+def test_fit_beta_rejects_bad_samples_before_the_fit(bad, capfd):
+    # a radius of 1 made LAPACK fail (and print to stderr); a NaN mean gave
+    # a NaN slope
+    samples = [(r, 5.0 / (1 - r) ** 2.5) for r in (0.5, 0.6, 0.7, 0.8)]
+    samples[2] = (bad.get("r", samples[2][0]), bad.get("I", samples[2][1]))
+    with pytest.raises(ValueError, match="radii" if "r" in bad else "non-finite"):
+        S.fit_beta(samples)
+    assert capfd.readouterr().err == ""
+
+
 def test_slope_fit_offcurve_and_growth_consistency():
     # q = 2, kappa = 6 via the minus root: slope approaches beta = 3
     g = S.gamma_roots(S.SLEParams(2, 6)).gamma_minus
@@ -524,3 +538,14 @@ def test_load_rejects_corrupt_entries(bad_row, replaces):
             for r in buf.getvalue().splitlines()]
     with pytest.raises(ValueError):
         S.load_table(io.StringIO("\n".join(rows) + "\n"))
+
+
+@pytest.mark.parametrize("text,where", [
+    ("theta-table v1 gamma=1 kappa=2 N=1 backend=rational\n1 1 3/0\n", "'1 1 3/0'"),
+    ("theta-table v1 gamma=1/0 kappa=2 N=1 backend=rational\n1 1 3\n", "'theta-table v1"),
+], ids=["row", "header"])
+def test_load_names_a_zero_denominator(text, where):
+    # Fraction('1/0') raised ZeroDivisionError, which callers catching
+    # ValueError for corrupt files miss
+    with pytest.raises(ValueError, match=f"zero denominator in {where}"):
+        S.load_table(io.StringIO(text))

@@ -47,10 +47,25 @@ def test_b_coef_even_in_n(g, k, n):
 
 
 def test_band_closure_on_curves():
-    for (M, g) in [(0, Fraction(1)), (1, Fraction(1)), (2, Fraction(1, 2)),
-                   (3, Fraction(1, 3)), (5, Fraction(3, 4))]:
-        sysM = S.build_system(S.CurveParams(M, g))
-        assert S.a_coef(-M, sysM.gamma, sysM.kappa) == 0
+    # curve_point's kappa = 2(M + 3g)/D closes the band, A_{-M} = 0, so
+    # build_system does not check it: exactly on every admissible k/48 and
+    # to round-off on the float twins
+    curves = 0
+    for M in range(21):
+        for k in range(-200, 300):
+            for g in (Fraction(k, 48), k / 48):
+                try:
+                    sysM = S.build_system(S.CurveParams(M, g))
+                except S.InvalidCurveError:
+                    continue
+                closure = S.a_coef(-M, sysM.gamma, sysM.kappa)
+                if isinstance(g, Fraction):
+                    curves += 1
+                    assert closure == 0, (M, k)
+                else:
+                    scale = max(1.0, abs(sysM.kappa) * (M + abs(g)) ** 2)
+                    assert abs(closure) <= 1e-10 * scale, (M, k)
+    assert curves == 9123
 
 
 # ---- matrices ----
@@ -532,6 +547,16 @@ def test_eigenfunction_poly_anchor():
     c = S.CurveParams(1, 1)
     assert S.eigenfunction_poly(c, 0) == [Fraction(1), Fraction(-4, 3)]
     assert S.eigenfunction_poly(c, 2) == [Fraction(0), Fraction(1)]
+
+
+def test_eigenfunction_poly_takes_curves_from_curve_point():
+    with pytest.raises(S.InvalidCurveError, match="below -M/3"):
+        S.eigenfunction_poly(S.CurveParams(1, Fraction(-1, 2)), 0)
+    # (3, -1) is the admissible kappa = 0 curve, where G is singular
+    assert S.curve_point(S.CurveParams(3, -1)).kappa == 0
+    with pytest.raises(ValueError, match="singular at kappa = 0") as exc:
+        S.eigenfunction_poly(S.CurveParams(3, -1), 0)
+    assert not isinstance(exc.value, S.InvalidCurveError)
 
 
 def _ref_polyder(coeffs):

@@ -33,7 +33,8 @@ def test_sample_driving_shapes_and_kappa_zero():
 @pytest.mark.parametrize("kappa,T,n", [(0.0, -1.0, 10), (1.0, -1.0, 10),
                                        (2.0, 0.0, 10), (2.0, math.nan, 10),
                                        (2.0, 1.0, 0), (math.nan, 1, 10),
-                                       (math.inf, 1, 10), (2, math.inf, 10)])
+                                       (math.inf, 1, 10), (2, math.inf, 10),
+                                       (2.0, 1.0, 10.5), (2.0, 1.0, True)])
 def test_sample_driving_rejects_impossible_horizon(kappa, T, n):
     # a negative horizon would run the flow backwards, silently; a NaN kappa
     # or an infinite T would make a NaN or infinite path, which the flow
@@ -49,6 +50,18 @@ def test_config_rejects_non_finite(field, bad):
                 w=0.5 + 0j)
     S.MCConfig(**base)
     with pytest.raises(ValueError):
+        S.MCConfig(**{**base, field: bad})
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("n_steps", 3200.5), ("n_steps", 3200.0), ("n_samples", 4.5),
+    ("n_samples", True), ("n_samples", np.True_), ("n_samples", "4"),
+])
+def test_config_rejects_non_integer_counts(field, bad):
+    # a float count passed here and failed later inside numpy with TypeError
+    base = dict(kappa=2.0, q=1.0, T=8.0, n_steps=3200, n_samples=4, seed=0,
+                w=0.5 + 0j)
+    with pytest.raises(ValueError, match="must be integers"):
         S.MCConfig(**{**base, field: bad})
 
 
@@ -86,6 +99,14 @@ def test_conic_flow_limits_and_guards():
     assert z0 == 0 and d0 == pytest.approx(math.exp(-5.0))
     with pytest.raises(ValueError):
         S.conic_flow(1.2, 1.0)
+
+
+@pytest.mark.parametrize("w,T", [(math.nan, 1.0), (complex(0.1, math.nan), 1.0),
+                                 (0.5, math.inf), (0.5, math.nan), (0.0, math.inf)])
+def test_conic_flow_rejects_non_finite(w, T):
+    # each returned a NaN pair (or, at w = 0, a silent zero derivative)
+    with pytest.raises(ValueError):
+        S.conic_flow(w, T)
 
 
 def test_composed_flow_matches_conic():
@@ -246,7 +267,7 @@ def test_estimate_deterministic_and_thread_invariant():
     assert d.mean != a.mean
 
 
-@pytest.mark.parametrize("threads", [0, -3, 2.5])
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True])
 def test_estimate_rejects_threads_below_one_or_not_integer(threads):
     with pytest.raises(ValueError, match="threads must be an integer >= 1"):
         S.moment_estimate(small_config(n_samples=4), threads=threads)
@@ -282,6 +303,18 @@ def test_estimate_overflow_raises():
         with pytest.raises(OverflowError, match="sample overflow"):
             S.moment_estimate(cfg)
     assert any("envelope" in str(w.message) for w in got)
+
+
+def test_estimate_overflow_is_reported_once():
+    # numpy's own overflow warning from exp must not escape before the
+    # OverflowError that reports the same failure
+    cfg = S.MCConfig(kappa=0.0, q=150.0, T=5.0, n_steps=500, n_samples=2,
+                     seed=0, w=-0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message="outside the validated envelope")
+        with pytest.raises(OverflowError, match="sample overflow"):
+            S.moment_estimate(cfg)
 
 
 def test_estimate_warns_when_not_converged():

@@ -123,6 +123,14 @@ def test_rho_M0_values_and_domain():
         S.rho_M0(0.5, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("w,wbar,kappa", [(0.5, 0.5, math.nan), (0.5, 0.5, math.inf),
+                                          (math.nan, 0.5, 6.0), (0.5, complex(math.nan, 0), 6.0)])
+def test_rho_M0_rejects_non_finite(w, wbar, kappa):
+    # NaN slipped through the k <= 0 and |w| >= 1 tests and came back as NaN
+    with pytest.raises(ValueError):
+        S.rho_M0(w, wbar, kappa)
+
+
 @pytest.mark.parametrize("kappa,gamma", [(6.0, 1.0), (2.0, 2.0)])
 def test_rho_M0_matches_recurrence_table(kappa, gamma):
     # the width-0 curve at this kappa resums to the closed form

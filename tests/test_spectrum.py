@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import slespec as S
 from conftest import QuadExt
+from curve_values import SLICE_DIGESTS, digest
 
 
 rationals = st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
@@ -168,6 +169,32 @@ def test_eigen_beta_closed_anchor():
         [Fraction(1), Fraction(2), Fraction(4)]
     with pytest.raises(ValueError):
         S.eigen_beta_closed(c, 3)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (S.eigen_beta_closed, (S.CurveParams(1, Fraction(-1, 2)), 0)),
+    (S.eigen_beta_closed, (S.CurveParams(-1, 1), 0)),
+    (S.beta_tilde_on_curve, (S.CurveParams(1, Fraction(-1, 2)),)),
+    (S.beta_tilde_on_curve, (S.CurveParams(-1, 1),)),
+    (S.beta_on_curve, (S.CurveParams(0, Fraction(1, 4)),)),
+    (S.eigenfunction_poly, (S.CurveParams(1, Fraction(-1, 2)), 0)),
+    (S.build_system, (S.CurveParams(1, Fraction(-1, 2)),)),
+], ids=["eigen_beta_closed-below-M/3", "eigen_beta_closed-negative-M",
+        "beta_tilde_on_curve-below-M/3", "beta_tilde_on_curve-negative-M",
+        "beta_on_curve-negative-D", "eigenfunction_poly-below-M/3",
+        "build_system-below-M/3"])
+def test_curve_functions_reject_what_curve_point_rejects(fn, args):
+    # (1, -1/2) has D > 0 but 3 gamma < -M; (-1, 1) has M < 0; (0, 1/4) has D < 0
+    with pytest.raises(S.InvalidCurveError):
+        S.curve_point(args[0])
+    with pytest.raises(S.InvalidCurveError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("exact,M_max", sorted(SLICE_DIGESTS))
+def test_curve_values_equal_recorded(exact, M_max):
+    # tests/curve_values.py checks the whole range M <= 20 the same way
+    assert digest(exact, M_max) == SLICE_DIGESTS[exact, M_max]
 
 
 def test_beta_tilde_on_curve_picks_branch():
