@@ -125,8 +125,9 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     """
     g, kap = _exact(gamma), _exact(kappa)
     rational = isinstance(g, Fraction) and isinstance(kap, Fraction)
-    if N < 1:
-        raise ValueError("N must be positive")
+    # the table-size rule: an int or numpy integer, and not a bool (an int too)
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     if not float(kap) >= 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     if backend not in (None, BACKEND_RATIONAL if rational else BACKEND_FLOAT):

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .special import _terminating_terms
-from .spectrum import CurveParams, curve_point, _exact
+from .spectrum import CurveParams, curve_point, _checked_curve, _exact
 
 _CERT_TOL = 1e-10
 
@@ -329,11 +329,9 @@ def eigenfunction_poly(curve: CurveParams, l: int) -> list:
     Coefficients are exact for rational gamma, ascending in x.  G is
     singular on the kappa = 0 curves gamma = -M/3: ValueError there.
     """
-    curve_point(curve)
-    M = curve.M
+    M, g, _ = _checked_curve(curve)
     if l % 2 != 0 or not 0 <= l <= 2 * M:
         raise ValueError(f"l must be even in [0, {2 * M}], got {l}")
-    g = _exact(curve.gamma)
     denom = M + 3 * g
     if denom == 0:
         raise ValueError(f"the closed eigenfunction is singular at kappa = 0 "

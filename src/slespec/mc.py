@@ -5,9 +5,10 @@ interior map is built by composing frozen-driving elementary flows
 dz/ds = z (z + u)/(z - u) (latest increment applied first, which is the
 backward-characteristic order).  Each increment is solved exactly in the
 driving frame v = z/u, where the singularity sits at 1, and the
-log-derivative is accumulated from the exact step's derivative.  The moment
-estimator is the sample mean of exp(q (T + Re log F')) at the rotated point
-w e^{i B(T)}.
+log-derivative is accumulated from the exact step's derivative (one log per
+block of steps for the real part).  The moment estimator is the sample mean
+of exp(q (T + Re log F')) at the rotated point w e^{i B(T)}.  One point flows
+as a numpy scalar through the same kernel as a batch, with the same bits.
 
 Each path's Brownian increments are drawn from its own generator one block of
 _BLOCK steps at a time, latest block first, as the composition consumes them,
@@ -135,36 +136,37 @@ def _driving_blocks(kappa: float, T: float, n_steps: int, streams, b_total):
 
 # ---- elementary frozen-driving flow ----
 
-def _increment(v: np.ndarray, delta: float, log_re: np.ndarray,
-               log_im: np.ndarray) -> np.ndarray:
-    """Exact flow of dv/ds = v (v+1)/(v-1) over time delta, a batch of lanes.
+def _increment(v, e: float, c: float):
+    """Exact flow of dv/ds = v (v+1)/(v-1) over time delta, for each lane of v.
 
-    This is dz/ds = z (z+u)/(z-u) in the driving frame v = z/u.  (v+1)^2/v
-    grows as e^s, so the endpoint is the small root 2v/D of a quadratic,
-    written without dividing by v (the origin stays a fixed point).  Returns
-    the endpoint; adds the real and imaginary parts of the log of its
-    derivative, delta + log(-2 (v-1)(v+1)/(D Q)), to log_re and log_im.
+    This is dz/ds = z (z+u)/(z-u) in the driving frame v = z/u, with
+    e = e^delta and c = 4 expm1(delta).  (v+1)^2/v grows as e^s, so the
+    endpoint is the small root 2v/D of a quadratic, written without dividing
+    by v (the origin stays a fixed point).  Returns the endpoint and r, where
+    the endpoint's derivative is 2 e^delta r = -2 (v-1)(v+1)/(D Q) e^delta.
+
+    v is an array of lanes or one numpy complex128, with the same bits per
+    lane: every complex product goes through np.multiply, out of place.
+    numpy's scalar `*` (and so `*=` on a scalar) rounds about half of all
+    complex products differently from the array loop; np.multiply and the
+    other operations used here (+, -, /, float times complex, sqrt, and
+    _compose's abs, log and arctan2) agree on scalars and arrays.
     """
-    e = math.exp(delta)
+    mul = np.multiply
     two_v = v + v
     one_m = 1.0 - v
     one_p = 1.0 + v
-    P = one_m * one_m
+    P = mul(one_m, one_m)
     P *= e
-    P += (4.0 * math.expm1(delta)) * v
+    P += c * v
     A = P + two_v
     # Q = sqrt(P (A + 2v)) with Re(conj(A) Q) >= 0, as A sqrt(P (A + 2v)/A^2)
     # and A + 2v = e^delta (1+v)^2, which does not cancel near v = -1.
-    # Complex products stay out of place: numpy's in-place product rounds a
-    # single lane differently, and scalar and array calls must agree bitwise.
     t = one_p / A
-    Q = A * np.sqrt(t * t * e * P)
+    Q = mul(A, np.sqrt(mul(mul(t, t) * e, P)))
+    del P, t   # a batch's peak memory falls on the lines below
     D = A + Q
-    r = one_m * one_p / (Q * D)
-    # the factor 2 e^delta goes inside the log so each summand stays small
-    log_re += np.log(np.abs(r) * (2.0 * e))
-    log_im += np.arctan2(r.imag, r.real)
-    return two_v / D
+    return two_v / D, mul(one_m, one_p) / mul(Q, D)
 
 
 def _compose(w, delta: float, blocks):
@@ -176,18 +178,36 @@ def _compose(w, delta: float, blocks):
     point starts as w in the frame of the latest increment, where the driving
     sits at 1; after increment k it is rotated by e^{i dB_k} into the frame
     of increment k-1, and after increment 0 into the fixed frame.  Returns
-    (z, log dz/dw) as 1-d arrays.
+    (z, log dz/dw), of w's shape; a scalar w runs as a numpy complex128
+    through the same kernel and gives the bits of its batched lane.
+
+    Re log dz/dw takes one log per block of m steps: the steps multiply
+    their r into a running product R, and the block adds log(|R| (2e)^m),
+    with e the float e^delta the steps use.  R stays in the float range while
+    m (2 delta + log 2) is below about 700 (delta up to about 1, a hundred
+    times MCConfig's cap); a coarser path raises StepUnderflowError.  Im
+    log dz/dw is the per-step sum of principal arguments of r, the branch
+    that follows the flow continuously in time.
     """
-    v = np.atleast_1d(np.asarray(w, dtype=complex))
-    log_re = np.zeros(v.shape)
-    log_im = np.zeros(v.shape)
+    v = np.asarray(w, dtype=complex)[()]
+    log_re = np.zeros(np.shape(v))[()]
+    log_im = np.zeros(np.shape(v))[()]
+    e, c = math.exp(delta), 4.0 * math.expm1(delta)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for blk in blocks:
             # _unit writes a fresh C-ordered array, so one step's rotations
-            # for all lanes form one contiguous row without copying blk.T
+            # for all lanes form one contiguous row without copying blk.T;
+            # no name may keep a row (a view) of rot past its block
             rot = _unit(blk.T)
-            for k in range(len(rot) - 1, -1, -1):
-                v = _increment(v, delta, log_re, log_im) * rot[k]
+            m = len(rot)
+            R = 1.0
+            for k in range(m - 1, -1, -1):
+                v, r = _increment(v, e, c)
+                v = np.multiply(v, rot[k])
+                R = np.multiply(R, r)
+                log_im += np.arctan2(r.imag, r.real)
+            # (2e)^m scales |R| back to order one before the log
+            log_re += np.log(np.abs(R) * np.ldexp(np.power(e, m), m))
             del rot   # freed before the next block is drawn
     if not (np.isfinite(v).all() and np.isfinite(log_re + log_im).all()):
         raise StepUnderflowError(
@@ -228,12 +248,11 @@ def whole_plane_map_derivative(w, path: DrivingPath):
     value contracts like e^{-T}.  w may be a scalar or a 1-d array (one
     shared driving path); a lane equals its batched lane bit for bit.
     """
-    scalar = np.ndim(w) == 0
     inc = path.inc
     z, logd = _compose(w, path.delta,
                        (inc[a:a + _BLOCK] for a in _block_starts(len(inc))))
-    if scalar:
-        return complex(z[0]), complex(logd[0])
+    if np.ndim(w) == 0:
+        return complex(z), complex(logd)
     return z, logd
 
 

@@ -164,8 +164,9 @@ def rho_M1(w, wbar, gamma) -> RhoM1Value:
     q = g(g+1)(g+3)/(2g^2+g+1), reported alongside the value.
     """
     g = float(gamma)
-    if g <= -1.0 / 3.0:
-        raise ValueError("gamma must exceed -1/3 on the width-1 family")
+    if not -1.0 / 3.0 < g < math.inf:   # NaN too
+        raise ValueError(f"gamma must be finite and exceed -1/3 on the width-1 "
+                         f"family, got {gamma}")
     w = complex(w)
     wbar = complex(wbar)
     xi = w * wbar

@@ -186,12 +186,12 @@ def curve_denominator(M: int, gamma: Scalar) -> Scalar:
     return M * M + 2 * M * g + 2 * g * g - g
 
 
-def curve_point(curve: CurveParams) -> SLEParams:
-    """(q, kappa) carried by the truncation curve (M, gamma).
+def _checked_curve(curve: CurveParams):
+    """(M, g, D) of an admissible curve, g read by _exact; the one curve rule.
 
-    kappa = 2(M + 3g)/D, q = g(M + g)(2M + 1 + g)/D with
-    D = M^2 + 2Mg + 2g^2 - g.  Exact for rational gamma.  The one curve rule,
-    for every function of a curve: M a nonnegative int, 3g >= -M and D > 0.
+    Every function of a curve validates here: M a nonnegative int, 3g >= -M,
+    D = M^2 + 2Mg + 2g^2 - g > 0 (else InvalidCurveError), and q and kappa
+    finite (else ValueError, from SLEParams), which only inexact g can break.
     """
     M = curve.M
     if not isinstance(M, int) or M < 0:
@@ -204,9 +204,23 @@ def curve_point(curve: CurveParams) -> SLEParams:
     if not D > 0:
         raise InvalidCurveError(
             f"(M={M}, gamma={curve.gamma}) has nonpositive denominator D={D}")
-    kappa = 2 * (M + 3 * g) / D
-    q = g * (M + g) * (2 * M + 1 + g) / D
-    return SLEParams(q=q, kappa=kappa)
+    if not isinstance(g, Fraction):   # float q can overflow
+        _curve_params(M, g, D)
+    return M, g, D
+
+
+def _curve_params(M: int, g, D) -> SLEParams:
+    return SLEParams(q=g * (M + g) * (2 * M + 1 + g) / D, kappa=2 * (M + 3 * g) / D)
+
+
+def curve_point(curve: CurveParams) -> SLEParams:
+    """(q, kappa) carried by the truncation curve (M, gamma).
+
+    kappa = 2(M + 3g)/D, q = g(M + g)(2M + 1 + g)/D with
+    D = M^2 + 2Mg + 2g^2 - g.  Exact for rational gamma.  Raises off the
+    curves that _checked_curve admits.
+    """
+    return _curve_params(*_checked_curve(curve))
 
 
 def gamma_transition(M: int) -> float:
@@ -228,12 +242,9 @@ def eigen_beta_closed(curve: CurveParams, l: int) -> Scalar:
     beta_l = [2(M+3g) g^2 - (2M^2 + M - 8g^2 + g) l + (M+3g) l^2] / (2D).
     Rational in gamma (no square root), so exact for Fraction input.
     """
-    curve_point(curve)
-    M = curve.M
+    M, g, D = _checked_curve(curve)
     if not 0 <= l <= 2 * M:
         raise ValueError(f"l must lie in [0, {2 * M}], got {l}")
-    g = _exact(curve.gamma)
-    D = curve_denominator(M, g)
     num = 2 * (M + 3 * g) * g * g - (2 * M * M + M - 8 * g * g + g) * l \
         + (M + 3 * g) * l * l
     return num / (2 * D)

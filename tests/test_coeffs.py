@@ -147,6 +147,19 @@ def test_bool_is_not_rational():
             S.build_theta_table(True, 2, 6, backend=backend)
 
 
+@pytest.mark.parametrize("N", [10.5, 10.0, True, np.True_, "10", 0, -3])
+def test_table_size_must_be_a_positive_integer(N):
+    # 10.5 died in numpy with TypeError, and True built a table whose N was True
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        S.build_theta_table(1.0, 2.0, N)
+
+
+def test_table_size_may_be_a_numpy_integer():
+    t = S.build_theta_table(1.0, 2.0, np.int64(10))
+    assert t.N == 10
+    assert t.entries.tolist() == S.build_theta_table(1.0, 2.0, 10).entries.tolist()
+
+
 def test_backend_autoselect_and_get_bounds():
     assert S.build_theta_table(Fraction(1, 2), 2, 10).backend == "rational"
     assert S.build_theta_table(0.5, 2.0, 10).backend == "float"

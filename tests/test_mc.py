@@ -2,6 +2,7 @@
 
 import io
 import math
+import operator
 import tracemalloc
 import warnings
 
@@ -110,13 +111,15 @@ def test_conic_flow_rejects_non_finite(w, T):
 
 
 def test_composed_flow_matches_conic():
-    T, n = 12.0, 4800
-    p = unit_path(T, n)
-    for w in (0.5, -0.3, 0.35 + 0.45j):
-        zf, logd = S.whole_plane_map_derivative(w, p)
-        zc, dz = S.conic_flow(w, T)
-        assert abs(zf - zc) < 1e-9
-        assert abs(np.exp(logd) - dz) < 1e-8 * abs(dz)
+    # 128 / 256 = 0.5 per step: Re log F' takes one log per block of a
+    # running product, which must not leave the float range at coarse steps
+    for T, n in [(12.0, 4800), (128.0, 256)]:
+        p = unit_path(T, n)
+        for w in (0.5, -0.3, 0.35 + 0.45j):
+            zf, logd = S.whole_plane_map_derivative(w, p)
+            zc, dz = S.conic_flow(w, T)
+            assert abs(zf - zc) < 1e-9
+            assert abs(np.exp(logd) - dz) < 1e-8 * abs(dz)
 
 
 def test_whole_plane_derivative_infinite_horizon_limit():
@@ -188,19 +191,153 @@ def test_exact_steps_match_finely_substepped_rk4():
     assert np.max(np.abs(logd.imag - logd_ref.imag)) < 1e-9
 
 
+def kernel_block(v, delta, rot, log_re, log_im):
+    """_compose's loop over one block, rot[k] rotating after step k.
+
+    The steps run latest first; the block's r multiply into R, out of place,
+    and Re log F' takes one log of |R| (2e)^m.  Returns (v, R).
+    """
+    e, c = math.exp(delta), 4.0 * math.expm1(delta)
+    R = 1.0
+    for k in range(len(rot) - 1, -1, -1):
+        v, r = S.mc._increment(v, e, c)
+        v = np.multiply(v, rot[k])
+        R = np.multiply(R, r)
+        log_im += np.arctan2(r.imag, r.real)
+    m = len(rot)
+    log_re += np.log(np.abs(R) * np.ldexp(np.power(e, m), m))
+    return v, R
+
+
+def block_starts(n_steps):
+    B = S.mc._BLOCK
+    return range((n_steps - 1) // B * B, -1, -B)
+
+
+def streamed_blocks(path):
+    return (path.inc[a:a + S.mc._BLOCK] for a in block_starts(len(path.inc)))
+
+
 def u_quotient_reference(w, path):
     """The composition as it stood before paths carried only increments.
 
     The driving u_k = e^{i B(t_k)} is divided back into the rotations
-    u_k / u_{k-1}, and the same exact step composes latest-first.
+    u_k / u_{k-1}, and the same exact step composes latest-first, one block
+    of steps at a time.
     """
     u = np.exp(1j * np.cumsum(path.inc))
     rot = u / np.concatenate(([1.0], u[:-1]))
     v = np.atleast_1d(np.asarray(w, dtype=complex))
     log_re, log_im = np.zeros(v.shape), np.zeros(v.shape)
-    for k in range(len(rot) - 1, -1, -1):
-        v = S.mc._increment(v, path.delta, log_re, log_im) * rot[k]
+    for a in block_starts(len(rot)):
+        v, _ = kernel_block(v, path.delta, rot[a:a + S.mc._BLOCK], log_re, log_im)
     return v, log_re + 1j * log_im
+
+
+def old_increment(v, delta, log_re, log_im):
+    """The exact step as it stood with one log per step, kept as a reference.
+
+    Returns the endpoint; adds log|2 e^delta r| and arg r to log_re and log_im.
+    """
+    e = math.exp(delta)
+    two_v = v + v
+    one_m = 1.0 - v
+    one_p = 1.0 + v
+    P = one_m * one_m
+    P *= e
+    P += (4.0 * math.expm1(delta)) * v
+    A = P + two_v
+    t = one_p / A
+    Q = A * np.sqrt(t * t * e * P)
+    D = A + Q
+    r = one_m * one_p / (Q * D)
+    log_re += np.log(np.abs(r) * (2.0 * e))
+    log_im += np.arctan2(r.imag, r.real)
+    return two_v / D
+
+
+def old_compose(w, delta, blocks):
+    """_compose as it stood with old_increment, on 1-d lanes.
+
+    Also returns each lane's closest approach |v - 1| to the driving point.
+    """
+    v = np.atleast_1d(np.asarray(w, dtype=complex))
+    log_re, log_im = np.zeros(v.shape), np.zeros(v.shape)
+    closest = np.full(v.shape, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for blk in blocks:
+            rot = S.mc._unit(blk.T)
+            for k in range(len(rot) - 1, -1, -1):
+                closest = np.minimum(closest, np.abs(v - 1.0))
+                v = old_increment(v, delta, log_re, log_im) * rot[k]
+    return v, log_re + 1j * log_im, closest
+
+
+def kernel_compose(w, delta, blocks):
+    """_compose rebuilt from kernel_block; also returns each block's R."""
+    v = np.atleast_1d(np.asarray(w, dtype=complex))
+    log_re, log_im = np.zeros(v.shape), np.zeros(v.shape)
+    Rs = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for blk in blocks:
+            v, R = kernel_block(v, delta, S.mc._unit(blk.T), log_re, log_im)
+            Rs.append(R)
+    return v, log_re + 1j * log_im, np.array(Rs)
+
+
+def assert_one_log_per_block_keeps_bits(ws, delta, make_blocks):
+    """New kernel against old_compose on the same blocks.
+
+    make_blocks() returns (b_total, blocks) afresh.  z, Im log F' and B_T
+    must keep every bit; Re log F' moves by round-off only.
+    """
+    b_new, blocks = make_blocks()
+    z, logd = S.mc._compose(ws, delta, blocks)
+    b_old, blocks = make_blocks()
+    z_old, logd_old, closest = old_compose(ws, delta, blocks)
+    assert np.sum(closest < 0.11) >= 3   # lanes near the driving point
+    assert z.tobytes() == z_old.tobytes()
+    assert logd.imag.tobytes() == logd_old.imag.tobytes()
+    assert b_new.tobytes() == b_old.tobytes()
+    assert np.max(np.abs(logd.real - logd_old.real)) <= 1e-12
+    # the running products: kernel_compose is _compose bit for bit, and no
+    # block's R underflows or overflows
+    _, blocks = make_blocks()
+    z_ref, logd_ref, Rs = kernel_compose(ws, delta, blocks)
+    assert z_ref.tobytes() == z.tobytes() and logd_ref.tobytes() == logd.tobytes()
+    assert np.all(np.isfinite(Rs)) and np.min(np.abs(Rs)) > 1e-250
+
+
+# two full blocks and a partial one of 100 steps, which is drawn first
+EQUIV_STEPS = 2 * 256 + 100
+
+
+@pytest.mark.parametrize("kappa", [0.0, 6.0])
+def test_one_log_per_block_keeps_bits_on_a_shared_path(kappa):
+    assert EQUIV_STEPS % S.mc._BLOCK == 100
+    p = S.sample_driving(kappa, 4.0, EQUIV_STEPS, np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    ws = np.concatenate((
+        [0.9, 0.93 * np.exp(0.05j)],
+        0.999 * np.exp(2j * np.pi * np.arange(16) / 16),
+        0.9 * np.sqrt(rng.uniform(size=30)) * np.exp(2j * np.pi * rng.uniform(size=30))))
+    assert_one_log_per_block_keeps_bits(
+        ws, p.delta, lambda: (np.array([p.b_total]), streamed_blocks(p)))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 6.0])
+@pytest.mark.parametrize("w", [0.999, 0.93 * np.exp(0.05j)], ids=["0.999", "0.93e^0.05i"])
+def test_one_log_per_block_keeps_bits_on_a_batch(kappa, w):
+    seeds = np.random.SeedSequence(23).spawn(64)
+
+    def make_blocks():
+        streams = [np.random.default_rng(child) for child in seeds]
+        b_total = np.zeros(len(seeds))
+        return b_total, (blk for _, blk in S.mc._driving_blocks(
+            kappa, 4.0, EQUIV_STEPS, streams, b_total))
+
+    assert_one_log_per_block_keeps_bits(np.full(len(seeds), complex(w)),
+                                        4.0 / EQUIV_STEPS, make_blocks)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -222,12 +359,60 @@ def test_flow_from_the_driving_point_raises():
 
 
 def test_array_and_scalar_paths_agree():
-    p = S.sample_driving(2.0, 3.0, 1200, np.random.default_rng(9))
-    ws = np.array([0.5, -0.2 + 0.3j, 0.1j])
-    zs, lds = S.whole_plane_map_derivative(ws, p)
-    for k, w in enumerate(ws):
-        z1, l1 = S.whole_plane_map_derivative(complex(w), p)
-        assert z1 == zs[k] and l1 == lds[k]
+    # a scalar w runs as a numpy complex128 through the array kernel
+    rng = np.random.default_rng(10)
+    ws64 = np.concatenate(([0.999, 0.93 * np.exp(0.05j)],
+                           0.95 * np.sqrt(rng.uniform(size=62))
+                           * np.exp(2j * np.pi * rng.uniform(size=62))))
+    for kappa, T, n, ws in [(2.0, 3.0, 1200, np.array([0.5, -0.2 + 0.3j, 0.1j])),
+                            (6.0, 4.0, 1000, ws64)]:
+        p = S.sample_driving(kappa, T, n, np.random.default_rng(9))
+        zs, lds = S.whole_plane_map_derivative(ws, p)
+        for k, w in enumerate(ws):
+            z1, l1 = S.whole_plane_map_derivative(complex(w), p)
+            assert z1 == zs[k] and l1 == lds[k], (kappa, k)
+
+
+def _inplace(op):
+    # arrays update in place, as the kernel's P *= e and P += c v do; on a
+    # numpy scalar the same statement rebinds to an out-of-place result
+    return lambda a, b: op(a.copy(), b)
+
+
+_E, _C = math.exp(0.0025), 4.0 * math.expm1(0.0025)
+KERNEL_OPS = {
+    "a + b": lambda a, b: a + b,
+    "1 - a": lambda a, b: 1.0 - a,
+    "1 + a": lambda a, b: 1.0 + a,
+    "a * e": lambda a, b: a * _E,
+    "c * a": lambda a, b: _C * a,
+    "a *= e": _inplace(lambda x, b: operator.imul(x, _E)),
+    "a += b": _inplace(operator.iadd),
+    "a / b": lambda a, b: a / b,
+    "multiply(a, b)": np.multiply,
+    "multiply(1.0, a)": lambda a, b: np.multiply(1.0, a),
+    "sqrt(a)": lambda a, b: np.sqrt(a),
+    "log(|a| s)": lambda a, b: np.log(np.abs(a) * np.ldexp(np.exp(0.64), 256)),
+    "arctan2(a)": lambda a, b: np.arctan2(a.imag, a.real),
+    "x += y": lambda a, b: operator.iadd(a.real.copy(), b.imag),
+    "x + 1j y": lambda a, b: a.real + 1j * b.imag,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_OPS))
+def test_kernel_ops_agree_on_numpy_scalars_and_arrays(name):
+    # the one-point flow's bit-for-bit equality with its batched lane rests
+    # on each of these giving the array loop's bits on numpy scalars; numpy's
+    # scalar `*` of two complex numbers does not, so the kernel avoids it
+    op = KERNEL_OPS[name]
+    rng = np.random.default_rng(sorted(KERNEL_OPS).index(name))
+    n = 20000
+    a, b = ((rng.normal(size=n) + 1j * rng.normal(size=n))
+            * 10.0 ** rng.uniform(-3, 3, size=n) for _ in range(2))
+    want = op(a, b)
+    got = np.array([op(x, y) for x, y in zip(a, b)])
+    differ = np.sum(got.view(np.uint64).reshape(n, -1) != want.view(np.uint64).reshape(n, -1))
+    assert differ == 0, f"{name}: {differ} of {n} lanes differ"
 
 
 # ---- config validation ----
@@ -367,14 +552,15 @@ def test_dump_matches_per_path_flow():
 # mc-moments benchmark gates on seeded samples, so batch samples must not
 # move silently; the literals come from numpy's float64 log, arctan2, sqrt,
 # cos and sin as built for x86-64 (numpy 2.4), with each path's increments
-# drawn block by block, latest block first.
+# drawn block by block, latest block first, and Re log F' taken as one log
+# per block of the running product R.
 PINNED_DUMP = [
-    ("-0x1.4c54bcac3cd93p+2", "-0x1.48e05773bb69fp-1", "0x1.3a31be86d8b46p+2"),
-    ("-0x1.2fcdb55213af7p+2", "-0x1.3365557d2bcf5p+0", "0x1.ac9e11d8e4181p+1"),
-    ("-0x1.3a189a090c6cbp+2", "-0x1.6ef92617c3f2bp+0", "0x1.1f9ce92de1eeep+3"),
-    ("-0x1.8080abcde8f43p+1", "0x1.7a5d250d82aefp-2", "0x1.d161553294b06p+1"),
-    ("-0x1.bf5f0e92ab898p+1", "-0x1.b9b589e48b944p+0", "0x1.68677bb0e3afbp+1"),
-    ("-0x1.35e6c8a492d34p+2", "-0x1.12b8d1215b81fp+0", "0x1.6f488f0781e30p-1"),
+    ("-0x1.4c54bcac3cd78p+2", "-0x1.48e05773bb69fp-1", "0x1.3a31be86d8b46p+2"),
+    ("-0x1.2fcdb55213af0p+2", "-0x1.3365557d2bcf5p+0", "0x1.ac9e11d8e4181p+1"),
+    ("-0x1.3a189a090c6c7p+2", "-0x1.6ef92617c3f2bp+0", "0x1.1f9ce92de1eeep+3"),
+    ("-0x1.8080abcde8f3fp+1", "0x1.7a5d250d82aefp-2", "0x1.d161553294b06p+1"),
+    ("-0x1.bf5f0e92ab88ep+1", "-0x1.b9b589e48b944p+0", "0x1.68677bb0e3afbp+1"),
+    ("-0x1.35e6c8a492d35p+2", "-0x1.12b8d1215b81fp+0", "0x1.6f488f0781e30p-1"),
 ]
 
 
@@ -395,7 +581,7 @@ def materialised_chunk(w, T, n_steps, kappa, seeds):
     block by block in that order, as the streamed chunk does.
     """
     B = S.mc._BLOCK
-    starts = range((n_steps - 1) // B * B, -1, -B)
+    starts = block_starts(n_steps)
     delta = T / n_steps
     inc = np.empty((len(seeds), n_steps))
     for row, child in zip(inc, seeds):
@@ -410,8 +596,7 @@ def materialised_chunk(w, T, n_steps, kappa, seeds):
     b_total = np.zeros(len(seeds))
     for a in starts:
         rot = S.mc._unit(np.ascontiguousarray(inc[:, a:a + B].T))
-        for k in range(len(rot) - 1, -1, -1):
-            v = S.mc._increment(v, delta, log_re, log_im) * rot[k]
+        v, _ = kernel_block(v, delta, rot, log_re, log_im)
         b_total += inc[:, a:a + B].sum(axis=1)
     assert np.max(np.abs(b_total - inc.sum(axis=1))) < 1e-13
     return log_re + 1j * log_im, b_total
@@ -447,6 +632,17 @@ def test_batch_memory_does_not_grow_with_steps():
 
     peak(800)   # warm-up: first-call allocations are not the batch's
     assert peak(3200) <= 1.05 * peak(800)
+
+
+def test_chunk_traced_peak_has_an_absolute_bound():
+    # one 512-lane chunk holds one block of increments and one of rotations;
+    # a name that kept a row (a view) of a spent rotation block alive would
+    # hold two rotation blocks at once (+2 MB here), which the step-count
+    # comparison above cannot see.  3 706 784 B is the peak of the one-log-
+    # per-step kernel this one replaced, measured with Python 3.11, numpy 2.4
+    traced_peak(T=8.0, n_steps=800, n_samples=256)   # warm-up
+    peak = traced_peak(T=8.0, n_steps=3200, n_samples=512)
+    assert peak <= 1.01 * 3_706_784, f"{peak} B traced"
 
 
 def test_batch_memory_does_not_grow_with_samples():

@@ -154,6 +154,14 @@ def test_rho_M1_scalar_fields():
         S.rho_M1(0.3, 0.5j, 1.0)       # w*wbar not real
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_rho_M1_rejects_non_finite_gamma(gamma):
+    # both passed the g <= -1/3 test and ran the 2F1 series to its iteration
+    # cap, then raised RuntimeError "2F1 series did not converge"
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        S.rho_M1(0.5, 0.5, gamma)
+
+
 def test_rho_M1_matches_recurrence_table():
     t = S.build_theta_table(1.0, 2.0, 200, backend="float")
     rng = np.random.default_rng(11)

@@ -191,6 +191,19 @@ def test_curve_functions_reject_what_curve_point_rejects(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("gamma", [1e120, 1e154])
+@pytest.mark.parametrize("fn,args", [(S.eigen_beta_closed, (0,)), (S.eigen_beta_closed, (2,)),
+                                     (S.eigenfunction_poly, (0,)), (S.eigenfunction_poly, (2,))])
+def test_curve_functions_reject_float_overflow_like_curve_point(fn, args, gamma):
+    # q = g(M+g)(2M+1+g)/D overflows for these float gammas; the closed
+    # eigenvalues and eigenfunctions take no q, and must not return NaN or inf
+    curve = S.CurveParams(1, gamma)
+    with pytest.raises(ValueError, match="must be finite"):
+        S.curve_point(curve)
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(curve, *args)
+
+
 @pytest.mark.parametrize("exact,M_max", sorted(SLICE_DIGESTS))
 def test_curve_values_equal_recorded(exact, M_max):
     # tests/curve_values.py checks the whole range M <= 20 the same way
