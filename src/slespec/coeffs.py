@@ -11,6 +11,8 @@ the rational sweep is fraction-free, on Python integers: the stencil times
 one integer L, and integer numerators over one denominator per
 anti-diagonal, turned into reduced Fractions once at the end.  Entries are
 an (N, N) ndarray: dtype=object Fractions (rational) or float64 (float).
+eval_theta, eval_rho and integral_means read it in blocks of rows or
+columns, with no N x N temporary.
 """
 from __future__ import annotations
 
@@ -97,9 +99,6 @@ class CoeffTable:
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries).copy()
 
-    def _float_entries(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
 
 def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> CoeffTable:
     """theta table up to index N.
@@ -114,14 +113,18 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     zero, as the stencil would give.
     Each anti-diagonal and its three stencil operands are strided slices of
     the flattened padded grid, so the sweep gathers and scatters nothing by
-    index.  The rational sweep runs on Python integers: the stencil is
-    A_n, B_n, C_n times one integer L (eigen._stencil), and
-    anti-diagonal s holds integer numerators over one denominator den[s]
-    (see _solve_diagonal); each nonzero entry becomes a reduced Fraction
-    once, at the end, through the public Fraction constructor.
+    index.  Per anti-diagonal it forms its two operand sums in place and
+    solves with one divide by -C00 = (s-2)L - H_n; it searches for the band
+    edge only when an end of the anti-diagonal is zero.  The rational sweep
+    runs on Python integers: the stencil is A_n, B_n, C_n times one integer
+    L (eigen._stencil), and anti-diagonal s holds integer numerators over
+    one denominator den[s] (see _solve_diagonal); each nonzero entry becomes
+    a reduced Fraction once, at the end, through the public Fraction
+    constructor.
     Float tables are accurate to ~1e-15 of max(1, |theta|); tiny entries
     that come out of cancellation can be off by far more, relatively (2.9e-8
-    at gamma=-0.3, kappa=4, N=120).
+    at gamma=-0.3, kappa=4, N=120).  The evaluators (eval_theta, eval_rho,
+    integral_means) read a table in blocks, with no N x N temporary.
     """
     g, kap = _exact(gamma), _exact(kappa)
     rational = isinstance(g, Fraction) and isinstance(kap, Fraction)
@@ -147,7 +150,11 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     G[1, 1] = 1
     den = [1] * (2 * N + 1)   # rational: den[s] is anti-diagonal s's denominator
     H, K = B + C + n, -C - n   # H_n = -kappa n^2/2
+    negH = -H                  # -C00 = (s-2)L - H_n, solved for in one divide
     A1, Ar = A[1:], A[::-1]   # A1[at] = A_{n+1}, Ar[at] = A_{1-n}
+    # kL[k + 1] = k L for k = -1..2N-2: Python ints, or float64 scalars (numpy
+    # adds those to an array faster than Python ints); (s-4)L is kL[s-3]
+    kL = list(np.arange(-1, 2 * N - 1, dtype=A.dtype) * L)
     # (i, s-i) sits at flat index i*N + s of G: anti-diagonal s is a step-N slice
     # d of G11, and theta(i, j-1), (i-1, j), (i-1, j-1) the same slice of G10, G01, G00
     Gf = G.reshape(-1)
@@ -159,17 +166,24 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
             hi = min(N, s - 1, (s + width + 1) // 2)
             at = slice(N + 2 * lo - s, N + 2 * hi - s + 1, 2)   # n + N, n = 2i - s
             d = slice(lo * N + s - N - 2, hi * N + s - N - 1, N)
-            near = A1[at] * G10[d] + Ar[at] * G01[d]   # anti-diagonal s-1
-            far = (K[at] + L * (s - 4)) * G00[d]      # anti-diagonal s-2
-            c00 = H[at] - L * (s - 2)
+            near = A1[at] * G10[d]
+            near += Ar[at] * G01[d]        # anti-diagonal s-1
+            far = K[at] + kL[s - 3]
+            far *= G00[d]                  # anti-diagonal s-2
+            c = negH[at] + kL[s - 1]       # -C00
             if rational:
-                vals, den[s] = _solve_diagonal(near, far, c00, den[s - 1], den[s - 2])
+                vals, den[s] = _solve_diagonal(near, far, c, den[s - 1], den[s - 2])
+                G11[d] = vals
             else:
-                vals = -(near + far) / c00
-            G11[d] = vals
-            nz = vals.nonzero()[0]   # |i-j| = |2i-s| peaks at an end
-            if len(nz):
-                width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
+                near += far
+                vals = np.divide(near, c, out=G11[d])
+            # |i-j| = |2i-s| peaks at an end; look inside only if an end is zero
+            if vals[0] and vals[-1]:
+                width = max(width, s - 2 * lo, 2 * hi - s)
+            else:
+                nz = vals.nonzero()[0]
+                if len(nz):
+                    width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
     if rational:
         # the stencil is symmetric under i <-> j, and so are the numerators:
         # one Fraction (one gcd) per pair, shared by theta_{i,j} and theta_{j,i}
@@ -187,12 +201,12 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     return CoeffTable(N=N, gamma=g, kappa=kap, entries=G[1:, 1:])
 
 
-def _solve_diagonal(near, far, c00, d_near: int, d_far: int):
-    """One rational anti-diagonal -(near/d_near + far/d_far)/c00, in integers.
+def _solve_diagonal(near, far, c, d_near: int, d_far: int):
+    """One rational anti-diagonal (near/d_near + far/d_far)/c, in integers.
 
-    near, far and c00 are object arrays of Python ints, and c00 has no zero.
+    near, far and c = -C00 are object arrays of Python ints, and c has no zero.
     Both operands go over lcm(d_near, d_far), the nonzero entries over the
-    lcm of their c00 too, and one gcd reduces numerators and denominator
+    lcm of their c too, and one gcd reduces numerators and denominator
     together (fraction-free, in the spirit of Bareiss 1968).  Returns the
     numerators and their one positive denominator.
     """
@@ -201,8 +215,8 @@ def _solve_diagonal(near, far, c00, d_near: int, d_far: int):
     nz = t.nonzero()[0]
     if not len(nz):
         return t, 1
-    m = math.lcm(*c00[nz])
-    t = t * (m // -c00)
+    m = math.lcm(*c[nz])
+    t = t * (m // c)
     D = l * m
     r = math.gcd(D, *t[nz])
     return t // r, D // r
@@ -225,28 +239,54 @@ def truncation_width(table: CoeffTable) -> Optional[int]:
 
 # ---- evaluation ----
 
-def _abs_partial_and_tail(entries_abs: np.ndarray, aw: float, awbar: float):
-    N = entries_abs.shape[0]
-    pw = aw ** np.arange(N)
-    pb = awbar ** np.arange(N)
-    S = float(pw @ entries_abs @ pb)
-    T = float(entries_abs[N - 1, N - 1] * pw[N - 1] * pb[N - 1])
-    if N >= 2:
-        T += float(entries_abs[N - 1, N - 2] * pw[N - 1] * pb[N - 2])
-        T += float(entries_abs[N - 2, N - 1] * pw[N - 2] * pb[N - 1])
-    return S, T
+_BLOCK_BYTES = 1 << 18   # one block of float64 table rows read at a time
+
+
+def _block_rows(N: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * N))
+
+
+def _table_sums(table: CoeffTable, aw: float, awbar: float, pw=None):
+    """One pass over the table in row blocks of about _BLOCK_BYTES: (S, T, u).
+
+    S = sum |theta_{i,j}| aw^(i-1) awbar^(j-1) is the absolute partial sum
+    and T its corner terms (N, N), (N, N-1) and (N-1, N), the tail heuristic.
+    u = pw @ entries if pw is given, else None: its real and imaginary parts
+    are one real (2, b) @ (b, N) product per block, so the table is never
+    cast to complex, and |entries| goes block by block into one reused
+    buffer.  Rational entries are converted to float one block at a time.
+    """
+    N = table.N
+    apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
+    ent = table.entries
+    corner = [(N - 1, N - 1)] + ([(N - 1, N - 2), (N - 2, N - 1)] if N >= 2 else [])
+    T = 0.0
+    for i, j in corner:
+        T += abs(float(ent[i, j])) * float(apw[i]) * float(apb[j])
+    P = None if pw is None else np.stack((pw.real, pw.imag))
+    U = np.zeros((2, N))   # Re, Im of pw @ entries
+    row = np.zeros(N)      # apw @ |entries|
+    b = _block_rows(N)
+    buf = np.empty((min(b, N), N))
+    for a in range(0, N, b):
+        blk = np.asarray(ent[a:a + b], dtype=float)
+        if P is not None:
+            U += P[:, a:a + b] @ blk
+        row += apw[a:a + b] @ np.abs(blk, out=buf[:len(blk)])
+    return float(row @ apb), T, (None if P is None else U[0] + 1j * U[1])
 
 
 def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
-    """Partial sum of Theta at (w, wbar) with a corner-block tail heuristic."""
-    ent = table._float_entries()
+    """Partial sum of Theta at (w, wbar) with a corner-block tail heuristic.
+
+    One pass over the table in row blocks, with no N x N temporary
+    (_table_sums).  tail is T, the corner terms of the absolute partial sum
+    S, and warning is T > 1e-6 S.
+    """
     N = table.N
-    w = complex(w)
-    wbar = complex(wbar)
-    pw = w ** np.arange(N)
-    pb = wbar ** np.arange(N)
-    value = complex(pw @ ent @ pb)
-    S, T = _abs_partial_and_tail(np.abs(ent), abs(w), abs(wbar))
+    w, wbar = complex(w), complex(wbar)
+    S, T, u = _table_sums(table, abs(w), abs(wbar), w ** np.arange(N))
+    value = complex(u @ wbar ** np.arange(N))
     return SeriesValue(value=value, tail=T, warning=T > 1e-6 * S)
 
 
@@ -349,17 +389,17 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
     radius r must stay below tail_tol of the absolute partial sum, else a
     TailCheckError reports the largest admissible radius.  On phi_k = 2 pi
     k/n_phi, Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n f_n(r^2), is one
-    FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).
+    FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).  The tail check
+    (eval_theta's blocked pass) and the diagonal sums c_n read the table in
+    blocks of rows or columns: no N x N temporary is made.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0,1), got {r}")
     if n_phi < 256 or (n_phi & (n_phi - 1)) != 0:
         raise ValueError(f"n_phi must be a power of two >= 256, got {n_phi}")
-    ent = table._float_entries()
-    ent_abs = np.abs(ent)
 
     def frac(x):
-        S, T = _abs_partial_and_tail(ent_abs, x, x)
+        S, T, _ = _table_sums(table, x, x)
         return T / S
 
     if frac(r) > tail_tol:
@@ -376,13 +416,22 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
             f"(increase N or tail_tol)", r_max=lo)
 
     N = table.N
-    # row j of the zero-padded transpose, read with a row stride one longer,
-    # lists theta_{j+n,j} for n = 0..N-1: the N diagonal sums are one product
-    T = np.zeros((N, 2 * N))
-    T[:, :N] = ent.T
+    x = (r * r) ** np.arange(N)
+    cn = np.zeros(N)
+    # columns a..a+b-1 of the table, from row a down, go transposed into the
+    # rows of one zero-padded (b, 2N) buffer; read with a row stride one
+    # longer, row k lists theta_{a+k+n, a+k} for n = 0..N-1, zero past the
+    # table, so each block adds x^(a+k) times those to the diagonal sums c_n
+    b = _block_rows(N)
+    buf = np.zeros((min(b, N), 2 * N))
     skew = np.lib.stride_tricks.as_strided(
-        T, (N, N), (T.strides[0] + T.itemsize, T.itemsize))
-    cn = ((r * r) ** np.arange(N) @ skew) * r ** np.arange(N)
+        buf, (len(buf), N), (buf.strides[0] + buf.itemsize, buf.itemsize))
+    for a in range(0, N, b):
+        m = min(b, N - a)
+        buf[:, N - a:N - a + b] = 0   # the previous block's last columns
+        buf[:m, :N - a] = table.entries[a:, a:a + m].T
+        cn += x[a:a + m] @ skew[:m]
+    cn *= r ** np.arange(N)
     fold = np.bincount(np.arange(N) % n_phi, weights=cn, minlength=n_phi)
     theta_vals = 2.0 * np.fft.fft(fold).real - cn[0]
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

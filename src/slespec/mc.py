@@ -184,8 +184,9 @@ def _compose(w, delta: float, blocks):
     Re log dz/dw takes one log per block of m steps: the steps multiply
     their r into a running product R, and the block adds log(|R| (2e)^m),
     with e the float e^delta the steps use.  R stays in the float range while
-    m (2 delta + log 2) is below about 700 (delta up to about 1, a hundred
-    times MCConfig's cap); a coarser path raises StepUnderflowError.  Im
+    m (2 delta + log 2) is below about 700, so a block splits into spans of
+    at most 700 / (2 delta + log 2) steps, one log each: one span per block
+    for every delta up to about 1, a hundred times MCConfig's cap.  Im
     log dz/dw is the per-step sum of principal arguments of r, the branch
     that follows the flow continuously in time.
     """
@@ -193,21 +194,24 @@ def _compose(w, delta: float, blocks):
     log_re = np.zeros(np.shape(v))[()]
     log_im = np.zeros(np.shape(v))[()]
     e, c = math.exp(delta), 4.0 * math.expm1(delta)
+    # R stays in the float range over `span` steps
+    span = max(1, int(700 / (2 * delta + math.log(2))))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for blk in blocks:
             # _unit writes a fresh C-ordered array, so one step's rotations
             # for all lanes form one contiguous row without copying blk.T;
             # no name may keep a row (a view) of rot past its block
             rot = _unit(blk.T)
-            m = len(rot)
-            R = 1.0
-            for k in range(m - 1, -1, -1):
-                v, r = _increment(v, e, c)
-                v = np.multiply(v, rot[k])
-                R = np.multiply(R, r)
-                log_im += np.arctan2(r.imag, r.real)
-            # (2e)^m scales |R| back to order one before the log
-            log_re += np.log(np.abs(R) * np.ldexp(np.power(e, m), m))
+            for hi in range(len(rot), 0, -span):   # one pass unless span < m
+                lo = max(0, hi - span)
+                R = 1.0
+                for k in range(hi - 1, lo - 1, -1):
+                    v, r = _increment(v, e, c)
+                    v = np.multiply(v, rot[k])
+                    R = np.multiply(R, r)
+                    log_im += np.arctan2(r.imag, r.real)
+                # (2e)^(hi-lo) scales |R| back to order one before the log
+                log_re += np.log(np.abs(R) * np.ldexp(np.power(e, hi - lo), hi - lo))
             del rot   # freed before the next block is drawn
     if not (np.isfinite(v).all() and np.isfinite(log_re + log_im).all()):
         raise StepUnderflowError(

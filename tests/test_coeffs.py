@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import slespec as S
+from slespec.eigen import _stencil
+from slespec.spectrum import _exact
 
 
 gammas = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(2),
@@ -118,7 +121,7 @@ def test_table_symmetry(g, k):
 def test_float_matches_rational(g, k, N):
     tf = S.build_theta_table(float(g), float(k), N, backend="float")
     tr = S.build_theta_table(g, k, N, backend="rational")
-    fr = tr._float_entries()
+    fr = np.asarray(tr.entries, dtype=float)
     scale = np.maximum(1.0, np.abs(fr))
     assert np.max(np.abs(tf.entries - fr) / scale) < 1e-12
 
@@ -318,6 +321,99 @@ def test_float_overflow_reported():
         S.build_theta_table(20.0, 100.0, 60, backend="float")
 
 
+def _parent_build(gamma, kappa, N):
+    """build_theta_table's sweep as it was before the in-place rewrite, for
+    both arithmetics: -(near + far)/C00 per anti-diagonal, with nonzero()
+    on every one.  The reference for bit-identity."""
+    g, kap = _exact(gamma), _exact(kappa)
+    rational = isinstance(g, Fraction) and isinstance(kap, Fraction)
+    if not rational:
+        g, kap = float(g), float(kap)
+    ns = range(-N, N + 2)
+    L, A, B, C = _stencil(g, kap, ns)
+    n = np.array(ns, dtype=A.dtype) * L
+    G = np.zeros((N + 1, N + 1), dtype=n.dtype)
+    G[1, 1] = 1
+    den = [1] * (2 * N + 1)
+    H, K = B + C + n, -C - n
+    A1, Ar = A[1:], A[::-1]
+    Gf = G.reshape(-1)
+    G00, G01, G10, G11 = (Gf[k:] for k in (0, 1, N + 1, N + 2))
+    width = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(3, 2 * N + 1):
+            lo = max(1, s - N, (s - width) // 2)
+            hi = min(N, s - 1, (s + width + 1) // 2)
+            at = slice(N + 2 * lo - s, N + 2 * hi - s + 1, 2)
+            d = slice(lo * N + s - N - 2, hi * N + s - N - 1, N)
+            near = A1[at] * G10[d] + Ar[at] * G01[d]
+            far = (K[at] + L * (s - 4)) * G00[d]
+            c00 = H[at] - L * (s - 2)
+            if rational:
+                vals, den[s] = _parent_solve_diagonal(near, far, c00, den[s - 1], den[s - 2])
+            else:
+                vals = -(near + far) / c00
+            G11[d] = vals
+            nz = vals.nonzero()[0]
+            if len(nz):
+                width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
+    if rational:
+        entries = np.full((N, N), Fraction(0))
+        i, j = np.nonzero(np.triu(G))
+        fr = [Fraction(v, den[s]) for v, s in zip(G[i, j], (i + j).tolist())]
+        entries[i - 1, j - 1] = entries[j - 1, i - 1] = fr
+        return entries
+    if not np.isfinite(G).all():
+        i, j = np.nonzero(~np.isfinite(G))
+        b = np.lexsort((i, i + j))[0]
+        raise OverflowError(
+            f"float overflow at theta({int(i[b])},{int(j[b])}); "
+            f"use exact inputs or a smaller N")
+    return G[1:, 1:]
+
+
+def _parent_solve_diagonal(near, far, c00, d_near, d_far):
+    l = math.lcm(d_near, d_far)
+    t = near * (l // d_near) + far * (l // d_far)
+    nz = t.nonzero()[0]
+    if not len(nz):
+        return t, 1
+    m = math.lcm(*c00[nz])
+    t = t * (m // -c00)
+    D = l * m
+    r = math.gcd(D, *t[nz])
+    return t // r, D // r
+
+
+_PARENT_FLOAT_GRID = [_on_curve(0, 1.6), _on_curve(0, 0.8), _on_curve(1, 0.7),
+                      _on_curve(1, 1.4), (-0.3, 4.0), (-0.45, 7.0), (1.3, 2.5),
+                      (0.0, 2.0)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 60, 400])
+@pytest.mark.parametrize("g,k", _PARENT_FLOAT_GRID,
+                         ids=["width0-g1.6", "width0-g0.8", "width1-g0.7", "width1-g1.4",
+                              "negative-g-0.3", "negative-g-0.45", "offband", "exact-zeros"])
+def test_float_build_byte_identical_to_parent_sweep(g, k, N):
+    # tobytes, not ==: signed zeros count
+    got = S.build_theta_table(g, k, N, backend="float").entries
+    assert got.tobytes() == _parent_build(g, k, N).tobytes()
+
+
+def test_float_overflow_raises_where_the_parent_sweep_did():
+    with pytest.raises(OverflowError) as want:
+        _parent_build(20.0, 100.0, 60)
+    with pytest.raises(OverflowError) as got:
+        S.build_theta_table(20.0, 100.0, 60, backend="float")
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("g,k,N", [(Fraction(-3, 10), 4, 60), (Fraction(2, 3), 6, 40),
+                                   (Fraction(1, 2), Fraction(8, 3), 50)])
+def test_rational_build_equals_parent_sweep(g, k, N):
+    assert_exact_table(S.build_theta_table(g, k, N).entries, _parent_build(g, k, N))
+
+
 # ---- banding ----
 
 @pytest.mark.parametrize("M,g", [(0, Fraction(1)), (1, Fraction(1)),
@@ -371,6 +467,55 @@ def test_root_invariance_of_rho():
         a = S.eval_rho(tm, w, np.conj(w)).value
         b = S.eval_rho(tp, w, np.conj(w)).value
         assert abs(a - b) < 1e-8 * max(1.0, abs(a))
+
+
+def _parent_eval_theta(table, w, wbar):
+    """eval_theta as it was before the blocked pass, with its absolute
+    partial sum S: the whole table cast to complex for the value, and one
+    |entries| copy for S and the corner tail T."""
+    ent = np.asarray(table.entries, dtype=float)
+    N = table.N
+    w, wbar = complex(w), complex(wbar)
+    value = complex(w ** np.arange(N) @ ent @ wbar ** np.arange(N))
+    Sabs, T = _parent_abs_partial_and_tail(np.abs(ent), abs(w), abs(wbar))
+    return S.SeriesValue(value=value, tail=T, warning=T > 1e-6 * Sabs), Sabs
+
+
+def _parent_abs_partial_and_tail(entries_abs, aw, awbar):
+    N = entries_abs.shape[0]
+    pw = aw ** np.arange(N)
+    pb = awbar ** np.arange(N)
+    Sabs = float(pw @ entries_abs @ pb)
+    T = float(entries_abs[N - 1, N - 1] * pw[N - 1] * pb[N - 1])
+    if N >= 2:
+        T += float(entries_abs[N - 1, N - 2] * pw[N - 1] * pb[N - 2])
+        T += float(entries_abs[N - 2, N - 1] * pw[N - 2] * pb[N - 1])
+    return Sabs, T
+
+
+_EVAL_POINTS = [(0.3, 0.3), (0.6 + 0.3j, 0.6 - 0.3j), (0.5j, 0.7), (-0.9, -0.9),
+                (0.97, 0.97), (0.995, 0.995), (0.8 - 0.55j, 0.8 + 0.55j)]
+
+
+@pytest.mark.parametrize("g,k,N", [
+    (1.3, 2.5, 400), (*_on_curve(1, 0.7), 250), (-0.3, 4.0, 120), (1.0, 6.0, 20),
+    (1.3, 2.5, 1), (1.3, 2.5, 2), (Fraction(1), Fraction(6), 60),
+    (Fraction(-3, 10), Fraction(4), 40),
+], ids=["offband-N400", "width1-N250", "negative-g-N120", "width0-N20", "N1", "N2",
+        "rational-width0-N60", "rational-N40"])
+def test_eval_theta_matches_parent(g, k, N):
+    t = S.build_theta_table(g, k, N)
+    warned = set()
+    for w, wbar in _EVAL_POINTS:
+        want, Sabs = _parent_eval_theta(t, w, wbar)
+        got = S.eval_theta(t, w, wbar)
+        assert got.tail == want.tail and got.warning == want.warning
+        assert abs(got.value - want.value) <= 1e-15 * Sabs
+        warned.add(got.warning)
+        rho = S.eval_rho(t, w, wbar)
+        pref = ((1 - complex(w)) * (1 - complex(wbar))) ** float(t.gamma)
+        assert rho.tail == abs(pref) * want.tail and rho.warning == want.warning
+    assert warned == {False, True} or N <= 2
 
 
 # ---- fourier slices and the radial ODE ----
@@ -429,7 +574,7 @@ def test_integral_means_analytic_oracle():
 
 def _cosine_matrix_means(table, r, n_phi):
     """integral_means by the N x n_phi cosine matrix it used before the FFT."""
-    ent, N = table._float_entries(), table.N
+    ent, N = np.asarray(table.entries, dtype=float), table.N
     xp = (r * r) ** np.arange(N)
     cn = np.array([np.diagonal(ent, -n) @ xp[:N - n] for n in range(N)]) * r ** np.arange(N)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -451,6 +596,89 @@ def test_fft_integral_means_match_cosine_matrix(q, k, N, rs, n_phi):
         want = _cosine_matrix_means(t, r, n_phi)
         got = S.integral_means(t, r, n_phi=n_phi, tail_tol=1e-3)
         assert abs(got - want) <= 1e-13 * abs(want), r
+
+
+def _parent_integral_means(table, r, n_phi=1024, tail_tol=1e-6):
+    """integral_means as it was before the blocked passes: one |entries| copy
+    for the tail check, one (N, 2N) zero-padded copy of the transpose for
+    the diagonal sums."""
+    ent = np.asarray(table.entries, dtype=float)
+    ent_abs = np.abs(ent)
+
+    def frac(x):
+        Sabs, T = _parent_abs_partial_and_tail(ent_abs, x, x)
+        return T / Sabs
+
+    if frac(r) > tail_tol:
+        lo, hi = 1e-6, r
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if frac(mid) > tail_tol:
+                hi = mid
+            else:
+                lo = mid
+        raise S.TailCheckError("parent", r_max=lo)
+    N = table.N
+    T = np.zeros((N, 2 * N))
+    T[:, :N] = ent.T
+    skew = np.lib.stride_tricks.as_strided(
+        T, (N, N), (T.strides[0] + T.itemsize, T.itemsize))
+    cn = ((r * r) ** np.arange(N) @ skew) * r ** np.arange(N)
+    fold = np.bincount(np.arange(N) % n_phi, weights=cn, minlength=n_phi)
+    theta_vals = 2.0 * np.fft.fft(fold).real - cn[0]
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    integrand = (1.0 - 2.0 * r * np.cos(phi) + r * r) ** float(table.gamma) * theta_vals
+    return float(2.0 * np.pi * np.mean(integrand))
+
+
+@pytest.mark.parametrize("g,k,N,n_phi", [
+    (S.gamma_roots(S.SLEParams(2, 6)).gamma_minus, 6.0, 400, 1024),
+    (1.3, 2.5, 1200, 256), (1.3, 2.5, 1200, 1024), (*_on_curve(1, 0.7), 250, 512),
+    (-0.3, 4.0, 120, 256), (1.0, 6.0, 3, 256), (Fraction(1), Fraction(6), 60, 1024),
+], ids=["criterion6-N400", "N1200-nphi256", "N1200-nphi1024", "width1-N250",
+        "negative-g-N120", "N3", "rational-N60"])
+def test_integral_means_matches_parent(g, k, N, n_phi):
+    t = S.build_theta_table(g, k, N)
+    for r in (0.05, 0.3, 0.5, 0.9, 1 - 2.0 ** -7):
+        try:
+            want = _parent_integral_means(t, r, n_phi, tail_tol=1e-3)
+        except S.TailCheckError as e:
+            with pytest.raises(S.TailCheckError) as got:
+                S.integral_means(t, r, n_phi, tail_tol=1e-3)
+            assert got.value.r_max == e.r_max
+            continue
+        got = S.integral_means(t, r, n_phi, tail_tol=1e-3)
+        assert abs(got - want) <= 1e-13 * abs(want), r
+
+
+@pytest.mark.parametrize("g,k,N,r,tol", [(1.0, 6.0, 40, 0.99, 1e-8), (1.3, 2.5, 400, 0.995, 1e-6),
+                                         (Fraction(1, 2), Fraction(3), 30, 0.9, 1e-6),
+                                         (1.3, 2.5, 1, 0.5, 1e-6)])
+def test_tail_check_r_max_matches_parent(g, k, N, r, tol):
+    t = S.build_theta_table(g, k, N)
+    with pytest.raises(S.TailCheckError) as want:
+        _parent_integral_means(t, r, tail_tol=tol)
+    with pytest.raises(S.TailCheckError) as got:
+        S.integral_means(t, r, tail_tol=tol)
+    assert got.value.r_max == want.value.r_max
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_makes_no_table_sized_temporary():
+    # an N = 1200 table is 11.5 MB; casting it to complex and copying
+    # |entries| peaked at 22 MB (eval_rho) and 33 MB (integral_means)
+    t = S.build_theta_table(1.3, 2.5, 1200, backend="float")
+    assert _traced_peak(lambda: S.eval_rho(t, 0.6 + 0.3j, 0.6 - 0.3j)) <= 1e6
+    assert _traced_peak(lambda: S.integral_means(t, 0.9, tail_tol=1e-3)) <= 1e6
 
 
 def test_integral_means_guards():

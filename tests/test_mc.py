@@ -1,5 +1,6 @@
 """Interior-flow Monte Carlo: integrator, driving, estimator, reproducibility."""
 
+import cmath
 import io
 import math
 import operator
@@ -120,6 +121,19 @@ def test_composed_flow_matches_conic():
             zc, dz = S.conic_flow(w, T)
             assert abs(zf - zc) < 1e-9
             assert abs(np.exp(logd) - dz) < 1e-8 * abs(dz)
+
+
+@pytest.mark.parametrize("w", [0.5, -0.3, 0.35 + 0.45j, np.array([0.5, 0.2j])])
+def test_coarse_path_flushes_the_running_product(w):
+    # 300 / 256 per step: a whole block's running product of r would fall
+    # below the float range (m (2 delta + log 2) > 700) and raised
+    # StepUnderflowError; the block now takes one log per shorter span
+    T, p = 300.0, unit_path(300.0, 256)
+    zf, logd = S.whole_plane_map_derivative(w, p)
+    for z, ld, w0 in zip(np.atleast_1d(zf), np.atleast_1d(logd), np.atleast_1d(w)):
+        zc, dz = S.conic_flow(w0, T)
+        assert abs(z - zc) <= 1e-12 * abs(zc)
+        assert abs(ld - cmath.log(dz)) <= 1e-12   # dz/dw to 1e-12, relatively
 
 
 def test_whole_plane_derivative_infinite_horizon_limit():
