@@ -675,7 +675,7 @@ def _traced_peak(fn):
 
 def test_evaluation_makes_no_table_sized_temporary():
     # an N = 1200 table is 11.5 MB; casting it to complex and copying
-    # |entries| peaked at 22 MB (eval_rho) and 33 MB (integral_means)
+    # |entries| peaked at 23 MB (eval_rho) and 35 MB (integral_means)
     t = S.build_theta_table(1.3, 2.5, 1200, backend="float")
     assert _traced_peak(lambda: S.eval_rho(t, 0.6 + 0.3j, 0.6 - 0.3j)) <= 1e6
     assert _traced_peak(lambda: S.integral_means(t, 0.9, tail_tol=1e-3)) <= 1e6
