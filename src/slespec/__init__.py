@@ -34,12 +34,7 @@ from .coeffs import (
     eval_rho,
     eval_theta,
     fit_beta,
-    fourier_series,
     integral_means,
-    load_table,
-    rec3_residual,
-    recurrence_coeff,
-    save_table,
     truncation_width,
 )
 from .eigen import (
@@ -47,14 +42,12 @@ from .eigen import (
     EigenResult,
     TridiagSystem,
     a_coef,
-    antisymmetric_matrix,
     b_coef,
     beta_from_lambda,
     build_system,
     c_coef,
     eigen_solve,
     eigenfunction_poly,
-    full_matrix,
     lpsi_residual,
     reduced_matrix,
     select_beta_tilde,

@@ -23,13 +23,11 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eigen import _stencil, a_coef, b_coef, c_coef
-from .spectrum import _exact
+from .eigen import _stencil
+from .spectrum import _exact, _is_int
 
 BACKEND_RATIONAL = "rational"
 BACKEND_FLOAT = "float"
-
-_TABLE_MAGIC = "theta-table v1"
 
 
 class TailCheckError(ValueError):
@@ -54,30 +52,7 @@ class FitResult:
     window: tuple
 
 
-# ---- recurrence coefficients ----
-
-def recurrence_coeff(i: int, j: int, l: int, k: int, gamma, kappa):
-    """C^{l,k}_{i,j} of the four-term relation, l,k in {0,1}."""
-    if l not in (0, 1) or k not in (0, 1):
-        raise ValueError(f"stencil offsets must be 0 or 1, got (l,k)=({l},{k})")
-    g = _exact(gamma)
-    kap = _exact(kappa)
-    d = i - j
-    if (l, k) == (0, 0):
-        return -kap * d * d / 2 - (i + j - 2)
-    if (l, k) == (0, 1):
-        return kap * (d + 1) ** 2 / 2 + (1 - kap * g) * (d + 1) \
-            + kap * g * g - kap * g / 2 - 3 * g
-    if (l, k) == (1, 0):
-        return kap * (1 - d) ** 2 / 2 + (1 - kap * g) * (1 - d) \
-            + kap * g * g - kap * g / 2 - 3 * g
-    return -kap * d * d / 2 + (i + j) - kap * g * g + kap * g + 6 * g - 4
-
-
 # ---- table construction ----
-
-_SCALAR = {BACKEND_RATIONAL: Fraction, BACKEND_FLOAT: float}
-
 
 @dataclass(frozen=True)
 class CoeffTable:
@@ -95,9 +70,6 @@ class CoeffTable:
         if not (1 <= i <= self.N and 1 <= j <= self.N):
             raise IndexError(f"(i,j)=({i},{j}) outside 1..{self.N}")
         return self.entries.item(i - 1, j - 1)
-
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.entries).copy()
 
 
 def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> CoeffTable:
@@ -128,8 +100,7 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     """
     g, kap = _exact(gamma), _exact(kappa)
     rational = isinstance(g, Fraction) and isinstance(kap, Fraction)
-    # the table-size rule: an int or numpy integer, and not a bool (an int too)
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+    if not _is_int(N) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     if not float(kap) >= 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
@@ -298,63 +269,6 @@ def eval_rho(table: CoeffTable, w, wbar) -> SeriesValue:
                        warning=base.warning)
 
 
-def fourier_series(table: CoeffTable, n: int) -> np.ndarray:
-    """Coefficients of f_n(xi) = sum_j theta_{j+n, j} xi^{j-1}.
-
-    Negative n is extracted literally and checked against the reflection
-    identity f_{-n} = xi^n f_n before returning.
-    """
-    N = table.N
-    if abs(n) > N - 1:
-        raise ValueError(f"|n| must be < N={N}, got n={n}")
-    band = np.diagonal(table.entries, offset=-n)
-    if n >= 0:
-        return band.copy()
-    ref = np.diagonal(table.entries, offset=n)
-    tol = (0 if table.backend == BACKEND_RATIONAL
-           else 1e-12 * np.maximum(1.0, np.abs(ref.astype(float))))
-    bad = np.nonzero(np.abs(band - ref) > tol)[0]
-    if len(bad):
-        raise AssertionError(
-            f"reflection identity violated at coefficient {int(bad[0])} of f_{n}")
-    return np.concatenate((np.full(-n, _SCALAR[table.backend](0)), band))
-
-
-def rec3_residual(table: CoeffTable, n: int, order: int):
-    """Max abs coefficient, up to xi^order, of the coupled radial ODE residual
-
-    xi A_{n+1} f_{n+1} + A_{-n+1} f_{n-1} + (B_n + (1-xi) C_n) f_n
-      + 2 xi (xi - 1) f_n' .
-
-    Exact in the rational backend; zero for every table (band or not) as the
-    system is just the Fourier transcription of the defining relation.
-    """
-    N = table.N
-    max_order = N - abs(n) - 2
-    if order > max_order:
-        raise ValueError(
-            f"order {order} exceeds table knowledge {max_order} for n={n}")
-    g, kap = table.gamma, table.kappa
-    A_up = a_coef(n + 1, g, kap)
-    A_dn = a_coef(-n + 1, g, kap)
-    B = b_coef(n, g, kap)
-    C = c_coef(n, g, kap)
-    fp = fourier_series(table, n + 1)
-    fm = fourier_series(table, n - 1)
-    f0 = fourier_series(table, n)
-
-    def at(c, idx):
-        return c[idx] if 0 <= idx < len(c) else 0
-
-    worst = 0
-    for p in range(order + 1):
-        r = A_up * at(fp, p - 1) + A_dn * at(fm, p) + B * at(f0, p) \
-            + C * (at(f0, p) - at(f0, p - 1)) \
-            + 2 * (p - 1) * at(f0, p - 1) - 2 * p * at(f0, p)
-        worst = max(worst, abs(r))
-    return worst
-
-
 # ---- asymptotics and integral means ----
 
 def diagonal_growth_exponent(table: CoeffTable) -> float:
@@ -367,7 +281,7 @@ def diagonal_growth_exponent(table: CoeffTable) -> float:
     N = table.N
     if N < 8:
         raise ValueError("table too small for a growth fit")
-    d = np.asarray(table.diagonal(), dtype=float)
+    d = np.asarray(np.diagonal(table.entries), dtype=float)
     lo = N // 2
     window = d[lo - 1:]
     if np.any(window <= 0):
@@ -385,18 +299,20 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
                    tail_tol: float = 1e-6) -> float:
     """Integral of rho(r e^{i phi}, r e^{-i phi}) over phi in [0, 2pi).
 
-    Preconditions: n_phi a power of two >= 256; the corner-block tail at
-    radius r must stay below tail_tol of the absolute partial sum, else a
-    TailCheckError reports the largest admissible radius.  On phi_k = 2 pi
-    k/n_phi, Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n f_n(r^2), is one
-    FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).  The tail check
-    (eval_theta's blocked pass) and the diagonal sums c_n read the table in
-    blocks of rows or columns: no N x N temporary is made.
+    ValueError, before any table pass, unless n_phi is a power of two >= 256
+    (_is_int) and tail_tol finite and positive.  The corner-block tail at r
+    must stay below tail_tol of the absolute partial sum, else TailCheckError
+    reports the largest admissible radius.  On phi_k = 2 pi k/n_phi, Theta =
+    c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j} r^(2j-2), is
+    one FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).  The tail check
+    and the diagonal sums read the table in blocks: no N x N temporary.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0,1), got {r}")
-    if n_phi < 256 or (n_phi & (n_phi - 1)) != 0:
-        raise ValueError(f"n_phi must be a power of two >= 256, got {n_phi}")
+    if not _is_int(n_phi) or n_phi < 256 or (n_phi & (n_phi - 1)) != 0:
+        raise ValueError(f"n_phi must be a power of two >= 256, got {n_phi!r}")
+    if not 0.0 < tail_tol < math.inf:   # NaN fails too, and would pass every radius
+        raise ValueError(f"tail_tol must be finite and positive, got {tail_tol}")
 
     def frac(x):
         S, T, _ = _table_sums(table, x, x)
@@ -457,66 +373,3 @@ def fit_beta(samples: Sequence[Tuple[float, float]]) -> FitResult:
     return FitResult(slope=float(slope), intercept=float(intercept),
                      residual=resid, window=tuple(float(v) for v in r))
 
-
-# ---- text export ----
-
-def save_table(table: CoeffTable, dest) -> None:
-    """Plain-text dump: header line, then one `i j value` row per entry.
-
-    Values are written with str(): exact `p/q` Fractions, or the shortest
-    decimal that reads back to the same float.
-    """
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w") if own else dest
-    try:
-        fh.write(f"{_TABLE_MAGIC} gamma={table.gamma} kappa={table.kappa} "
-                 f"N={table.N} backend={table.backend}\n")
-        for i, row in enumerate(table.entries.tolist(), 1):
-            for j, v in enumerate(row, 1):
-                fh.write(f"{i} {j} {v}\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def load_table(src) -> CoeffTable:
-    """Read a save_table dump; every (i, j) in 1..N must appear exactly once."""
-    own = not hasattr(src, "read")
-    fh = open(src) if own else src
-    try:
-        line = header = fh.readline().strip()
-        if not header.startswith(_TABLE_MAGIC):
-            raise ValueError(f"not a theta-table file: header {header!r}")
-        fields = dict(tok.split("=", 1) for tok in header[len(_TABLE_MAGIC):].split())
-        missing = [k for k in ("N", "gamma", "kappa", "backend") if k not in fields]
-        if missing:
-            raise ValueError(f"table header lacks {', '.join(missing)}: {header!r}")
-        N = int(fields["N"])
-        if N < 1:
-            raise ValueError(f"N must be positive, got {N} in table header")
-        scalar = _SCALAR.get(fields["backend"])
-        if scalar is None:
-            raise ValueError(f"unknown backend {fields['backend']!r} in table file")
-        gamma, kappa = scalar(fields["gamma"]), scalar(fields["kappa"])
-        entries = np.full((N, N), scalar(0))
-        seen = np.zeros((N, N), dtype=bool)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            si, sj, sv = line.split()
-            i, j = int(si), int(sj)
-            if not (1 <= i <= N and 1 <= j <= N):
-                raise ValueError(f"entry ({i},{j}) outside 1..{N}")
-            if seen[i - 1, j - 1]:
-                raise ValueError(f"duplicate entry ({i},{j})")
-            seen[i - 1, j - 1] = True
-            entries[i - 1, j - 1] = scalar(sv)
-        if not seen.all():
-            raise ValueError(f"expected {N * N} entries, found {int(seen.sum())}")
-        return CoeffTable(N=N, gamma=gamma, kappa=kappa, entries=entries)
-    except ZeroDivisionError:   # Fraction('1/0')
-        raise ValueError(f"zero denominator in {line!r}") from None
-    finally:
-        if own:
-            fh.close()

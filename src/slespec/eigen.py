@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .special import _terminating_terms
-from .spectrum import CurveParams, curve_point, _checked_curve, _exact
+from .spectrum import CurveParams, curve_point, _checked_curve, _curve_params, _exact, _index
 
 _CERT_TOL = 1e-10
 
@@ -79,18 +79,19 @@ class TridiagSystem:
 
 def build_system(curve: CurveParams) -> TridiagSystem:
     """The system on a curve; curve_point's kappa closes the band, A_{-M} = 0."""
-    return TridiagSystem(curve.M, _exact(curve.gamma), curve_point(curve).kappa)
+    M, g, D = _checked_curve(curve)
+    return TridiagSystem(M, g, _curve_params(M, g, D).kappa)
 
 
 # ---- matrices ----
 
-def _band_matrix(sys: TridiagSystem, ns: range, fold: bool) -> List[list]:
-    """R on the basis n in ns: sub A_{-n+1}/2, diag B_n/2, super A_{n+1}/2.
+def reduced_matrix(sys: TridiagSystem) -> List[list]:
+    """R on the reflection-symmetric subspace psi_n = psi_{-n}, rows n = 0..M.
 
-    fold doubles row 0's super-diagonal A_1, the psi_{-1} = psi_1 term of
-    the reflection-symmetric reduction.  A and B come from one _stencil call
-    on -M..M+1; scalar type follows it: exact entries are Fraction(L A_n, 2L),
-    float ones A_n/2.  Off-band zeros are B_0 * 0.
+    Sub-diagonal A_{-n+1}/2, diagonal B_n/2, super-diagonal A_{n+1}/2, and row
+    0's super-diagonal doubled, the psi_{-1} = psi_1 term.  A and B come from
+    one _stencil call on -M..M+1; exact entries are Fraction(L A_n, 2L), float
+    ones A_n/2.  Off-band zeros are B_0 * 0.
     """
     M = sys.M
     L, A, B, _ = _stencil(sys.gamma, sys.kappa, range(-M, M + 2))
@@ -100,36 +101,14 @@ def _band_matrix(sys: TridiagSystem, ns: range, fold: bool) -> List[list]:
     def entry(coef, n):
         return half(coef[n + M], 2 * L)
 
-    size = len(ns)
-    R = [[entry(B, 0) * 0] * size for _ in range(size)]
-    for idx, n in enumerate(ns):
-        R[idx][idx] = entry(B, n)
-        if idx > 0:
-            R[idx][idx - 1] = entry(A, 1 - n)
-        if idx < size - 1:
-            R[idx][idx + 1] = entry(A, n + 1)
-    if fold and size > 1:
+    R = [[entry(B, 0) * 0] * (M + 1) for _ in range(M + 1)]
+    for n in range(M + 1):
+        R[n][n] = entry(B, n)
+    for n in range(M):
+        R[n][n + 1], R[n + 1][n] = entry(A, n + 1), entry(A, -n)
+    if M > 0:
         R[0][1] *= 2
     return R
-
-
-def reduced_matrix(sys: TridiagSystem) -> List[list]:
-    """Symmetric-subspace matrix, rows n = 0..M, row 0 folded."""
-    return _band_matrix(sys, range(0, sys.M + 1), fold=True)
-
-
-def full_matrix(sys: TridiagSystem) -> List[list]:
-    """Unreduced matrix on the full band, basis n = -M..M."""
-    return _band_matrix(sys, range(-sys.M, sys.M + 1), fold=False)
-
-
-def antisymmetric_matrix(sys: TridiagSystem) -> List[list]:
-    """Odd-subspace matrix (psi_{-n} = -psi_n), rows n = 1..M.
-
-    Excluded from spectrum selection; kept so the full-matrix spectrum can be
-    reconciled as reduced + antisymmetric.
-    """
-    return _band_matrix(sys, range(1, sys.M + 1), fold=False)
 
 
 # ---- numeric eigensolve with certification ----
@@ -326,10 +305,12 @@ def eigenfunction_poly(curve: CurveParams, l: int) -> list:
     x^{l/2} * F(l/2 - M, l/2 + G; 1/2 + l - M + G; x) with
     G = gamma (3M + 1 + 4 gamma)/(M + 3 gamma); the first parameter is a
     nonpositive integer so the series terminates at total degree M.
-    Coefficients are exact for rational gamma, ascending in x.  G is
-    singular on the kappa = 0 curves gamma = -M/3: ValueError there.
+    Coefficients are exact for rational gamma, ascending in x; l is read by
+    spectrum._index.  ValueError on the kappa = 0 curves gamma = -M/3, where
+    G is singular.
     """
     M, g, _ = _checked_curve(curve)
+    l = _index(l, "l")
     if l % 2 != 0 or not 0 <= l <= 2 * M:
         raise ValueError(f"l must be even in [0, {2 * M}], got {l}")
     denom = M + 3 * g

@@ -51,6 +51,20 @@ def _exact(x):
     return x
 
 
+def _is_int(n) -> bool:   # the integer rule; mc._is_count is its copy
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _index(x, name: str, err=ValueError) -> int:
+    """The index rule (curve M, level l): an int or numpy integer, as an int;
+    bool and numpy bool raise TypeError, anything else err."""
+    if isinstance(x, (bool, np.bool_)):
+        raise TypeError(f"bool is not an index here: {name}={x!r}")
+    if not _is_int(x):
+        raise err(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 # ---- parameter containers ----
 
 @dataclass(frozen=True)
@@ -189,12 +203,13 @@ def curve_denominator(M: int, gamma: Scalar) -> Scalar:
 def _checked_curve(curve: CurveParams):
     """(M, g, D) of an admissible curve, g read by _exact; the one curve rule.
 
-    Every function of a curve validates here: M a nonnegative int, 3g >= -M,
-    D = M^2 + 2Mg + 2g^2 - g > 0 (else InvalidCurveError), and q and kappa
-    finite (else ValueError, from SLEParams), which only inexact g can break.
+    Every function of a curve validates here: M a nonnegative integer under
+    _index (bool raises TypeError), 3g >= -M, D = M^2 + 2Mg + 2g^2 - g > 0
+    (else InvalidCurveError), and q and kappa finite (else ValueError, from
+    SLEParams), which only inexact g can break.
     """
-    M = curve.M
-    if not isinstance(M, int) or M < 0:
+    M = _index(curve.M, "M", InvalidCurveError)
+    if M < 0:
         raise InvalidCurveError(f"M must be a nonnegative integer, got {M!r}")
     g = _exact(curve.gamma)
     if 3 * g < -M:
@@ -224,9 +239,10 @@ def curve_point(curve: CurveParams) -> SLEParams:
 
 
 def gamma_transition(M: int) -> float:
-    """gamma_M where the two extreme eigenvalues cross on the M-curve."""
+    """gamma_M where the two extreme eigenvalues cross on the M-curve; M by _index."""
+    M = _index(M, "M")
     if M < 0:
-        raise ValueError("M must be nonnegative")
+        raise ValueError(f"M must be nonnegative, got {M}")
     return (math.sqrt(36.0 * M * M + 20.0 * M + 1.0) - 6.0 * M + 1.0) / 16.0
 
 
@@ -240,9 +256,10 @@ def eigen_beta_closed(curve: CurveParams, l: int) -> Scalar:
     """Closed eigenvalue beta_l of the truncated angular system, l = 0..2M.
 
     beta_l = [2(M+3g) g^2 - (2M^2 + M - 8g^2 + g) l + (M+3g) l^2] / (2D).
-    Rational in gamma (no square root), so exact for Fraction input.
+    Rational in gamma (no square root), so exact for Fraction input; l by _index.
     """
     M, g, D = _checked_curve(curve)
+    l = _index(l, "l")
     if not 0 <= l <= 2 * M:
         raise ValueError(f"l must lie in [0, {2 * M}], got {l}")
     num = 2 * (M + 3 * g) * g * g - (2 * M * M + M - 8 * g * g + g) * l \

@@ -236,6 +236,16 @@ def test_betafit_plus_root_rejected_at_kappa_zero(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_betafit_tail_tol_that_disables_the_gate_fails_validation(capsys, tol):
+    # nan passed every radius: exit 0, a slope 32% off and "tail_tol": NaN
+    code, out, err = run(capsys, "betafit", "--q", "2", "--kappa", "6",
+                         "--order", "60", f"--tail-tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "tail_tol must be finite and positive" in err
+
+
 # ---- mc ----
 
 def test_mc_kappa_zero_gate(capsys, tmp_path):

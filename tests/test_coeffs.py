@@ -1,6 +1,5 @@
 """Recurrence tables: exactness, banding, evaluation, asymptotics, fits."""
 
-import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import slespec as S
+from slespec import coeffs
 from slespec.eigen import _stencil
 from slespec.spectrum import _exact
 
@@ -26,6 +26,84 @@ def binom(a, k):
         out *= (a - i)
         out /= (i + 1)
     return out
+
+
+# ---- reference checkers: the relation and its Fourier transcription ----
+
+def recurrence_coeff(i, j, l, k, gamma, kappa):
+    """C^{l,k}_{i,j} of the four-term relation, l,k in {0,1}: a second
+    statement of the stencil, independent of eigen._stencil."""
+    if l not in (0, 1) or k not in (0, 1):
+        raise ValueError(f"stencil offsets must be 0 or 1, got (l,k)=({l},{k})")
+    g = _exact(gamma)
+    kap = _exact(kappa)
+    d = i - j
+    if (l, k) == (0, 0):
+        return -kap * d * d / 2 - (i + j - 2)
+    if (l, k) == (0, 1):
+        return kap * (d + 1) ** 2 / 2 + (1 - kap * g) * (d + 1) \
+            + kap * g * g - kap * g / 2 - 3 * g
+    if (l, k) == (1, 0):
+        return kap * (1 - d) ** 2 / 2 + (1 - kap * g) * (1 - d) \
+            + kap * g * g - kap * g / 2 - 3 * g
+    return -kap * d * d / 2 + (i + j) - kap * g * g + kap * g + 6 * g - 4
+
+
+def fourier_series(table, n):
+    """Coefficients of f_n(xi) = sum_j theta_{j+n, j} xi^{j-1}.
+
+    Negative n is extracted literally and checked against the reflection
+    identity f_{-n} = xi^n f_n before returning.
+    """
+    N = table.N
+    if abs(n) > N - 1:
+        raise ValueError(f"|n| must be < N={N}, got n={n}")
+    band = np.diagonal(table.entries, offset=-n)
+    if n >= 0:
+        return band.copy()
+    ref = np.diagonal(table.entries, offset=n)
+    rational = table.backend == "rational"
+    tol = 0 if rational else 1e-12 * np.maximum(1.0, np.abs(ref.astype(float)))
+    bad = np.nonzero(np.abs(band - ref) > tol)[0]
+    if len(bad):
+        raise AssertionError(
+            f"reflection identity violated at coefficient {int(bad[0])} of f_{n}")
+    return np.concatenate((np.full(-n, Fraction(0) if rational else 0.0), band))
+
+
+def rec3_residual(table, n, order):
+    """Max abs coefficient, up to xi^order, of the coupled radial ODE residual
+
+    xi A_{n+1} f_{n+1} + A_{-n+1} f_{n-1} + (B_n + (1-xi) C_n) f_n
+      + 2 xi (xi - 1) f_n' .
+
+    Exact in the rational backend; zero for every table (band or not) as the
+    system is just the Fourier transcription of the defining relation.
+    """
+    N = table.N
+    max_order = N - abs(n) - 2
+    if order > max_order:
+        raise ValueError(
+            f"order {order} exceeds table knowledge {max_order} for n={n}")
+    g, kap = table.gamma, table.kappa
+    A_up = S.a_coef(n + 1, g, kap)
+    A_dn = S.a_coef(-n + 1, g, kap)
+    B = S.b_coef(n, g, kap)
+    C = S.c_coef(n, g, kap)
+    fp = fourier_series(table, n + 1)
+    fm = fourier_series(table, n - 1)
+    f0 = fourier_series(table, n)
+
+    def at(c, idx):
+        return c[idx] if 0 <= idx < len(c) else 0
+
+    worst = 0
+    for p in range(order + 1):
+        r = A_up * at(fp, p - 1) + A_dn * at(fm, p) + B * at(f0, p) \
+            + C * (at(f0, p) - at(f0, p - 1)) \
+            + 2 * (p - 1) * at(f0, p - 1) - 2 * p * at(f0, p)
+        worst = max(worst, abs(r))
+    return worst
 
 
 # ---- recurrence correctness ----
@@ -71,7 +149,7 @@ def assert_four_term_relation(t, g, k):
                 continue
             acc = Fraction(0)
             for (l, m) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                acc += S.recurrence_coeff(i, j, l, m, g, k) * th(i - l, j - m)
+                acc += recurrence_coeff(i, j, l, m, g, k) * th(i - l, j - m)
             assert acc == 0, (i, j)
 
 
@@ -96,7 +174,7 @@ def test_recurrence_coeff_is_the_radial_stencil(g, k, i, j):
     d = i - j
 
     def C(l, m):
-        return S.recurrence_coeff(i, j, l, m, g, k)
+        return recurrence_coeff(i, j, l, m, g, k)
 
     assert C(0, 1) == S.a_coef(d + 1, g, k)
     assert C(1, 0) == S.a_coef(1 - d, g, k)
@@ -188,13 +266,9 @@ def test_backend_must_name_the_inputs_arithmetic(g, k, backend):
 
 @pytest.mark.parametrize("g,k,backend", [(Fraction(1, 2), Fraction(5, 2), "rational"),
                                          (0.5, 2.5, "float")])
-def test_backend_follows_entries_dtype(g, k, backend, tmp_path):
+def test_backend_follows_entries_dtype(g, k, backend):
     t = S.build_theta_table(g, k, 8)
     assert t.backend == backend
-    p = tmp_path / "t.txt"
-    S.save_table(t, str(p))
-    t2 = S.load_table(str(p))
-    assert t2.backend == backend and t2.entries.dtype == t.entries.dtype
     # backend is read off the entries, not stored beside them
     with pytest.raises(TypeError):
         S.CoeffTable(N=t.N, gamma=t.gamma, kappa=t.kappa, entries=t.entries,
@@ -522,32 +596,32 @@ def test_eval_theta_matches_parent(g, k, N):
 
 def test_fourier_series_diagonal_table():
     t = S.build_theta_table(1, 6, 8, backend="rational")
-    f0 = S.fourier_series(t, 0)
+    f0 = fourier_series(t, 0)
     assert list(f0[:4]) == [Fraction(1), Fraction(3), Fraction(6), Fraction(10)]
-    assert all(v == 0 for v in S.fourier_series(t, 2))
+    assert all(v == 0 for v in fourier_series(t, 2))
 
 
 def test_fourier_series_negative_reflection():
     t = S.build_theta_table(1, 2, 10, backend="rational")
-    f2 = S.fourier_series(t, 2)
-    fm2 = S.fourier_series(t, -2)
+    f2 = fourier_series(t, 2)
+    fm2 = fourier_series(t, -2)
     assert list(fm2[:2]) == [Fraction(0), Fraction(0)]
     assert list(fm2[2:]) == list(f2)
     with pytest.raises(ValueError):
-        S.fourier_series(t, 10)
+        fourier_series(t, 10)
 
 
 @given(g=gammas, k=kappas, n=st.integers(-2, 2))
 def test_radial_ode_residual_vanishes(g, k, n):
     """The mode ODE is an identity of the table, on or off a curve."""
     t = S.build_theta_table(g, k, 12, backend="rational")
-    assert S.rec3_residual(t, n, 12 - abs(n) - 2) == 0
+    assert rec3_residual(t, n, 12 - abs(n) - 2) == 0
 
 
 def test_rec3_residual_order_guard():
     t = S.build_theta_table(1, 2, 10, backend="rational")
     with pytest.raises(ValueError):
-        S.rec3_residual(t, 0, 9)
+        rec3_residual(t, 0, 9)
 
 
 # ---- asymptotics ----
@@ -717,6 +791,31 @@ def test_fit_beta_rejects_bad_samples_before_the_fit(bad, capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("kw", [
+    {"tail_tol": math.nan}, {"tail_tol": math.inf}, {"tail_tol": 0.0},
+    {"tail_tol": -1.0}, {"n_phi": 256.0}, {"n_phi": True}, {"n_phi": "256"},
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "n_phi-float",
+        "n_phi-bool", "n_phi-str"])
+def test_integral_means_refuses_arguments_before_any_table_pass(kw, monkeypatch):
+    # tail_tol=nan passed every radius (frac > nan is False), -1 ran the
+    # 60-step bisection, and n_phi=256.0 died in `&` with a raw TypeError
+    t = S.build_theta_table(1.0, 6.0, 40)
+    assert S.integral_means(t, 0.5, n_phi=256, tail_tol=1e-6) > 0
+
+    def no_pass(*args):
+        raise AssertionError("a table pass ran before the arguments were checked")
+
+    monkeypatch.setattr(coeffs, "_table_sums", no_pass)
+    with pytest.raises(ValueError, match="tail_tol|n_phi"):
+        S.integral_means(t, 0.5, **kw)
+
+
+def test_integral_means_takes_numpy_integer_n_phi():
+    t = S.build_theta_table(1.0, 6.0, 40)
+    assert S.integral_means(t, 0.5, n_phi=np.int64(256)) == \
+        S.integral_means(t, 0.5, n_phi=256)
+
+
 def test_slope_fit_offcurve_and_growth_consistency():
     # q = 2, kappa = 6 via the minus root: slope approaches beta = 3
     g = S.gamma_roots(S.SLEParams(2, 6)).gamma_minus
@@ -724,69 +823,3 @@ def test_slope_fit_offcurve_and_growth_consistency():
     rs = [1 - 2.0 ** -k for k in range(3, 8)]
     fit = S.fit_beta([(r, S.integral_means(t, r, tail_tol=1e-3)) for r in rs])
     assert fit.slope == pytest.approx(3.0, rel=0.05)
-
-
-# ---- persistence ----
-
-@pytest.mark.parametrize("backend,g,k", [("rational", Fraction(1, 2), Fraction(5, 2)),
-                                         ("float", 0.5, 2.5)])
-def test_save_load_round_trip(backend, g, k, tmp_path):
-    t = S.build_theta_table(g, k, 12, backend=backend)
-    p = tmp_path / "t.txt"
-    S.save_table(t, str(p))
-    t2 = S.load_table(str(p))
-    assert t2.backend == backend
-    assert t2.N == t.N and t2.gamma == t.gamma and t2.kappa == t.kappa
-    for i in range(1, 13):
-        for j in range(1, 13):
-            assert t2.get(i, j) == t.get(i, j)
-    # second dump byte-identical
-    buf = io.StringIO()
-    S.save_table(t2, buf)
-    assert buf.getvalue() == p.read_text()
-
-
-def test_load_rejects_corrupt_header(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("not a table\n")
-    with pytest.raises(ValueError):
-        S.load_table(str(p))
-
-
-@pytest.mark.parametrize("field", ["N", "gamma", "kappa", "backend"])
-def test_load_rejects_header_missing_a_field(field):
-    fields = {"gamma": "1", "kappa": "2", "N": "3", "backend": "rational"}
-    del fields[field]
-    header = "theta-table v1 " + " ".join(f"{k}={v}" for k, v in fields.items())
-    with pytest.raises(ValueError, match=field):
-        S.load_table(io.StringIO(header + "\n"))
-
-
-def test_load_rejects_empty_table():
-    # N=0 would load as an empty table that eval_rho then indexes at -1
-    with pytest.raises(ValueError, match="N must be positive"):
-        S.load_table(io.StringIO("theta-table v1 gamma=1 kappa=2 N=0 backend=float\n"))
-
-
-@pytest.mark.parametrize("bad_row,replaces", [
-    ("0 0 9", "1 1 "),   # index 0 would wrap to theta(N, N)
-    ("1 1 7", "3 3 "),   # duplicate (1,1): the row count still reads N*N
-], ids=["index-out-of-range", "duplicate-entry"])
-def test_load_rejects_corrupt_entries(bad_row, replaces):
-    buf = io.StringIO()
-    S.save_table(S.build_theta_table(1, 2, 3, backend="rational"), buf)
-    rows = [bad_row if r.startswith(replaces) else r
-            for r in buf.getvalue().splitlines()]
-    with pytest.raises(ValueError):
-        S.load_table(io.StringIO("\n".join(rows) + "\n"))
-
-
-@pytest.mark.parametrize("text,where", [
-    ("theta-table v1 gamma=1 kappa=2 N=1 backend=rational\n1 1 3/0\n", "'1 1 3/0'"),
-    ("theta-table v1 gamma=1/0 kappa=2 N=1 backend=rational\n1 1 3\n", "'theta-table v1"),
-], ids=["row", "header"])
-def test_load_names_a_zero_denominator(text, where):
-    # Fraction('1/0') raised ZeroDivisionError, which callers catching
-    # ValueError for corrupt files miss
-    with pytest.raises(ValueError, match=f"zero denominator in {where}"):
-        S.load_table(io.StringIO(text))

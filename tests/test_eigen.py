@@ -78,22 +78,24 @@ def test_reduced_matrix_anchor():
 
 def test_full_matrix_anchor_and_split():
     sysM = S.build_system(S.CurveParams(1, 1))
-    assert S.full_matrix(sysM) == [
+    assert _scalar_band_matrix(sysM, range(-1, 2), False) == [
         [Fraction(2), Fraction(-1), Fraction(0)],
         [Fraction(-1), Fraction(3), Fraction(-1)],
         [Fraction(0), Fraction(-1), Fraction(2)],
     ]
     # full spectrum = reduced (even) + antisymmetric (odd)
-    full = sorted(S.eigen_solve(S.full_matrix(sysM)).values)
+    full = sorted(S.eigen_solve(_scalar_band_matrix(sysM, range(-1, 2), False)).values)
     red = S.eigen_solve(S.reduced_matrix(sysM)).values
-    anti = S.eigen_solve(S.antisymmetric_matrix(sysM)).values
+    anti = S.eigen_solve(_scalar_band_matrix(sysM, range(1, 2), False)).values
     merged = sorted(list(red) + list(anti))
     assert np.allclose(full, merged, atol=1e-12)
 
 
 def _scalar_band_matrix(sysM, ns, fold):
-    """eigen._band_matrix on scalar a_coef/b_coef calls, as it was before the
-    exact matrices were read off the integer quadratics: the reference."""
+    """R on the basis n in ns from scalar a_coef/b_coef calls: sub A_{-n+1}/2,
+    diag B_n/2, super A_{n+1}/2, and fold doubles row 0's super-diagonal.
+    The reference for reduced_matrix (ns = 0..M, folded), and the only
+    builder of the full (-M..M) and antisymmetric (1..M) bases."""
     g, k = sysM.gamma, sysM.kappa
     size = len(ns)
     R = [[S.b_coef(0, g, k) * 0] * size for _ in range(size)]
@@ -117,15 +119,12 @@ def test_matrices_equal_scalar_coefficient_reference(M):
                 sysM = S.build_system(S.CurveParams(M, g))
             except S.InvalidCurveError:
                 continue
-            for fn, ns, fold in ((S.reduced_matrix, range(0, M + 1), True),
-                                 (S.full_matrix, range(-M, M + 1), False),
-                                 (S.antisymmetric_matrix, range(1, M + 1), False)):
-                got = fn(sysM)
-                want = _scalar_band_matrix(sysM, ns, fold)
-                assert got == want
-                assert repr(got) == repr(want)   # -0.0 included
-                kind = Fraction if isinstance(g, Fraction) else float
-                assert all(type(x) is kind for row in got for x in row)
+            got = S.reduced_matrix(sysM)
+            want = _scalar_band_matrix(sysM, range(0, M + 1), True)
+            assert got == want
+            assert repr(got) == repr(want)   # -0.0 included
+            kind = Fraction if isinstance(g, Fraction) else float
+            assert all(type(x) is kind for row in got for x in row)
             checked += 1
     assert checked >= 6
 
@@ -426,7 +425,7 @@ def test_reduced_eigenvalues_match_closed_form(M):
 
 def test_antisymmetric_eigenvalues_are_odd_levels():
     c = S.CurveParams(2, Fraction(1, 2))
-    res = S.eigen_solve(S.antisymmetric_matrix(S.build_system(c)))
+    res = S.eigen_solve(_scalar_band_matrix(S.build_system(c), range(1, 3), False))
     want = sorted(float(S.eigen_beta_closed(c, l)) for l in (1, 3))
     assert np.allclose(sorted(res.values), want, atol=1e-12)
 

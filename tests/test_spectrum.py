@@ -225,6 +225,36 @@ def test_gamma_transition_matches_crossing_poly():
         assert abs(p) < 1e-12
 
 
+@pytest.mark.parametrize("M", [1.5, math.nan, math.inf, -1, "2"])
+def test_gamma_transition_takes_a_nonnegative_integer(M):
+    # 1.5 gave a value and nan gave nan
+    with pytest.raises(ValueError):
+        S.gamma_transition(M)
+
+
+@pytest.mark.parametrize("M", [np.int64(3), np.int32(3)])
+def test_numpy_integer_M_is_the_int(M):
+    assert S.gamma_transition(M) == S.gamma_transition(3)
+    c = S.CurveParams(M, Fraction(1, 2))
+    assert S.curve_point(c) == S.curve_point(S.CurveParams(3, Fraction(1, 2)))
+    assert type(S.build_system(c).M) is int
+
+
+@pytest.mark.parametrize("fn", [S.eigen_beta_closed, S.eigenfunction_poly])
+@pytest.mark.parametrize("l", [1.5, 2.0, Fraction(1, 2), Fraction(2), "2", None])
+def test_level_index_must_be_an_integer(fn, l):
+    # eigen_beta_closed returned 2.875 at l=1.5 and 11/8 at l=1/2;
+    # eigenfunction_poly(.., 2.0) died in list repetition with TypeError
+    with pytest.raises(ValueError, match="l must be an integer"):
+        fn(S.CurveParams(1, 1), l)
+
+
+@pytest.mark.parametrize("fn", [S.eigen_beta_closed, S.eigenfunction_poly])
+def test_numpy_integer_level_is_the_int(fn):
+    c = S.CurveParams(2, Fraction(1, 2))
+    assert fn(c, np.int64(2)) == fn(c, 2)
+
+
 @pytest.mark.parametrize("M", range(1, 11))
 def test_crossing_is_exact_in_quadratic_extension(M):
     """At gamma_M the extreme eigenvalues agree exactly, not just to rounding."""
@@ -291,6 +321,9 @@ _T = S.CurveParams(2, True)
         (S.beta_from_lambda, (S.CurveParams(2, 1), True)), (S.build_system, (_T,)),
         (S.build_theta_table, (1, True, 6)), (S.hyp2f1, (-2, 1, 3, True)),
         (S.hyp2f1, (-2, True, 3, 0.5)), (S.eigen_solve, ([[True, 0], [0, 1]],)),
+        (S.curve_point, (S.CurveParams(True, 1),)), (S.build_system, (S.CurveParams(True, 1),)),
+        (S.gamma_transition, (True,)), (S.eigen_beta_closed, (S.CurveParams(1, 1), True)),
+        (S.eigenfunction_poly, (S.CurveParams(1, 1), False)),
     ])])
 def test_bool_is_refused_at_every_entry_point(fn, args):
     with pytest.raises(TypeError, match="bool"):
@@ -301,7 +334,11 @@ def test_bool_is_refused_at_every_entry_point(fn, args):
     (S.curve_point, (S.CurveParams(1, np.True_),)),
     (S.build_theta_table, (np.True_, 2, 6)),
     (S.hyp2f1, (-2, np.True_, 3, 0.5)),
-], ids=["curve_point", "build_theta_table", "hyp2f1"])
+    (S.curve_point, (S.CurveParams(np.True_, 1),)),
+    (S.gamma_transition, (np.True_,)),
+    (S.eigen_beta_closed, (S.CurveParams(1, 1), np.False_)),
+], ids=["curve_point", "build_theta_table", "hyp2f1", "curve_point-M", "gamma_transition",
+        "eigen_beta_closed-l"])
 def test_numpy_bool_is_refused_like_bool(fn, args):
     with pytest.raises(TypeError, match="bool"):
         fn(*args)
