@@ -201,7 +201,7 @@ def truncation_width(table: CoeffTable) -> Optional[int]:
     Nonzero entries reaching the table corner |i-j| = N-1 leave no in-table
     evidence of banding, hence None.
     """
-    ii, jj = np.nonzero(table.entries)
+    ii, jj = np.nonzero(table.entries.astype(bool))   # one bool() per entry
     m = int(np.max(np.abs(ii - jj))) if len(ii) else 0
     if m >= table.N - 1:
         return None

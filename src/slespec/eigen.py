@@ -187,6 +187,16 @@ def _homogeneous(coeffs: Sequence[int], a: int, e: int, D: int = 1):
     return h, dh
 
 
+def _homogeneous_value(coeffs: Sequence[int], a: int, e: int, D: int = 1) -> int:
+    """_homogeneous's H alone, for the bracket ends, which need only its sign."""
+    h, Dk, k = coeffs[-1], 1, 0
+    for c in reversed(coeffs[:-1]):
+        Dk *= D
+        k += e
+        h = h * a + (c * Dk << k)
+    return h
+
+
 def _round_half_even(n: int, d: int) -> int:
     """round(n/d), ties to even, as round(Fraction(n, d)) gives."""
     if d < 0:
@@ -195,8 +205,14 @@ def _round_half_even(n: int, d: int) -> int:
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
-_DEN_BITS = 200   # iterates are m / 2^200: stops denominators squaring each step
-_STOP_BITS = 150  # Newton stops once |step| < 2^-150 max(1, |x|)
+# Iterates are m / 2^96, which stops denominators squaring each step, and
+# Newton stops once |step| < 2^-64 max(1, |x|).  Past such a step a simple
+# root's Newton error is ~|p''/2p'| 2^-128 and the grid's at most 2^-97, far
+# below float64's 2^-53 and the 1e-13 bracket that certifies the value; on
+# every exact curve with M <= 20, float(x) and the brackets are bit for bit
+# those of Newton on 2^-200 to a step below 2^-150.
+_DEN_BITS = 96
+_STOP_BITS = 64
 
 
 def _exact_eigenvalues(diag, sub, sup, seeds):
@@ -212,11 +228,15 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
     Everything runs on Python integers, with no gcd: p is _char_poly's
     integer polynomial, an iterate x = a/2^e is evaluated as
     H(a, 2^e) = 2^(ed) p(x), which has the sign of p(x), and the Newton
-    update x - H/(2^e H') is rounded half-even onto the grid 2^-200.  The
-    bracket ends x -+ h, h = 1e-13 max(1, |x|) (shrunk by 7 up to three times
-    while an end is a root), are tested the same way over a common
-    denominator.  The iterates are the rationals that Fraction arithmetic on
-    det(T - x I) would give.
+    update x - H/(2^e H') is rounded half-even onto the grid 2^-96; Newton
+    stops once |step| < 2^-64 max(1, |x|).  That is all a float64 result
+    with a 1e-13 bracket needs: after such a step the error at a simple root
+    is ~2^-128 relative, so float(x) rounds the root itself unless the root
+    lies within that of a rounding boundary.  The bracket ends x -+ h,
+    h = 1e-13 max(1, |x|) (shrunk by 7 up to three times while an end is a
+    root), need only the sign of H, over a common denominator, so they take
+    a value-only Horner pass.  The iterates are the rationals that Fraction
+    arithmetic on det(T - x I) would give.
 
     Returns the eigenvalues, the Newton steps each took and each bracket's
     half-width, all ascending by eigenvalue.
@@ -236,7 +256,7 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
                     f"stationary characteristic polynomial at {a / (1 << e)}")
             m = _round_half_even((a * dH - H) << _DEN_BITS, dH << e)
             steps += 1
-            # |H / (2^e H')| 2^150 < max(1, |m| / 2^200), cleared of denominators
+            # |H / (2^e H')| 2^64 < max(1, |m| / 2^96), cleared of denominators
             done = (abs(H) << (_DEN_BITS + _STOP_BITS)
                     < (max(1 << _DEN_BITS, abs(m)) * abs(dH)) << e)
             a, e = m, _DEN_BITS
@@ -244,7 +264,7 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
                 break
         s = max(1 << e, abs(a))   # h = s / (2^e D) = max(1, |x|) / D
         for D in (10 ** 13 * 7 ** j for j in range(4)):
-            lo, hi = (_homogeneous(p, a * D + t, e, D)[0] for t in (-s, s))
+            lo, hi = (_homogeneous_value(p, a * D + t, e, D) for t in (-s, s))
             if lo != 0 and hi != 0:
                 break
         if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
@@ -264,22 +284,31 @@ def eigen_solve(matrix) -> EigenResult:
     """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
 
     Exact tridiagonal input (entries exact under spectrum._exact) gets its
-    eigenvalues refined on the integer characteristic polynomial, each
-    certified by a sign-change bracket whose half-width the result reports;
-    float input keeps the plain LAPACK values.  Every returned vector is the
-    smallest singular vector of (R - lambda I), the minimizer of
-    ||R v - lambda v|| at that lambda, all from one stacked SVD; the first
-    pair failing the 1e-10 bound raises EigenCertificationError carrying the
-    offending matrix.
+    eigenvalues refined on the integer characteristic polynomial, by Newton
+    on the grid 2^-96 to a step below 2^-64 max(1, |x|), each certified by a
+    sign-change bracket whose half-width (1e-13 max(1, |x|), or a seventh of
+    it up to three times) the result reports; float input keeps the plain
+    LAPACK values.  Every returned vector is the smallest singular vector of
+    (R - lambda I), the minimizer of ||R v - lambda v|| at that lambda, all
+    from one stacked SVD; the first pair failing the 1e-10 bound raises
+    EigenCertificationError carrying the offending matrix.  The float matrix
+    of exact input is read from its three diagonals.
     """
-    mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
+    exact = _tridiag_exact(matrix)
+    if exact is None:
+        mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
+    else:
+        diag, sub, sup = ([float(x) for x in band] for band in exact)
+        mat = np.diag(diag)
+        i = np.arange(len(diag))
+        mat[i[1:], i[:-1]] = sub
+        mat[i[:-1], i[1:]] = sup
     vals, _ = np.linalg.eig(mat)
     if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
         raise EigenCertificationError(
             f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
     lams = sorted(float(v) for v in vals.real)
     steps = widths = None
-    exact = _tridiag_exact(matrix)
     if exact is not None:
         lams, steps, widths = _exact_eigenvalues(*exact, lams)
         steps, widths = np.array(steps), np.array(widths)

@@ -262,6 +262,10 @@ def eigen_beta_closed(curve: CurveParams, l: int) -> Scalar:
     l = _index(l, "l")
     if not 0 <= l <= 2 * M:
         raise ValueError(f"l must lie in [0, {2 * M}], got {l}")
+    return _beta_l(M, g, D, l)
+
+
+def _beta_l(M: int, g, D, l: int):
     num = 2 * (M + 3 * g) * g * g - (2 * M * M + M - 8 * g * g + g) * l \
         + (M + 3 * g) * l * l
     return num / (2 * D)
@@ -271,11 +275,11 @@ def beta_tilde_on_curve(curve: CurveParams) -> Scalar:
     """Largest admissible eigenvalue on the curve: beta_0 below gamma_M, beta_2M above.
 
     The branch test uses the sign of 8g^2 + (6M-1)g - M, which is exact for
-    rational gamma (no surd comparison needed).
+    rational gamma (no surd comparison needed).  The curve is validated
+    first, by _checked_curve.
     """
-    if _crossing_poly(curve.M, curve.gamma) <= 0:
-        return eigen_beta_closed(curve, 0)
-    return eigen_beta_closed(curve, 2 * curve.M)
+    M, g, D = _checked_curve(curve)
+    return _beta_l(M, g, D, 0 if _crossing_poly(M, g) <= 0 else 2 * M)
 
 
 def beta_on_curve(curve: CurveParams) -> Scalar:

@@ -512,6 +512,32 @@ def test_band_width_none_off_curve():
     assert S.truncation_width(t) is None
 
 
+def _parent_truncation_width(table):
+    """truncation_width with np.nonzero on the entries themselves, which
+    tests each object entry's truth twice: the reference."""
+    ii, jj = np.nonzero(table.entries)
+    m = int(np.max(np.abs(ii - jj))) if len(ii) else 0
+    return None if m >= table.N - 1 else m
+
+
+def test_band_width_matches_parent_formula():
+    tables = []
+    for M, g in ((0, Fraction(1)), (3, Fraction(1, 2)), (1, Fraction(2, 3))):
+        k = S.curve_point(S.CurveParams(M, g)).kappa
+        for backend, gk in (("rational", (g, k)), ("float", (float(g), float(k)))):
+            tables.append(S.build_theta_table(*gk, 40, backend=backend))
+    tables.append(S.build_theta_table(Fraction(2, 3), 6, 12))   # no band: None
+    tables.append(S.build_theta_table(2 / 3, 6.0, 12))
+    diag = np.diag([Fraction(i) for i in range(1, 7)]).astype(object)
+    zeros = np.zeros((6, 6), dtype=object) * Fraction(0)
+    for entries in (diag, zeros, diag.astype(float), zeros.astype(float)):
+        # all-zero off the diagonal: width 0, also with no nonzero at all
+        tables.append(coeffs.CoeffTable(6, Fraction(0), Fraction(0), entries))
+    widths = [S.truncation_width(t) for t in tables]
+    assert widths == [_parent_truncation_width(t) for t in tables]
+    assert None in widths and 0 in widths and 3 in widths
+
+
 # ---- evaluation ----
 
 def test_eval_theta_and_rho_diagonal_case():

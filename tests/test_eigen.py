@@ -259,11 +259,13 @@ def _ref_char_poly(diag, sub, sup):
     return cur
 
 
-def _ref_exact_eigenvalues(diag, sub, sup, seeds):
+def _ref_exact_eigenvalues(diag, sub, sup, seeds, den_bits, stop_bits):
     """Newton and sign-change brackets in Fraction arithmetic (reference).
 
     The Fraction code the integer path replaced, plus the step count and
-    half-width it now reports.
+    half-width it now reports.  Iterates lie on the grid 2^-den_bits and
+    Newton stops once |step| 2^stop_bits < max(1, |x|): (96, 64) is the
+    integer path's setting, (200, 150) the finer one it replaced.
     """
     p = _ref_char_poly(diag, sub, sup)
     dp = [k * c for k, c in enumerate(p)][1:]
@@ -280,9 +282,9 @@ def _ref_exact_eigenvalues(diag, sub, sup, seeds):
                 raise S.EigenCertificationError(
                     f"stationary characteristic polynomial at {float(x)}")
             step = fx / dfx
-            x = Fraction(round((x - step) * (1 << 200)), 1 << 200)
+            x = Fraction(round((x - step) * (1 << den_bits)), 1 << den_bits)
             steps += 1
-            if abs(step) * (1 << 150) < max(1, abs(x)):
+            if abs(step) * (1 << stop_bits) < max(1, abs(x)):
                 break
         h = Fraction(1, 10 ** 13) * max(1, abs(x))
         lo, hi = _ref_polyval(p, x - h), _ref_polyval(p, x + h)
@@ -325,7 +327,8 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def test_integer_path_matches_fraction_reference():
+def _reference_cases():
+    """(where, (diag, sub, sup), seeds) on EQUIVALENCE_CURVES and "shrink"."""
     matrices = [((M, k), S.reduced_matrix(
         S.build_system(S.CurveParams(M, Fraction(k, 48)))))
         for M, k in EQUIVALENCE_CURVES]
@@ -333,14 +336,54 @@ def test_integer_path_matches_fraction_reference():
     # root, so that h shrinks; the second bracket then holds both roots
     matrices.append(("shrink", [[0, 0], [0, Fraction(1, 10 ** 13)]]))
     for where, R in matrices:
-        exact = S.eigen._tridiag_exact(R)
         # the seeds eigen_solve polishes (real parts even when LAPACK's
         # spectrum is complex, so every failure branch is reached)
         vals = np.linalg.eig(np.array([[float(x) for x in r] for r in R]))[0]
-        seeds = sorted(float(v) for v in vals.real)
+        yield where, S.eigen._tridiag_exact(R), sorted(float(v) for v in vals.real)
+
+
+def test_integer_path_matches_fraction_reference():
+    bits = (S.eigen._DEN_BITS, S.eigen._STOP_BITS)
+    assert bits == (96, 64)
+    for where, exact, seeds in _reference_cases():
         got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        want = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds))
+        want = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, *bits))
         assert got == want, where
+
+
+def _without_steps(outcome):
+    return outcome if outcome[0] is S.EigenCertificationError else (
+        outcome[0], outcome[2])
+
+
+def test_integer_path_matches_the_finer_grid_it_replaced():
+    # Newton on 2^-200 to a step below 2^-150, the setting before the
+    # coarser one: the same values, half-widths and failure messages, in
+    # no more steps.  "shrink" fails on both, by another check: its root
+    # 1e-13 rounds to x = 1e-13 + 3.0e-30 on 2^-96 and 1e-13 - 1.7e-61 on
+    # 2^-200, so the end x - h lies just above the root 0 (a sign change,
+    # whose bracket overlaps the one at 0) or just below it (none).
+    failures = 0
+    for where, exact, seeds in _reference_cases():
+        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
+        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, 200, 150))
+        if where == "shrink":
+            assert got[1].endswith("overlap") and old[1].startswith("no sign-change")
+            continue
+        assert _without_steps(got) == _without_steps(old), where
+        if got[0] is S.EigenCertificationError:
+            failures += 1
+        else:
+            assert all(n <= m for n, m in zip(got[1], old[1])), where
+    assert 0 < failures < len(EQUIVALENCE_CURVES)
+
+
+@given(coeffs=st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=8),
+       a=st.integers(-10 ** 40, 10 ** 40), e=st.integers(0, 200),
+       D=st.sampled_from([1, 3, 10 ** 13, 10 ** 13 * 7 ** 3]))
+def test_value_only_horner_matches_homogeneous(coeffs, a, e, D):
+    assert (S.eigen._homogeneous_value(coeffs, a, e, D)
+            == S.eigen._homogeneous(coeffs, a, e, D)[0])
 
 
 def _ref_eigen_solve(matrix):

@@ -179,12 +179,16 @@ def test_eigen_beta_closed_anchor():
     (S.beta_on_curve, (S.CurveParams(0, Fraction(1, 4)),)),
     (S.eigenfunction_poly, (S.CurveParams(1, Fraction(-1, 2)), 0)),
     (S.build_system, (S.CurveParams(1, Fraction(-1, 2)),)),
+    (S.beta_tilde_on_curve, (S.CurveParams("2", 1),)),
+    (S.beta_tilde_on_curve, (S.CurveParams(None, 1),)),
 ], ids=["eigen_beta_closed-below-M/3", "eigen_beta_closed-negative-M",
         "beta_tilde_on_curve-below-M/3", "beta_tilde_on_curve-negative-M",
         "beta_on_curve-negative-D", "eigenfunction_poly-below-M/3",
-        "build_system-below-M/3"])
+        "build_system-below-M/3", "beta_tilde_on_curve-str-M",
+        "beta_tilde_on_curve-None-M"])
 def test_curve_functions_reject_what_curve_point_rejects(fn, args):
-    # (1, -1/2) has D > 0 but 3 gamma < -M; (-1, 1) has M < 0; (0, 1/4) has D < 0
+    # (1, -1/2) has D > 0 but 3 gamma < -M; (-1, 1) has M < 0; (0, 1/4) has
+    # D < 0; M = "2" and M = None are not integers
     with pytest.raises(S.InvalidCurveError):
         S.curve_point(args[0])
     with pytest.raises(S.InvalidCurveError):
