@@ -229,14 +229,14 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
     integer polynomial, an iterate x = a/2^e is evaluated as
     H(a, 2^e) = 2^(ed) p(x), which has the sign of p(x), and the Newton
     update x - H/(2^e H') is rounded half-even onto the grid 2^-96; Newton
-    stops once |step| < 2^-64 max(1, |x|).  That is all a float64 result
-    with a 1e-13 bracket needs: after such a step the error at a simple root
-    is ~2^-128 relative, so float(x) rounds the root itself unless the root
-    lies within that of a rounding boundary.  The bracket ends x -+ h,
-    h = 1e-13 max(1, |x|) (shrunk by 7 up to three times while an end is a
-    root), need only the sign of H, over a common denominator, so they take
-    a value-only Horner pass.  The iterates are the rationals that Fraction
-    arithmetic on det(T - x I) would give.
+    stops once |step| < 2^-64 max(1, |x|), or after 8 steps.  That is all a
+    float64 result with a 1e-13 bracket needs: after such a step the error
+    at a simple root is ~2^-128 relative, so float(x) rounds the root itself
+    unless the root lies within that of a rounding boundary.  The bracket
+    ends x -+ h, h = 1e-13 max(1, |x|) (shrunk by 7 up to three times while
+    an end is a root), need only the sign of H, over a common denominator,
+    so they take a value-only Horner pass.  The iterates are the rationals
+    that Fraction arithmetic on det(T - x I) would give.
 
     Returns the eigenvalues, the Newton steps each took and each bracket's
     half-width, all ascending by eigenvalue.
@@ -285,10 +285,10 @@ def eigen_solve(matrix) -> EigenResult:
 
     Exact tridiagonal input (entries exact under spectrum._exact) gets its
     eigenvalues refined on the integer characteristic polynomial, by Newton
-    on the grid 2^-96 to a step below 2^-64 max(1, |x|), each certified by a
-    sign-change bracket whose half-width (1e-13 max(1, |x|), or a seventh of
-    it up to three times) the result reports; float input keeps the plain
-    LAPACK values.  Every returned vector is the smallest singular vector of
+    on the grid 2^-96 to a step below 2^-64 max(1, |x|) (at most 8 steps),
+    each certified by a sign-change bracket whose half-width
+    (1e-13 max(1, |x|), or a seventh of it up to three times) the result
+    reports; float input keeps the plain LAPACK values.  Every returned vector is the smallest singular vector of
     (R - lambda I), the minimizer of ||R v - lambda v|| at that lambda, all
     from one stacked SVD; the first pair failing the 1e-10 bound raises
     EigenCertificationError carrying the offending matrix.  The float matrix
