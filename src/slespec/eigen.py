@@ -187,16 +187,6 @@ def _homogeneous(coeffs: Sequence[int], a: int, e: int, D: int = 1):
     return h, dh
 
 
-def _homogeneous_value(coeffs: Sequence[int], a: int, e: int, D: int = 1) -> int:
-    """_homogeneous's H alone, for the bracket ends, which need only its sign."""
-    h, Dk, k = coeffs[-1], 1, 0
-    for c in reversed(coeffs[:-1]):
-        Dk *= D
-        k += e
-        h = h * a + (c * Dk << k)
-    return h
-
-
 def _round_half_even(n: int, d: int) -> int:
     """round(n/d), ties to even, as round(Fraction(n, d)) gives."""
     if d < 0:
@@ -205,13 +195,19 @@ def _round_half_even(n: int, d: int) -> int:
     return q + (2 * r > d or (2 * r == d and q & 1))
 
 
-# Iterates are m / 2^96, which stops denominators squaring each step, and
-# Newton stops once |step| < 2^-64 max(1, |x|).  Past such a step a simple
-# root's Newton error is ~|p''/2p'| 2^-128 and the grid's at most 2^-97, far
-# below float64's 2^-53 and the 1e-13 bracket that certifies the value; on
-# every exact curve with M <= 20, float(x) and the brackets are bit for bit
-# those of Newton on 2^-200 to a step below 2^-150.
+# Iterates are m / 2^(96 + k), and Newton stops once
+# |step| < 2^-64 max(2^-k, |x|).  k follows each Newton update u, read as a
+# float: k = 0 for |u| >= 1/2 (or u = 0), |u| < 2^-k <= 2|u| below that, but
+# never past 104, so the grid is never finer than 2^-200.  The grid stops
+# denominators squaring each step, and its rounding is at most
+# 2^-97 max(2^-k, |x|), relative to the root down to |x| ~ 2^-104; past such
+# a step a simple root's Newton error is ~|p''/2p'| 2^-128 max(2^-k, |x|)^2.
+# Both lie far below float64's 2^-53 and the 1e-13 bracket that certifies
+# the value.  On every exact curve with M <= 20, float(x) and the brackets
+# are bit for bit those of Newton on 2^-200 to a step below
+# 2^-150 max(1, |x|), the setting these replaced.
 _DEN_BITS = 96
+_MAX_DEN_BITS = 200
 _STOP_BITS = 64
 
 
@@ -228,15 +224,17 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
     Everything runs on Python integers, with no gcd: p is _char_poly's
     integer polynomial, an iterate x = a/2^e is evaluated as
     H(a, 2^e) = 2^(ed) p(x), which has the sign of p(x), and the Newton
-    update x - H/(2^e H') is rounded half-even onto the grid 2^-96; Newton
-    stops once |step| < 2^-64 max(1, |x|), or after 8 steps.  That is all a
-    float64 result with a 1e-13 bracket needs: after such a step the error
-    at a simple root is ~2^-128 relative, so float(x) rounds the root itself
-    unless the root lies within that of a rounding boundary.  The bracket
-    ends x -+ h, h = 1e-13 max(1, |x|) (shrunk by 7 up to three times while
-    an end is a root), need only the sign of H, over a common denominator,
-    so they take a value-only Horner pass.  The iterates are the rationals
-    that Fraction arithmetic on det(T - x I) would give.
+    update x - H/(2^e H') is rounded half-even onto the grid 2^-(96 + k),
+    with 2^-k following an update below 1/2 (see _DEN_BITS); Newton stops
+    once |step| < 2^-64 max(2^-k, |x|), or after 8 steps.  That is all a float64
+    result with a 1e-13 bracket needs: the grid's rounding and, after such
+    a step, the Newton error at a simple root are ~2^-97 and
+    ~|x p''/2p'| 2^-128 relative, so float(x) is the float64 rounding of
+    the root unless the root lies within that of a rounding boundary.  The
+    bracket ends x -+ h, h = 1e-13 max(1, |x|) (shrunk by 7 up to three
+    times while an end is a root), are tested the same way, over a common
+    denominator.  The iterates are the rationals that Fraction arithmetic
+    on det(T - x I) would give.
 
     Returns the eigenvalues, the Newton steps each took and each bracket's
     half-width, all ascending by eigenvalue.
@@ -254,17 +252,20 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
             if dH == 0:
                 raise EigenCertificationError(
                     f"stationary characteristic polynomial at {a / (1 << e)}")
-            m = _round_half_even((a * dH - H) << _DEN_BITS, dH << e)
+            num, dd = a * dH - H, dH << e   # the update is num / dd
+            den = min(_DEN_BITS + max(0, -math.frexp(num / dd)[1]), _MAX_DEN_BITS)
+            m = _round_half_even(num << den, dd)
             steps += 1
-            # |H / (2^e H')| 2^64 < max(1, |m| / 2^96), cleared of denominators
-            done = (abs(H) << (_DEN_BITS + _STOP_BITS)
+            # |H / (2^e H')| 2^64 < max(2^-k, |m| / 2^den), den = 96 + k,
+            # cleared of denominators
+            done = (abs(H) << (den + _STOP_BITS)
                     < (max(1 << _DEN_BITS, abs(m)) * abs(dH)) << e)
-            a, e = m, _DEN_BITS
+            a, e = m, den
             if done:
                 break
         s = max(1 << e, abs(a))   # h = s / (2^e D) = max(1, |x|) / D
         for D in (10 ** 13 * 7 ** j for j in range(4)):
-            lo, hi = (_homogeneous_value(p, a * D + t, e, D) for t in (-s, s))
+            lo, hi = (_homogeneous(p, a * D + t, e, D)[0] for t in (-s, s))
             if lo != 0 and hi != 0:
                 break
         if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
@@ -285,30 +286,23 @@ def eigen_solve(matrix) -> EigenResult:
 
     Exact tridiagonal input (entries exact under spectrum._exact) gets its
     eigenvalues refined on the integer characteristic polynomial, by Newton
-    on the grid 2^-96 to a step below 2^-64 max(1, |x|) (at most 8 steps),
-    each certified by a sign-change bracket whose half-width
-    (1e-13 max(1, |x|), or a seventh of it up to three times) the result
-    reports; float input keeps the plain LAPACK values.  Every returned vector is the smallest singular vector of
-    (R - lambda I), the minimizer of ||R v - lambda v|| at that lambda, all
-    from one stacked SVD; the first pair failing the 1e-10 bound raises
-    EigenCertificationError carrying the offending matrix.  The float matrix
-    of exact input is read from its three diagonals.
+    on the grid 2^-96 to a step below 2^-64 max(1, |x|), both scaled down to
+    an iterate below 1/2 (at most 8 steps; see _exact_eigenvalues), each
+    certified by a sign-change bracket whose half-width (1e-13 max(1, |x|),
+    or a seventh of it up to three times) the result reports; float input
+    keeps the plain LAPACK values.  Every returned vector is the smallest
+    singular vector of (R - lambda I), the minimizer of ||R v - lambda v|| at
+    that lambda, all from one stacked SVD; the first pair failing the 1e-10
+    bound raises EigenCertificationError carrying the offending matrix.
     """
-    exact = _tridiag_exact(matrix)
-    if exact is None:
-        mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
-    else:
-        diag, sub, sup = ([float(x) for x in band] for band in exact)
-        mat = np.diag(diag)
-        i = np.arange(len(diag))
-        mat[i[1:], i[:-1]] = sub
-        mat[i[:-1], i[1:]] = sup
+    mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
     vals, _ = np.linalg.eig(mat)
     if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
         raise EigenCertificationError(
             f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
     lams = sorted(float(v) for v in vals.real)
     steps = widths = None
+    exact = _tridiag_exact(matrix)
     if exact is not None:
         lams, steps, widths = _exact_eigenvalues(*exact, lams)
         steps, widths = np.array(steps), np.array(widths)

@@ -259,13 +259,15 @@ def _ref_char_poly(diag, sub, sup):
     return cur
 
 
-def _ref_exact_eigenvalues(diag, sub, sup, seeds, den_bits, stop_bits):
+def _ref_exact_eigenvalues(diag, sub, sup, seeds, den_bits, stop_bits, relative):
     """Newton and sign-change brackets in Fraction arithmetic (reference).
 
     The Fraction code the integer path replaced, plus the step count and
-    half-width it now reports.  Iterates lie on the grid 2^-den_bits and
-    Newton stops once |step| 2^stop_bits < max(1, |x|): (96, 64) is the
-    integer path's setting, (200, 150) the finer one it replaced.
+    half-width it now reports.  Iterates lie on the grid 2^-(den_bits + k)
+    and Newton stops once |step| 2^stop_bits < max(2^-k, |x|), where k = 0,
+    or with relative k = min(max(0, -frexp(update)[1]), 104), so that 2^-k
+    follows an update below 1/2 down to 2^-104.  (96, 64, relative) is the integer path's setting,
+    (200, 150, absolute) the finer one it replaced.
     """
     p = _ref_char_poly(diag, sub, sup)
     dp = [k * c for k, c in enumerate(p)][1:]
@@ -282,9 +284,12 @@ def _ref_exact_eigenvalues(diag, sub, sup, seeds, den_bits, stop_bits):
                 raise S.EigenCertificationError(
                     f"stationary characteristic polynomial at {float(x)}")
             step = fx / dfx
-            x = Fraction(round((x - step) * (1 << den_bits)), 1 << den_bits)
+            x -= step
+            k = min(max(0, -math.frexp(float(x))[1]), 104) if relative else 0
+            grid = 1 << (den_bits + k)
+            x = Fraction(round(x * grid), grid)
             steps += 1
-            if abs(step) * (1 << stop_bits) < max(1, abs(x)):
+            if abs(step) * (1 << stop_bits) < max(Fraction(1, 1 << k), abs(x)):
                 break
         h = Fraction(1, 10 ** 13) * max(1, abs(x))
         lo, hi = _ref_polyval(p, x - h), _ref_polyval(p, x + h)
@@ -328,13 +333,21 @@ def _outcome(fn):
 
 
 def _reference_cases():
-    """(where, (diag, sub, sup), seeds) on EQUIVALENCE_CURVES and "shrink"."""
+    """(where, (diag, sub, sup), seeds) on EQUIVALENCE_CURVES, (12, 144) and
+    three small matrices."""
+    # (12, 144) has the eigenvalue 0, which Newton nears from a nonzero seed
+    # on ever finer grids, down to 2^-200
     matrices = [((M, k), S.reduced_matrix(
         S.build_system(S.CurveParams(M, Fraction(k, 48)))))
-        for M, k in EQUIVALENCE_CURVES]
+        for M, k in EQUIVALENCE_CURVES + [(12, 144)]]
     # roots 0 and 1e-13: the end 0 + h of the first bracket is the other
     # root, so that h shrinks; the second bracket then holds both roots
     matrices.append(("shrink", [[0, 0], [0, Fraction(1, 10 ** 13)]]))
+    # eigenvalues far below 1, which a grid fixed at 2^-96 would round
+    # to ~1e-10 relative
+    matrices.append(("tiny", [[Fraction(1, 10 ** 20)]]))
+    matrices.append(("tiny pair", [[Fraction(-3, 10 ** 30), Fraction(1, 10 ** 10)],
+                                   [Fraction(1, 10 ** 10), 1]]))
     for where, R in matrices:
         # the seeds eigen_solve polishes (real parts even when LAPACK's
         # spectrum is complex, so every failure branch is reached)
@@ -344,10 +357,10 @@ def _reference_cases():
 
 def test_integer_path_matches_fraction_reference():
     bits = (S.eigen._DEN_BITS, S.eigen._STOP_BITS)
-    assert bits == (96, 64)
+    assert bits == (96, 64) and S.eigen._MAX_DEN_BITS == 96 + 104
     for where, exact, seeds in _reference_cases():
         got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        want = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, *bits))
+        want = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, *bits, True))
         assert got == want, where
 
 
@@ -357,33 +370,20 @@ def _without_steps(outcome):
 
 
 def test_integer_path_matches_the_finer_grid_it_replaced():
-    # Newton on 2^-200 to a step below 2^-150, the setting before the
-    # coarser one: the same values, half-widths and failure messages, in
-    # no more steps.  "shrink" fails on both, by another check: its root
-    # 1e-13 rounds to x = 1e-13 + 3.0e-30 on 2^-96 and 1e-13 - 1.7e-61 on
-    # 2^-200, so the end x - h lies just above the root 0 (a sign change,
-    # whose bracket overlaps the one at 0) or just below it (none).
+    # Newton on 2^-200 to a step below 2^-150 max(1, |x|), the setting
+    # before the coarser one: the same values, half-widths and failure
+    # messages, and on the curves in no more steps (a tiny root now stops
+    # on a step relative to itself, which may take one more)
     failures = 0
     for where, exact, seeds in _reference_cases():
         got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, 200, 150))
-        if where == "shrink":
-            assert got[1].endswith("overlap") and old[1].startswith("no sign-change")
-            continue
+        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, 200, 150, False))
         assert _without_steps(got) == _without_steps(old), where
         if got[0] is S.EigenCertificationError:
             failures += 1
-        else:
+        elif isinstance(where, tuple):
             assert all(n <= m for n, m in zip(got[1], old[1])), where
     assert 0 < failures < len(EQUIVALENCE_CURVES)
-
-
-@given(coeffs=st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=8),
-       a=st.integers(-10 ** 40, 10 ** 40), e=st.integers(0, 200),
-       D=st.sampled_from([1, 3, 10 ** 13, 10 ** 13 * 7 ** 3]))
-def test_value_only_horner_matches_homogeneous(coeffs, a, e, D):
-    assert (S.eigen._homogeneous_value(coeffs, a, e, D)
-            == S.eigen._homogeneous(coeffs, a, e, D)[0])
 
 
 def _ref_eigen_solve(matrix):
