@@ -266,8 +266,8 @@ def _ref_exact_eigenvalues(diag, sub, sup, seeds, den_bits, stop_bits, relative)
     half-width it now reports.  Iterates lie on the grid 2^-(den_bits + k)
     and Newton stops once |step| 2^stop_bits < max(2^-k, |x|), where k = 0,
     or with relative k = min(max(0, -frexp(update)[1]), 104), so that 2^-k
-    follows an update below 1/2 down to 2^-104.  (96, 64, relative) is the integer path's setting,
-    (200, 150, absolute) the finer one it replaced.
+    follows an update below 1/2 down to 2^-104.  (96, 64, relative) is the
+    integer path's setting, (200, 150, absolute) the finer one it replaced.
     """
     p = _ref_char_poly(diag, sub, sup)
     dp = [k * c for k, c in enumerate(p)][1:]
