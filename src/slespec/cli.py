@@ -216,12 +216,7 @@ def _cmd_mc(args):
         n_steps = max(1, math.ceil(T / 2.5e-3)) if math.isfinite(T) else 1
     config = mc.MCConfig(kappa=kappa, q=q, T=T, n_steps=n_steps,
                          n_samples=args.samples, seed=args.seed, w=w)
-    # open the dump before simulating, so a bad path fails at once
-    with (open(args.dump, "w") if args.dump is not None else nullcontext()) as dump, \
-            warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        est = mc.moment_estimate(config, dump=dump, threads=args.threads)
-        caught = [str(x.message) for x in wlist]
+    # oracle and dump first, so a point without an oracle or a bad dump path fails at once
     if kappa == 0.0:
         # exact finite-horizon flow, so the gate sees only integrator error
         _, dz = mc.conic_flow(w, config.T)
@@ -232,6 +227,11 @@ def _cmd_mc(args):
         table = coeffs.build_theta_table(roots.gamma_minus, kappa, 250)
         oracle = coeffs.eval_rho(table, w, w.conjugate()).value.real
         oracle_source = "series"
+    with (open(args.dump, "w") if args.dump is not None else nullcontext()) as dump, \
+            warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always")
+        est = mc.moment_estimate(config, dump=dump, threads=args.threads)
+        caught = [str(x.message) for x in wlist]
     rel_dev = abs(est.mean - oracle) / max(1e-300, abs(oracle))
     if est.stderr > 1e-12 * abs(est.mean):
         z = (est.mean - oracle) / est.stderr

@@ -364,6 +364,8 @@ def fit_beta(samples: Sequence[Tuple[float, float]]) -> FitResult:
     I = np.array([s[1] for s in samples], dtype=float)
     if not np.all((0 < r) & (r < 1)):   # NaN too
         raise ValueError(f"radii must lie in (0, 1), got {r.tolist()}")
+    if r.min() == r.max():
+        raise ValueError(f"a slope needs at least two distinct radii, got {r.tolist()}")
     if not np.all((0 < I) & (I < np.inf)):
         raise ValueError(f"non-positive or non-finite integral means in fit input: {I.tolist()}")
     x = -np.log1p(-r)

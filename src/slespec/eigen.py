@@ -187,30 +187,6 @@ def _homogeneous(coeffs: Sequence[int], a: int, e: int, D: int = 1):
     return h, dh
 
 
-def _round_half_even(n: int, d: int) -> int:
-    """round(n/d), ties to even, as round(Fraction(n, d)) gives."""
-    if d < 0:
-        n, d = -n, -d
-    q, r = divmod(n, d)
-    return q + (2 * r > d or (2 * r == d and q & 1))
-
-
-# Iterates are m / 2^(96 + k), and Newton stops once
-# |step| < 2^-64 max(2^-k, |x|).  k follows each Newton update u, read as a
-# float: k = 0 for |u| >= 1/2 (or u = 0), |u| < 2^-k <= 2|u| below that, but
-# never past 104, so the grid is never finer than 2^-200.  The grid stops
-# denominators squaring each step, and its rounding is at most
-# 2^-97 max(2^-k, |x|), relative to the root down to |x| ~ 2^-104; past such
-# a step a simple root's Newton error is ~|p''/2p'| 2^-128 max(2^-k, |x|)^2.
-# Both lie far below float64's 2^-53 and the 1e-13 bracket that certifies
-# the value.  On every exact curve with M <= 20, float(x) and the brackets
-# are bit for bit those of Newton on 2^-200 to a step below
-# 2^-150 max(1, |x|), the setting these replaced.
-_DEN_BITS = 96
-_MAX_DEN_BITS = 200
-_STOP_BITS = 64
-
-
 def _exact_eigenvalues(diag, sub, sup, seeds):
     """Newton-polish float seeds on the exact characteristic polynomial.
 
@@ -221,48 +197,38 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
     ~1e-9 error, far above the certification bound, which is why this path
     exists at all.
 
-    Everything runs on Python integers, with no gcd: p is _char_poly's
-    integer polynomial, an iterate x = a/2^e is evaluated as
-    H(a, 2^e) = 2^(ed) p(x), which has the sign of p(x), and the Newton
-    update x - H/(2^e H') is rounded half-even onto the grid 2^-(96 + k),
-    with 2^-k following an update below 1/2 (see _DEN_BITS); Newton stops
-    once |step| < 2^-64 max(2^-k, |x|), or after 8 steps.  That is all a float64
-    result with a 1e-13 bracket needs: the grid's rounding and, after such
-    a step, the Newton error at a simple root are ~2^-97 and
-    ~|x p''/2p'| 2^-128 relative, so float(x) is the float64 rounding of
-    the root unless the root lies within that of a rounding boundary.  The
-    bracket ends x -+ h, h = 1e-13 max(1, |x|) (shrunk by 7 up to three
-    times while an end is a root), are tested the same way, over a common
-    denominator.  The iterates are the rationals that Fraction arithmetic
-    on det(T - x I) would give.
+    The iterates are float64.  p is _char_poly's integer polynomial, and an
+    iterate x = a/2^e is evaluated exactly as H(a, 2^e) = 2^(ed) p(x), which
+    has the sign of p(x); the next iterate is the exact Newton update
+    (a H' - H)/(2^e H'), rounded once to float64 by one int/int true
+    division.  Newton stops at a fixed point (the update rounds to x), at an
+    exact root (H = 0) or after 8 steps.  The bracket ends x -+ h,
+    h = 1e-13 max(1, |x|) (shrunk by 7 up to three times while an end is a
+    root), are tested the same way, over a common denominator, so each
+    bracket is centred on the float that is returned.
 
     Returns the eigenvalues, the Newton steps each took and each bracket's
     half-width, all ascending by eigenvalue.
     """
     p = _char_poly(diag, sub, sup)
     out = []
-    for seed in seeds:
-        a, b = seed.as_integer_ratio()
-        e = b.bit_length() - 1
+    for x in seeds:
         steps = 0
         while steps < 8:
+            a, b = x.as_integer_ratio()
+            e = b.bit_length() - 1
             H, dH = _homogeneous(p, a, e)
             if H == 0:
                 break
             if dH == 0:
                 raise EigenCertificationError(
-                    f"stationary characteristic polynomial at {a / (1 << e)}")
-            num, dd = a * dH - H, dH << e   # the update is num / dd
-            den = min(_DEN_BITS + max(0, -math.frexp(num / dd)[1]), _MAX_DEN_BITS)
-            m = _round_half_even(num << den, dd)
+                    f"stationary characteristic polynomial at {x}")
+            x, last = (a * dH - H) / (dH << e), x
             steps += 1
-            # |H / (2^e H')| 2^64 < max(2^-k, |m| / 2^den), den = 96 + k,
-            # cleared of denominators
-            done = (abs(H) << (den + _STOP_BITS)
-                    < (max(1 << _DEN_BITS, abs(m)) * abs(dH)) << e)
-            a, e = m, den
-            if done:
+            if x == last:
                 break
+        a, b = x.as_integer_ratio()
+        e = b.bit_length() - 1
         s = max(1 << e, abs(a))   # h = s / (2^e D) = max(1, |x|) / D
         for D in (10 ** 13 * 7 ** j for j in range(4)):
             lo, hi = (_homogeneous(p, a * D + t, e, D)[0] for t in (-s, s))
@@ -270,8 +236,8 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
                 break
         if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
             raise EigenCertificationError(
-                f"no sign-change certificate at eigenvalue {a / (1 << e)}")
-        out.append((Fraction(a, 1 << e), Fraction(s, D << e), steps))
+                f"no sign-change certificate at eigenvalue {x}")
+        out.append((Fraction(a, b), Fraction(s, D << e), steps))
     out.sort(key=lambda t: t[0])
     for (x, hx, _), (y, hy, _) in zip(out, out[1:]):
         if y - x <= hx + hy:
@@ -285,10 +251,11 @@ def eigen_solve(matrix) -> EigenResult:
     """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
 
     Exact tridiagonal input (entries exact under spectrum._exact) gets its
-    eigenvalues refined on the integer characteristic polynomial, by Newton
-    on the grid 2^-96 to a step below 2^-64 max(1, |x|), both scaled down to
-    an iterate below 1/2 (at most 8 steps; see _exact_eigenvalues), each
-    certified by a sign-change bracket whose half-width (1e-13 max(1, |x|),
+    eigenvalues refined on the integer characteristic polynomial by Newton
+    on float64 iterates: each step takes the exact integer residual and one
+    correctly rounded division, and Newton stops at a fixed point or after 8
+    steps (see _exact_eigenvalues).  Each value is certified by a
+    sign-change bracket centred on it, whose half-width (1e-13 max(1, |x|),
     or a seventh of it up to three times) the result reports; float input
     keeps the plain LAPACK values.  Every returned vector is the smallest
     singular vector of (R - lambda I), the minimizer of ||R v - lambda v|| at

@@ -57,6 +57,9 @@ def hyp2f1(a, b, c, x):
     to the singular point x = 1; integral c-a-b is no special case.
     """
     a, b, c, x = map(_exact, (a, b, c, x))
+    # float() of a large Fraction may overflow, and a Fraction is finite
+    if not all(isinstance(v, Fraction) or math.isfinite(v) for v in (a, b, c)):
+        raise ValueError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}")
     stops = [n for n in (_nonpositive_int(a), _nonpositive_int(b)) if n is not None]
     n_stop = min(stops, default=None)
     nc = _nonpositive_int(c)
@@ -218,6 +221,8 @@ def pde_residual(rho_evaluator: Callable, q: float, kappa: float,
     The two arguments are shifted independently along the real direction;
     analyticity in each makes that the complex derivative.
     """
+    if not 0 < h < math.inf:   # NaN too
+        raise ValueError(f"the difference step h must be finite and positive, got {h}")
     w = complex(w)
     wbar = complex(wbar)
     f = {}

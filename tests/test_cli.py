@@ -372,6 +372,23 @@ def test_unwritable_dump_path_fails_before_simulating(capsys, tmp_path,
     assert "Traceback" not in err and bad in err
 
 
+def test_mc_without_an_oracle_fails_before_simulating(capsys, tmp_path,
+                                                      monkeypatch):
+    # no real gamma at (3, 6): the run used to simulate every path and write
+    # the whole dump before the series oracle refused the point
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated although the point has no oracle")
+
+    monkeypatch.setattr(S.mc, "moment_estimate", simulate)
+    dump = tmp_path / "paths.txt"
+    code, out, err = run(capsys, "mc", "--q", "3", "--kappa", "6", "--w", "0.5",
+                         "--samples", "2000", "--dump", str(dump))
+    assert code == 2
+    assert out == ""
+    assert "no real gamma for q=3.0, kappa=6.0: discriminant -44.0 < 0" in err
+    assert not dump.exists()
+
+
 # ---- non-finite numbers ----
 
 @pytest.mark.parametrize("argv", [

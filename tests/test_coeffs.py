@@ -805,14 +805,15 @@ def test_fit_beta_on_powerlaw_data():
 
 @pytest.mark.parametrize("bad", [
     {"r": 1.0}, {"r": 0.0}, {"r": 1.5}, {"r": math.nan},
-    {"I": math.nan}, {"I": math.inf},
+    {"I": math.nan}, {"I": math.inf}, {"all_r": 0.5},
 ], ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()))
 def test_fit_beta_rejects_bad_samples_before_the_fit(bad, capfd):
     # a radius of 1 made LAPACK fail (and print to stderr); a NaN mean gave
-    # a NaN slope
-    samples = [(r, 5.0 / (1 - r) ** 2.5) for r in (0.5, 0.6, 0.7, 0.8)]
+    # a NaN slope; one radius throughout made numpy warn RankWarning and
+    # return a slope
+    samples = [(bad.get("all_r", r), 5.0 / (1 - r) ** 2.5) for r in (0.5, 0.6, 0.7, 0.8)]
     samples[2] = (bad.get("r", samples[2][0]), bad.get("I", samples[2][1]))
-    with pytest.raises(ValueError, match="radii" if "r" in bad else "non-finite"):
+    with pytest.raises(ValueError, match="non-finite" if "I" in bad else "radii"):
         S.fit_beta(samples)
     assert capfd.readouterr().err == ""
 

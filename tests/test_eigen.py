@@ -259,15 +259,18 @@ def _ref_char_poly(diag, sub, sup):
     return cur
 
 
-def _ref_exact_eigenvalues(diag, sub, sup, seeds, den_bits, stop_bits, relative):
+def _ref_exact_eigenvalues(diag, sub, sup, seeds, grid=None):
     """Newton and sign-change brackets in Fraction arithmetic (reference).
 
-    The Fraction code the integer path replaced, plus the step count and
-    half-width it now reports.  Iterates lie on the grid 2^-(den_bits + k)
-    and Newton stops once |step| 2^stop_bits < max(2^-k, |x|), where k = 0,
-    or with relative k = min(max(0, -frexp(update)[1]), 104), so that 2^-k
-    follows an update below 1/2 down to 2^-104.  (96, 64, relative) is the
-    integer path's setting, (200, 150, absolute) the finer one it replaced.
+    With grid None, the integer path's setting: float iterates
+    x <- float(x - p/p'), stopping when that equals x.  With grid =
+    (den_bits, stop_bits, relative), the Fraction code of the grids the
+    float iterates replaced: iterates lie on 2^-(den_bits + k) and Newton
+    stops once |step| 2^stop_bits < max(2^-k, |x|), where k = 0, or with
+    relative k = min(max(0, -frexp(update)[1]), 104), so that 2^-k follows
+    an update below 1/2 down to 2^-104.  (96, 64, True) is the last grid,
+    (200, 150, False) the one before it.  Both report the step count and
+    half-width the integer path reports.
     """
     p = _ref_char_poly(diag, sub, sup)
     dp = [k * c for k, c in enumerate(p)][1:]
@@ -284,11 +287,17 @@ def _ref_exact_eigenvalues(diag, sub, sup, seeds, den_bits, stop_bits, relative)
                 raise S.EigenCertificationError(
                     f"stationary characteristic polynomial at {float(x)}")
             step = fx / dfx
-            x -= step
-            k = min(max(0, -math.frexp(float(x))[1]), 104) if relative else 0
-            grid = 1 << (den_bits + k)
-            x = Fraction(round(x * grid), grid)
+            last, x = x, x - step
             steps += 1
+            if grid is None:
+                x = Fraction(float(x))
+                if x == last:
+                    break
+                continue
+            den_bits, stop_bits, relative = grid
+            k = min(max(0, -math.frexp(float(x))[1]), 104) if relative else 0
+            scale = 1 << (den_bits + k)
+            x = Fraction(round(x * scale), scale)
             if abs(step) * (1 << stop_bits) < max(Fraction(1, 1 << k), abs(x)):
                 break
         h = Fraction(1, 10 ** 13) * max(1, abs(x))
@@ -319,12 +328,6 @@ EQUIVALENCE_CURVES = [(M, k) for M in range(1, 21)
     (5, 48), (15, 8), (15, 150), (20, 28), (20, 33)]
 
 
-@pytest.mark.parametrize("d", [-4, -3, -2, -1, 1, 2, 3, 4])
-def test_round_half_even_matches_fraction_round(d):
-    for n in range(-13, 14):
-        assert S.eigen._round_half_even(n, d) == round(Fraction(n, d))
-
-
 def _outcome(fn):
     try:
         return fn()
@@ -335,16 +338,16 @@ def _outcome(fn):
 def _reference_cases():
     """(where, (diag, sub, sup), seeds) on EQUIVALENCE_CURVES, (12, 144) and
     three small matrices."""
-    # (12, 144) has the eigenvalue 0, which Newton nears from a nonzero seed
-    # on ever finer grids, down to 2^-200
+    # (12, 144) has the eigenvalue 0, which Newton nears from a nonzero seed;
+    # float iterates reach it only by underflow
     matrices = [((M, k), S.reduced_matrix(
         S.build_system(S.CurveParams(M, Fraction(k, 48)))))
         for M, k in EQUIVALENCE_CURVES + [(12, 144)]]
     # roots 0 and 1e-13: the end 0 + h of the first bracket is the other
     # root, so that h shrinks; the second bracket then holds both roots
     matrices.append(("shrink", [[0, 0], [0, Fraction(1, 10 ** 13)]]))
-    # eigenvalues far below 1, which a grid fixed at 2^-96 would round
-    # to ~1e-10 relative
+    # eigenvalues far below 1, which a grid fixed at 2^-96 rounded to
+    # ~1e-10 relative
     matrices.append(("tiny", [[Fraction(1, 10 ** 20)]]))
     matrices.append(("tiny pair", [[Fraction(-3, 10 ** 30), Fraction(1, 10 ** 10)],
                                    [Fraction(1, 10 ** 10), 1]]))
@@ -356,34 +359,62 @@ def _reference_cases():
 
 
 def test_integer_path_matches_fraction_reference():
-    bits = (S.eigen._DEN_BITS, S.eigen._STOP_BITS)
-    assert bits == (96, 64) and S.eigen._MAX_DEN_BITS == 96 + 104
     for where, exact, seeds in _reference_cases():
         got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        want = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, *bits, True))
+        want = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds))
         assert got == want, where
 
 
-def _without_steps(outcome):
-    return outcome if outcome[0] is S.EigenCertificationError else (
-        outcome[0], outcome[2])
+def _same_up_to_an_ulp(msg, old):
+    """The messages agree word for word, save numbers within one ulp."""
+    words, old_words = msg.split(), old.split()
+    return len(words) == len(old_words) and all(
+        w == o or abs(float(w) - float(o)) <= math.ulp(float(o))
+        for w, o in zip(words, old_words))
 
 
-def test_integer_path_matches_the_finer_grid_it_replaced():
-    # Newton on 2^-200 to a step below 2^-150 max(1, |x|), the setting
-    # before the coarser one: the same values, half-widths and failure
-    # messages, and on the curves in no more steps (a tiny root now stops
-    # on a step relative to itself, which may take one more)
+def _matches_grid_reference(grid):
+    """The integer path against the Fraction reference on a replaced grid.
+
+    The same values, half-widths within one ulp (the 1e-13 max(1, |x|) now
+    reads the returned float, not the grid iterate), and no eigenvalue in
+    more steps, except the exact root 0, which float iterates reach only by
+    underflow.  Failure messages match, save at the double root -2/3 of
+    (5, 48): Newton halves the error there, so the float iterate stops at a
+    fixed point an ulp from the grid's (eigen_solve refuses that curve's
+    complex spectrum first).  "shrink" is refused either way, with a
+    message that depends on where the last iterate lands.
+    """
     failures = 0
     for where, exact, seeds in _reference_cases():
         got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, 200, 150, False))
-        assert _without_steps(got) == _without_steps(old), where
-        if got[0] is S.EigenCertificationError:
+        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, grid))
+        if where == "shrink":
+            assert got[0] is old[0] is S.EigenCertificationError
+            continue
+        if got[0] is S.EigenCertificationError or old[0] is S.EigenCertificationError:
+            assert got[0] is old[0], where
+            assert _same_up_to_an_ulp(got[1], old[1]), where
             failures += 1
-        elif isinstance(where, tuple):
-            assert all(n <= m for n, m in zip(got[1], old[1])), where
+            continue
+        (vals, steps, widths), (old_vals, old_steps, old_widths) = got, old
+        assert vals == old_vals, where
+        assert all(abs(h - g) <= math.ulp(g)
+                   for h, g in zip(widths, old_widths)), where
+        assert all(n <= m or v == 0
+                   for v, n, m in zip(vals, steps, old_steps)), where
     assert 0 < failures < len(EQUIVALENCE_CURVES)
+
+
+def test_integer_path_matches_the_grid_it_replaced():
+    # Newton on 2^-96 to a step below 2^-64 max(1, |x|), both scaled down
+    # to an update below 1/2
+    _matches_grid_reference((96, 64, True))
+
+
+def test_integer_path_matches_the_finer_grid_it_replaced():
+    # Newton on 2^-200 to a step below 2^-150 max(1, |x|), the grid before
+    _matches_grid_reference((200, 150, False))
 
 
 def _ref_eigen_solve(matrix):

@@ -43,6 +43,23 @@ def test_hyp2f1_domain():
         S.hyp2f1(0.5, 0.5, 1.5, -1.0)
 
 
+@pytest.mark.parametrize("a,b,c,x", [
+    (math.nan, 0.5, 1.5, 0.5), (0.5, 0.5, math.nan, 0.95),
+    (0.5, 0.5, math.nan, -0.5), (0.5, math.inf, 1.5, 0.5),
+    (-math.inf, 0.5, 1.5, 0.5), (np.float64(math.nan), 0.5, 1.5, 0.5)])
+def test_hyp2f1_rejects_non_finite_parameters(a, b, c, x):
+    # NaN ran the series to its 100000-term cap and then raised RuntimeError;
+    # b = inf came back as inf
+    with pytest.raises(ValueError, match="2F1 parameters must be finite"):
+        S.hyp2f1(a, b, c, x)
+
+
+def test_hyp2f1_takes_a_fraction_too_large_for_a_float():
+    # the finiteness check reads no Fraction through float()
+    big = Fraction(10 ** 400)
+    assert S.hyp2f1(Fraction(-1), big, Fraction(1), Fraction(1, 10 ** 400)) == 0
+
+
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3),
        c=st.floats(0.3, 4.0), x=st.floats(-0.9, 0.95))
 def test_hyp2f1_against_scipy(a, b, c, x):
@@ -216,3 +233,11 @@ def test_pde_residual_const_zero_q():
     res = S.pde_residual(lambda w, wb: 1.0 + 0j, q=0.0, kappa=3.0,
                          w=0.2 + 0.3j, wbar=0.2 - 0.3j)
     assert res < 1e-12
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_pde_residual_rejects_a_bad_step(h):
+    # h = 0 died in the stencil with ZeroDivisionError
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        S.pde_residual(lambda w, wb: 1.0 + 0j, q=0.0, kappa=3.0,
+                       w=0.2, wbar=0.2, h=h)
