@@ -19,6 +19,9 @@ from .special import _terminating_terms
 from .spectrum import CurveParams, curve_point, _checked_curve, _curve_params, _exact, _index
 
 _CERT_TOL = 1e-10
+_NEWTON_CAP = 64              # Newton steps per seed
+_MAX_ROOT_DEN = 1 << 30       # largest denominator tried as a rational root
+_BRACKET = 10 ** 13           # irrational roots: bracket half-width max(1, |x|)/_BRACKET
 
 
 class EigenCertificationError(RuntimeError):
@@ -120,7 +123,8 @@ class EigenResult:
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
     # exact input only (None on float input), one entry per value:
     newton_steps: Optional[np.ndarray] = None        # Newton updates taken
-    bracket_halfwidths: Optional[np.ndarray] = None  # h of the sign change at value -+ h
+    bracket_halfwidths: Optional[np.ndarray] = None  # sign change at value -+ h; 0 if proved
+    exact_values: Optional[tuple] = None             # Fraction proved by division, or None
 
 
 def _tridiag_exact(matrix):
@@ -187,92 +191,231 @@ def _homogeneous(coeffs: Sequence[int], a: int, e: int, D: int = 1):
     return h, dh
 
 
-def _exact_eigenvalues(diag, sub, sup, seeds):
-    """Newton-polish float seeds on the exact characteristic polynomial.
+def _newton(p, x):
+    """(x, steps): float64 Newton on the integer polynomial p from the float x.
 
-    Rational input makes the spectrum an exact object, so each eigenvalue is
-    pinned by a sign-change bracket and the brackets must be pairwise
-    disjoint; LAPACK values are only starting guesses.  Near band-closure
-    crossings the matrix is nonnormal enough that float eigenvalues carry
-    ~1e-9 error, far above the certification bound, which is why this path
-    exists at all.
-
-    The iterates are float64.  p is _char_poly's integer polynomial, and an
-    iterate x = a/2^e is evaluated exactly as H(a, 2^e) = 2^(ed) p(x), which
-    has the sign of p(x); the next iterate is the exact Newton update
-    (a H' - H)/(2^e H'), rounded once to float64 by one int/int true
-    division.  Newton stops at a fixed point (the update rounds to x), at an
-    exact root (H = 0) or after 8 steps.  The bracket ends x -+ h,
-    h = 1e-13 max(1, |x|) (shrunk by 7 up to three times while an end is a
-    root), are tested the same way, over a common denominator, so each
-    bracket is centred on the float that is returned.
-
-    Returns the eigenvalues, the Newton steps each took and each bracket's
-    half-width, all ascending by eigenvalue.
+    An iterate x = a/2^e is evaluated exactly as H(a, 2^e) = 2^(ed) p(x),
+    and the next iterate is the exact Newton update (a H' - H)/(2^e H'),
+    rounded once to float64 by one int/int true division.  Newton stops at
+    a fixed point (the update rounds to x), where H or H' is 0, or after
+    _NEWTON_CAP steps.
     """
-    p = _char_poly(diag, sub, sup)
+    steps = 0
+    while steps < _NEWTON_CAP:
+        a, b = x.as_integer_ratio()
+        e = b.bit_length() - 1
+        H, dH = _homogeneous(p, a, e)
+        if H == 0 or dH == 0:
+            break
+        x, last = (a * dH - H) / (dH << e), x
+        steps += 1
+        if x == last:
+            break
+    return x, steps
+
+
+def _divide(p, a, b):
+    """p / (b t - a), ascending integer coefficients, if it divides, else None.
+
+    p is primitive with p(0) != 0, so by the rational root theorem a root
+    a/b in lowest terms has b dividing the leading coefficient and a the
+    constant term; only then is p divided, top down, stopping at the first
+    inexact quotient.
+    """
+    if p[-1] % b or p[0] % a:
+        return None
+    q, acc = [], 0
+    for c in reversed(p[1:]):
+        acc, r = divmod(c + a * acc, b)
+        if r:
+            return None
+        q.append(acc)
+    return q[::-1] if p[0] + a * acc == 0 else None
+
+
+def _rational_root(p, x):
+    """(a, b, p / (b t - a)) for the first continued-fraction convergent a/b
+    of the float x, b <= _MAX_ROOT_DEN, that divides p exactly; else None.
+
+    Only convergents within 2^-30 max(1, |x|) of x are tried: a Newton
+    fixed point lies within a few ulps of its root.
+    """
+    num, den = x.as_integer_ratio()
+    a0, a, b0, b = 0, 1, 1, 0
+    tol = max(1.0, abs(x)) * 2.0 ** -30
+    while den:
+        q, r = divmod(num, den)
+        a0, a, b0, b = a, q * a + a0, b, q * b + b0
+        if b > _MAX_ROOT_DEN:
+            return None
+        if a and abs(x - a / b) <= tol:
+            quo = _divide(p, a, b)
+            if quo is not None:
+                return a, b, quo
+        num, den = den, r
+    return None
+
+
+def _sturm_count(p):
+    """(k, d): p's distinct real roots and the degree of its square-free part.
+
+    A Sturm chain of primitive pseudo-remainders (Collins 1967; Brown and
+    Traub 1971): p, p', then -prem(f, g) over its positive content, where
+    prem takes the positive multiplier |lc g|^(deg f - deg g + 1), so the
+    signs are Sturm's.  The last link is gcd(p, p') up to a constant, so
+    d = deg p - deg gcd, and k is the drop in sign changes of the links'
+    leading terms from -inf to +inf.
+    """
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        f, g = chain[-2], chain[-1]
+        lc, s, dg = abs(g[-1]), (1 if g[-1] > 0 else -1), len(g) - 1
+        r = list(f)
+        for i in range(len(f) - 1, dg - 1, -1):
+            c = r.pop() * s
+            r = [t * lc for t in r]
+            for j in range(dg):
+                r[i - dg + j] -= c * g[j]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        content = math.gcd(*r)
+        chain.append([-t // content for t in r])
+
+    def changes(signs):
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    top = [c[-1] > 0 for c in chain]
+    bottom = [(c[-1] > 0) == (len(c) % 2 == 1) for c in chain]
+    return changes(bottom) - changes(top), len(p) - len(chain[-1])
+
+
+def _bracketed(p, pending):
+    """(x, steps, h) for each root of p, of degree >= 2 and free of rational
+    roots found so far: the pending Newton fixed points, polished again on
+    p, each certified by a sign change of p at x -+ h, h = max(1, |x|)/10^13,
+    with the brackets pairwise disjoint.  Sturm's count first proves that p
+    has as many distinct real roots as its degree, or refuses.
+    """
+    d = len(p) - 1
+    real, distinct = _sturm_count(p)
+    if real < distinct:
+        raise EigenCertificationError(
+            f"complex spectrum: {real} of {distinct} real roots in the square-free "
+            f"part of a degree-{d} factor of the characteristic polynomial")
+    if distinct < d:
+        raise EigenCertificationError(
+            f"repeated irrational eigenvalue: {distinct} distinct roots in a "
+            f"degree-{d} factor of the characteristic polynomial")
+    polished = {}
+    for x, steps in pending:
+        x, more = _newton(p, x)
+        polished.setdefault(x, steps + more)
+    if len(polished) < d:
+        raise EigenCertificationError(
+            f"Newton reached {len(polished)} of {d} irrational eigenvalues")
     out = []
-    for x in seeds:
-        steps = 0
-        while steps < 8:
-            a, b = x.as_integer_ratio()
-            e = b.bit_length() - 1
-            H, dH = _homogeneous(p, a, e)
-            if H == 0:
-                break
-            if dH == 0:
-                raise EigenCertificationError(
-                    f"stationary characteristic polynomial at {x}")
-            x, last = (a * dH - H) / (dH << e), x
-            steps += 1
-            if x == last:
-                break
+    for x, steps in sorted(polished.items()):
         a, b = x.as_integer_ratio()
         e = b.bit_length() - 1
         s = max(1 << e, abs(a))   # h = s / (2^e D) = max(1, |x|) / D
-        for D in (10 ** 13 * 7 ** j for j in range(4)):
-            lo, hi = (_homogeneous(p, a * D + t, e, D)[0] for t in (-s, s))
-            if lo != 0 and hi != 0:
-                break
+        lo, hi = (_homogeneous(p, a * _BRACKET + t, e, _BRACKET)[0] for t in (-s, s))
         if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
-            raise EigenCertificationError(
-                f"no sign-change certificate at eigenvalue {x}")
-        out.append((Fraction(a, b), Fraction(s, D << e), steps))
-    out.sort(key=lambda t: t[0])
-    for (x, hx, _), (y, hy, _) in zip(out, out[1:]):
+            raise EigenCertificationError(f"no sign-change certificate at eigenvalue {x}")
+        out.append((Fraction(a, b), steps, Fraction(s, _BRACKET << e)))
+    for (x, _, hx), (y, _, hy) in zip(out, out[1:]):
         if y - x <= hx + hy:
             raise EigenCertificationError(
                 f"eigenvalue brackets at {float(x)} and {float(y)} overlap")
-    return ([float(x) for x, _, _ in out], [n for _, _, n in out],
-            [float(h) for _, h, _ in out])
+    return out
+
+
+def _exact_eigenvalues(diag, sub, sup, seeds):
+    """The spectrum of an exact tridiagonal, proved on its characteristic
+    polynomial; float seeds only say where to look.
+
+    Near band-closure crossings the matrix is nonnormal enough that float
+    eigenvalues carry ~1e-9 error, far above the certification bound, and
+    double roots come back from LAPACK as complex pairs: that is why this
+    path exists at all.  p is _char_poly's primitive integer polynomial.
+    Its root 0 comes off first, as factors t.  Each seed is then polished by
+    _newton on the current p, and the continued-fraction convergents of the
+    fixed point are tried as rational roots a/b: the first for which
+    (b t - a) divides p exactly is a proved root, divided out as often as
+    it divides (its multiplicity), so p's degree shrinks as roots come off;
+    each repeat, and each root 0, also retires the seed nearest it.
+    A remainder of degree 1 is its own exact root; one of degree >= 2 gets
+    a Sturm count and sign-change brackets (_bracketed).
+
+    Returns the eigenvalues as floats, each as its exact Fraction (None for
+    a bracketed root), the Newton steps each took (0 for a repeat or a
+    degree-1 remainder) and its bracket half-width (0.0 when proved by
+    division), all ascending by eigenvalue, repeated roots repeated.
+    """
+    p = _char_poly(diag, sub, sup)
+    zeros = next(i for i, c in enumerate(p) if c)
+    roots = [(Fraction(0), 0, 0)] * zeros   # (root, Newton steps, half-width)
+    p, pending, seeds = p[zeros:], [], list(seeds)
+
+    def consume(r, m):
+        # a root divided out m more times than a seed found it (or the root
+        # 0) stood for the m seeds nearest it; left in, each would wander
+        # off to a root that another seed stands for
+        for _ in range(min(m, len(seeds))):
+            seeds.remove(min(seeds, key=lambda s: abs(s - r)))
+
+    consume(0.0, zeros)
+    while seeds and len(p) > 2:
+        x, steps = _newton(p, seeds.pop(0))
+        hit = _rational_root(p, x)
+        if hit is None:
+            pending.append((x, steps))
+            continue
+        a, b, p = hit
+        roots.append((Fraction(a, b), steps, 0))
+        while (q := _divide(p, a, b)) is not None:
+            p = q
+            roots.append((Fraction(a, b), 0, 0))
+            consume(a / b, 1)
+    if len(p) == 2:
+        roots.append((Fraction(-p[0], p[1]), 0, 0))
+    elif len(p) > 2:
+        roots += _bracketed(p, pending)
+    roots.sort(key=lambda t: t[0])
+    return ([float(x) for x, _, _ in roots], [None if h else x for x, _, h in roots],
+            [n for _, n, _ in roots], [float(h) for _, _, h in roots])
 
 
 def eigen_solve(matrix) -> EigenResult:
     """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
 
-    Exact tridiagonal input (entries exact under spectrum._exact) gets its
-    eigenvalues refined on the integer characteristic polynomial by Newton
-    on float64 iterates: each step takes the exact integer residual and one
-    correctly rounded division, and Newton stops at a fixed point or after 8
-    steps (see _exact_eigenvalues).  Each value is certified by a
-    sign-change bracket centred on it, whose half-width (1e-13 max(1, |x|),
-    or a seventh of it up to three times) the result reports; float input
-    keeps the plain LAPACK values.  Every returned vector is the smallest
-    singular vector of (R - lambda I), the minimizer of ||R v - lambda v|| at
-    that lambda, all from one stacked SVD; the first pair failing the 1e-10
-    bound raises EigenCertificationError carrying the offending matrix.
+    Exact tridiagonal input (entries exact under spectrum._exact) has its
+    spectrum proved on the integer characteristic polynomial (see
+    _exact_eigenvalues): rational eigenvalues by exact division and
+    deflation, reported with their Fraction and bracket half-width 0, and
+    any irrational rest by a Sturm count and a sign-change bracket of
+    half-width max(1, |x|)/10^13; a complex spectrum is refused with the
+    Sturm count.  LAPACK's eigenvalues only seed that search.  Float input
+    keeps the plain LAPACK values and refuses an imaginary part above 1e-8
+    of the spectral radius.  Every returned vector is the smallest singular
+    vector of (R - lambda I), the minimizer of ||R v - lambda v|| at that
+    lambda, all from one stacked SVD; the first pair failing the 1e-10 bound
+    raises EigenCertificationError carrying the offending matrix.
     """
     mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
-    vals, _ = np.linalg.eig(mat)
-    if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
-        raise EigenCertificationError(
-            f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
-    lams = sorted(float(v) for v in vals.real)
-    steps = widths = None
     exact = _tridiag_exact(matrix)
-    if exact is not None:
-        lams, steps, widths = _exact_eigenvalues(*exact, lams)
-        steps, widths = np.array(steps), np.array(widths)
+    fracs = steps = widths = None
+    if exact is None:
+        vals, _ = np.linalg.eig(mat)
+        if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
+            raise EigenCertificationError(
+                f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
+        lams = sorted(float(v) for v in vals.real)
+    else:
+        seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
+        lams, fracs, steps, widths = _exact_eigenvalues(*exact, seeds)
+        fracs, steps, widths = tuple(fracs), np.array(steps), np.array(widths)
     lam = np.array(lams)
     # column k of vecs: the last right singular vector of R - lams[k] I
     vecs = np.linalg.svd(mat - lam[:, None, None] * np.eye(len(mat)))[2][:, -1].T
@@ -283,7 +426,7 @@ def eigen_solve(matrix) -> EigenResult:
         raise EigenCertificationError(
             f"residual {res[i]:.3e} > {_CERT_TOL} for eigenvalue {lams[i]} of "
             f"matrix {mat.tolist()}")
-    return EigenResult(values=lam, vectors=vecs, residuals=res,
+    return EigenResult(values=lam, vectors=vecs, residuals=res, exact_values=fracs,
                        newton_steps=steps, bracket_halfwidths=widths)
 
 

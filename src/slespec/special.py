@@ -68,6 +68,8 @@ def hyp2f1(a, b, c, x):
             f"2F1 undefined: c={c} is a nonpositive integer reached by the series")
 
     if n_stop is not None:
+        if not (isinstance(x, Fraction) or math.isfinite(x)):
+            raise ValueError(f"2F1 argument must be finite, got x={x}")
         if not all(isinstance(v, Fraction) for v in (a, b, c, x)):
             a, b, c, x = map(float, (a, b, c, x))
         return reduce(lambda acc, t: acc + t, _terminating_terms(a, b, c, x, n_stop))

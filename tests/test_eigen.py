@@ -200,14 +200,16 @@ def test_eigen_solve_rejects_complex_spectrum():
 
 
 def test_eigen_solve_reports_brackets_on_exact_input():
+    # the eigenvalues 1 and 4 are proved by division: their Fractions, and
+    # brackets of half-width 0
     res = S.eigen_solve(S.reduced_matrix(S.build_system(S.CurveParams(1, 1))))
     lams, widths = res.values, res.bracket_halfwidths
-    assert len(res.newton_steps) == len(widths) == len(lams) == 2
-    assert all(h <= 1e-13 * max(1.0, abs(lam)) for lam, h in zip(lams, widths))
-    assert all(hi - lo > wl + wh for lo, hi, wl, wh
-               in zip(lams, lams[1:], widths, widths[1:]))
+    assert len(res.newton_steps) == len(widths) == len(lams) == len(res.exact_values) == 2
+    assert res.exact_values == (Fraction(1), Fraction(4))
+    assert list(lams) == [1.0, 4.0] and list(widths) == [0.0, 0.0]
     floats = S.eigen_solve([[3.0, -2.0], [-1.0, 2.0]])
     assert floats.newton_steps is None and floats.bracket_halfwidths is None
+    assert floats.exact_values is None
 
 
 def test_exact_matrix_off_the_tridiagonal_takes_float_path():
@@ -219,6 +221,7 @@ def test_exact_matrix_off_the_tridiagonal_takes_float_path():
     assert S.eigen._tridiag_exact(m) is None
     res = S.eigen_solve(m)
     assert res.newton_steps is None and res.bracket_halfwidths is None
+    assert res.exact_values is None
     assert np.allclose(res.values, np.linalg.eigvalsh(np.array(m, dtype=float)),
                        rtol=0, atol=1e-12)
     assert max(res.residuals) < 1e-12
@@ -231,11 +234,11 @@ def test_numpy_integer_matrix_takes_exact_path():
     a, b = S.eigen_solve(arr), S.eigen_solve(ints)
     assert a.newton_steps is not None
     for field in ("values", "vectors", "residuals", "newton_steps",
-                  "bracket_halfwidths"):
+                  "bracket_halfwidths", "exact_values"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-# ---- the integer exact path against the Fraction iteration it replaced ----
+# ---- exact division against the bracket path it replaced ----
 
 def _ref_polyval(coeffs, x):
     acc = x * 0
@@ -260,7 +263,8 @@ def _ref_char_poly(diag, sub, sup):
 
 
 def _ref_exact_eigenvalues(diag, sub, sup, seeds, grid=None):
-    """Newton and sign-change brackets in Fraction arithmetic (reference).
+    """Newton and sign-change brackets in Fraction arithmetic: the bracket
+    path that exact division replaced, as the reference.
 
     With grid None, the integer path's setting: float iterates
     x <- float(x - p/p'), stopping when that equals x.  With grid =
@@ -320,9 +324,9 @@ def _ref_exact_eigenvalues(diag, sub, sup, seeds, grid=None):
             [float(h) for _, h, _ in out])
 
 
-# two passing gamma = k/48 per M, then curves eigen_solve fails on: double
-# roots (5, 48) and (15, 150), far-off seeds (15, 8) and (20, 33), and no
-# sign change (20, 28)
+# two gamma = k/48 per M that the bracket path certified, then curves it
+# failed on: double roots (5, 48) and (15, 150), far-off seeds (15, 8) and
+# (20, 33), and no sign change (20, 28)
 EQUIVALENCE_CURVES = [(M, k) for M in range(1, 21)
                       for k in (41 if M == 19 else 40, 110)] + [
     (5, 48), (15, 8), (15, 150), (20, 28), (20, 33)]
@@ -335,100 +339,87 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _closed_spectrum(M, k):
+    c = S.CurveParams(M, Fraction(k, 48))
+    return sorted(S.eigen_beta_closed(c, l) for l in range(0, 2 * M + 1, 2))
+
+
 def _reference_cases():
-    """(where, (diag, sub, sup), seeds) on EQUIVALENCE_CURVES, (12, 144) and
-    three small matrices."""
+    """(where, (diag, sub, sup), seeds, spectrum) on EQUIVALENCE_CURVES,
+    (12, 144) and three small matrices; spectrum is the exact one, sorted,
+    where it is rational."""
     # (12, 144) has the eigenvalue 0, which Newton nears from a nonzero seed;
     # float iterates reach it only by underflow
     matrices = [((M, k), S.reduced_matrix(
-        S.build_system(S.CurveParams(M, Fraction(k, 48)))))
+        S.build_system(S.CurveParams(M, Fraction(k, 48)))), _closed_spectrum(M, k))
         for M, k in EQUIVALENCE_CURVES + [(12, 144)]]
-    # roots 0 and 1e-13: the end 0 + h of the first bracket is the other
-    # root, so that h shrinks; the second bracket then holds both roots
-    matrices.append(("shrink", [[0, 0], [0, Fraction(1, 10 ** 13)]]))
+    # roots 0 and 1e-13: the bracket path shrank the first bracket, whose end
+    # 0 + h is the other root, and then refused
+    matrices.append(("shrink", [[0, 0], [0, Fraction(1, 10 ** 13)]],
+                     [0, Fraction(1, 10 ** 13)]))
     # eigenvalues far below 1, which a grid fixed at 2^-96 rounded to
     # ~1e-10 relative
-    matrices.append(("tiny", [[Fraction(1, 10 ** 20)]]))
+    matrices.append(("tiny", [[Fraction(1, 10 ** 20)]], [Fraction(1, 10 ** 20)]))
     matrices.append(("tiny pair", [[Fraction(-3, 10 ** 30), Fraction(1, 10 ** 10)],
-                                   [Fraction(1, 10 ** 10), 1]]))
-    for where, R in matrices:
-        # the seeds eigen_solve polishes (real parts even when LAPACK's
-        # spectrum is complex, so every failure branch is reached)
-        vals = np.linalg.eig(np.array([[float(x) for x in r] for r in R]))[0]
-        yield where, S.eigen._tridiag_exact(R), sorted(float(v) for v in vals.real)
+                                   [Fraction(1, 10 ** 10), 1]], None))
+    for where, R, spectrum in matrices:
+        # the seeds eigen_solve polishes: real parts, even where LAPACK's
+        # spectrum is complex
+        vals = np.linalg.eigvals(np.array([[float(x) for x in r] for r in R]))
+        yield where, S.eigen._tridiag_exact(R), sorted(float(v) for v in vals.real), spectrum
+
+
+def _matches_reference(grid):
+    """Exact division against the bracket path it replaced, on its own
+    seeds: where the reference certifies, the same number of values, each
+    within 1e-12 max(1, |x|); where it refuses, exact division certifies,
+    and every value is the exact spectrum's, proved (its Fraction, bracket
+    half-width 0)."""
+    refused = 0
+    for where, exact, seeds, spectrum in _reference_cases():
+        vals, fracs, _, widths = S.eigen._exact_eigenvalues(*exact, seeds)
+        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, grid))
+        if old[0] is S.EigenCertificationError:
+            refused += 1
+            assert fracs == spectrum and not any(widths), where
+            assert vals == [float(x) for x in spectrum], where
+            continue
+        assert len(vals) == len(old[0]), where
+        assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y))
+                   for x, y in zip(vals, old[0])), where
+    assert 0 < refused < len(EQUIVALENCE_CURVES)
 
 
 def test_integer_path_matches_fraction_reference():
-    for where, exact, seeds in _reference_cases():
-        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        want = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds))
-        assert got == want, where
-
-
-def _same_up_to_an_ulp(msg, old):
-    """The messages agree word for word, save numbers within one ulp."""
-    words, old_words = msg.split(), old.split()
-    return len(words) == len(old_words) and all(
-        w == o or abs(float(w) - float(o)) <= math.ulp(float(o))
-        for w, o in zip(words, old_words))
-
-
-def _matches_grid_reference(grid):
-    """The integer path against the Fraction reference on a replaced grid.
-
-    The same values, half-widths within one ulp (the 1e-13 max(1, |x|) now
-    reads the returned float, not the grid iterate), and no eigenvalue in
-    more steps, except the exact root 0, which float iterates reach only by
-    underflow.  Failure messages match, save at the double root -2/3 of
-    (5, 48): Newton halves the error there, so the float iterate stops at a
-    fixed point an ulp from the grid's (eigen_solve refuses that curve's
-    complex spectrum first).  "shrink" is refused either way, with a
-    message that depends on where the last iterate lands.
-    """
-    failures = 0
-    for where, exact, seeds in _reference_cases():
-        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, grid))
-        if where == "shrink":
-            assert got[0] is old[0] is S.EigenCertificationError
-            continue
-        if got[0] is S.EigenCertificationError or old[0] is S.EigenCertificationError:
-            assert got[0] is old[0], where
-            assert _same_up_to_an_ulp(got[1], old[1]), where
-            failures += 1
-            continue
-        (vals, steps, widths), (old_vals, old_steps, old_widths) = got, old
-        assert vals == old_vals, where
-        assert all(abs(h - g) <= math.ulp(g)
-                   for h, g in zip(widths, old_widths)), where
-        assert all(n <= m or v == 0
-                   for v, n, m in zip(vals, steps, old_steps)), where
-    assert 0 < failures < len(EQUIVALENCE_CURVES)
+    # float iterates x <- float(x - p/p'), the bracket path's last setting
+    _matches_reference(None)
 
 
 def test_integer_path_matches_the_grid_it_replaced():
     # Newton on 2^-96 to a step below 2^-64 max(1, |x|), both scaled down
     # to an update below 1/2
-    _matches_grid_reference((96, 64, True))
+    _matches_reference((96, 64, True))
 
 
 def test_integer_path_matches_the_finer_grid_it_replaced():
     # Newton on 2^-200 to a step below 2^-150 max(1, |x|), the grid before
-    _matches_grid_reference((200, 150, False))
+    _matches_reference((200, 150, False))
 
 
 def _ref_eigen_solve(matrix):
     """eigen_solve with one SVD and one residual norm per eigenvalue, as it
     was before the stacked SVD: the reference."""
     mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
-    vals, _ = np.linalg.eig(mat)
-    if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
-        raise S.EigenCertificationError(
-            f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
-    lams = sorted(float(v) for v in vals.real)
     exact = S.eigen._tridiag_exact(matrix)
-    if exact is not None:
-        lams = S.eigen._exact_eigenvalues(*exact, lams)[0]
+    if exact is None:
+        vals, _ = np.linalg.eig(mat)
+        if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
+            raise S.EigenCertificationError(
+                f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
+        lams = sorted(float(v) for v in vals.real)
+    else:
+        seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
+        lams = S.eigen._exact_eigenvalues(*exact, seeds)[0]
     eye = np.eye(mat.shape[0])
     out_vecs, out_res = [], []
     for lam in lams:
@@ -470,10 +461,9 @@ def test_stacked_svd_matches_per_eigenvalue_reference():
     assert 0 < failures < len(matrices)
 
 
-# Open defects: a double eigenvalue has no sign change and LAPACK splits it
-# into a complex pair; at (20, 28/48) a seed misses.  These pass once the
-# spectrum is certified without float seeds.
-@pytest.mark.xfail(strict=True, raises=S.EigenCertificationError)
+# Defects of the bracket path, now certified by exact division: a double
+# eigenvalue has no sign change and LAPACK splits it into a complex pair;
+# at (20, 28/48) a seed's bracket missed the sign change.
 @pytest.mark.parametrize("M,g", [(5, Fraction(1)), (15, Fraction(150, 48)),
                                  (20, Fraction(28, 48))])
 def test_certifies_spectrum_on_open_defect_curves(M, g):
@@ -482,6 +472,129 @@ def test_certifies_spectrum_on_open_defect_curves(M, g):
     want = sorted(float(S.eigen_beta_closed(c, l)) for l in range(0, 2 * M + 1, 2))
     assert len(res.values) == len(want)
     assert max(abs(a - b) for a, b in zip(res.values, want)) < 1e-10
+
+
+# Every exact curve (M <= 20, gamma = k/48) that the bracket path refused,
+# (M, k) by its message: double eigenvalues that LAPACK split into complex
+# pairs, seeds whose bracket held no sign change, and one pair of
+# overlapping brackets
+_FORMERLY_COMPLEX = [
+    (5, 48), (14, 8), (14, 43), (15, 8), (15, 150), (16, 8), (17, 8), (17, 102),
+    (18, 24), (18, 43), (18, 61), (18, 101), (18, 102), (18, 123), (19, 5), (19, 6),
+    (19, 7), (19, 8), (19, 21), (19, 23), (19, 24), (19, 25), (19, 26), (19, 27),
+    (19, 40), (19, 60), (19, 61), (19, 80), (19, 81), (19, 100), (19, 101),
+    (19, 122), (19, 144), (20, 5), (20, 7), (20, 8), (20, 9), (20, 10), (20, 12),
+    (20, 17), (20, 20), (20, 23), (20, 24), (20, 25), (20, 26), (20, 31), (20, 36),
+    (20, 39), (20, 41), (20, 42), (20, 47), (20, 57), (20, 60), (20, 63), (20, 78),
+    (20, 79), (20, 80), (20, 82), (20, 99), (20, 101), (20, 102), (20, 143)]
+_FORMERLY_NO_SIGN_CHANGE = [(6, 96), (20, 28), (20, 33), (20, 100), (20, 121)]
+_FORMERLY_OVERLAPPING = [(19, 22)]
+FORMERLY_FAILING = _FORMERLY_COMPLEX + _FORMERLY_NO_SIGN_CHANGE + _FORMERLY_OVERLAPPING
+
+
+def test_certifies_every_formerly_failing_curve():
+    assert len(set(FORMERLY_FAILING)) == 68
+    repeated = 0
+    for M, k in FORMERLY_FAILING:
+        c = S.CurveParams(M, Fraction(k, 48))
+        res = S.eigen_solve(S.reduced_matrix(S.build_system(c)))
+        closed = _closed_spectrum(M, k)
+        scale = max(1.0, max(abs(float(v)) for v in closed))
+        assert len(res.values) == len(closed), (M, k)
+        assert max(abs(a - float(b)) for a, b in zip(res.values, closed)) <= 1e-10 * scale
+        # every eigenvalue is proved: its exact Fraction, bracket half-width 0
+        assert list(res.exact_values) == closed and not res.bracket_halfwidths.any()
+        bt = S.select_beta_tilde(res, c)
+        assert abs(bt - float(S.beta_tilde_on_curve(c))) <= 1e-9 * scale, (M, k)
+        repeated += len(set(closed)) < len(closed)
+    assert repeated == 5   # every exact curve with a double eigenvalue is here
+
+
+def test_seeds_of_a_repeated_root_retire_with_it():
+    # (15, 150/48) has double eigenvalues, each seeded twice by LAPACK; once
+    # division takes both copies, the second seed is dropped instead of
+    # wandering across the spectrum (it took 55-58 Newton steps then)
+    c = S.CurveParams(15, Fraction(150, 48))
+    res = S.eigen_solve(S.reduced_matrix(S.build_system(c)))
+    assert len(set(res.values)) < len(res.values)
+    assert max(res.newton_steps) <= 30
+
+
+# ---- exact input off the curves: the degree-1 remainder and the Sturm fallback ----
+
+def test_degree_one_remainder_is_its_own_root():
+    # no Newton step and no convergent: the polynomial 1 - 10^20 x divides itself
+    res = S.eigen_solve([[Fraction(1, 10 ** 20)]])
+    assert res.exact_values == (Fraction(1, 10 ** 20),)
+    assert list(res.values) == [1e-20] and list(res.newton_steps) == [0]
+    assert list(res.bracket_halfwidths) == [0.0]
+
+
+def test_root_zero_comes_off_first():
+    # "shrink": the bracket path refused it; 0 divides out as the factor x,
+    # and 1e-13 is the degree-1 remainder's root
+    res = S.eigen_solve([[0, 0], [0, Fraction(1, 10 ** 13)]])
+    assert res.exact_values == (Fraction(0), Fraction(1, 10 ** 13))
+    assert list(res.values) == [0.0, 1e-13] and not res.bracket_halfwidths.any()
+
+
+def test_multiplicity_comes_from_division_not_from_the_seeds():
+    # (x - 2)^3 (x + 1) from the one seed 2.0: (x - 2) divides three times,
+    # and the remainder x + 1 is its own root
+    two, zero = Fraction(2), Fraction(0)
+    vals, fracs, steps, widths = S.eigen._exact_eigenvalues(
+        [two, two, two, Fraction(-1)], [zero] * 3, [zero] * 3, [2.0])
+    assert fracs == [-1, 2, 2, 2] and vals == [-1.0, 2.0, 2.0, 2.0]
+    assert steps == [0] * 4 and widths == [0.0] * 4
+
+
+def test_irrational_roots_are_bracketed():
+    # x^2 - x - 1: no rational root, so Sturm counts 2 of 2 real roots and
+    # each is certified by a sign change of half-width max(1, |x|)/10^13
+    res = S.eigen_solve([[1, 1], [1, 0]])
+    assert res.exact_values == (None, None)
+    want = [(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2]
+    assert np.allclose(res.values, want, rtol=1e-15, atol=0)
+    assert list(res.bracket_halfwidths) == [max(1.0, abs(x)) / 1e13 for x in res.values]
+
+
+def test_brackets_need_a_fixed_point_per_root():
+    # x^2 - 2: both seeds polish to sqrt(2), so -sqrt(2) has no bracket
+    with pytest.raises(S.EigenCertificationError, match="Newton reached 1 of 2"):
+        S.eigen._bracketed([-2, 0, 1], [(1.0, 0), (2.0, 0)])
+    assert [float(x) for x, _, _ in S.eigen._bracketed([-2, 0, 1], [(-1.0, 0), (2.0, 0)])] \
+        == [-math.sqrt(2), math.sqrt(2)]
+
+
+def test_complex_spectrum_is_refused_with_the_sturm_count():
+    with pytest.raises(S.EigenCertificationError, match="0 of 2 real roots"):
+        S.eigen_solve([[0, -1], [1, 0]])
+    # x (x^2 + 1): the root 0 comes off, and the rest has no real root
+    with pytest.raises(S.EigenCertificationError, match="0 of 2 real roots"):
+        S.eigen_solve([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
+
+
+def test_repeated_irrational_eigenvalue_is_refused():
+    # (x^2 - 2)^2: all roots real, but a double root has no sign change
+    m = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    with pytest.raises(S.EigenCertificationError, match="2 distinct roots in a degree-4"):
+        S.eigen_solve(m)
+
+
+@pytest.mark.parametrize("roots,complex_pairs,want", [
+    ([], 1, (0, 2)),                                   # x^2 + 1
+    ([Fraction(1), Fraction(1), Fraction(-2)], 0, (2, 2)),
+    ([Fraction(1, 3), Fraction(-5, 7), Fraction(2)], 1, (3, 5)),
+    ([Fraction(3, 2)] * 3 + [Fraction(-1)], 2, (2, 4)),   # (x^2 + 1)^2 counts once
+])
+def test_sturm_count_against_known_factorizations(roots, complex_pairs, want):
+    # (k, d): distinct real roots, and the degree of the square-free part
+    factors = [[-r.numerator, r.denominator] for r in roots] + [[1, 0, 1]] * complex_pairs
+    p = [1]
+    for f in factors:   # ascending integer coefficients of prod f
+        p = [sum(p[j] * f[i - j] for j in range(len(p)) if 0 <= i - j < len(f))
+             for i in range(len(p) + len(f) - 1)]
+    assert S.eigen._sturm_count(p) == want
 
 
 # ---- closed-form eigenvalues ----

@@ -54,6 +54,15 @@ def test_hyp2f1_rejects_non_finite_parameters(a, b, c, x):
         S.hyp2f1(a, b, c, x)
 
 
+@pytest.mark.parametrize("a,b,c,x", [
+    (-1, 1, 1, math.nan), (-2, 1, 1, math.inf), (1, -2, 1, -math.inf),
+    (Fraction(-3), 1, Fraction(1, 2), np.float64(math.nan))])
+def test_hyp2f1_rejects_non_finite_x_on_the_terminating_path(a, b, c, x):
+    # the terminating sum returned nan without a word
+    with pytest.raises(ValueError, match="2F1 argument must be finite"):
+        S.hyp2f1(a, b, c, x)
+
+
 def test_hyp2f1_takes_a_fraction_too_large_for_a_float():
     # the finiteness check reads no Fraction through float()
     big = Fraction(10 ** 400)
