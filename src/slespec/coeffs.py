@@ -217,6 +217,38 @@ def _block_rows(N: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * N))
 
 
+def _corner_tail(table: CoeffTable, apw, apb) -> float:
+    """T, the corner terms (N, N), (N, N-1) and (N-1, N) of the absolute
+    partial sum, with apw[i] = aw^i and apb[j] = awbar^j."""
+    N, ent = table.N, table.entries
+    corner = [(N - 1, N - 1)] + ([(N - 1, N - 2), (N - 2, N - 1)] if N >= 2 else [])
+    T = 0.0
+    for i, j in corner:
+        T += abs(float(ent[i, j])) * float(apw[i]) * float(apb[j])
+    return T
+
+
+def _antidiagonal_sums(table: CoeffTable) -> np.ndarray:
+    """s_k = sum over i + j = k + 2 of |theta_{i,j}|, k = 0..2N-2, in one pass
+    over row blocks, so that S(x) = sum |theta_{i,j}| x^(i+j-2) = sum s_k x^k.
+
+    Row r of a block goes, shifted right by r, into row r of one reused
+    (b, N + b) buffer (a view with a row stride one element longer), so
+    each column of the buffer holds one anti-diagonal's block entries.
+    """
+    N = table.N
+    b = _block_rows(N)
+    buf = np.zeros((min(b, N), N + b))
+    skew = np.lib.stride_tricks.as_strided(
+        buf, (len(buf), N), (buf.strides[0] + buf.itemsize, buf.itemsize))
+    sums = np.zeros(2 * N + b)
+    for a in range(0, N, b):
+        m = min(b, N - a)
+        np.abs(np.asarray(table.entries[a:a + m], dtype=float), out=skew[:m])
+        sums[a:a + N + b] += buf[:m].sum(axis=0)
+    return sums[:2 * N - 1]
+
+
 def _table_sums(table: CoeffTable, aw: float, awbar: float, pw=None):
     """One pass over the table in row blocks of about _BLOCK_BYTES: (S, T, u).
 
@@ -230,10 +262,7 @@ def _table_sums(table: CoeffTable, aw: float, awbar: float, pw=None):
     N = table.N
     apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
     ent = table.entries
-    corner = [(N - 1, N - 1)] + ([(N - 1, N - 2), (N - 2, N - 1)] if N >= 2 else [])
-    T = 0.0
-    for i, j in corner:
-        T += abs(float(ent[i, j])) * float(apw[i]) * float(apb[j])
+    T = _corner_tail(table, apw, apb)
     P = None if pw is None else np.stack((pw.real, pw.imag))
     U = np.zeros((2, N))   # Re, Im of pw @ entries
     row = np.zeros(N)      # apw @ |entries|
@@ -302,7 +331,8 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
     ValueError, before any table pass, unless n_phi is a power of two >= 256
     (_is_int) and tail_tol finite and positive.  The corner-block tail at r
     must stay below tail_tol of the absolute partial sum, else TailCheckError
-    reports the largest admissible radius.  On phi_k = 2 pi k/n_phi, Theta =
+    reports the largest admissible radius, found by bisection on S(x) and
+    T(x) as polynomials in x (_antidiagonal_sums).  On phi_k = 2 pi k/n_phi, Theta =
     c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j} r^(2j-2), is
     one FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).  The tail check
     and the diagonal sums read the table in blocks: no N x N temporary.
@@ -314,11 +344,17 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
     if not 0.0 < tail_tol < math.inf:   # NaN fails too, and would pass every radius
         raise ValueError(f"tail_tol must be finite and positive, got {tail_tol}")
 
-    def frac(x):
-        S, T, _ = _table_sums(table, x, x)
-        return T / S
+    S, T, _ = _table_sums(table, r, r)
+    if T / S > tail_tol:
+        # the bisection reads S(x) = sum s_k x^k and T(x) off the anti-diagonal
+        # sums of one more pass: O(N) per step
+        sums = _antidiagonal_sums(table)
+        k = np.arange(len(sums))
 
-    if frac(r) > tail_tol:
+        def frac(x):
+            xp = x ** k
+            return _corner_tail(table, xp, xp) / float(sums @ xp)
+
         lo, hi = 1e-6, r
         for _ in range(60):
             mid = 0.5 * (lo + hi)

@@ -119,7 +119,8 @@ def reduced_matrix(sys: TridiagSystem) -> List[list]:
 @dataclass(frozen=True)
 class EigenResult:
     values: np.ndarray       # ascending
-    vectors: np.ndarray      # column k pairs with values[k], unit 2-norm
+    vectors: np.ndarray      # column k pairs with values[k], unit 2-norm: the exact
+                             # recurrence for a proved value, else an SVD vector
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
     # exact input only (None on float input), one entry per value:
     newton_steps: Optional[np.ndarray] = None        # Newton updates taken
@@ -128,40 +129,40 @@ class EigenResult:
 
 
 def _tridiag_exact(matrix):
-    """(diag, sub, super) as Fractions when the input is exact and tridiagonal.
+    """The integer tridiagonal (L, d, l, u) of exact tridiagonal input, or None.
 
     Exact means every entry is a Fraction under spectrum._exact's rule;
-    any other entry sends the matrix down the float path.
+    any other entry sends the matrix down the float path.  L > 0 is the lcm
+    of the entries' denominators, and d, l and u are the diagonal, sub- and
+    super-diagonal of L*T as Python ints (l[i] = L T[i+1][i], u[i] = L T[i][i+1]).
     """
     rows = [[_exact(x) for x in r] for r in matrix]
     n = len(rows)
     if any(len(r) != n or not all(isinstance(x, Fraction) for x in r) for r in rows):
         return None
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and rows[i][j] != 0:
-                return None
+    if any(any(r[:max(i - 1, 0)]) or any(r[i + 2:]) for i, r in enumerate(rows)):
+        return None
     diag = [rows[i][i] for i in range(n)]
     sub = [rows[i + 1][i] for i in range(n - 1)]
     sup = [rows[i][i + 1] for i in range(n - 1)]
-    return diag, sub, sup
-
-
-def _char_poly(diag, sub, sup) -> list:
-    """Primitive integer multiple of det(T - x I), ascending coefficients.
-
-    With L the lcm of the entries' denominators, the leading principal minors
-    of the integer matrix L*T in y = L*x give det(L*T - y I) = L^n det(T - x I);
-    coefficient i times L^i returns to x, and dividing by the content leaves
-    a positive multiple of det(T - x I): same signs, same ratios p/p'.
-    """
     L = math.lcm(*(f.denominator for f in (*diag, *sub, *sup)))
 
-    def scaled(f):
-        return f.numerator * (L // f.denominator)
+    def scaled(fs):
+        return [f.numerator * (L // f.denominator) for f in fs]
 
-    d = [scaled(f) for f in diag]
-    ef = [scaled(s) * scaled(u) for s, u in zip(sub, sup)]
+    return L, scaled(diag), scaled(sub), scaled(sup)
+
+
+def _char_poly(L, d, l, u) -> list:
+    """Primitive integer multiple of det(T - x I), ascending coefficients,
+    for the T whose integer tridiagonal (_tridiag_exact) is (L, d, l, u).
+
+    The leading principal minors of L*T in y = L*x give det(L*T - y I) =
+    L^n det(T - x I); coefficient i times L^i returns to x, and dividing by
+    the content leaves a positive multiple of det(T - x I): same signs, same
+    ratios p/p'.
+    """
+    ef = [s * t for s, t in zip(l, u)]
     prev, cur = [1], [d[0], -1]
     for k in range(1, len(d)):
         nxt = [0] * (len(cur) + 1)
@@ -174,6 +175,40 @@ def _char_poly(diag, sub, sup) -> list:
     coeffs = [c * L ** i for i, c in enumerate(cur)]
     content = math.gcd(*coeffs)
     return [c // content for c in coeffs]
+
+
+def _recurrence_vectors(L, d, l, u, roots) -> np.ndarray:
+    """Unit eigenvectors of T at its proved eigenvalues roots (Fractions),
+    one column each, from the three-term recurrence on the integer
+    tridiagonal (L, d, l, u), every super-diagonal u_n nonzero.
+
+    Row n of T psi = x psi gives psi_{n+1} = ((x - T_nn) psi_n - T_{n,n-1}
+    psi_{n-1}) / T_{n,n+1}.  Fraction-free at x = a/b: psi_n = P_n/Q_n with
+    P_0 = Q_0 = 1, Q_{n+1} = Q_n b u_n and the leading-minor recurrence
+    P_{n+1} = -(b d_n - L a) P_n - b^2 l_{n-1} u_{n-1} P_{n-1}.
+    The last row holds exactly when P_{M+1} = 0 (M + 1 the size), which
+    proves x a second time; otherwise EigenCertificationError.  Each P_n/Q_n,
+    scaled by one power of two so that the largest is near 1 and none
+    overflows, is one correctly rounded int/int division; each column is
+    then normalised to unit 2-norm.
+    """
+    ef = [0] + [s * t for s, t in zip(l, u)]
+    cols = []
+    for x in roots:
+        a, b = x.numerator, x.denominator
+        La, bb = L * a, b * b
+        P, Q = [0, 1], [1]
+        for dn, e in zip(d, ef):
+            P.append((La - b * dn) * P[-1] - bb * e * P[-2])
+        if P.pop():
+            raise EigenCertificationError(
+                f"the three-term recurrence leaves a nonzero last row at eigenvalue {x}")
+        for un in u:
+            Q.append(Q[-1] * b * un)
+        s = max(p.bit_length() - q.bit_length() for p, q in zip(P[1:], Q))
+        cols.append([p / (q << s) if s >= 0 else (p << -s) / q for p, q in zip(P[1:], Q)])
+    vecs = np.array(cols).T
+    return vecs / np.linalg.norm(vecs, axis=0)
 
 
 def _homogeneous(coeffs: Sequence[int], a: int, e: int, D: int = 1):
@@ -331,9 +366,10 @@ def _bracketed(p, pending):
     return out
 
 
-def _exact_eigenvalues(diag, sub, sup, seeds):
-    """The spectrum of an exact tridiagonal, proved on its characteristic
-    polynomial; float seeds only say where to look.
+def _exact_eigenvalues(L, d, l, u, seeds):
+    """The spectrum of an exact tridiagonal, given by its integer tridiagonal
+    (_tridiag_exact), proved on its characteristic polynomial; float seeds
+    only say where to look.
 
     Near band-closure crossings the matrix is nonnormal enough that float
     eigenvalues carry ~1e-9 error, far above the certification bound, and
@@ -353,7 +389,7 @@ def _exact_eigenvalues(diag, sub, sup, seeds):
     degree-1 remainder) and its bracket half-width (0.0 when proved by
     division), all ascending by eigenvalue, repeated roots repeated.
     """
-    p = _char_poly(diag, sub, sup)
+    p = _char_poly(L, d, l, u)
     zeros = next(i for i, c in enumerate(p) if c)
     roots = [(Fraction(0), 0, 0)] * zeros   # (root, Newton steps, half-width)
     p, pending, seeds = p[zeros:], [], list(seeds)
@@ -398,27 +434,48 @@ def eigen_solve(matrix) -> EigenResult:
     half-width max(1, |x|)/10^13; a complex spectrum is refused with the
     Sturm count.  LAPACK's eigenvalues only seed that search.  Float input
     keeps the plain LAPACK values and refuses an imaginary part above 1e-8
-    of the spectral radius.  Every returned vector is the smallest singular
-    vector of (R - lambda I), the minimizer of ||R v - lambda v|| at that
-    lambda, all from one stacked SVD; the first pair failing the 1e-10 bound
+    of the spectral radius.  A value proved by division, on exact input
+    with no zero super-diagonal, takes its vector from the fraction-free
+    three-term recurrence (_recurrence_vectors), whose exactly vanishing last
+    row proves the value a second time.  Every other vector (float input,
+    bracketed roots, reducible matrices) is the smallest singular vector of
+    (R - lambda I), the minimizer of ||R v - lambda v|| at that lambda, all
+    from one stacked SVD.  The first pair failing the 1e-10 residual bound
     raises EigenCertificationError carrying the offending matrix.
     """
-    mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
     exact = _tridiag_exact(matrix)
     fracs = steps = widths = None
     if exact is None:
+        mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
         vals, _ = np.linalg.eig(mat)
         if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
             raise EigenCertificationError(
                 f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
         lams = sorted(float(v) for v in vals.real)
     else:
+        # each entry n/L rounded once, as float() rounds the Fraction it equals
+        L, d, l, u = exact
+        mat = (np.diag([x / L for x in d]) + np.diag([x / L for x in l], -1)
+               + np.diag([x / L for x in u], 1))
         seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
         lams, fracs, steps, widths = _exact_eigenvalues(*exact, seeds)
         fracs, steps, widths = tuple(fracs), np.array(steps), np.array(widths)
     lam = np.array(lams)
-    # column k of vecs: the last right singular vector of R - lams[k] I
-    vecs = np.linalg.svd(mat - lam[:, None, None] * np.eye(len(mat)))[2][:, -1].T
+    # column k of vecs pairs with lams[k]: a proved eigenvalue of an exact
+    # tridiagonal with no zero super-diagonal takes the recurrence vector;
+    # every other column the last right singular vector of R - lams[k] I,
+    # all from one stacked SVD
+    proved = fracs if exact is not None and all(exact[3]) else (None,) * len(lams)
+    # columns strided like the SVD's transposed rows: the residual product
+    # below then rounds as it did on the SVD alone (float input bit for bit)
+    vecs = np.empty((len(lams), len(mat))).T
+    cols = [k for k, x in enumerate(proved) if x is not None]
+    if cols:
+        vecs[:, cols] = _recurrence_vectors(*exact, [proved[k] for k in cols])
+    rest = [k for k, x in enumerate(proved) if x is None]
+    if rest:
+        vecs[:, rest] = np.linalg.svd(
+            mat - lam[rest, None, None] * np.eye(len(mat)))[2][:, -1].T
     res = np.linalg.norm(mat @ vecs - vecs * lam, axis=0)
     bad = np.nonzero(res > _CERT_TOL)[0]
     if len(bad):

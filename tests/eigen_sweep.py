@@ -13,23 +13,33 @@ or float, disagrees with beta_tilde_on_curve beyond criterion 4's scale
 curves fail depends on LAPACK.
 
 It also prints, without gating them, the Newton steps that the exact curves
-took in total, how many of their eigenvalues were proved by exact division
+took in total and the most that one eigenvalue took (with its curve; the
+cap is 64), how many of their eigenvalues were proved by exact division
 and how many were bracketed, how many curves have a repeated eigenvalue,
-and the largest bit length of a proved eigenvalue's denominator.
+the largest bit length of a proved eigenvalue's denominator, how many
+exact curves took any vector from the SVD instead of the exact recurrence,
+and the largest vector residual on the exact and on the float curves.
 """
 import sys
 from fractions import Fraction
+from unittest import mock
+
+import numpy as np
 
 import slespec as S
 
 
 def sweep(exact=True):
     """(curves, failures, problems, stats): problems lists what breaks the
-    guard; stats, on the exact curves only, holds the Newton steps, the
-    eigenvalues proved by division and bracketed, the curves with a repeated
-    eigenvalue and the largest denominator bit length."""
+    guard; stats holds the largest vector residual and, on the exact curves
+    only, the Newton steps (total, and the most on one eigenvalue with its
+    curve), the eigenvalues proved by division and bracketed, the curves
+    with a repeated eigenvalue, the largest denominator bit length and the
+    curves on which eigen_solve called the SVD."""
     curves, failures, problems = 0, 0, []
-    stats = dict.fromkeys(("steps", "proved", "bracketed", "repeated", "den_bits"), 0)
+    stats = dict.fromkeys(("steps", "proved", "bracketed", "repeated", "den_bits",
+                           "svd_curves", "residual"), 0)
+    stats["max_steps"] = (0, None)
     for M in range(1, 21):
         for k in range(1, 160):
             c = S.CurveParams(M, Fraction(k, 48) if exact else k / 48)
@@ -39,7 +49,8 @@ def sweep(exact=True):
                 continue
             curves += 1
             try:
-                res = S.eigen_solve(S.reduced_matrix(sysM))
+                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                    res = S.eigen_solve(S.reduced_matrix(sysM))
             except S.EigenCertificationError as exc:
                 failures += 1
                 if exact:
@@ -47,8 +58,12 @@ def sweep(exact=True):
                 continue
             closed = sorted(float(S.eigen_beta_closed(c, l)) for l in range(0, 2 * M + 1, 2))
             scale = max(1.0, max(abs(v) for v in closed))
+            stats["residual"] = max(stats["residual"], float(res.residuals.max()))
             if exact:
                 proved = [x for x in res.exact_values if x is not None]
+                stats["svd_curves"] += svd.called
+                if res.newton_steps.max() > stats["max_steps"][0]:
+                    stats["max_steps"] = (int(res.newton_steps.max()), f"(M={M}, k={k})")
                 stats["steps"] += int(res.newton_steps.sum())
                 stats["proved"] += len(proved)
                 stats["bracketed"] += len(res.values) - len(proved)
@@ -77,10 +92,16 @@ def main() -> int:
         print(f"eigen sweep: {curves} {'exact' if exact else 'float'} curves, "
               f"{failures} failures ({known}), {len(problems)} problems")
         if exact:
+            most, where = stats["max_steps"]
             print(f"eigen sweep (printed, not gated): {stats['steps']} Newton steps on "
-                  f"the exact curves; {stats['proved']} eigenvalues proved by exact "
-                  f"division, {stats['bracketed']} bracketed; {stats['repeated']} curves "
-                  f"with a repeated eigenvalue; largest denominator {stats['den_bits']} bits")
+                  f"the exact curves, at most {most} on one eigenvalue at {where} "
+                  f"(cap {S.eigen._NEWTON_CAP}); {stats['proved']} eigenvalues proved by "
+                  f"exact division, {stats['bracketed']} bracketed; {stats['repeated']} "
+                  f"curves with a repeated eigenvalue; largest denominator "
+                  f"{stats['den_bits']} bits; {stats['svd_curves']} exact curves took "
+                  f"SVD vectors, the rest the exact recurrence")
+        print(f"eigen sweep (printed, not gated): largest vector residual on the "
+              f"{'exact' if exact else 'float'} curves {stats['residual']:.2e}")
         for line in problems:
             print(line)
         bad += len(problems)

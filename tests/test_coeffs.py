@@ -763,6 +763,73 @@ def test_tail_check_r_max_matches_parent(g, k, N, r, tol):
     assert got.value.r_max == want.value.r_max
 
 
+def _per_step_table_sums(table, aw, awbar):
+    """(S, T): the blocked |entries| pass the r_max bisection ran on every
+    step before the anti-diagonal sums, as the reference."""
+    N = table.N
+    apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
+    ent = table.entries
+    corner = [(N - 1, N - 1)] + ([(N - 1, N - 2), (N - 2, N - 1)] if N >= 2 else [])
+    T = 0.0
+    for i, j in corner:
+        T += abs(float(ent[i, j])) * float(apw[i]) * float(apb[j])
+    row = np.zeros(N)
+    b = coeffs._block_rows(N)
+    buf = np.empty((min(b, N), N))
+    for a in range(0, N, b):
+        blk = np.asarray(ent[a:a + b], dtype=float)
+        row += apw[a:a + b] @ np.abs(blk, out=buf[:len(blk)])
+    return float(row @ apb), T
+
+
+def _per_step_tail_error(table, r, tail_tol):
+    """The TailCheckError text and r_max of the per-step bisection."""
+    def frac(x):
+        S_, T = _per_step_table_sums(table, x, x)
+        return T / S_
+
+    assert frac(r) > tail_tol
+    lo, hi = 1e-6, r
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if frac(mid) > tail_tol:
+            hi = mid
+        else:
+            lo = mid
+    return (f"series tail at r={r} exceeds tail_tol={tail_tol}; "
+            f"largest admissible radius is about {lo:.6f} "
+            f"(increase N or tail_tol)"), lo
+
+
+@pytest.mark.parametrize("g,k,N,r,tol", [
+    (1.3, 2.5, 1200, 0.999, 1e-6), (1.3, 2.5, 400, 0.995, 1e-6), (1.0, 6.0, 40, 0.99, 1e-8),
+    (*_on_curve(1, 0.7), 250, 0.999, 1e-9), (-0.3, 4.0, 120, 0.99, 1e-10),
+    (Fraction(1, 2), Fraction(3), 30, 0.9, 1e-6), (Fraction(-3, 10), Fraction(4), 40, 0.95, 1e-9),
+    (1.3, 2.5, 1, 0.5, 1e-6), (1.3, 2.5, 2, 0.5, 1e-3),
+], ids=["N1200", "N400", "width0-N40", "width1-N250", "negative-g-N120", "rational-N30",
+        "rational-N40", "N1", "N2"])
+def test_r_max_from_antidiagonal_sums_matches_per_step_passes(g, k, N, r, tol):
+    # S(x) and T(x) as polynomials in x give the bisection the per-step
+    # passes' r_max and TailCheckError text
+    t = S.build_theta_table(g, k, N)
+    text, r_max = _per_step_tail_error(t, r, tol)
+    with pytest.raises(S.TailCheckError) as got:
+        S.integral_means(t, r, tail_tol=tol)
+    assert abs(got.value.r_max - r_max) <= 1e-12
+    assert str(got.value) == text
+
+
+@pytest.mark.parametrize("g,k,N", [(1.3, 2.5, 1), (1.3, 2.5, 7), (1.3, 2.5, 400),
+                                   (Fraction(-3, 10), Fraction(4), 40)])
+def test_antidiagonal_sums_against_a_dense_reference(g, k, N):
+    t = S.build_theta_table(g, k, N)
+    ent = np.abs(np.asarray(t.entries, dtype=float))
+    want = [np.fliplr(ent).diagonal(N - 1 - d).sum() for d in range(2 * N - 1)]
+    got = coeffs._antidiagonal_sums(t)
+    assert len(got) == 2 * N - 1
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     tracemalloc.reset_peak()

@@ -344,10 +344,18 @@ def _closed_spectrum(M, k):
     return sorted(S.eigen_beta_closed(c, l) for l in range(0, 2 * M + 1, 2))
 
 
+def _ref_tridiag(R):
+    """(diag, sub, sup) of R as Fractions, read without the code under test."""
+    n = len(R)
+    return ([Fraction(R[i][i]) for i in range(n)],
+            [Fraction(R[i + 1][i]) for i in range(n - 1)],
+            [Fraction(R[i][i + 1]) for i in range(n - 1)])
+
+
 def _reference_cases():
-    """(where, (diag, sub, sup), seeds, spectrum) on EQUIVALENCE_CURVES,
-    (12, 144) and three small matrices; spectrum is the exact one, sorted,
-    where it is rational."""
+    """(where, integer tridiagonal, (diag, sub, sup), seeds, spectrum) on
+    EQUIVALENCE_CURVES, (12, 144) and three small matrices; spectrum is the
+    exact one, sorted, where it is rational."""
     # (12, 144) has the eigenvalue 0, which Newton nears from a nonzero seed;
     # float iterates reach it only by underflow
     matrices = [((M, k), S.reduced_matrix(
@@ -366,7 +374,8 @@ def _reference_cases():
         # the seeds eigen_solve polishes: real parts, even where LAPACK's
         # spectrum is complex
         vals = np.linalg.eigvals(np.array([[float(x) for x in r] for r in R]))
-        yield where, S.eigen._tridiag_exact(R), sorted(float(v) for v in vals.real), spectrum
+        yield (where, S.eigen._tridiag_exact(R), _ref_tridiag(R),
+               sorted(float(v) for v in vals.real), spectrum)
 
 
 def _matches_reference(grid):
@@ -376,9 +385,9 @@ def _matches_reference(grid):
     and every value is the exact spectrum's, proved (its Fraction, bracket
     half-width 0)."""
     refused = 0
-    for where, exact, seeds, spectrum in _reference_cases():
+    for where, exact, tridiag, seeds, spectrum in _reference_cases():
         vals, fracs, _, widths = S.eigen._exact_eigenvalues(*exact, seeds)
-        old = _outcome(lambda: _ref_exact_eigenvalues(*exact, seeds, grid))
+        old = _outcome(lambda: _ref_exact_eigenvalues(*tridiag, seeds, grid))
         if old[0] is S.EigenCertificationError:
             refused += 1
             assert fracs == spectrum and not any(widths), where
@@ -439,12 +448,28 @@ def _ref_eigen_solve(matrix):
 _RESIDUAL_FAILURE = [[3e7, 1e7], [1e7, -2e7]]
 
 
+def _svd_columns(R, res):
+    """Which columns of eigen_solve's result are SVD vectors: all on float
+    input and on a zero super-diagonal, else the bracketed roots'."""
+    exact = S.eigen._tridiag_exact(R)
+    if exact is None or not all(exact[3]):
+        return [True] * len(res.values)
+    return [x is None for x in res.exact_values]
+
+
+def _sign_aligned(v, w):
+    return v if v @ w >= 0 else -v
+
+
 def test_stacked_svd_matches_per_eigenvalue_reference():
+    # values bit for bit everywhere; SVD columns (float input, fallbacks)
+    # and their residuals bit for bit; recurrence columns within 1e-12 of the
+    # reference's SVD vector, up to sign; the same refusals
     matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, g)))
                 for M, k in EQUIVALENCE_CURVES
                 for g in (Fraction(k, 48), k / 48)]   # exact and float twins
     matrices.append(_RESIDUAL_FAILURE)
-    failures = 0
+    failures = recurrence = 0
     for R in matrices:
         try:
             want = _ref_eigen_solve(R)
@@ -456,9 +481,88 @@ def test_stacked_svd_matches_per_eigenvalue_reference():
             continue
         got = S.eigen_solve(R)
         assert np.array_equal(got.values, want[0])
-        assert np.array_equal(got.vectors, want[1])
         assert np.max(np.abs(got.residuals - want[2])) <= 1e-14
+        for k, svd in enumerate(_svd_columns(R, got)):
+            v, w = got.vectors[:, k], want[1][:, k]
+            if svd:
+                assert np.array_equal(v, w)
+            else:
+                recurrence += 1
+                assert np.max(np.abs(_sign_aligned(v, w) - w)) <= 1e-12
     assert 0 < failures < len(matrices)
+    assert recurrence > 0
+
+
+def _exact_recurrence(R, lam):
+    """psi from psi_0 = 1 by R's three-term recurrence, in Fractions."""
+    psi = [Fraction(1)]
+    for n in range(len(R) - 1):
+        below = R[n][n - 1] * psi[n - 1] if n else 0
+        psi.append(((lam - R[n][n]) * psi[n] - below) / R[n][n + 1])
+    return psi
+
+
+@pytest.mark.parametrize("M,k", [(3, 40), (10, 110), (15, 150), (20, 28)])
+def test_recurrence_vectors_are_exact_eigenvectors(M, k):
+    # (R - lambda I) psi = 0 in Fractions, last row included, and eigen_solve's
+    # column is psi/||psi|| to rounding; (15, 150) has double eigenvalues
+    R = S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
+    res = S.eigen_solve(R)
+    assert not any(_svd_columns(R, res))
+    for j, lam in enumerate(res.exact_values):
+        psi = _exact_recurrence(R, lam)
+        assert all(sum(R[n][m] * psi[m] for m in range(len(R))) == lam * psi[n]
+                   for n in range(len(R)))
+        v = np.array([float(x) for x in psi])
+        assert np.max(np.abs(res.vectors[:, j] - v / np.linalg.norm(v))) <= 1e-15
+        assert res.residuals[j] <= 1e-14
+
+
+def test_nonzero_last_row_is_refused():
+    # [[2, 1], [1, 2]] has the eigenvalues 1 and 3; at 2 the last row is -1
+    with pytest.raises(S.EigenCertificationError, match="nonzero last row at eigenvalue 2"):
+        S.eigen._recurrence_vectors(*S.eigen._tridiag_exact([[2, 1], [1, 2]]), [Fraction(2)])
+
+
+@pytest.mark.parametrize("R", [
+    S.reduced_matrix(S.build_system(S.CurveParams(5, Fraction(60, 48)))),
+    [[1, 1], [1, 0]],
+], ids=["reducible-(5,60/48)", "bracketed-x^2-x-1"])
+def test_exact_input_without_exact_vectors_takes_svd_columns(R):
+    # a zero super-diagonal stops the recurrence, and a bracketed root has no
+    # exact value: both take the reference's SVD columns bit for bit
+    got, want = S.eigen_solve(R), _ref_eigen_solve(R)
+    assert all(_svd_columns(R, got))
+    assert np.array_equal(got.values, want[0]) and np.array_equal(got.vectors, want[1])
+    assert np.max(np.abs(got.residuals - want[2])) <= 1e-14
+
+
+@pytest.mark.parametrize("R,vectors", [
+    ([[Fraction(1, 10 ** 20)]], [[1.0]]),
+    ([[0, 0], [0, Fraction(1, 10 ** 13)]], [[1.0, 0.0], [0.0, 1.0]]),   # reducible
+    ([[0, 1], [0, Fraction(1, 10 ** 13)]], None),                       # root 0 by recurrence
+], ids=["1x1-tiny", "root-0-reducible", "root-0-recurrence"])
+def test_one_by_one_and_root_zero_certify(R, vectors):
+    res = S.eigen_solve(R)
+    assert all(x is not None for x in res.exact_values)
+    assert max(res.residuals) <= 1e-10
+    if vectors is not None:
+        assert np.allclose(np.abs(res.vectors), vectors, rtol=0, atol=1e-15)
+    assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_recurrence_components_beyond_the_float_range(n):
+    # upper bidiagonal, super-diagonal 10^-200: psi_n at the top eigenvalue
+    # grows like 10^(200 n), past the float range, yet no OverflowError
+    tiny = Fraction(1, 10 ** 200)
+    R = [[Fraction(i + 1) if i == j else tiny if j == i + 1 else 0 for j in range(n)]
+         for i in range(n)]
+    res = S.eigen_solve(R)
+    assert res.exact_values == tuple(Fraction(i + 1) for i in range(n))
+    assert np.all(np.isfinite(res.vectors)) and max(res.residuals) <= 1e-10
+    assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0, rtol=0, atol=1e-15)
+    assert abs(res.vectors[-1, -1]) == 1.0   # the top eigenvector is e_n to rounding
 
 
 # Defects of the bracket path, now certified by exact division: a double
@@ -541,9 +645,9 @@ def test_root_zero_comes_off_first():
 def test_multiplicity_comes_from_division_not_from_the_seeds():
     # (x - 2)^3 (x + 1) from the one seed 2.0: (x - 2) divides three times,
     # and the remainder x + 1 is its own root
-    two, zero = Fraction(2), Fraction(0)
+    # the integer tridiagonal (L, d, l, u) of diag(2, 2, 2, -1)
     vals, fracs, steps, widths = S.eigen._exact_eigenvalues(
-        [two, two, two, Fraction(-1)], [zero] * 3, [zero] * 3, [2.0])
+        1, [2, 2, 2, -1], [0] * 3, [0] * 3, [2.0])
     assert fracs == [-1, 2, 2, 2] and vals == [-1.0, 2.0, 2.0, 2.0]
     assert steps == [0] * 4 and widths == [0.0] * 4
 
