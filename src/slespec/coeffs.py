@@ -12,10 +12,15 @@ one integer L, and integer numerators over one denominator per
 anti-diagonal, turned into reduced Fractions once at the end.  Entries are
 an (N, N) ndarray: dtype=object Fractions (rational) or float64 (float).
 eval_theta, eval_rho and integral_means read it in blocks of rows or
-columns, with no N x N temporary.
+columns, with no N x N temporary.  Each decides its corner-tail check from
+the pass it makes anyway: |value| (eval_theta) and sum |c_n| of the
+diagonal sums (integral_means) bound the absolute partial sum S from below,
+and with a 1e-9 relative margin for rounding they settle the check alone;
+a second, |theta| pass computes S only when they cannot.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,44 +254,92 @@ def _antidiagonal_sums(table: CoeffTable) -> np.ndarray:
     return sums[:2 * N - 1]
 
 
-def _table_sums(table: CoeffTable, aw: float, awbar: float, pw=None):
-    """One pass over the table in row blocks of about _BLOCK_BYTES: (S, T, u).
+# T <= tol * L * (1 - _TAIL_MARGIN), for a lower bound L of S read off the value
+# pass, proves T <= tol * S without the |theta| pass (see eval_theta)
+_TAIL_MARGIN = 1e-9
+
+
+def _table_sums(table: CoeffTable, aw: float, awbar: float):
+    """(S, T) in one pass over the table in row blocks of about _BLOCK_BYTES.
 
     S = sum |theta_{i,j}| aw^(i-1) awbar^(j-1) is the absolute partial sum
     and T its corner terms (N, N), (N, N-1) and (N-1, N), the tail heuristic.
-    u = pw @ entries if pw is given, else None: its real and imaginary parts
-    are one real (2, b) @ (b, N) product per block, so the table is never
-    cast to complex, and |entries| goes block by block into one reused
-    buffer.  Rational entries are converted to float one block at a time.
+    |entries| goes block by block into one reused buffer; rational entries
+    are converted to float one block at a time.  The evaluators call it only
+    when the lower bound on S that their value pass gives cannot decide the
+    tail check.
     """
     N = table.N
     apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
     ent = table.entries
-    T = _corner_tail(table, apw, apb)
-    P = None if pw is None else np.stack((pw.real, pw.imag))
-    U = np.zeros((2, N))   # Re, Im of pw @ entries
     row = np.zeros(N)      # apw @ |entries|
     b = _block_rows(N)
     buf = np.empty((min(b, N), N))
     for a in range(0, N, b):
         blk = np.asarray(ent[a:a + b], dtype=float)
-        if P is not None:
-            U += P[:, a:a + b] @ blk
         row += apw[a:a + b] @ np.abs(blk, out=buf[:len(blk)])
-    return float(row @ apb), T, (None if P is None else U[0] + 1j * U[1])
+    return float(row @ apb), _corner_tail(table, apw, apb)
+
+
+def _powers(w: complex, wbar: complex, N: int):
+    """w^k and wbar^k for k = 0..N-1, as numpy's complex power gives them.
+
+    For w off both axes with wbar == w.conjugate(), wbar is w's conjugate bit
+    for bit, and each conj(w^k) equals wbar^k up to the sign of a zero real
+    or imaginary part (numpy's power is odd in the imaginary part on both
+    its paths, repeated multiplication below exponent 100 and cpow above).
+    Only those entries, w^0 always among them, are recomputed.
+    """
+    k = np.arange(N)
+    pw = w ** k
+    if not (wbar == w.conjugate() and w.real and w.imag):
+        return pw, wbar ** k
+    pb = pw.conj()
+    z = np.flatnonzero((pb.real == 0) | (pb.imag == 0))
+    pb[z] = wbar ** z
+    return pw, pb
 
 
 def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
     """Partial sum of Theta at (w, wbar) with a corner-block tail heuristic.
 
-    One pass over the table in row blocks, with no N x N temporary
-    (_table_sums).  tail is T, the corner terms of the absolute partial sum
-    S, and warning is T > 1e-6 S.
+    ValueError, before any table pass, unless w and wbar are finite.  The
+    value is one pass over the table in row blocks, with no N x N
+    temporary: the real and imaginary parts of w^i @ entries are one real
+    (2, b) @ (b, N) product per block, so the table is never cast to
+    complex.  tail is T, the corner terms of the absolute partial sum S,
+    and warning is T > 1e-6 S.
+
+    Each term of S bounds the matching term of Theta, so |Theta| <= S, and
+    T <= 1e-6 |value| (1 - m) proves the warning False without reading the
+    table again; only otherwise does _table_sums compute S.  The margin
+    m = _TAIL_MARGIN = 1e-9 exceeds the rounding of both computed sums, so
+    the test decides as S would.  Relative to S, each sum is within about
+    2N 2^-53 of its exact value (blocked products, then one dot); the moduli
+    |w|^k add k 2^-53; numpy's complex power adds about (2 pi k + 1500)
+    2^-53 to each of w^k and wbar^k (the angle k arg w of cpow above
+    exponent 100, and |k log|w|| <= 745 short of overflow or underflow).  In
+    all about (19N + 3000) 2^-53: below 1e-9 for N up to 4 10^5, a 1.3 TB
+    table.
     """
-    N = table.N
     w, wbar = complex(w), complex(wbar)
-    S, T, u = _table_sums(table, abs(w), abs(wbar), w ** np.arange(N))
-    value = complex(u @ wbar ** np.arange(N))
+    for name, v in (("w", w), ("wbar", wbar)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    N = table.N
+    pw, pb = _powers(w, wbar, N)
+    P = np.stack((pw.real, pw.imag))
+    U = np.zeros((2, N))   # Re, Im of pw @ entries
+    b = _block_rows(N)
+    for a in range(0, N, b):
+        U += P[:, a:a + b] @ np.asarray(table.entries[a:a + b], dtype=float)
+    value = complex((U[0] + 1j * U[1]) @ pb)
+    aw, awbar = abs(w), abs(wbar)
+    apw = aw ** np.arange(N)
+    T = _corner_tail(table, apw, apw if awbar == aw else awbar ** np.arange(N))
+    if T <= 1e-6 * abs(value) * (1 - _TAIL_MARGIN):
+        return SeriesValue(value=value, tail=T, warning=False)
+    S, T = _table_sums(table, aw, awbar)
     return SeriesValue(value=value, tail=T, warning=T > 1e-6 * S)
 
 
@@ -324,18 +377,45 @@ def diagonal_growth_exponent(table: CoeffTable) -> float:
     return float(np.median(R[-take:])) + 1.0
 
 
+def _tail_error(table: CoeffTable, r: float, tail_tol: float) -> TailCheckError:
+    """The TailCheckError of a radius r that fails the tail check, with the
+    largest admissible radius found by a 60-step bisection.  S(x) and T(x)
+    are read off the anti-diagonal sums of one more pass: O(N) per step."""
+    sums = _antidiagonal_sums(table)
+    k = np.arange(len(sums))
+
+    def frac(x):
+        xp = x ** k
+        return _corner_tail(table, xp, xp) / float(sums @ xp)
+
+    lo, hi = 1e-6, r
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if frac(mid) > tail_tol:
+            hi = mid
+        else:
+            lo = mid
+    return TailCheckError(
+        f"series tail at r={r} exceeds tail_tol={tail_tol}; "
+        f"largest admissible radius is about {lo:.6f} "
+        f"(increase N or tail_tol)", r_max=lo)
+
+
 def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
                    tail_tol: float = 1e-6) -> float:
     """Integral of rho(r e^{i phi}, r e^{-i phi}) over phi in [0, 2pi).
 
     ValueError, before any table pass, unless n_phi is a power of two >= 256
-    (_is_int) and tail_tol finite and positive.  The corner-block tail at r
-    must stay below tail_tol of the absolute partial sum, else TailCheckError
-    reports the largest admissible radius, found by bisection on S(x) and
-    T(x) as polynomials in x (_antidiagonal_sums).  On phi_k = 2 pi k/n_phi, Theta =
-    c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j} r^(2j-2), is
-    one FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).  The tail check
-    and the diagonal sums read the table in blocks: no N x N temporary.
+    (_is_int) and tail_tol finite and positive.  On phi_k = 2 pi k/n_phi,
+    Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j}
+    r^(2j-2), is one FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).
+    The corner-block tail T at r must stay below tail_tol of the absolute
+    partial sum S, else TailCheckError reports the largest admissible
+    radius (_tail_error).  The c_n sum only the lower triangle i >= j, so
+    B = sum |c_n| <= S, and T <= tail_tol B (1 - m) passes r from the
+    diagonal sums alone, with eval_theta's margin m; only otherwise does
+    _table_sums compute S and decide.  The diagonal sums and any |theta|
+    pass read the table in blocks: no N x N temporary.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0,1), got {r}")
@@ -343,29 +423,6 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
         raise ValueError(f"n_phi must be a power of two >= 256, got {n_phi!r}")
     if not 0.0 < tail_tol < math.inf:   # NaN fails too, and would pass every radius
         raise ValueError(f"tail_tol must be finite and positive, got {tail_tol}")
-
-    S, T, _ = _table_sums(table, r, r)
-    if T / S > tail_tol:
-        # the bisection reads S(x) = sum s_k x^k and T(x) off the anti-diagonal
-        # sums of one more pass: O(N) per step
-        sums = _antidiagonal_sums(table)
-        k = np.arange(len(sums))
-
-        def frac(x):
-            xp = x ** k
-            return _corner_tail(table, xp, xp) / float(sums @ xp)
-
-        lo, hi = 1e-6, r
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if frac(mid) > tail_tol:
-                hi = mid
-            else:
-                lo = mid
-        raise TailCheckError(
-            f"series tail at r={r} exceeds tail_tol={tail_tol}; "
-            f"largest admissible radius is about {lo:.6f} "
-            f"(increase N or tail_tol)", r_max=lo)
 
     N = table.N
     x = (r * r) ** np.arange(N)
@@ -383,7 +440,13 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
         buf[:, N - a:N - a + b] = 0   # the previous block's last columns
         buf[:m, :N - a] = table.entries[a:, a:a + m].T
         cn += x[a:a + m] @ skew[:m]
-    cn *= r ** np.arange(N)
+    rk = r ** np.arange(N)
+    cn *= rk
+    T = _corner_tail(table, rk, rk)
+    if not T <= tail_tol * float(np.abs(cn).sum()) * (1 - _TAIL_MARGIN):
+        S, T = _table_sums(table, r, r)
+        if T / S > tail_tol:
+            raise _tail_error(table, r, tail_tol)
     fold = np.bincount(np.arange(N) % n_phi, weights=cn, minlength=n_phi)
     theta_vals = 2.0 * np.fft.fft(fold).real - cn[0]
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -763,6 +763,301 @@ def test_tail_check_r_max_matches_parent(g, k, N, r, tol):
     assert got.value.r_max == want.value.r_max
 
 
+# ---- value-first tail decision: equivalence with the |theta|-first code ----
+
+def _frozen_table_sums(table, aw, awbar, pw=None):
+    """_table_sums as it was when every evaluator called it first: (S, T, u)
+    with u = pw @ entries from the same blocked pass."""
+    N = table.N
+    apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
+    ent = table.entries
+    T = coeffs._corner_tail(table, apw, apb)
+    P = None if pw is None else np.stack((pw.real, pw.imag))
+    U = np.zeros((2, N))
+    row = np.zeros(N)
+    b = coeffs._block_rows(N)
+    buf = np.empty((min(b, N), N))
+    for a in range(0, N, b):
+        blk = np.asarray(ent[a:a + b], dtype=float)
+        if P is not None:
+            U += P[:, a:a + b] @ blk
+        row += apw[a:a + b] @ np.abs(blk, out=buf[:len(blk)])
+    return float(row @ apb), T, (None if P is None else U[0] + 1j * U[1])
+
+
+def _frozen_eval_theta(table, w, wbar):
+    N = table.N
+    w, wbar = complex(w), complex(wbar)
+    S_, T, u = _frozen_table_sums(table, abs(w), abs(wbar), w ** np.arange(N))
+    value = complex(u @ wbar ** np.arange(N))
+    return S.SeriesValue(value=value, tail=T, warning=T > 1e-6 * S_)
+
+
+def _frozen_integral_means(table, r, n_phi=1024, tail_tol=1e-6):
+    """integral_means as it was with the |theta| pass before the diagonal sums."""
+    S_, T, _ = _frozen_table_sums(table, r, r)
+    if T / S_ > tail_tol:
+        sums = coeffs._antidiagonal_sums(table)
+        k = np.arange(len(sums))
+
+        def frac(x):
+            xp = x ** k
+            return coeffs._corner_tail(table, xp, xp) / float(sums @ xp)
+
+        lo, hi = 1e-6, r
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if frac(mid) > tail_tol:
+                hi = mid
+            else:
+                lo = mid
+        raise S.TailCheckError(
+            f"series tail at r={r} exceeds tail_tol={tail_tol}; "
+            f"largest admissible radius is about {lo:.6f} "
+            f"(increase N or tail_tol)", r_max=lo)
+    N = table.N
+    x = (r * r) ** np.arange(N)
+    cn = np.zeros(N)
+    b = coeffs._block_rows(N)
+    buf = np.zeros((min(b, N), 2 * N))
+    skew = np.lib.stride_tricks.as_strided(
+        buf, (len(buf), N), (buf.strides[0] + buf.itemsize, buf.itemsize))
+    for a in range(0, N, b):
+        m = min(b, N - a)
+        buf[:, N - a:N - a + b] = 0
+        buf[:m, :N - a] = table.entries[a:, a:a + m].T
+        cn += x[a:a + m] @ skew[:m]
+    cn *= r ** np.arange(N)
+    fold = np.bincount(np.arange(N) % n_phi, weights=cn, minlength=n_phi)
+    theta_vals = 2.0 * np.fft.fft(fold).real - cn[0]
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    g = float(table.gamma)
+    integrand = (1.0 - 2.0 * r * np.cos(phi) + r * r) ** g * theta_vals
+    return float(2.0 * np.pi * np.mean(integrand))
+
+
+def _bits(*xs):
+    """The float64 bit patterns of real and complex numbers, signed zeros included."""
+    return np.array([complex(x) for x in xs]).tobytes()
+
+
+def _seeded_points(seed):
+    """w = 0, axis points, conjugate and non-conjugate pairs at |w| < 1 and >= 1."""
+    rng = np.random.default_rng(seed)
+    polar = lambda r: r * np.exp(2j * np.pi * rng.uniform())
+    pts = [(0, 0), (0, 0.5), (0.4, 0), (0.3, 0.3), (0.5j, -0.5j), (-0.6, -0.6),
+           (0.5 + 0.5j, 0.5 - 0.5j), (0.97, 0.97), (0.995 + 0.05j, 0.995 - 0.05j)]
+    for r in (0.2, 0.6, 0.8, 0.95, 1.0, 1.15):
+        w = complex(polar(r))
+        pts += [(w, w.conjugate()), (w, complex(polar(rng.uniform(0.1, r))))]
+    return pts
+
+
+_WIDTH1_EXACT = (Fraction(7, 10), S.curve_point(S.CurveParams(1, Fraction(7, 10))).kappa)
+
+
+@pytest.mark.parametrize("g,k,N", [
+    (1.3, 2.5, 1), (1.3, 2.5, 2), (1.3, 2.5, 60), (1.3, 2.5, 250), (1.3, 2.5, 400),
+    (*_on_curve(1, 0.7), 400), (*_on_curve(0, 1.6), 250), (-0.3, 4.0, 60),
+    (Fraction(-3, 10), Fraction(4), 1), (Fraction(-3, 10), Fraction(4), 2),
+    (Fraction(-3, 10), Fraction(4), 60), (*_WIDTH1_EXACT, 250),
+], ids=["N1", "N2", "N60", "N250", "N400", "width1-N400", "width0-N250", "negative-g-N60",
+        "rational-N1", "rational-N2", "rational-N60", "rational-width1-N250"])
+def test_eval_theta_bit_identical_to_the_table_sums_first_code(g, k, N):
+    t = S.build_theta_table(g, k, N)
+    warned = set()
+    for w, wbar in _seeded_points(N):
+        want = _frozen_eval_theta(t, w, wbar)
+        got = S.eval_theta(t, w, wbar)
+        assert _bits(got.value, got.tail) == _bits(want.value, want.tail), (w, wbar)
+        assert got.warning == want.warning, (w, wbar)
+        warned.add(got.warning)
+        pref = ((1 - complex(w)) * (1 - complex(wbar))) ** float(t.gamma)
+        rho = S.eval_rho(t, w, wbar)
+        assert _bits(rho.value, rho.tail) == _bits(pref * want.value, abs(pref) * want.tail)
+    assert warned == {False, True} or N == 1   # at N = 1, T = S
+
+
+@pytest.mark.parametrize("g,k,N", [
+    (S.gamma_roots(S.SLEParams(2, 6)).gamma_minus, 6.0, 400),
+    (S.gamma_roots(S.SLEParams(1, 4)).gamma_minus, 4.0, 250), (1.3, 2.5, 60),
+    (*_on_curve(1, 0.7), 400), (-0.3, 4.0, 60), (1.3, 2.5, 1), (1.3, 2.5, 2),
+    (Fraction(-3, 10), Fraction(4), 60), (Fraction(-3, 10), Fraction(4), 2),
+    (*_WIDTH1_EXACT, 250),
+], ids=["criterion6-N400", "q1-kappa4-N250", "N60", "width1-N400", "negative-g-N60",
+        "N1", "N2", "rational-N60", "rational-N2", "rational-width1-N250"])
+def test_integral_means_bit_identical_to_the_table_sums_first_code(g, k, N):
+    t = S.build_theta_table(g, k, N)
+    outcomes = set()
+    for tol in (1e-3, 1e-6):
+        for r in (0.05, 0.3, 0.5, 0.8, 0.9, 0.97, 0.99, 1 - 2.0 ** -7):
+            try:
+                want = _frozen_integral_means(t, r, 512, tol)
+            except S.TailCheckError as e:
+                with pytest.raises(S.TailCheckError) as got:
+                    S.integral_means(t, r, 512, tol)
+                assert str(got.value) == str(e) and _bits(got.value.r_max) == _bits(e.r_max)
+                outcomes.add("fail")
+                continue
+            assert _bits(S.integral_means(t, r, 512, tol)) == _bits(want), (r, tol)
+            outcomes.add("pass")
+    assert outcomes == {"pass", "fail"} or N <= 2   # T is most of S
+
+
+@pytest.mark.parametrize("N", [1, 2, 99, 100, 101, 400, 1200])
+def test_conjugate_power_table_is_bit_identical(N):
+    # numpy's complex power is odd in the imaginary part on both of its paths
+    # (repeated multiplication below exponent 100, cpow from 100 on), so
+    # conj(w^k) is wbar^k bit for bit wherever neither part is zero; a numpy
+    # that breaks this fails here
+    rng = np.random.default_rng(N)
+    k = np.arange(N)
+    pts = [complex(0.5 * np.exp(2j * np.pi * rng.uniform()) * rng.uniform(0.2, 2.4))
+           for _ in range(60)]
+    pts += [0.5 + 0.5j, -1 + 1j, 0.6 - 0.8j, 0.3 + 1e-3j, 1e-3 - 0.9j]
+    for w in pts:
+        wbar = w.conjugate()
+        want = wbar ** k
+        c = (w ** k).conj()
+        nz = (c.real != 0) & (c.imag != 0)
+        assert c[nz].tobytes() == want[nz].tobytes(), w
+        assert np.array_equal(c, want), w
+        # the table eval_theta uses repairs the zero parts: bit for bit throughout
+        pw, pb = coeffs._powers(w, wbar, N)
+        assert pw.tobytes() == (w ** k).tobytes() and pb.tobytes() == want.tobytes(), w
+
+
+@pytest.mark.parametrize("w,wbar", [
+    (0.5, 0.5), (0.5, 0.5 + 1e-3j), (0.5j, -0.5j), (-0.0 + 0.5j, 0.0 - 0.5j), (0.3, 0.3 + 0.0j),
+    (complex(0.3, -0.0), 0.3), (-1.0, -1.0),
+], ids=["real", "non-conjugate", "imaginary-axis", "signed-zero-real", "real-plus-zero",
+        "real-minus-zero", "minus-one"])
+def test_power_tables_on_the_axes_are_computed_directly(w, wbar):
+    # on an axis a numerically equal wbar need not be w's conjugate bit for
+    # bit, so both tables come from numpy's power
+    for N in (2, 101, 400):
+        k = np.arange(N)
+        pw, pb = coeffs._powers(complex(w), complex(wbar), N)
+        assert pw.tobytes() == (complex(w) ** k).tobytes()
+        assert pb.tobytes() == (complex(wbar) ** k).tobytes()
+
+
+def _count_table_sums(monkeypatch):
+    calls = []
+    table_sums = coeffs._table_sums
+
+    def counted(*args):
+        calls.append(args)
+        return table_sums(*args)
+
+    monkeypatch.setattr(coeffs, "_table_sums", counted)
+    return calls
+
+
+def test_value_pass_decides_benchmark_like_points(monkeypatch):
+    # eval_rho at |w| <= 0.8 on N = 400 width-1 tables, as in the series
+    # benchmark, and criteria 6 and 7's radii: no |theta| pass
+    rng = np.random.default_rng(23)
+    calls = _count_table_sums(monkeypatch)
+    for _ in range(2):
+        g = float(rng.uniform(0.3, 1.5))
+        t = S.build_theta_table(*_on_curve(1, g), 400, backend="float")
+        for _ in range(14):
+            w = complex(0.8 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+            assert not S.eval_rho(t, w, w.conjugate()).warning
+    for q, kappa, N in ((2, 6.0, 400), (1, 4.0, 600)):
+        t = S.build_theta_table(S.gamma_roots(S.SLEParams(q, kappa)).gamma_minus, kappa, N,
+                                backend="float")
+        for r in [1 - 2.0 ** -k for k in range(3, 8)]:
+            S.integral_means(t, r, tail_tol=1e-3)
+    assert calls == []
+
+
+def _alternating_width0_table(N):
+    """theta_{1,1} = 1 and theta_{j,j} = -1 beyond: on conjugate pairs
+    Theta = 1 - sum_{j=1}^{N-1} y^j with y = |w|^2, which is y^(N-1) at y = 1/2,
+    far below S = 2 - y^(N-1)."""
+    return S.CoeffTable(N=N, gamma=1.0, kappa=6.0, entries=np.diag([1.0] + [-1.0] * (N - 1)))
+
+
+def test_cancellation_takes_the_absolute_pass_and_still_decides_false(monkeypatch):
+    t = _alternating_width0_table(40)
+    w = math.sqrt(0.5) * np.exp(0.3j)
+    calls = _count_table_sums(monkeypatch)
+    got = S.eval_theta(t, w, np.conj(w))
+    assert len(calls) == 1
+    assert abs(got.value) < 1e-10 and got.tail >= 1e-6 * abs(got.value)
+    assert not got.warning and got.warning == _frozen_eval_theta(t, w, np.conj(w)).warning
+
+
+def test_warning_decided_as_the_absolute_sum_would_at_the_threshold():
+    # a nonnegative table on real pairs has Theta = S, so the value-first test
+    # T <= 1e-6 |value| (1 - m) meets the threshold T = 1e-6 S with no room
+    # to spare: points on both sides of it, down to one ulp, decide as S does
+    t = S.build_theta_table(1.0, 6.0, 20, backend="float")
+
+    def crossing(ratio):
+        lo, hi = 0.5, 0.99   # T/S below ratio at lo, above at hi
+        while np.nextafter(lo, 1) < hi:
+            mid = 0.5 * (lo + hi)
+            S_, T = coeffs._table_sums(t, mid, mid)
+            lo, hi = (lo, mid) if T > ratio * S_ else (mid, hi)
+        return hi
+
+    up = down = [crossing(1e-6)]
+    for _ in range(20):
+        up, down = up + [np.nextafter(up[-1], 1)], down + [np.nextafter(down[-1], 0)]
+    xs = up + down[1:] + [crossing(1.5e-6), crossing(0.5e-6)]
+    decided = set()
+    for x in xs:
+        got = S.eval_theta(t, x, x)
+        assert got.warning == _frozen_eval_theta(t, x, x).warning, x
+        decided.add(got.warning)
+    assert decided == {False, True}
+
+
+def test_warning_takes_the_absolute_pass(monkeypatch):
+    t = S.build_theta_table(1.0, 6.0, 20, backend="float")
+    calls = _count_table_sums(monkeypatch)
+    assert S.eval_theta(t, 0.97, 0.97).warning
+    assert len(calls) == 1
+
+
+def test_integral_means_falls_back_when_the_diagonal_bound_cannot_pass(monkeypatch):
+    t = S.build_theta_table(S.gamma_roots(S.SLEParams(2, 6)).gamma_minus, 6.0, 400,
+                            backend="float")
+    r = 1 - 2.0 ** -7
+    S_, T = coeffs._table_sums(t, r, r)
+    # a tolerance that S passes and sum |c_n| (about 0.75 S) does not
+    tol = 1.1 * T / S_
+    calls = _count_table_sums(monkeypatch)
+    assert _bits(S.integral_means(t, r, tail_tol=tol)) == \
+        _bits(_frozen_integral_means(t, r, tail_tol=tol))
+    assert len(calls) == 1
+    with pytest.raises(S.TailCheckError):
+        S.integral_means(t, r, tail_tol=0.9 * T / S_)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex("nan+1j"),
+                                 complex(0.5, math.inf)],
+                         ids=["nan", "inf", "-inf", "nan+1j", "0.5+infj"])
+@pytest.mark.parametrize("which", ["w", "wbar"])
+def test_non_finite_points_are_refused_before_any_table_pass(bad, which, monkeypatch):
+    # eval_theta(t, nan, nan) returned nan+nanj with warning False
+    t = S.build_theta_table(1.3, 2.5, 40, backend="float")
+
+    def no_pass(*args):
+        raise AssertionError("a table pass ran before the point was checked")
+
+    for name in ("_table_sums", "_corner_tail", "_block_rows", "_powers"):
+        monkeypatch.setattr(coeffs, name, no_pass)
+    w, wbar = (bad, 0.5) if which == "w" else (0.5, bad)
+    for fn in (S.eval_theta, S.eval_rho):
+        with pytest.raises(ValueError, match=f"^{which} must be finite"):
+            fn(t, w, wbar)
+
+
 def _per_step_table_sums(table, aw, awbar):
     """(S, T): the blocked |entries| pass the r_max bisection ran on every
     step before the anti-diagonal sums, as the reference."""
@@ -899,7 +1194,9 @@ def test_integral_means_refuses_arguments_before_any_table_pass(kw, monkeypatch)
     def no_pass(*args):
         raise AssertionError("a table pass ran before the arguments were checked")
 
-    monkeypatch.setattr(coeffs, "_table_sums", no_pass)
+    # the diagonal sums (through _block_rows) are the first pass, _table_sums the second
+    for name in ("_table_sums", "_block_rows"):
+        monkeypatch.setattr(coeffs, name, no_pass)
     with pytest.raises(ValueError, match="tail_tol|n_phi"):
         S.integral_means(t, 0.5, **kw)
 
