@@ -94,7 +94,7 @@ def reduced_matrix(sys: TridiagSystem) -> List[list]:
     Sub-diagonal A_{-n+1}/2, diagonal B_n/2, super-diagonal A_{n+1}/2, and row
     0's super-diagonal doubled, the psi_{-1} = psi_1 term.  A and B come from
     one _stencil call on -M..M+1; exact entries are Fraction(L A_n, 2L), float
-    ones A_n/2.  Off-band zeros are B_0 * 0.
+    ones A_n/2.  Every off-band entry is one zero, B_0 * 0, built once.
     """
     M = sys.M
     L, A, B, _ = _stencil(sys.gamma, sys.kappa, range(-M, M + 2))
@@ -104,7 +104,8 @@ def reduced_matrix(sys: TridiagSystem) -> List[list]:
     def entry(coef, n):
         return half(coef[n + M], 2 * L)
 
-    R = [[entry(B, 0) * 0] * (M + 1) for _ in range(M + 1)]
+    zero = entry(B, 0) * 0
+    R = [[zero] * (M + 1) for _ in range(M + 1)]
     for n in range(M + 1):
         R[n][n] = entry(B, n)
     for n in range(M):
@@ -132,13 +133,22 @@ def _tridiag_exact(matrix):
     """The integer tridiagonal (L, d, l, u) of exact tridiagonal input, or None.
 
     Exact means every entry is a Fraction under spectrum._exact's rule;
-    any other entry sends the matrix down the float path.  L > 0 is the lcm
-    of the entries' denominators, and d, l and u are the diagonal, sub- and
-    super-diagonal of L*T as Python ints (l[i] = L T[i+1][i], u[i] = L T[i][i+1]).
+    any other entry sends the matrix down the float path.  One pass reads
+    the entries: one whose type is exactly Fraction is taken as it is, and
+    only the others go through _exact, so bool raises wherever it stands.
+    L > 0 is the lcm of the entries' denominators, and d, l and u are the
+    diagonal, sub- and super-diagonal of L*T as Python ints
+    (l[i] = L T[i+1][i], u[i] = L T[i][i+1]).
     """
-    rows = [[_exact(x) for x in r] for r in matrix]
+    others = []   # _exact of the entries that are not exactly Fractions
+
+    def read(x):
+        others.append(x := _exact(x))
+        return x
+
+    rows = [[x if type(x) is Fraction else read(x) for x in r] for r in matrix]
     n = len(rows)
-    if any(len(r) != n or not all(isinstance(x, Fraction) for x in r) for r in rows):
+    if any(len(r) != n for r in rows) or not all(isinstance(x, Fraction) for x in others):
         return None
     if any(any(r[:max(i - 1, 0)]) or any(r[i + 2:]) for i, r in enumerate(rows)):
         return None
@@ -197,16 +207,17 @@ def _recurrence_vectors(L, d, l, u, roots) -> np.ndarray:
     for x in roots:
         a, b = x.numerator, x.denominator
         La, bb = L * a, b * b
-        P, Q = [0, 1], [1]
+        prev, p, P, Q = 0, 1, [1], [1]
         for dn, e in zip(d, ef):
-            P.append((La - b * dn) * P[-1] - bb * e * P[-2])
+            prev, p = p, (La - b * dn) * p - bb * e * prev
+            P.append(p)
         if P.pop():
             raise EigenCertificationError(
                 f"the three-term recurrence leaves a nonzero last row at eigenvalue {x}")
-        for un in u:
-            Q.append(Q[-1] * b * un)
-        s = max(p.bit_length() - q.bit_length() for p, q in zip(P[1:], Q))
-        cols.append([p / (q << s) if s >= 0 else (p << -s) / q for p, q in zip(P[1:], Q)])
+        for bu in [b * un for un in u]:
+            Q.append(Q[-1] * bu)
+        s = max(p.bit_length() - q.bit_length() for p, q in zip(P, Q))
+        cols.append([p / (q << s) if s >= 0 else (p << -s) / q for p, q in zip(P, Q)])
     vecs = np.array(cols).T
     return vecs / np.linalg.norm(vecs, axis=0)
 
@@ -455,8 +466,10 @@ def eigen_solve(matrix) -> EigenResult:
     else:
         # each entry n/L rounded once, as float() rounds the Fraction it equals
         L, d, l, u = exact
-        mat = (np.diag([x / L for x in d]) + np.diag([x / L for x in l], -1)
-               + np.diag([x / L for x in u], 1))
+        n = len(d)
+        mat = np.zeros((n, n))
+        for start, band in ((0, d), (n, l), (1, u)):
+            mat.flat[start::n + 1] = [x / L for x in band]
         seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
         lams, fracs, steps, widths = _exact_eigenvalues(*exact, seeds)
         fracs, steps, widths = tuple(fracs), np.array(steps), np.array(widths)
@@ -553,25 +566,46 @@ def beta_from_lambda(curve: CurveParams, lam):
 
 # ---- eigenvalue selection ----
 
-def _angular_profile(vec: np.ndarray, x_grid: np.ndarray) -> np.ndarray:
-    # symmetric subspace: Psi(phi) = psi_0 + 2 sum_n psi_n T_n(cos phi), cos phi = 1-2x
-    cheb = np.concatenate(([vec[0]], 2.0 * vec[1:]))
-    return np.polynomial.chebyshev.chebval(1.0 - 2.0 * x_grid, cheb)
+_profile_basis = np.empty((1024, 0))   # see _chebyshev_basis
+
+
+def _chebyshev_basis(m: int) -> np.ndarray:
+    """Columns [T_0, 2T_1, ..., 2T_{m-1}](1 - 2x) on the 1024-point grid
+    x = linspace(0, 1), so that Psi = basis @ psi is the symmetric
+    subspace's profile Psi(phi) = psi_0 + 2 sum_n psi_n T_n(cos phi) at
+    cos phi = 1 - 2x.  Built on first use, at least three columns, by the
+    three-term recurrence 2T_{n+1} = 2t (2T_n) - 2T_{n-1} at t = 1 - 2x,
+    and widened when a larger m arrives: the columns already there stay.
+    """
+    global _profile_basis
+    have = _profile_basis.shape[1]
+    if have < m:
+        t2 = 2.0 * (1.0 - 2.0 * np.linspace(0.0, 1.0, 1024))
+        B = np.empty((1024, max(m, 3)))
+        B[:, :have] = _profile_basis
+        if not have:
+            B[:, 0], B[:, 1], B[:, 2] = 1.0, t2, t2 * t2 - 2.0
+        for n in range(max(have, 3), B.shape[1]):
+            B[:, n] = t2 * B[:, n - 1] - B[:, n - 2]
+        _profile_basis = B
+    return _profile_basis[:, :m]
 
 
 def select_beta_tilde(result: EigenResult, curve: CurveParams) -> float:
     """Largest eigenvalue with a nonnegative angular profile, which must be the
     spectral maximum: so only eigenvalues within 1e-10 max(1, |top|) of the
     top are read, largest first, and the first whose sign-normalized profile
-    stays >= -1e-10 of its maximum on a 1024-point x grid wins.
+    stays >= -1e-10 of its maximum on a 1024-point x grid wins.  A profile
+    is one product with the fixed Chebyshev basis on that grid
+    (_chebyshev_basis).
     """
-    x_grid = np.linspace(0.0, 1.0, 1024)
     top = float(np.max(result.values))
     for k in np.argsort(result.values)[::-1]:
         lam = float(result.values[k])
         if top - lam > 1e-10 * max(1.0, abs(top)):
             break
-        prof = _angular_profile(result.vectors[:, k], x_grid)
+        vec = result.vectors[:, k]
+        prof = _chebyshev_basis(len(vec)) @ vec
         if prof[np.argmax(np.abs(prof))] < 0:
             prof = -prof
         if prof.min() >= -1e-10 * max(1.0, prof.max()):

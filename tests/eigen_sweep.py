@@ -7,15 +7,18 @@ Run as a script (pytest does not collect it; it takes several seconds):
 
 It fails (exit 1) when eigen_solve fails on any exact curve, when an exact
 curve's eigenvalues miss the closed beta_l (even l) by more than 1e-10
-max(1, max |beta_l|), or when select_beta_tilde on a certified curve, exact
+max(1, max |beta_l|), when an exact curve has an eigenvalue bracketed
+instead of proved by exact division (a seed that reached the Newton cap
+would move it there), when select_beta_tilde on a certified curve, exact
 or float, disagrees with beta_tilde_on_curve beyond criterion 4's scale
-1e-9 max(1, max |beta_l|).  Float failures are counted, not pinned: which
-curves fail depends on LAPACK.
+1e-9 max(1, max |beta_l|), or when it returns another value or refusal
+than the Clenshaw selection it replaced (test_eigen's frozen reference).
+Float failures are counted, not pinned: which curves fail depends on LAPACK.
 
 It also prints, without gating them, the Newton steps that the exact curves
 took in total and the most that one eigenvalue took (with its curve; the
-cap is 64), how many of their eigenvalues were proved by exact division
-and how many were bracketed, how many curves have a repeated eigenvalue,
+cap is 64), how many of their eigenvalues were proved by exact division,
+how many curves have a repeated eigenvalue,
 the largest bit length of a proved eigenvalue's denominator, how many
 exact curves took any vector from the SVD instead of the exact recurrence,
 and the largest vector residual on the exact and on the float curves.
@@ -27,6 +30,14 @@ from unittest import mock
 import numpy as np
 
 import slespec as S
+from test_eigen import _clenshaw_select_beta_tilde
+
+
+def _outcome(select, res, c):
+    try:
+        return select(res, c)
+    except S.EigenCertificationError as exc:
+        return type(exc), str(exc)
 
 
 def sweep(exact=True):
@@ -67,6 +78,9 @@ def sweep(exact=True):
                 stats["steps"] += int(res.newton_steps.sum())
                 stats["proved"] += len(proved)
                 stats["bracketed"] += len(res.values) - len(proved)
+                if len(proved) < len(res.values):
+                    problems.append(f"(M={M}, k={k}): {len(res.values) - len(proved)} "
+                                    f"eigenvalues bracketed, not proved by division")
                 stats["repeated"] += len(set(res.values)) < len(res.values)
                 stats["den_bits"] = max([stats["den_bits"]]
                                         + [x.denominator.bit_length() for x in proved])
@@ -74,10 +88,12 @@ def sweep(exact=True):
                 if len(res.values) != len(closed) or dev > 1e-10 * scale:
                     problems.append(f"(M={M}, k={k}): eigenvalues off the closed "
                                     f"beta_l by {dev:.3e}")
-            try:
-                bt = S.select_beta_tilde(res, c)
-            except S.EigenCertificationError as exc:
-                problems.append(f"(M={M}, k={k}): selection failed: {exc}"[:200])
+            bt = _outcome(S.select_beta_tilde, res, c)
+            if bt != _outcome(_clenshaw_select_beta_tilde, res, c):
+                problems.append(f"(M={M}, k={k}): selection differs from the Clenshaw "
+                                f"reference: {bt}"[:200])
+            if not isinstance(bt, float):
+                problems.append(f"(M={M}, k={k}): selection failed: {bt[1]}"[:200])
                 continue
             want = float(S.beta_tilde_on_curve(c))
             if abs(bt - want) > 1e-9 * scale:
@@ -96,7 +112,7 @@ def main() -> int:
             print(f"eigen sweep (printed, not gated): {stats['steps']} Newton steps on "
                   f"the exact curves, at most {most} on one eigenvalue at {where} "
                   f"(cap {S.eigen._NEWTON_CAP}); {stats['proved']} eigenvalues proved by "
-                  f"exact division, {stats['bracketed']} bracketed; {stats['repeated']} "
+                  f"exact division, {stats['bracketed']} bracketed (gated); {stats['repeated']} "
                   f"curves with a repeated eigenvalue; largest denominator "
                   f"{stats['den_bits']} bits; {stats['svd_curves']} exact curves took "
                   f"SVD vectors, the rest the exact recurrence")

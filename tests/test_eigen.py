@@ -1,6 +1,9 @@
 """Tridiagonal angular systems: matrices, eigenvalues, eigenfunctions."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +239,16 @@ def test_numpy_integer_matrix_takes_exact_path():
     for field in ("values", "vectors", "residuals", "newton_steps",
                   "bracket_halfwidths", "exact_values"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("R", [
+    [[True, 0], [0, 1]],
+    [[1.0, 0], [0, np.True_]],              # after a float entry: still read
+    [[Fraction(1), 0, False], [0, 1, 0], [0, 0, 1]],   # off the band
+], ids=["diagonal", "after-float", "off-band"])
+def test_tridiag_exact_refuses_bool_anywhere(R):
+    with pytest.raises(TypeError, match="bool"):
+        S.eigen._tridiag_exact(R)
 
 
 # ---- exact division against the bracket path it replaced ----
@@ -491,6 +504,107 @@ def test_stacked_svd_matches_per_eigenvalue_reference():
                 assert np.max(np.abs(_sign_aligned(v, w) - w)) <= 1e-12
     assert 0 < failures < len(matrices)
     assert recurrence > 0
+
+
+def _parent_tridiag_exact(matrix):
+    """_tridiag_exact as it was before the one-pass read: _exact on every
+    entry, then an isinstance pass.  The reference."""
+    rows = [[S.spectrum._exact(x) for x in r] for r in matrix]
+    n = len(rows)
+    if any(len(r) != n or not all(isinstance(x, Fraction) for x in r) for r in rows):
+        return None
+    if any(any(r[:max(i - 1, 0)]) or any(r[i + 2:]) for i, r in enumerate(rows)):
+        return None
+    diag = [rows[i][i] for i in range(n)]
+    sub = [rows[i + 1][i] for i in range(n - 1)]
+    sup = [rows[i][i + 1] for i in range(n - 1)]
+    L = math.lcm(*(f.denominator for f in (*diag, *sub, *sup)))
+
+    def scaled(fs):
+        return [f.numerator * (L // f.denominator) for f in fs]
+
+    return L, scaled(diag), scaled(sub), scaled(sup)
+
+
+def _parent_recurrence_vectors(L, d, l, u, roots):
+    """_recurrence_vectors as it was before P and b u_n moved into locals:
+    the reference."""
+    ef = [0] + [s * t for s, t in zip(l, u)]
+    cols = []
+    for x in roots:
+        a, b = x.numerator, x.denominator
+        La, bb = L * a, b * b
+        P, Q = [0, 1], [1]
+        for dn, e in zip(d, ef):
+            P.append((La - b * dn) * P[-1] - bb * e * P[-2])
+        if P.pop():
+            raise S.EigenCertificationError(
+                f"the three-term recurrence leaves a nonzero last row at eigenvalue {x}")
+        for un in u:
+            Q.append(Q[-1] * b * un)
+        s = max(p.bit_length() - q.bit_length() for p, q in zip(P[1:], Q))
+        cols.append([p / (q << s) if s >= 0 else (p << -s) / q for p, q in zip(P[1:], Q)])
+    vecs = np.array(cols).T
+    return vecs / np.linalg.norm(vecs, axis=0)
+
+
+def _parent_eigen_solve(matrix):
+    """eigen_solve on exact tridiagonal input as it was before the one-pass
+    read, the in-place float matrix and the local recurrence: the frozen
+    _tridiag_exact, np.diag assembly and _recurrence_vectors around the
+    unchanged _exact_eigenvalues.  The reference."""
+    exact = _parent_tridiag_exact(matrix)
+    L, d, l, u = exact
+    mat = (np.diag([x / L for x in d]) + np.diag([x / L for x in l], -1)
+           + np.diag([x / L for x in u], 1))
+    seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
+    lams, fracs, steps, widths = S.eigen._exact_eigenvalues(*exact, seeds)
+    lam = np.array(lams)
+    proved = fracs if all(u) else (None,) * len(lams)
+    vecs = np.empty((len(lams), len(mat))).T
+    cols = [k for k, x in enumerate(proved) if x is not None]
+    if cols:
+        vecs[:, cols] = _parent_recurrence_vectors(*exact, [proved[k] for k in cols])
+    rest = [k for k, x in enumerate(proved) if x is None]
+    if rest:
+        vecs[:, rest] = np.linalg.svd(
+            mat - lam[rest, None, None] * np.eye(len(mat)))[2][:, -1].T
+    res = np.linalg.norm(mat @ vecs - vecs * lam, axis=0)
+    bad = np.nonzero(res > 1e-10)[0]
+    if len(bad):
+        i = bad[0]
+        raise S.EigenCertificationError(
+            f"residual {res[i]:.3e} > 1e-10 for eigenvalue {lams[i]} of "
+            f"matrix {mat.tolist()}")
+    return S.EigenResult(values=lam, vectors=vecs, residuals=res,
+                         exact_values=tuple(fracs), newton_steps=np.array(steps),
+                         bracket_halfwidths=np.array(widths))
+
+
+def _bits(result):
+    """Every EigenResult field, arrays as (dtype, shape, strides, bytes)."""
+    return tuple(v if f == "exact_values" else (v.dtype, v.shape, v.strides, v.tobytes())
+                 for f in ("values", "vectors", "residuals", "newton_steps",
+                           "bracket_halfwidths", "exact_values")
+                 for v in [getattr(result, f)])
+
+
+def test_exact_path_is_bit_identical_to_frozen_assembly():
+    # every field bit for bit, or the same refusal, on EQUIVALENCE_CURVES and
+    # on matrices that take the SVD (reducible, bracketed), the root 0 and
+    # numpy integers
+    matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
+                for M, k in EQUIVALENCE_CURVES + [(5, 60), (12, 144)]]
+    matrices += [[[1, 1], [1, 0]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
+                 [[Fraction(1, 10 ** 20)]], np.array([[3, -2], [-1, 2]])]
+    for R in matrices:
+        assert S.eigen._tridiag_exact(R) == _parent_tridiag_exact(R)
+        got = _outcome(lambda: _bits(S.eigen_solve(R)))
+        assert got == _outcome(lambda: _bits(_parent_eigen_solve(R)))
+    # float twins and off-band entries take the float path in both
+    for R in ([[float(x) for x in r] for r in matrices[0]],
+              [[Fraction(2), 0, Fraction(1, 2)], [1, 3, 1], [Fraction(1, 2), 1, 4]]):
+        assert S.eigen._tridiag_exact(R) is None and _parent_tridiag_exact(R) is None
 
 
 def _exact_recurrence(R, lam):
@@ -759,6 +873,34 @@ def test_selection_agrees_with_piecewise_rule(M):
         assert bt == pytest.approx(float(S.beta_tilde_on_curve(c)), abs=1e-9)
 
 
+def _angular_profile(vec, x_grid):
+    """Psi = psi_0 + 2 sum_n psi_n T_n(1 - 2x) on x_grid by numpy's Clenshaw
+    chebval, as select_beta_tilde evaluated profiles before the fixed
+    Chebyshev basis: the reference."""
+    cheb = np.concatenate(([vec[0]], 2.0 * vec[1:]))
+    return np.polynomial.chebyshev.chebval(1.0 - 2.0 * x_grid, cheb)
+
+
+def _clenshaw_select_beta_tilde(result, curve):
+    """select_beta_tilde as it was before the fixed Chebyshev basis: a fresh
+    grid per call and _angular_profile.  The reference (tests/eigen_sweep.py
+    checks it on every curve)."""
+    x_grid = np.linspace(0.0, 1.0, 1024)
+    top = float(np.max(result.values))
+    for k in np.argsort(result.values)[::-1]:
+        lam = float(result.values[k])
+        if top - lam > 1e-10 * max(1.0, abs(top)):
+            break
+        prof = _angular_profile(result.vectors[:, k], x_grid)
+        if prof[np.argmax(np.abs(prof))] < 0:
+            prof = -prof
+        if prof.min() >= -1e-10 * max(1.0, prof.max()):
+            return lam
+    raise S.EigenCertificationError(
+        f"the spectral maximum {top} has no nonnegative profile on (M={curve.M}, "
+        f"gamma={curve.gamma})")
+
+
 def _ref_select_beta_tilde(result, curve):
     """select_beta_tilde as it was before it read only the top of the
     spectrum: every profile tested, the largest passing value kept, then
@@ -766,7 +908,7 @@ def _ref_select_beta_tilde(result, curve):
     x_grid = np.linspace(0.0, 1.0, 1024)
     candidates = []
     for k, lam in enumerate(result.values):
-        prof = S.eigen._angular_profile(result.vectors[:, k], x_grid)
+        prof = _angular_profile(result.vectors[:, k], x_grid)
         if prof[np.argmax(np.abs(prof))] < 0:
             prof = -prof
         if prof.min() >= -1e-10 * max(1.0, prof.max()):
@@ -829,6 +971,91 @@ def test_selection_takes_a_near_tie_below_the_top():
     res = _two_level_result([1.0, 1.0 + 1e-12], [_FLAT, _SIGN_CHANGE])
     assert S.select_beta_tilde(res, c) == 1.0
     assert _ref_select_beta_tilde(res, c) == 1.0
+
+
+def _tridiagonal(d, l, u):
+    n = len(d)
+    return [[d[i] if j == i else l[j] if i == j + 1 else u[i] if j == i + 1
+             else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def test_fixed_basis_selection_matches_clenshaw_reference(monkeypatch):
+    # the profiles move at round-off, the outcome does not: the same value or
+    # the same refusal, message included, on seeded exact and float curves,
+    # on two exact tridiagonals with M = 60, which widen the basis built for
+    # M <= 20, and on a hand-built top profile that changes sign
+    monkeypatch.setattr(S.eigen, "_profile_basis", np.empty((1024, 0)))
+    rng = np.random.default_rng(2024)
+    cases = []
+    while len(cases) < 60:
+        M, k = int(rng.integers(1, 21)), int(rng.integers(1, 160))
+        c = S.CurveParams(M, Fraction(k, 48) if len(cases) % 2 else k / 48)
+        try:
+            cases.append((S.eigen_solve(S.reduced_matrix(S.build_system(c))), c))
+        except (S.InvalidCurveError, S.EigenCertificationError):
+            continue
+    assert S.eigen._profile_basis.shape[1] == 0   # built on first selection
+    sixty = S.CurveParams(60, 1)
+    # Clement's matrix: eigenvalues -60, -58, ..., 60, the top one's vector all
+    # ones, whose profile (a Dirichlet kernel) changes sign
+    clement = _tridiagonal([Fraction(0)] * 61, [Fraction(i + 1) for i in range(60)],
+                           [Fraction(60 - i) for i in range(60)])
+    # upper bidiagonal: the top eigenvalue 60 has psi_n = (-9/10)^n, a Poisson
+    # kernel, positive everywhere
+    poisson = _tridiagonal([Fraction(i) for i in range(61)], [Fraction(0)] * 60,
+                           [Fraction(-10 * (60 - i), 9) for i in range(60)])
+    cases += [(S.eigen_solve(R), sixty) for R in (clement, poisson)]
+    cases.append((_two_level_result([1.0, 2.0], [_FLAT, _SIGN_CHANGE]), S.CurveParams(1, 1)))
+    outcomes = []
+    for res, c in cases:
+        got = _outcome(lambda: S.select_beta_tilde(res, c))
+        assert got == _outcome(lambda: _clenshaw_select_beta_tilde(res, c)), c
+        outcomes.append(got)
+    assert outcomes[-3:] == [
+        (S.EigenCertificationError,
+         "the spectral maximum 60.0 has no nonnegative profile on (M=60, gamma=1)"),
+        60.0,
+        (S.EigenCertificationError,
+         "the spectral maximum 2.0 has no nonnegative profile on (M=1, gamma=1)")]
+    assert sum(isinstance(x, float) for x in outcomes[:-3]) > 40
+    # widening kept the columns built for M <= 20: the same basis as one
+    # built at once to degree 60
+    widened = S.eigen._profile_basis.copy()
+    assert widened.shape == (1024, 61)
+    monkeypatch.setattr(S.eigen, "_profile_basis", np.empty((1024, 0)))
+    assert S.eigen._chebyshev_basis(61).tobytes() == widened.tobytes()
+
+
+_SELECT_RUN = """
+import sys
+from fractions import Fraction
+import slespec as S
+c = S.CurveParams(15, Fraction(40, 48))
+S.select_beta_tilde(S.eigen_solve(S.reduced_matrix(S.build_system(c))), c)
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+def test_selection_does_not_load_numpy_polynomial():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(S.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _SELECT_RUN],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_chebyshev_basis_matches_chebval(monkeypatch):
+    # column n is chebval at 1 - 2x of the unit series, doubled for n >= 1,
+    # whether the basis is built at once or widened from 1 to 21 to 61 columns
+    x = np.linspace(0.0, 1.0, 1024)
+    for widths in ((61,), (1, 21, 61)):
+        monkeypatch.setattr(S.eigen, "_profile_basis", np.empty((1024, 0)))
+        for m in widths:
+            basis = S.eigen._chebyshev_basis(m)
+        for n in range(61):
+            want = np.polynomial.chebyshev.chebval(1.0 - 2.0 * x, [0] * n + [1 if n == 0 else 2])
+            assert np.max(np.abs(basis[:, n] - want)) <= 1e-12, (widths, n)
 
 
 # ---- eigenfunctions ----
@@ -928,7 +1155,7 @@ def test_eigenvector_matches_eigenfunction_expansion():
     k = int(np.argmax(res.values))
     vec = res.vectors[:, k]
     x = np.linspace(0.0, 1.0, 33)
-    prof_vec = S.eigen._angular_profile(vec, x)
+    prof_vec = _angular_profile(vec, x)
     poly = [float(v) for v in S.eigenfunction_poly(c, 2)]
     prof_poly = np.polyval(poly[::-1], x)
     ratio = prof_vec[1:] / prof_poly[1:]
