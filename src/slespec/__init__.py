@@ -43,12 +43,10 @@ from .eigen import (
     TridiagSystem,
     a_coef,
     b_coef,
-    beta_from_lambda,
     build_system,
     c_coef,
     eigen_solve,
     eigenfunction_poly,
-    lpsi_residual,
     reduced_matrix,
     select_beta_tilde,
 )

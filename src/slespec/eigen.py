@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .special import _terminating_terms
-from .spectrum import CurveParams, curve_point, _checked_curve, _curve_params, _exact, _index
+from .spectrum import CurveParams, _checked_curve, _curve_params, _exact, _index
 
 _CERT_TOL = 1e-10
 _NEWTON_CAP = 64              # Newton steps per seed
@@ -525,43 +525,6 @@ def eigenfunction_poly(curve: CurveParams, l: int) -> list:
     one = g * 0 + 1
     c = one / 2 + l - M + G
     return [g * 0] * half + _terminating_terms(half - M, half + G, c, one, M - half)
-
-
-def lpsi_residual(psi: Sequence, beta_tilde, gamma, kappa, phi_grid) -> float:
-    """Max abs residual of the angular ODE over phi_grid.
-
-    psi is the polynomial in x = (1 - cos phi)/2 (ascending coefficients);
-    derivatives in phi come from the chain rule
-    Psi'  = p'(x) sin(phi)/2,
-    Psi'' = p''(x) x (1-x) + p'(x) (1 - 2x)/2.
-    """
-    poly = np.polynomial.polynomial   # by attribute: loaded on first use
-    p = [float(c) for c in psi]
-    dp = poly.polyder(p)
-    ddp = poly.polyder(dp)
-    g, k, bt = float(gamma), float(kappa), float(beta_tilde)
-    phi = np.asarray(phi_grid, dtype=float)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    x = (1.0 - cphi) / 2.0
-    P, D1, D2 = (poly.polyval(x, c) for c in (p, dp, ddp))
-    P1 = D1 * sphi / 2.0
-    P2 = D2 * x * (1.0 - x) + D1 * (1.0 - 2.0 * x) / 2.0
-    res = (k / 2.0) * (1.0 - cphi) * P2 - (1.0 - k * g) * sphi * P1 \
-        + ((k * (2 * g - 1) / 2.0 - 3.0) * g * cphi
-           - (k * (g - 1) / 2.0 - 3.0) * g - bt) * P
-    return float(np.max(np.abs(res)))
-
-
-def beta_from_lambda(curve: CurveParams, lam):
-    """Eigenvalue as a quadratic in the hypergeometric index lambda.
-
-    beta~ = kappa lam^2/4 + (kappa gamma - kappa/4 - 1) lam + kappa gamma^2/2;
-    agrees with eigen_beta_closed at integer lam = l.
-    """
-    k = curve_point(curve).kappa
-    g = _exact(curve.gamma)
-    lam = _exact(lam)
-    return k * lam * lam / 4 + (k * g - k / 4 - 1) * lam + k * g * g / 2
 
 
 # ---- eigenvalue selection ----

@@ -7,8 +7,10 @@ backward-characteristic order).  Each increment is solved exactly in the
 driving frame v = z/u, where the singularity sits at 1, and the
 log-derivative is accumulated from the exact step's derivative (one log per
 block of steps for the real part).  The moment estimator is the sample mean
-of exp(q (T + Re log F')) at the rotated point w e^{i B(T)}.  One point flows
-as a numpy scalar through the same kernel as a batch, with the same bits.
+of exp(q (T + Re log F')) at the rotated point w e^{i B(T)}, so a batch
+without a dump carries Re log F' only; Im log F' (a per-step sum of
+arguments) is summed for dumps and single flows.  One point flows as a numpy
+scalar through the same kernel as a batch, with the same bits.
 
 Each path's Brownian increments are drawn from its own generator one block of
 _BLOCK steps at a time, latest block first, as the composition consumes them,
@@ -169,7 +171,7 @@ def _increment(v, e: float, c: float):
     return two_v / D, mul(one_m, one_p) / mul(Q, D)
 
 
-def _compose(w, delta: float, blocks):
+def _compose(w, delta: float, blocks, im: bool = True):
     """Compose frozen-driving increments latest-first in the driving frame.
 
     blocks yields the driving increments dB_k one block at a time, latest
@@ -188,19 +190,22 @@ def _compose(w, delta: float, blocks):
     at most 700 / (2 delta + log 2) steps, one log each: one span per block
     for every delta up to about 1, a hundred times MCConfig's cap.  Im
     log dz/dw is the per-step sum of principal arguments of r, the branch
-    that follows the flow continuously in time.
+    that follows the flow continuously in time.  With im false that sum is
+    skipped and the second result is Re log dz/dw alone, a float of w's
+    shape with the same bits; the finiteness check then reads Re log dz/dw,
+    which a NaN r makes non-finite through R.
     """
     v = np.asarray(w, dtype=complex)[()]
     log_re = np.zeros(np.shape(v))[()]
-    log_im = np.zeros(np.shape(v))[()]
+    log_im = np.zeros(np.shape(v))[()] if im else None
     e, c = math.exp(delta), 4.0 * math.expm1(delta)
     # R stays in the float range over `span` steps
     span = max(1, int(700 / (2 * delta + math.log(2))))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for blk in blocks:
             # _unit writes a fresh C-ordered array, so one step's rotations
-            # for all lanes form one contiguous row without copying blk.T;
-            # no name may keep a row (a view) of rot past its block
+            # for all lanes form one contiguous row; no name may keep a row
+            # (a view) of rot past its block
             rot = _unit(blk.T)
             for hi in range(len(rot), 0, -span):   # one pass unless span < m
                 lo = max(0, hi - span)
@@ -209,14 +214,16 @@ def _compose(w, delta: float, blocks):
                     v, r = _increment(v, e, c)
                     v = np.multiply(v, rot[k])
                     R = np.multiply(R, r)
-                    log_im += np.arctan2(r.imag, r.real)
+                    if im:
+                        log_im += np.arctan2(r.imag, r.real)
                 # (2e)^(hi-lo) scales |R| back to order one before the log
                 log_re += np.log(np.abs(R) * np.ldexp(np.power(e, hi - lo), hi - lo))
             del rot   # freed before the next block is drawn
-    if not (np.isfinite(v).all() and np.isfinite(log_re + log_im).all()):
+    logd = log_re + 1j * log_im if im else log_re
+    if not (np.isfinite(v).all() and np.isfinite(logd).all()):
         raise StepUnderflowError(
             "flow reached the driving singularity: non-finite result")
-    return v, log_re + 1j * log_im
+    return v, logd
 
 
 def conic_flow(w, T: float):
@@ -261,21 +268,27 @@ def whole_plane_map_derivative(w, path: DrivingPath):
 
 
 def _unit(angle: np.ndarray) -> np.ndarray:
-    """e^{i angle} from cos and sin, cheaper than a complex exp."""
+    """e^{i angle} from cos and sin, cheaper than a complex exp.
+
+    The output is C-ordered whatever angle's layout: a batch passes blk.T,
+    (steps, lanes), so the angles are copied step-major into the imaginary
+    parts once, and cos and sin then read that copy, not the strided view.
+    """
     out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
+    np.copyto(out.imag, angle)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
     return out
 
 
 def _flow_chunk(w: complex, T: float, n_steps: int, kappa: float,
-                seeds) -> tuple:
+                seeds, im: bool = True) -> tuple:
     # each path's generator draws its increments block by block as the
     # composition consumes them: a chunk holds one block, never all steps
     streams = [np.random.default_rng(child) for child in seeds]
     b_total = np.zeros(len(seeds))
     blocks = (blk for _, blk in _driving_blocks(kappa, T, n_steps, streams, b_total))
-    _, logd = _compose(np.full(len(seeds), w), T / n_steps, blocks)
+    _, logd = _compose(np.full(len(seeds), w), T / n_steps, blocks, im)
     return logd, b_total
 
 
@@ -285,6 +298,8 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
     Per-path RNG streams are spawned from the seed, so the estimate is
     independent of chunking and thread count, and bit-identical per seed.
     Optional dump: one `index log_deriv_re log_deriv_im B_T` line per path.
+    The estimate reads Re log F' only, so without a dump the batch does not
+    sum Im log F'; with one it does, and the estimate keeps the same bits.
     """
     if not _is_count(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
@@ -300,7 +315,7 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
         # batch holds only its running chunks' seeds, not all n_samples
         seeds = [np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(*span)]
         return _flow_chunk(complex(config.w), config.T,
-                           config.n_steps, config.kappa, seeds)
+                           config.n_steps, config.kappa, seeds, dump is not None)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

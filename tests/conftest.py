@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import settings
+
+from slespec.spectrum import _exact, curve_point
 
 settings.register_profile("suite", max_examples=25, deadline=None,
                           derandomize=True)
@@ -149,3 +152,43 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.x}, {self.y}, d={self.d})"
+
+
+# ---- checkers with no caller in the library ----
+
+def lpsi_residual(psi, beta_tilde, gamma, kappa, phi_grid) -> float:
+    """Max abs residual of the angular ODE over phi_grid.
+
+    psi is the polynomial in x = (1 - cos phi)/2 (ascending coefficients);
+    derivatives in phi come from the chain rule
+    Psi'  = p'(x) sin(phi)/2,
+    Psi'' = p''(x) x (1-x) + p'(x) (1 - 2x)/2.
+    """
+    poly = np.polynomial.polynomial
+    p = [float(c) for c in psi]
+    dp = poly.polyder(p)
+    ddp = poly.polyder(dp)
+    g, k, bt = float(gamma), float(kappa), float(beta_tilde)
+    phi = np.asarray(phi_grid, dtype=float)
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    x = (1.0 - cphi) / 2.0
+    P, D1, D2 = (poly.polyval(x, c) for c in (p, dp, ddp))
+    P1 = D1 * sphi / 2.0
+    P2 = D2 * x * (1.0 - x) + D1 * (1.0 - 2.0 * x) / 2.0
+    res = (k / 2.0) * (1.0 - cphi) * P2 - (1.0 - k * g) * sphi * P1 \
+        + ((k * (2 * g - 1) / 2.0 - 3.0) * g * cphi
+           - (k * (g - 1) / 2.0 - 3.0) * g - bt) * P
+    return float(np.max(np.abs(res)))
+
+
+def beta_from_lambda(curve, lam):
+    """Eigenvalue as a quadratic in the hypergeometric index lambda.
+
+    beta~ = kappa lam^2/4 + (kappa gamma - kappa/4 - 1) lam + kappa gamma^2/2;
+    agrees with eigen_beta_closed at integer lam = l.  Off the curves it
+    raises as curve_point does, and a bool lam raises TypeError.
+    """
+    k = curve_point(curve).kappa
+    g = _exact(curve.gamma)
+    lam = _exact(lam)
+    return k * lam * lam / 4 + (k * g - k / 4 - 1) * lam + k * g * g / 2

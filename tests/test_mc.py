@@ -205,6 +205,28 @@ def test_exact_steps_match_finely_substepped_rk4():
     assert np.max(np.abs(logd.imag - logd_ref.imag)) < 1e-9
 
 
+def old_unit(angle):
+    """_unit as it stood: cos and sin read angle in its own layout."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(512, 256), (2048, 256), (8, 232), (232,)],
+                         ids=["512x256", "2048x256", "8x232", "shared-232"])
+def test_unit_step_major_keeps_bits(shape):
+    # a batch passes blk.T, a strided (steps, lanes) view of a (lanes, steps)
+    # block; a shared path passes its 1-d block as it is
+    blk = np.random.default_rng(len(shape) * shape[0]).standard_normal(shape)
+    blk[..., :3] = [0.0, -0.0, 1e-300]
+    blk *= math.sqrt(6.0 * 0.0025)
+    rot = S.mc._unit(blk.T)
+    assert rot.flags.c_contiguous and rot.shape == blk.T.shape
+    assert rot.tobytes() == old_unit(blk.T).tobytes()
+    assert rot.tobytes() == old_unit(np.ascontiguousarray(blk.T)).tobytes()
+
+
 def kernel_block(v, delta, rot, log_re, log_im):
     """_compose's loop over one block, rot[k] rotating after step k.
 
@@ -280,7 +302,7 @@ def old_compose(w, delta, blocks):
     closest = np.full(v.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for blk in blocks:
-            rot = S.mc._unit(blk.T)
+            rot = old_unit(blk.T)
             for k in range(len(rot) - 1, -1, -1):
                 closest = np.minimum(closest, np.abs(v - 1.0))
                 v = old_increment(v, delta, log_re, log_im) * rot[k]
@@ -294,7 +316,7 @@ def kernel_compose(w, delta, blocks):
     Rs = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for blk in blocks:
-            v, R = kernel_block(v, delta, S.mc._unit(blk.T), log_re, log_im)
+            v, R = kernel_block(v, delta, old_unit(blk.T), log_re, log_im)
             Rs.append(R)
     return v, log_re + 1j * log_im, np.array(Rs)
 
@@ -609,7 +631,7 @@ def materialised_chunk(w, T, n_steps, kappa, seeds):
     log_re, log_im = np.zeros(len(seeds)), np.zeros(len(seeds))
     b_total = np.zeros(len(seeds))
     for a in starts:
-        rot = S.mc._unit(np.ascontiguousarray(inc[:, a:a + B].T))
+        rot = old_unit(np.ascontiguousarray(inc[:, a:a + B].T))
         v, _ = kernel_block(v, delta, rot, log_re, log_im)
         b_total += inc[:, a:a + B].sum(axis=1)
     assert np.max(np.abs(b_total - inc.sum(axis=1))) < 1e-13
@@ -626,6 +648,54 @@ def test_streamed_chunk_equals_materialised_chunk():
     assert logd.real.tolist() == logd_ref.real.tolist()
     assert logd.imag.tolist() == logd_ref.imag.tolist()
     assert b_total.tolist() == b_ref.tolist()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 6.0])
+@pytest.mark.parametrize("w", [0.5, 0.999 * np.exp(0.05j)], ids=["0.5", "0.999e^0.05i"])
+def test_chunk_without_im_keeps_re_bits(kappa, w):
+    # 1000 steps: a 232-step partial block, drawn first, and three full ones
+    seeds = np.random.SeedSequence(31).spawn(64)
+    args = (complex(w), 10.0, 1000, kappa)
+    re, b_re = S.mc._flow_chunk(*args, seeds, im=False)
+    logd, b_total = S.mc._flow_chunk(*args, seeds)
+    assert re.dtype == np.float64 and logd.dtype == np.complex128
+    assert re.tobytes() == logd.real.tobytes()
+    assert b_re.tobytes() == b_total.tobytes()
+    streams = [np.random.default_rng(child) for child in seeds]
+    b_ref = np.zeros(len(seeds))
+    _, logd_ref, _ = kernel_compose(
+        np.full(len(seeds), complex(w)), 10.0 / 1000,
+        (blk for _, blk in S.mc._driving_blocks(kappa, 10.0, 1000, streams, b_ref)))
+    assert re.tobytes() == logd_ref.real.tobytes()
+    assert logd.tobytes() == logd_ref.tobytes()
+    assert b_total.tobytes() == b_ref.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 6.0])
+@pytest.mark.parametrize("w", [0.5, 0.999 * np.exp(0.05j)], ids=["0.5", "0.999e^0.05i"])
+@pytest.mark.parametrize("lanes", [64, S.mc._CHUNK + 5], ids=["64", "2-chunk"])
+def test_estimate_without_dump_equals_estimate_with_one(kappa, w, lanes):
+    # without a dump the batch skips Im log F'; the estimate keeps its bits
+    cfg = S.MCConfig(kappa=kappa, q=1.0, T=10.0, n_steps=1000, n_samples=lanes,
+                     seed=5, w=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # |w| = 0.999 is outside the envelope
+        est = S.moment_estimate(cfg)
+        buf = io.StringIO()
+        assert S.moment_estimate(cfg, dump=buf) == est
+    rows = buf.getvalue().splitlines()
+    assert len(rows) == lanes
+    x = np.array([float(r.split()[1]) for r in rows])
+    assert est.mean == float(np.mean(np.exp(1.0 * (10.0 + x))))
+
+
+@pytest.mark.parametrize("im", [False, True])
+def test_chunk_from_the_driving_point_raises(im):
+    # r = 0 at v = 1 makes R, and so Re log F', non-finite: the check on
+    # Re log F' alone still sees it
+    seeds = np.random.SeedSequence(8).spawn(4)
+    with pytest.raises(S.StepUnderflowError):
+        S.mc._flow_chunk(1.0 + 0j, 4.0, 400, 2.0, seeds, im=im)
 
 
 def traced_peak(**kw):

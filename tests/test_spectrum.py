@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import slespec as S
-from conftest import QuadExt
+from conftest import QuadExt, beta_from_lambda
 from curve_values import SLICE_DIGESTS, digest
 
 
@@ -296,7 +296,7 @@ def _rule_results(kind):
             S.eigen_beta_closed(c, 2), S.beta_tilde_on_curve(c), S.beta_on_curve(c),
             S.beta_on_curve(S.CurveParams(4, -g)),   # tip branch: beta~ - 2g - 1
             S.a_coef(3, g, k), S.b_coef(3, g, k), S.c_coef(3, g, k),
-            S.beta_from_lambda(c, k),
+            beta_from_lambda(c, k),
             *(x for row in S.reduced_matrix(S.build_system(c)) for x in row),
             table.gamma, table.kappa, *table.entries.flat,
             S.hyp2f1(kind(-2), kind(1), kind(3), kind(-1))]
@@ -322,7 +322,7 @@ _T = S.CurveParams(2, True)
         (S.eigen_beta_closed, (_T, 2)), (S.beta_tilde_on_curve, (_T,)),
         (S.beta_on_curve, (_T,)), (S.a_coef, (3, True, 2)), (S.b_coef, (3, 1, True)),
         (S.c_coef, (3, True, 2)),
-        (S.beta_from_lambda, (S.CurveParams(2, 1), True)), (S.build_system, (_T,)),
+        (beta_from_lambda, (S.CurveParams(2, 1), True)), (S.build_system, (_T,)),
         (S.build_theta_table, (1, True, 6)), (S.hyp2f1, (-2, 1, 3, True)),
         (S.hyp2f1, (-2, True, 3, 0.5)), (S.eigen_solve, ([[True, 0], [0, 1]],)),
         (S.curve_point, (S.CurveParams(True, 1),)), (S.build_system, (S.CurveParams(True, 1),)),
