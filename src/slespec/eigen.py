@@ -21,6 +21,7 @@ from .spectrum import CurveParams, _checked_curve, _curve_params, _exact, _index
 _CERT_TOL = 1e-10
 _NEWTON_CAP = 64              # Newton steps per seed
 _MAX_ROOT_DEN = 1 << 30       # largest denominator tried as a rational root
+_WALK_TOL = 2.0 ** -30        # convergents tried within max(1, |x|) _WALK_TOL of x
 _BRACKET = 10 ** 13           # irrational roots: bracket half-width max(1, |x|)/_BRACKET
 
 
@@ -124,7 +125,8 @@ class EigenResult:
                              # recurrence for a proved value, else an SVD vector
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
     # exact input only (None on float input), one entry per value:
-    newton_steps: Optional[np.ndarray] = None        # Newton updates taken
+    newton_steps: Optional[np.ndarray] = None        # Newton updates taken, up to the
+                                                     # iterate whose convergent proved it
     bracket_halfwidths: Optional[np.ndarray] = None  # sign change at value -+ h; 0 if proved
     exact_values: Optional[tuple] = None             # Fraction proved by division, or None
 
@@ -138,7 +140,8 @@ def _tridiag_exact(matrix):
     only the others go through _exact, so bool raises wherever it stands.
     L > 0 is the lcm of the entries' denominators, and d, l and u are the
     diagonal, sub- and super-diagonal of L*T as Python ints
-    (l[i] = L T[i+1][i], u[i] = L T[i][i+1]).
+    (l[i] = L T[i+1][i], u[i] = L T[i][i+1]).  The matrix is square and
+    nonempty: eigen_solve refuses any other shape first.
     """
     others = []   # _exact of the entries that are not exactly Fractions
 
@@ -148,10 +151,15 @@ def _tridiag_exact(matrix):
 
     rows = [[x if type(x) is Fraction else read(x) for x in r] for r in matrix]
     n = len(rows)
-    if any(len(r) != n for r in rows) or not all(isinstance(x, Fraction) for x in others):
+    if not all(isinstance(x, Fraction) for x in others):
         return None
-    if any(any(r[:max(i - 1, 0)]) or any(r[i + 2:]) for i, r in enumerate(rows)):
-        return None
+    if n > 2:
+        # all (n-1)(n-2) entries off the band equal the corner's zero; list.count
+        # takes an entry identical to it without calling Fraction.__eq__
+        zero = rows[-1][0]
+        if zero != 0 or sum(r[:max(i - 1, 0)].count(zero) + r[i + 2:].count(zero)
+                            for i, r in enumerate(rows)) != (n - 1) * (n - 2):
+            return None
     diag = [rows[i][i] for i in range(n)]
     sub = [rows[i + 1][i] for i in range(n - 1)]
     sup = [rows[i][i + 1] for i in range(n - 1)]
@@ -222,31 +230,38 @@ def _recurrence_vectors(L, d, l, u, roots) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=0)
 
 
-def _homogeneous(coeffs: Sequence[int], a: int, e: int, D: int = 1):
-    """(H, H') = (b^d p(a/b), b^(d-1) p'(a/b)) at b = D 2^e, in integers.
+def _homogeneous(coeffs: Sequence[int], a: int, e: int):
+    """(H, H') = (b^d p(a/b), b^(d-1) p'(a/b)) at b = 2^e, in integers.
 
     One Horner pass: h <- h a + c_k b^(d-k) for the value, dh <- dh a + h for
     the derivative; the powers of 2^e are shifts.  H has the sign of p(a/b).
+    _newton evaluates no iterate past the one whose convergent proves a
+    root.  For b = D 2^e, p's coefficients times D^(d-k) give the same H.
     """
-    h, dh, Dk, k = coeffs[-1], 0, 1, 0
+    h, dh, k = coeffs[-1], 0, 0
     for c in reversed(coeffs[:-1]):
-        Dk *= D
         k += e
         dh = dh * a + h
-        h = h * a + (c * Dk << k)
+        h = h * a + (c << k)
     return h, dh
 
 
-def _newton(p, x):
-    """(x, steps): float64 Newton on the integer polynomial p from the float x.
+def _newton(p, x, prove=True):
+    """(x, steps, hit): float64 Newton on the integer polynomial p from the
+    float x, and with prove the first convergent a/b of an iterate that
+    divides p, as _rational_root's (a, b, p / (b t - a)), or None.
 
     An iterate x = a/2^e is evaluated exactly as H(a, 2^e) = 2^(ed) p(x),
     and the next iterate is the exact Newton update (a H' - H)/(2^e H'),
     rounded once to float64 by one int/int true division.  Newton stops at
     a fixed point (the update rounds to x), where H or H' is 0, or after
-    _NEWTON_CAP steps.
+    _NEWTON_CAP steps.  With prove, the first iterate whose update is within
+    _rational_root's tolerance 2^-30 max(1, |x|) is walked at once, and a
+    convergent that divides p ends the search there; otherwise Newton runs
+    on, and the iterate it stops at is walked as well.  Without prove,
+    nothing is walked and hit is None.
     """
-    steps = 0
+    steps, early = 0, prove
     while steps < _NEWTON_CAP:
         a, b = x.as_integer_ratio()
         e = b.bit_length() - 1
@@ -257,7 +272,12 @@ def _newton(p, x):
         steps += 1
         if x == last:
             break
-    return x, steps
+        if early and abs(x - last) <= max(1.0, abs(x)) * _WALK_TOL:
+            early = False
+            hit = _rational_root(p, x)
+            if hit is not None:
+                return x, steps, hit
+    return x, steps, _rational_root(p, x) if prove else None
 
 
 def _divide(p, a, b):
@@ -283,12 +303,12 @@ def _rational_root(p, x):
     """(a, b, p / (b t - a)) for the first continued-fraction convergent a/b
     of the float x, b <= _MAX_ROOT_DEN, that divides p exactly; else None.
 
-    Only convergents within 2^-30 max(1, |x|) of x are tried: a Newton
-    fixed point lies within a few ulps of its root.
+    Only convergents within 2^-30 max(1, |x|) of x are tried: x is a Newton
+    iterate after an update at least that small (_newton), so near its root.
     """
     num, den = x.as_integer_ratio()
     a0, a, b0, b = 0, 1, 1, 0
-    tol = max(1.0, abs(x)) * 2.0 ** -30
+    tol = max(1.0, abs(x)) * _WALK_TOL
     while den:
         q, r = divmod(num, den)
         a0, a, b0, b = a, q * a + a0, b, q * b + b0
@@ -340,9 +360,10 @@ def _sturm_count(p):
 def _bracketed(p, pending):
     """(x, steps, h) for each root of p, of degree >= 2 and free of rational
     roots found so far: the pending Newton fixed points, polished again on
-    p, each certified by a sign change of p at x -+ h, h = max(1, |x|)/10^13,
-    with the brackets pairwise disjoint.  Sturm's count first proves that p
-    has as many distinct real roots as its degree, or refuses.
+    p (no convergent is walked here), each certified by a sign change of p
+    at x -+ h, h = max(1, |x|)/10^13, with the brackets pairwise disjoint.
+    Sturm's count first proves that p has as many distinct real roots as its
+    degree, or refuses.
     """
     d = len(p) - 1
     real, distinct = _sturm_count(p)
@@ -356,17 +377,19 @@ def _bracketed(p, pending):
             f"degree-{d} factor of the characteristic polynomial")
     polished = {}
     for x, steps in pending:
-        x, more = _newton(p, x)
+        x, more, _ = _newton(p, x, prove=False)
         polished.setdefault(x, steps + more)
     if len(polished) < d:
         raise EigenCertificationError(
             f"Newton reached {len(polished)} of {d} irrational eigenvalues")
+    # p's coefficients times D^(d-k), D = _BRACKET: ends (a D -+ s)/(D 2^e), once
+    scaled = [c * _BRACKET ** (d - k) for k, c in enumerate(p)]
     out = []
     for x, steps in sorted(polished.items()):
         a, b = x.as_integer_ratio()
         e = b.bit_length() - 1
         s = max(1 << e, abs(a))   # h = s / (2^e D) = max(1, |x|) / D
-        lo, hi = (_homogeneous(p, a * _BRACKET + t, e, _BRACKET)[0] for t in (-s, s))
+        lo, hi = (_homogeneous(scaled, a * _BRACKET + t, e)[0] for t in (-s, s))
         if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
             raise EigenCertificationError(f"no sign-change certificate at eigenvalue {x}")
         out.append((Fraction(a, b), steps, Fraction(s, _BRACKET << e)))
@@ -387,13 +410,16 @@ def _exact_eigenvalues(L, d, l, u, seeds):
     double roots come back from LAPACK as complex pairs: that is why this
     path exists at all.  p is _char_poly's primitive integer polynomial.
     Its root 0 comes off first, as factors t.  Each seed is then polished by
-    _newton on the current p, and the continued-fraction convergents of the
-    fixed point are tried as rational roots a/b: the first for which
-    (b t - a) divides p exactly is a proved root, divided out as often as
-    it divides (its multiplicity), so p's degree shrinks as roots come off;
-    each repeat, and each root 0, also retires the seed nearest it.
-    A remainder of degree 1 is its own exact root; one of degree >= 2 gets
-    a Sturm count and sign-change brackets (_bracketed).
+    _newton on the current p, and the continued-fraction convergents of its
+    first iterate within 2^-30 max(1, |x|) of the last are tried as
+    rational roots a/b (and, if none divides, those of Newton's fixed
+    point): the first for which (b t - a) divides p exactly is a proved
+    root, divided out as often as it divides (its multiplicity), so p's
+    degree shrinks as roots come off; each repeat, and each root 0, also
+    retires the seed nearest it.  A seed whose fixed point proves nothing
+    waits, with its fixed point and steps, for the rest: a remainder of
+    degree 1 is its own exact root; one of degree >= 2 gets a Sturm count
+    and sign-change brackets (_bracketed).
 
     Returns the eigenvalues as floats, each as its exact Fraction (None for
     a bracketed root), the Newton steps each took (0 for a repeat or a
@@ -414,8 +440,7 @@ def _exact_eigenvalues(L, d, l, u, seeds):
 
     consume(0.0, zeros)
     while seeds and len(p) > 2:
-        x, steps = _newton(p, seeds.pop(0))
-        hit = _rational_root(p, x)
+        x, steps, hit = _newton(p, seeds.pop(0))
         if hit is None:
             pending.append((x, steps))
             continue
@@ -452,8 +477,14 @@ def eigen_solve(matrix) -> EigenResult:
     bracketed roots, reducible matrices) is the smallest singular vector of
     (R - lambda I), the minimizer of ||R v - lambda v|| at that lambda, all
     from one stacked SVD.  The first pair failing the 1e-10 residual bound
-    raises EigenCertificationError carrying the offending matrix.
+    raises EigenCertificationError carrying the offending matrix.  A matrix
+    that is empty, ragged or not square raises ValueError naming its rows'
+    lengths.
     """
+    lens = [len(r) for r in matrix]
+    if not lens or lens.count(len(lens)) < len(lens):
+        raise ValueError("eigen_solve needs a nonempty square matrix, got "
+                         + (f"rows of lengths {lens}" if lens else "no rows"))
     exact = _tridiag_exact(matrix)
     fracs = steps = widths = None
     if exact is None:

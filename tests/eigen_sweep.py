@@ -17,7 +17,10 @@ Float failures are counted, not pinned: which curves fail depends on LAPACK.
 
 It also prints, without gating them, the Newton steps that the exact curves
 took in total and the most that one eigenvalue took (with its curve; the
-cap is 64), how many of their eigenvalues were proved by exact division,
+cap is 64), how many continued-fraction walks for a rational root ran and
+how many of those, tried at Newton's first small update, found nothing
+before Newton's fixed point, how many of their eigenvalues were proved by
+exact division,
 how many curves have a repeated eigenvalue,
 the largest bit length of a proved eigenvalue's denominator, how many
 exact curves took any vector from the SVD instead of the exact recurrence,
@@ -40,16 +43,38 @@ def _outcome(select, res, c):
         return type(exc), str(exc)
 
 
+def counted_walks(stats):
+    """A patch of eigen's _newton and _rational_root under which
+    stats["walks"] counts the continued-fraction walks and
+    stats["early_misses"] the walks at Newton's first small update that
+    found nothing: a Newton call walks again at its fixed point only then,
+    so each of its walks but the last is such a miss."""
+    walk, newton = S.eigen._rational_root, S.eigen._newton
+
+    def counted_walk(p, x):
+        stats["walks"] += 1
+        return walk(p, x)
+
+    def counted_newton(*args, **kwargs):
+        before = stats["walks"]
+        out = newton(*args, **kwargs)
+        stats["early_misses"] += max(stats["walks"] - before - 1, 0)
+        return out
+
+    return mock.patch.multiple(S.eigen, _rational_root=counted_walk, _newton=counted_newton)
+
+
 def sweep(exact=True):
     """(curves, failures, problems, stats): problems lists what breaks the
     guard; stats holds the largest vector residual and, on the exact curves
     only, the Newton steps (total, and the most on one eigenvalue with its
-    curve), the eigenvalues proved by division and bracketed, the curves
+    curve), the convergent walks and the early ones that found nothing, the
+    eigenvalues proved by division and bracketed, the curves
     with a repeated eigenvalue, the largest denominator bit length and the
     curves on which eigen_solve called the SVD."""
     curves, failures, problems = 0, 0, []
-    stats = dict.fromkeys(("steps", "proved", "bracketed", "repeated", "den_bits",
-                           "svd_curves", "residual"), 0)
+    stats = dict.fromkeys(("steps", "walks", "early_misses", "proved", "bracketed",
+                           "repeated", "den_bits", "svd_curves", "residual"), 0)
     stats["max_steps"] = (0, None)
     for M in range(1, 21):
         for k in range(1, 160):
@@ -60,7 +85,8 @@ def sweep(exact=True):
                 continue
             curves += 1
             try:
-                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                        counted_walks(stats):
                     res = S.eigen_solve(S.reduced_matrix(sysM))
             except S.EigenCertificationError as exc:
                 failures += 1
@@ -111,7 +137,9 @@ def main() -> int:
             most, where = stats["max_steps"]
             print(f"eigen sweep (printed, not gated): {stats['steps']} Newton steps on "
                   f"the exact curves, at most {most} on one eigenvalue at {where} "
-                  f"(cap {S.eigen._NEWTON_CAP}); {stats['proved']} eigenvalues proved by "
+                  f"(cap {S.eigen._NEWTON_CAP}); {stats['walks']} convergent walks, "
+                  f"{stats['early_misses']} of them at Newton's first small update "
+                  f"finding nothing; {stats['proved']} eigenvalues proved by "
                   f"exact division, {stats['bracketed']} bracketed (gated); {stats['repeated']} "
                   f"curves with a repeated eigenvalue; largest denominator "
                   f"{stats['den_bits']} bits; {stats['svd_curves']} exact curves took "

@@ -608,6 +608,195 @@ def test_exact_path_is_bit_identical_to_frozen_assembly():
         assert S.eigen._tridiag_exact(R) is None and _parent_tridiag_exact(R) is None
 
 
+def _parent_homogeneous(coeffs, a, e, D=1):
+    """_homogeneous as it was with its denominator factor D: the reference."""
+    h, dh, Dk, k = coeffs[-1], 0, 1, 0
+    for c in reversed(coeffs[:-1]):
+        Dk *= D
+        k += e
+        dh = dh * a + h
+        h = h * a + (c * Dk << k)
+    return h, dh
+
+
+def _parent_newton(p, x):
+    """_newton as it was, Newton to its float64 fixed point with no
+    convergent walked on the way: the reference."""
+    steps = 0
+    while steps < S.eigen._NEWTON_CAP:
+        a, b = x.as_integer_ratio()
+        e = b.bit_length() - 1
+        H, dH = _parent_homogeneous(p, a, e)
+        if H == 0 or dH == 0:
+            break
+        x, last = (a * dH - H) / (dH << e), x
+        steps += 1
+        if x == last:
+            break
+    return x, steps
+
+
+def _parent_bracketed(p, pending):
+    """_bracketed as it was, on _parent_newton and _parent_homogeneous with
+    D = 10^13: the reference."""
+    d = len(p) - 1
+    real, distinct = S.eigen._sturm_count(p)
+    if real < distinct:
+        raise S.EigenCertificationError(
+            f"complex spectrum: {real} of {distinct} real roots in the square-free "
+            f"part of a degree-{d} factor of the characteristic polynomial")
+    if distinct < d:
+        raise S.EigenCertificationError(
+            f"repeated irrational eigenvalue: {distinct} distinct roots in a "
+            f"degree-{d} factor of the characteristic polynomial")
+    polished = {}
+    for x, steps in pending:
+        x, more = _parent_newton(p, x)
+        polished.setdefault(x, steps + more)
+    if len(polished) < d:
+        raise S.EigenCertificationError(
+            f"Newton reached {len(polished)} of {d} irrational eigenvalues")
+    out, D = [], 10 ** 13
+    for x, steps in sorted(polished.items()):
+        a, b = x.as_integer_ratio()
+        e = b.bit_length() - 1
+        s = max(1 << e, abs(a))
+        lo, hi = (_parent_homogeneous(p, a * D + t, e, D)[0] for t in (-s, s))
+        if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
+            raise S.EigenCertificationError(f"no sign-change certificate at eigenvalue {x}")
+        out.append((Fraction(a, b), steps, Fraction(s, D << e)))
+    for (x, _, hx), (y, _, hy) in zip(out, out[1:]):
+        if y - x <= hx + hy:
+            raise S.EigenCertificationError(
+                f"eigenvalue brackets at {float(x)} and {float(y)} overlap")
+    return out
+
+
+def _parent_exact_eigenvalues(L, d, l, u, seeds):
+    """_exact_eigenvalues as it was, each seed walked only at Newton's fixed
+    point: the reference."""
+    p = S.eigen._char_poly(L, d, l, u)
+    zeros = next(i for i, c in enumerate(p) if c)
+    roots = [(Fraction(0), 0, 0)] * zeros
+    p, pending, seeds = p[zeros:], [], list(seeds)
+
+    def consume(r, m):
+        for _ in range(min(m, len(seeds))):
+            seeds.remove(min(seeds, key=lambda s: abs(s - r)))
+
+    consume(0.0, zeros)
+    while seeds and len(p) > 2:
+        x, steps = _parent_newton(p, seeds.pop(0))
+        hit = S.eigen._rational_root(p, x)
+        if hit is None:
+            pending.append((x, steps))
+            continue
+        a, b, p = hit
+        roots.append((Fraction(a, b), steps, 0))
+        while (q := S.eigen._divide(p, a, b)) is not None:
+            p = q
+            roots.append((Fraction(a, b), 0, 0))
+            consume(a / b, 1)
+    if len(p) == 2:
+        roots.append((Fraction(-p[0], p[1]), 0, 0))
+    elif len(p) > 2:
+        roots += _parent_bracketed(p, pending)
+    roots.sort(key=lambda t: t[0])
+    return ([float(x) for x, _, _ in roots], [None if h else x for x, _, h in roots],
+            [n for _, n, _ in roots], [float(h) for _, _, h in roots])
+
+
+# hand-built exact matrices: irrational roots (one 2x2, one 3x3), a root 0
+# beside 1e-13 (reducible, and by recurrence), a tiny 1x1 and a triple root
+_HAND_BUILT = [[[1, 1], [1, 0]], [[1, 1, 0], [1, 0, 1], [0, 1, 2]],
+               [[0, 0], [0, Fraction(1, 10 ** 13)]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
+               [[Fraction(1, 10 ** 20)]],
+               [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]]]
+
+
+def _seeds(R):
+    return sorted(float(v) for v in np.linalg.eigvals(
+        np.array([[float(x) for x in r] for r in R])).real)
+
+
+def test_early_proof_matches_frozen_newton():
+    # each root proved at Newton's first small update: the same values,
+    # Fractions and half-widths (or the same refusal) as the fixed-point
+    # walk, and per matrix no more Newton steps; fewer in all
+    matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
+                for M, k in EQUIVALENCE_CURVES + [(12, 144), (5, 60)]] + _HAND_BUILT
+    ours = theirs = 0
+    for R in matrices:
+        exact, seeds = S.eigen._tridiag_exact(R), _seeds(R)
+        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
+        want = _outcome(lambda: _parent_exact_eigenvalues(*exact, seeds))
+        if want[0] is S.EigenCertificationError:
+            assert got == want
+            continue
+        (vals, fracs, steps, widths), (wvals, wfracs, wsteps, wwidths) = got, want
+        assert (vals, fracs, widths) == (wvals, wfracs, wwidths), R
+        assert sum(steps) <= sum(wsteps), R
+        ours, theirs = ours + sum(steps), theirs + sum(wsteps)
+    assert ours < theirs
+
+
+@pytest.mark.parametrize("R", _HAND_BUILT[:2], ids=["x^2-x-1", "3x3-irrational"])
+def test_brackets_unchanged_without_the_denominator_factor(R):
+    # irrational roots: no convergent divides, so the walk finds nothing and
+    # Newton runs on to the fixed point it reached before; the brackets,
+    # evaluated on coefficients scaled by powers of 10^13, are the frozen ones
+    exact, seeds = S.eigen._tridiag_exact(R), _seeds(R)
+    p = S.eigen._char_poly(*exact)
+    pending = [_parent_newton(p, x) for x in seeds]
+    assert S.eigen._rational_root(p, pending[0][0]) is None
+    assert S.eigen._bracketed(p, pending) == _parent_bracketed(p, pending)
+    got = S.eigen._exact_eigenvalues(*exact, seeds)
+    assert got == _parent_exact_eigenvalues(*exact, seeds)
+    assert got[1] == [None] * len(R) and all(got[3])
+
+
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=2, max_size=12),
+       st.integers(-10 ** 40, 10 ** 40), st.integers(0, 80), st.sampled_from([1, 3, 10 ** 13]))
+def test_homogeneous_on_scaled_coefficients_matches_denominator_factor(p, a, e, D):
+    # p at a/(D 2^e): the coefficients times D^(d-k) at a/2^e give the same integers
+    d = len(p) - 1
+    scaled = [c * D ** (d - k) for k, c in enumerate(p)]
+    assert S.eigen._homogeneous(scaled, a, e) == _parent_homogeneous(p, a, e, D)
+
+
+def _with_off_band(R, fill):
+    """R with every entry off the tridiagonal replaced by fill(i, j)."""
+    return [[x if abs(i - j) <= 1 else fill(i, j) for j, x in enumerate(r)]
+            for i, r in enumerate(R)]
+
+
+def test_tridiag_exact_takes_equal_zeros_and_refuses_anything_else():
+    R = S.reduced_matrix(S.build_system(S.CurveParams(5, Fraction(40, 48))))
+    want = _parent_tridiag_exact(R)
+    # zeros equal to the shared one but not identical to it
+    for zero in (lambda i, j: 0, lambda i, j: Fraction(0), lambda i, j: 0 if i > j else Fraction(0)):
+        assert S.eigen._tridiag_exact(_with_off_band(R, zero)) == want
+    # a float zero is not exact: the float path, as before
+    assert S.eigen._tridiag_exact(_with_off_band(R, lambda i, j: 0.0)) is None
+    # one nonzero or NaN entry behind shared zeros, the corner included
+    for i, j in ((5, 0), (0, 5), (3, 1), (0, 2), (5, 3)):
+        for bad in (Fraction(1, 10 ** 30), -1, float("nan")):
+            M = [list(r) for r in R]
+            M[i][j] = bad
+            assert S.eigen._tridiag_exact(M) is None and _parent_tridiag_exact(M) is None
+    # every off-band entry one shared nonzero
+    one = Fraction(1, 3)
+    assert S.eigen._tridiag_exact(_with_off_band(R, lambda i, j: one)) is None
+
+
+@pytest.mark.parametrize("matrix", [
+    [], np.zeros((0, 0)), [[Fraction(1), 0], [0]], [[1, 2, 3]],
+], ids=["empty-list", "empty-array", "ragged", "not-square"])
+def test_eigen_solve_refuses_empty_ragged_and_non_square(matrix):
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        S.eigen_solve(matrix)
+
+
 def _exact_recurrence(R, lam):
     """psi from psi_0 = 1 by R's three-term recurrence, in Fractions."""
     psi = [Fraction(1)]
