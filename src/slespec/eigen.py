@@ -482,7 +482,7 @@ def eigen_solve(matrix) -> EigenResult:
     lengths.
     """
     lens = [len(r) for r in matrix]
-    if not lens or lens.count(len(lens)) < len(lens):
+    if set(lens) != {len(lens)}:
         raise ValueError("eigen_solve needs a nonempty square matrix, got "
                          + (f"rows of lengths {lens}" if lens else "no rows"))
     exact = _tridiag_exact(matrix)

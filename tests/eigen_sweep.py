@@ -20,8 +20,7 @@ took in total and the most that one eigenvalue took (with its curve; the
 cap is 64), how many continued-fraction walks for a rational root ran and
 how many of those, tried at Newton's first small update, found nothing
 before Newton's fixed point, how many of their eigenvalues were proved by
-exact division,
-how many curves have a repeated eigenvalue,
+exact division, how many curves have a repeated eigenvalue,
 the largest bit length of a proved eigenvalue's denominator, how many
 exact curves took any vector from the SVD instead of the exact recurrence,
 and the largest vector residual on the exact and on the float curves.
@@ -69,9 +68,9 @@ def sweep(exact=True):
     guard; stats holds the largest vector residual and, on the exact curves
     only, the Newton steps (total, and the most on one eigenvalue with its
     curve), the convergent walks and the early ones that found nothing, the
-    eigenvalues proved by division and bracketed, the curves
-    with a repeated eigenvalue, the largest denominator bit length and the
-    curves on which eigen_solve called the SVD."""
+    eigenvalues proved by division and bracketed, the curves with a repeated
+    eigenvalue, the largest denominator bit length and the curves on which
+    eigen_solve called the SVD."""
     curves, failures, problems = 0, 0, []
     stats = dict.fromkeys(("steps", "walks", "early_misses", "proved", "bracketed",
                            "repeated", "den_bits", "svd_curves", "residual"), 0)
