@@ -11,10 +11,12 @@ the rational sweep is fraction-free, on Python integers: the stencil times
 one integer L, and integer numerators over one denominator per
 anti-diagonal, turned into reduced Fractions once at the end.  Entries are
 an (N, N) ndarray: dtype=object Fractions (rational) or float64 (float).
-eval_theta, eval_rho and integral_means read it in blocks of rows or
-columns, with no N x N temporary.  Each decides its corner-tail check from
-the pass it makes anyway: |value| (eval_theta) and sum |c_n| of the
-diagonal sums (integral_means) bound the absolute partial sum S from below,
+eval_theta reads a float table in place, in 2 MB row blocks (one product
+up to N = 512), and a rational one in row blocks converted to float;
+integral_means reads either in column blocks; none makes an N x N
+temporary.  Each decides its corner-tail check from the pass it makes
+anyway: |value| (eval_theta) and sum |c_n| of the diagonal sums
+(integral_means) bound the absolute partial sum S from below,
 and with a 1e-9 relative margin for rounding they settle the check alone;
 a second, |theta| pass computes S only when they cannot.
 """
@@ -29,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .eigen import _stencil
-from .spectrum import _exact, _is_int
+from .spectrum import _exact, _index, _is_int
 
 BACKEND_RATIONAL = "rational"
 BACKEND_FLOAT = "float"
@@ -72,6 +74,8 @@ class CoeffTable:
         return BACKEND_RATIONAL if self.entries.dtype == object else BACKEND_FLOAT
 
     def get(self, i: int, j: int):
+        """theta_{i,j}: i, j by spectrum._index (else TypeError), in 1..N (else IndexError)."""
+        i, j = _index(i, "i", TypeError), _index(j, "j", TypeError)
         if not (1 <= i <= self.N and 1 <= j <= self.N):
             raise IndexError(f"(i,j)=({i},{j}) outside 1..{self.N}")
         return self.entries.item(i - 1, j - 1)
@@ -100,8 +104,7 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     constructor.
     Float tables are accurate to ~1e-15 of max(1, |theta|); tiny entries
     that come out of cancellation can be off by far more, relatively (2.9e-8
-    at gamma=-0.3, kappa=4, N=120).  The evaluators (eval_theta, eval_rho,
-    integral_means) read a table in blocks, with no N x N temporary.
+    at gamma=-0.3, kappa=4, N=120).
     """
     g, kap = _exact(gamma), _exact(kappa)
     rational = isinstance(g, Fraction) and isinstance(kap, Fraction)
@@ -215,11 +218,11 @@ def truncation_width(table: CoeffTable) -> Optional[int]:
 
 # ---- evaluation ----
 
-_BLOCK_BYTES = 1 << 18   # one block of float64 table rows read at a time
+_BLOCK_BYTES = 1 << 18   # one block of table rows converted to, or buffered as, float64
 
 
-def _block_rows(N: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * N))
+def _block_rows(N: int, nbytes: int = _BLOCK_BYTES) -> int:
+    return max(1, nbytes // (8 * N))
 
 
 def _corner_tail(table: CoeffTable, apw, apb) -> float:
@@ -282,33 +285,27 @@ def _table_sums(table: CoeffTable, aw: float, awbar: float):
 
 
 def _powers(w: complex, wbar: complex, N: int):
-    """w^k and wbar^k for k = 0..N-1, as numpy's complex power gives them.
-
-    For w off both axes with wbar == w.conjugate(), wbar is w's conjugate bit
-    for bit, and each conj(w^k) equals wbar^k up to the sign of a zero real
-    or imaginary part (numpy's power is odd in the imaginary part on both
-    its paths, repeated multiplication below exponent 100 and cpow above).
-    Only those entries, w^0 always among them, are recomputed.
-    """
-    k = np.arange(N)
-    pw = w ** k
-    if not (wbar == w.conjugate() and w.real and w.imag):
-        return pw, wbar ** k
-    pb = pw.conj()
-    z = np.flatnonzero((pb.real == 0) | (pb.imag == 0))
-    pb[z] = wbar ** z
-    return pw, pb
+    """w^k and wbar^k for k = 0..N-1 by running products, one rule at every
+    point: w^k is k - 1 complex products, each within sqrt(2) gamma_2, about
+    2 sqrt(2) 2^-53 (Higham 2002, sections 3.1 and 3.6), so within about
+    2 sqrt(2) k 2^-53 of the exact power."""
+    f = np.full((2, N), [[w], [wbar]], dtype=complex)
+    f[:, 0] = 1
+    return np.multiply.accumulate(f, axis=1)
 
 
 def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
     """Partial sum of Theta at (w, wbar) with a corner-block tail heuristic.
 
     ValueError, before any table pass, unless w and wbar are finite.  The
-    value is one pass over the table in row blocks, with no N x N
-    temporary: the real and imaginary parts of w^i @ entries are one real
-    (2, b) @ (b, N) product per block, so the table is never cast to
-    complex.  tail is T, the corner terms of the absolute partial sum S,
-    and warning is T > 1e-6 S.
+    value is one pass over the table with no N x N temporary: the real and
+    imaginary parts of w^i @ entries are one real (2, b) @ (b, N) product per
+    block of b rows, never cast to complex.  BLAS reads a float table in
+    place, in 2 MB blocks that stay in cache (one product up to N = 512; at
+    N = 1200 one product took 1.7 times as long on one BLAS thread); a
+    rational table is converted to float one _BLOCK_BYTES block at a time.
+    tail is T, the corner terms of the absolute partial sum S, and warning
+    is T > 1e-6 S.
 
     Each term of S bounds the matching term of Theta, so |Theta| <= S, and
     T <= 1e-6 |value| (1 - m) proves the warning False without reading the
@@ -316,23 +313,21 @@ def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
     m = _TAIL_MARGIN = 1e-9 exceeds the rounding of both computed sums, so
     the test decides as S would.  Relative to S, each sum is within about
     2N 2^-53 of its exact value (blocked products, then one dot); the moduli
-    |w|^k add k 2^-53; numpy's complex power adds about (2 pi k + 1500)
-    2^-53 to each of w^k and wbar^k (the angle k arg w of cpow above
-    exponent 100, and |k log|w|| <= 745 short of overflow or underflow).  In
-    all about (19N + 3000) 2^-53: below 1e-9 for N up to 4 10^5, a 1.3 TB
-    table.
+    |w|^k add k 2^-53; the running products of _powers add about
+    2 sqrt(2) k 2^-53 to each of w^k and wbar^k.  In all about 12N 2^-53:
+    below 1e-9 for N up to 7 10^5, a 3.9 TB table.
     """
     w, wbar = complex(w), complex(wbar)
     for name, v in (("w", w), ("wbar", wbar)):
         if not cmath.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    N = table.N
+    N, ent = table.N, table.entries
     pw, pb = _powers(w, wbar, N)
     P = np.stack((pw.real, pw.imag))
     U = np.zeros((2, N))   # Re, Im of pw @ entries
-    b = _block_rows(N)
+    b = _block_rows(N, _BLOCK_BYTES if ent.dtype == object else 1 << 21)
     for a in range(0, N, b):
-        U += P[:, a:a + b] @ np.asarray(table.entries[a:a + b], dtype=float)
+        U += P[:, a:a + b] @ np.asarray(ent[a:a + b], dtype=float)
     value = complex((U[0] + 1j * U[1]) @ pb)
     aw, awbar = abs(w), abs(wbar)
     apw = aw ** np.arange(N)
@@ -344,9 +339,14 @@ def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
 
 
 def eval_rho(table: CoeffTable, w, wbar) -> SeriesValue:
-    """((1-w)(1-wbar))^gamma * Theta(w, wbar), principal branch."""
+    """((1-w)(1-wbar))^gamma * Theta(w, wbar), principal branch; ValueError,
+    before any table pass, where (1-w)(1-wbar) = 0 and gamma < 0."""
+    z = (1 - complex(w)) * (1 - complex(wbar))
+    if z == 0 and float(table.gamma) < 0:
+        raise ValueError(f"rho is infinite at (w, wbar) = ({w}, {wbar}): "
+                         f"(1-w)(1-wbar) = 0 and gamma = {table.gamma} < 0")
     base = eval_theta(table, w, wbar)
-    pref = ((1 - complex(w)) * (1 - complex(wbar))) ** float(table.gamma)
+    pref = z ** float(table.gamma)
     return SeriesValue(value=pref * base.value, tail=abs(pref) * base.tail,
                        warning=base.warning)
 

@@ -1,6 +1,7 @@
 """Recurrence tables: exactness, banding, evaluation, asymptotics, fits."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -251,6 +252,21 @@ def test_backend_autoselect_and_get_bounds():
         t.get(0, 1)
     with pytest.raises(IndexError):
         t.get(1, 6)
+
+
+def test_get_reads_indices_by_the_index_rule():
+    # get(True, True) returned theta_{1,1}
+    t = S.build_theta_table(1, 2, 5)
+    assert t.get(np.int64(2), np.int32(3)) == t.get(2, 3)
+    for i, j in ((True, True), (1, False), (np.True_, 1), (1, np.bool_(True))):
+        with pytest.raises(TypeError, match="bool is not an index"):
+            t.get(i, j)
+    for i, j, name in ((1.0, 1, "i"), (1, 2.0, "j"), (np.float64(1), 1, "i")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            t.get(i, j)
+    for i, j in ((0, 1), (1, 6), (-1, 1)):
+        with pytest.raises(IndexError):
+            t.get(i, j)
 
 
 @pytest.mark.parametrize("g,k,backend", [
@@ -556,6 +572,29 @@ def test_eval_theta_warns_near_radius():
     assert not S.eval_theta(t, 0.2, 0.2).warning
 
 
+def test_eval_rho_at_w_one_with_negative_gamma_raises_before_any_pass(monkeypatch):
+    # a full table pass, then ZeroDivisionError: 0.0 to a negative or complex power
+    neg = [S.build_theta_table(-0.3, 4.0, 30), S.build_theta_table(Fraction(-3, 10), 4, 12)]
+
+    def no_pass(*args):
+        raise AssertionError("a table pass ran before the point was checked")
+
+    for name in ("_table_sums", "_corner_tail", "_block_rows", "_powers"):
+        monkeypatch.setattr(coeffs, name, no_pass)
+    for t in neg:
+        for w, wbar in ((1, 1), (1, 0.5j), (0.3 - 0.2j, 1.0), (1 + 0j, 1 - 0j)):
+            with pytest.raises(ValueError, match=rf"^rho is infinite at \(w, wbar\) = "
+                               rf"\({re.escape(str(w))}, {re.escape(str(wbar))}\).*"
+                               rf"gamma = {re.escape(str(t.gamma))} < 0"):
+                S.eval_rho(t, w, wbar)
+    monkeypatch.undo()
+    for g in (0.0, 0.5):   # gamma >= 0 is unchanged: rho(1, wbar) = 0^gamma Theta(1, wbar)
+        t = S.build_theta_table(g, 4.0, 30)
+        for w, wbar in ((1, 1), (1, 0.5j)):
+            th, got = S.eval_theta(t, w, wbar), S.eval_rho(t, w, wbar)
+            assert got.value == (th.value if g == 0 else 0) and got.warning == th.warning
+
+
 def test_root_invariance_of_rho():
     # both gamma roots of (q, kappa) = (2, 6) resum to the same rho
     rng = np.random.default_rng(7)
@@ -841,6 +880,11 @@ def _bits(*xs):
     return np.array([complex(x) for x in xs]).tobytes()
 
 
+def _value_bound(N):
+    """eval_theta's error bound relative to S, as its docstring states it."""
+    return 12 * N * 2.0 ** -53
+
+
 def _seeded_points(seed):
     """w = 0, axis points, conjugate and non-conjugate pairs at |w| < 1 and >= 1."""
     rng = np.random.default_rng(seed)
@@ -858,24 +902,61 @@ _WIDTH1_EXACT = (Fraction(7, 10), S.curve_point(S.CurveParams(1, Fraction(7, 10)
 
 @pytest.mark.parametrize("g,k,N", [
     (1.3, 2.5, 1), (1.3, 2.5, 2), (1.3, 2.5, 60), (1.3, 2.5, 250), (1.3, 2.5, 400),
-    (*_on_curve(1, 0.7), 400), (*_on_curve(0, 1.6), 250), (-0.3, 4.0, 60),
+    (1.3, 2.5, 1200), (*_on_curve(1, 0.7), 400), (*_on_curve(0, 1.6), 250), (-0.3, 4.0, 60),
     (Fraction(-3, 10), Fraction(4), 1), (Fraction(-3, 10), Fraction(4), 2),
     (Fraction(-3, 10), Fraction(4), 60), (*_WIDTH1_EXACT, 250),
-], ids=["N1", "N2", "N60", "N250", "N400", "width1-N400", "width0-N250", "negative-g-N60",
-        "rational-N1", "rational-N2", "rational-N60", "rational-width1-N250"])
+], ids=["N1", "N2", "N60", "N250", "N400", "N1200", "width1-N400", "width0-N250",
+        "negative-g-N60", "rational-N1", "rational-N2", "rational-N60", "rational-width1-N250"])
 def test_eval_theta_bit_identical_to_the_table_sums_first_code(g, k, N):
+    # tail and warning stay bit for bit; the value moves by rounding, since
+    # the power tables are running products and a float table is one product,
+    # and stays within eval_theta's bound of the |theta|-first, cpow code
     t = S.build_theta_table(g, k, N)
     warned = set()
     for w, wbar in _seeded_points(N):
+        S_, _, _ = _frozen_table_sums(t, abs(complex(w)), abs(complex(wbar)))
         want = _frozen_eval_theta(t, w, wbar)
         got = S.eval_theta(t, w, wbar)
-        assert _bits(got.value, got.tail) == _bits(want.value, want.tail), (w, wbar)
+        assert abs(got.value - want.value) <= _value_bound(N) * S_, (w, wbar)
+        assert _bits(got.tail) == _bits(want.tail), (w, wbar)
         assert got.warning == want.warning, (w, wbar)
         warned.add(got.warning)
         pref = ((1 - complex(w)) * (1 - complex(wbar))) ** float(t.gamma)
         rho = S.eval_rho(t, w, wbar)
-        assert _bits(rho.value, rho.tail) == _bits(pref * want.value, abs(pref) * want.tail)
+        assert _bits(rho.value, rho.tail) == _bits(pref * got.value, abs(pref) * want.tail)
+        assert rho.warning == want.warning
     assert warned == {False, True} or N == 1   # at N = 1, T = S
+
+
+def _exact_theta(table, w, wbar):
+    """The partial sum of the table's float entries at (w, wbar), to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    N = table.N
+    with mpmath.workdps(40):
+        w, wbar = mpmath.mpc(w), mpmath.mpc(wbar)
+        pw = [w ** k for k in range(N)]
+        pb = [wbar ** k for k in range(N)]
+        rows = np.asarray(table.entries, dtype=float).tolist()
+        return complex(mpmath.fsum(pw[i] * mpmath.fdot(rows[i], pb) for i in range(N)))
+
+
+def test_eval_theta_error_against_mpmath_no_larger_than_the_cpow_code():
+    # relative to S, against 40 digits: the running-product powers err no
+    # more than numpy's power (cpow from exponent 100 on) did, and stay in
+    # the bound; |w| near 1 makes the high powers count
+    pts = [(t, w, wbar) for t in (S.build_theta_table(1.3, 2.5, 120),
+                                  S.build_theta_table(-0.3, 4.0, 120))
+           for r in (0.9, 0.97, 0.995, 1.0)
+           for w, wbar in ((r * np.exp(0.7j), r * np.exp(-0.7j)), (r * np.exp(2.1j), r * np.exp(-0.4j)))]
+    pts.append((S.build_theta_table(1.3, 2.5, 400), 0.97 * np.exp(0.7j), 0.97 * np.exp(-0.7j)))
+    new, old = [], []
+    for t, w, wbar in pts:
+        S_, _, _ = _frozen_table_sums(t, abs(w), abs(wbar))
+        exact = _exact_theta(t, w, wbar)
+        new.append(abs(S.eval_theta(t, w, wbar).value - exact) / S_)
+        old.append(abs(_frozen_eval_theta(t, w, wbar).value - exact) / S_)
+        assert new[-1] <= _value_bound(t.N), (t.N, w, wbar)
+    assert max(new) <= max(old), (max(new), max(old))
 
 
 @pytest.mark.parametrize("g,k,N", [
@@ -904,42 +985,39 @@ def test_integral_means_bit_identical_to_the_table_sums_first_code(g, k, N):
     assert outcomes == {"pass", "fail"} or N <= 2   # T is most of S
 
 
+def _accumulated(x, N):
+    """x^k for k = 0..N-1 as the running product over [1, x, x, ...]."""
+    return np.multiply.accumulate(np.array([1] + [x] * (N - 1), dtype=complex))
+
+
 @pytest.mark.parametrize("N", [1, 2, 99, 100, 101, 400, 1200])
 def test_conjugate_power_table_is_bit_identical(N):
-    # numpy's complex power is odd in the imaginary part on both of its paths
-    # (repeated multiplication below exponent 100, cpow from 100 on), so
-    # conj(w^k) is wbar^k bit for bit wherever neither part is zero; a numpy
-    # that breaks this fails here
+    # both tables are running products, bit for bit, at |w| < 1 and >= 1; the
+    # wbar table is w's conjugate but for the sign of a zero part
     rng = np.random.default_rng(N)
-    k = np.arange(N)
     pts = [complex(0.5 * np.exp(2j * np.pi * rng.uniform()) * rng.uniform(0.2, 2.4))
            for _ in range(60)]
     pts += [0.5 + 0.5j, -1 + 1j, 0.6 - 0.8j, 0.3 + 1e-3j, 1e-3 - 0.9j]
     for w in pts:
         wbar = w.conjugate()
-        want = wbar ** k
-        c = (w ** k).conj()
-        nz = (c.real != 0) & (c.imag != 0)
-        assert c[nz].tobytes() == want[nz].tobytes(), w
-        assert np.array_equal(c, want), w
-        # the table eval_theta uses repairs the zero parts: bit for bit throughout
         pw, pb = coeffs._powers(w, wbar, N)
-        assert pw.tobytes() == (w ** k).tobytes() and pb.tobytes() == want.tobytes(), w
+        assert pw.tobytes() == _accumulated(w, N).tobytes(), w
+        assert pb.tobytes() == _accumulated(wbar, N).tobytes(), w
+        assert np.array_equal(pb, pw.conj()), w
 
 
 @pytest.mark.parametrize("w,wbar", [
     (0.5, 0.5), (0.5, 0.5 + 1e-3j), (0.5j, -0.5j), (-0.0 + 0.5j, 0.0 - 0.5j), (0.3, 0.3 + 0.0j),
-    (complex(0.3, -0.0), 0.3), (-1.0, -1.0),
+    (complex(0.3, -0.0), 0.3), (-1.0, -1.0), (1.1j, -1.1j), (1.05 - 0.4j, -0.2 + 1.3j), (0, 0),
 ], ids=["real", "non-conjugate", "imaginary-axis", "signed-zero-real", "real-plus-zero",
-        "real-minus-zero", "minus-one"])
+        "real-minus-zero", "minus-one", "imaginary-axis-outside", "non-conjugate-outside", "zero"])
 def test_power_tables_on_the_axes_are_computed_directly(w, wbar):
-    # on an axis a numerically equal wbar need not be w's conjugate bit for
-    # bit, so both tables come from numpy's power
+    # one rule at every point: on an axis, with signed zeros, off the unit
+    # disk and for unrelated w and wbar, both tables are running products
     for N in (2, 101, 400):
-        k = np.arange(N)
         pw, pb = coeffs._powers(complex(w), complex(wbar), N)
-        assert pw.tobytes() == (complex(w) ** k).tobytes()
-        assert pb.tobytes() == (complex(wbar) ** k).tobytes()
+        assert pw.tobytes() == _accumulated(complex(w), N).tobytes()
+        assert pb.tobytes() == _accumulated(complex(wbar), N).tobytes()
 
 
 def _count_table_sums(monkeypatch):
