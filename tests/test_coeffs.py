@@ -909,8 +909,9 @@ _WIDTH1_EXACT = (Fraction(7, 10), S.curve_point(S.CurveParams(1, Fraction(7, 10)
         "negative-g-N60", "rational-N1", "rational-N2", "rational-N60", "rational-width1-N250"])
 def test_eval_theta_bit_identical_to_the_table_sums_first_code(g, k, N):
     # tail and warning stay bit for bit; the value moves by rounding, since
-    # the power tables are running products and a float table is one product,
-    # and stays within eval_theta's bound of the |theta|-first, cpow code
+    # the power tables are running products and a float table is read in
+    # larger blocks, and stays within eval_theta's bound of the |theta|-first,
+    # cpow code
     t = S.build_theta_table(g, k, N)
     warned = set()
     for w, wbar in _seeded_points(N):
@@ -947,7 +948,8 @@ def test_eval_theta_error_against_mpmath_no_larger_than_the_cpow_code():
     pts = [(t, w, wbar) for t in (S.build_theta_table(1.3, 2.5, 120),
                                   S.build_theta_table(-0.3, 4.0, 120))
            for r in (0.9, 0.97, 0.995, 1.0)
-           for w, wbar in ((r * np.exp(0.7j), r * np.exp(-0.7j)), (r * np.exp(2.1j), r * np.exp(-0.4j)))]
+           for w, wbar in ((r * np.exp(0.7j), r * np.exp(-0.7j)),
+                           (r * np.exp(2.1j), r * np.exp(-0.4j)))]
     pts.append((S.build_theta_table(1.3, 2.5, 400), 0.97 * np.exp(0.7j), 0.97 * np.exp(-0.7j)))
     new, old = [], []
     for t, w, wbar in pts:
