@@ -22,7 +22,6 @@ _CERT_TOL = 1e-10
 _NEWTON_CAP = 64              # Newton steps per seed
 _MAX_ROOT_DEN = 1 << 30       # largest denominator tried as a rational root
 _WALK_TOL = 2.0 ** -30        # convergents tried within max(1, |x|) _WALK_TOL of x
-_BRACKET = 10 ** 13           # irrational roots: bracket half-width max(1, |x|)/_BRACKET
 
 
 class EigenCertificationError(RuntimeError):
@@ -122,13 +121,12 @@ def reduced_matrix(sys: TridiagSystem) -> List[list]:
 class EigenResult:
     values: np.ndarray       # ascending
     vectors: np.ndarray      # column k pairs with values[k], unit 2-norm: the exact
-                             # recurrence for a proved value, else an SVD vector
+                             # recurrence on an irreducible exact tridiagonal, else SVD
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
     # exact input only (None on float input), one entry per value:
-    newton_steps: Optional[np.ndarray] = None        # Newton updates taken, up to the
-                                                     # iterate whose convergent proved it
-    bracket_halfwidths: Optional[np.ndarray] = None  # sign change at value -+ h; 0 if proved
-    exact_values: Optional[tuple] = None             # Fraction proved by division, or None
+    newton_steps: Optional[np.ndarray] = None  # Newton updates taken, up to the
+                                               # iterate whose convergent proved it
+    exact_values: Optional[tuple] = None       # the Fraction proved by division
 
 
 def _tridiag_exact(matrix):
@@ -236,7 +234,7 @@ def _homogeneous(coeffs: Sequence[int], a: int, e: int):
     One Horner pass: h <- h a + c_k b^(d-k) for the value, dh <- dh a + h for
     the derivative; the powers of 2^e are shifts.  H has the sign of p(a/b).
     _newton evaluates no iterate past the one whose convergent proves a
-    root.  For b = D 2^e, p's coefficients times D^(d-k) give the same H.
+    root.
     """
     h, dh, k = coeffs[-1], 0, 0
     for c in reversed(coeffs[:-1]):
@@ -246,22 +244,21 @@ def _homogeneous(coeffs: Sequence[int], a: int, e: int):
     return h, dh
 
 
-def _newton(p, x, prove=True):
-    """(x, steps, hit): float64 Newton on the integer polynomial p from the
-    float x, and with prove the first convergent a/b of an iterate that
-    divides p, as _rational_root's (a, b, p / (b t - a)), or None.
+def _newton(p, x):
+    """(steps, hit): float64 Newton on the integer polynomial p from the
+    float x, and the first convergent a/b of an iterate that divides p, as
+    _rational_root's (a, b, p / (b t - a)), or None.
 
     An iterate x = a/2^e is evaluated exactly as H(a, 2^e) = 2^(ed) p(x),
     and the next iterate is the exact Newton update (a H' - H)/(2^e H'),
     rounded once to float64 by one int/int true division.  Newton stops at
     a fixed point (the update rounds to x), where H or H' is 0, or after
-    _NEWTON_CAP steps.  With prove, the first iterate whose update is within
+    _NEWTON_CAP steps.  The first iterate whose update is within
     _rational_root's tolerance 2^-30 max(1, |x|) is walked at once, and a
     convergent that divides p ends the search there; otherwise Newton runs
-    on, and the iterate it stops at is walked as well.  Without prove,
-    nothing is walked and hit is None.
+    on, and the iterate it stops at is walked as well.
     """
-    steps, early = 0, prove
+    steps, early = 0, True
     while steps < _NEWTON_CAP:
         a, b = x.as_integer_ratio()
         e = b.bit_length() - 1
@@ -276,8 +273,8 @@ def _newton(p, x, prove=True):
             early = False
             hit = _rational_root(p, x)
             if hit is not None:
-                return x, steps, hit
-    return x, steps, _rational_root(p, x) if prove else None
+                return steps, hit
+    return steps, _rational_root(p, x)
 
 
 def _divide(p, a, b):
@@ -322,88 +319,10 @@ def _rational_root(p, x):
     return None
 
 
-def _sturm_count(p):
-    """(k, d): p's distinct real roots and the degree of its square-free part.
-
-    A Sturm chain of primitive pseudo-remainders (Collins 1967; Brown and
-    Traub 1971): p, p', then -prem(f, g) over its positive content, where
-    prem takes the positive multiplier |lc g|^(deg f - deg g + 1), so the
-    signs are Sturm's.  The last link is gcd(p, p') up to a constant, so
-    d = deg p - deg gcd, and k is the drop in sign changes of the links'
-    leading terms from -inf to +inf.
-    """
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        f, g = chain[-2], chain[-1]
-        lc, s, dg = abs(g[-1]), (1 if g[-1] > 0 else -1), len(g) - 1
-        r = list(f)
-        for i in range(len(f) - 1, dg - 1, -1):
-            c = r.pop() * s
-            r = [t * lc for t in r]
-            for j in range(dg):
-                r[i - dg + j] -= c * g[j]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-        content = math.gcd(*r)
-        chain.append([-t // content for t in r])
-
-    def changes(signs):
-        return sum(u != v for u, v in zip(signs, signs[1:]))
-
-    top = [c[-1] > 0 for c in chain]
-    bottom = [(c[-1] > 0) == (len(c) % 2 == 1) for c in chain]
-    return changes(bottom) - changes(top), len(p) - len(chain[-1])
-
-
-def _bracketed(p, pending):
-    """(x, steps, h) for each root of p, of degree >= 2 and free of rational
-    roots found so far: the pending Newton fixed points, polished again on
-    p (no convergent is walked here), each certified by a sign change of p
-    at x -+ h, h = max(1, |x|)/10^13, with the brackets pairwise disjoint.
-    Sturm's count first proves that p has as many distinct real roots as its
-    degree, or refuses.
-    """
-    d = len(p) - 1
-    real, distinct = _sturm_count(p)
-    if real < distinct:
-        raise EigenCertificationError(
-            f"complex spectrum: {real} of {distinct} real roots in the square-free "
-            f"part of a degree-{d} factor of the characteristic polynomial")
-    if distinct < d:
-        raise EigenCertificationError(
-            f"repeated irrational eigenvalue: {distinct} distinct roots in a "
-            f"degree-{d} factor of the characteristic polynomial")
-    polished = {}
-    for x, steps in pending:
-        x, more, _ = _newton(p, x, prove=False)
-        polished.setdefault(x, steps + more)
-    if len(polished) < d:
-        raise EigenCertificationError(
-            f"Newton reached {len(polished)} of {d} irrational eigenvalues")
-    # p's coefficients times D^(d-k), D = _BRACKET: ends (a D -+ s)/(D 2^e), once
-    scaled = [c * _BRACKET ** (d - k) for k, c in enumerate(p)]
-    out = []
-    for x, steps in sorted(polished.items()):
-        a, b = x.as_integer_ratio()
-        e = b.bit_length() - 1
-        s = max(1 << e, abs(a))   # h = s / (2^e D) = max(1, |x|) / D
-        lo, hi = (_homogeneous(scaled, a * _BRACKET + t, e)[0] for t in (-s, s))
-        if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
-            raise EigenCertificationError(f"no sign-change certificate at eigenvalue {x}")
-        out.append((Fraction(a, b), steps, Fraction(s, _BRACKET << e)))
-    for (x, _, hx), (y, _, hy) in zip(out, out[1:]):
-        if y - x <= hx + hy:
-            raise EigenCertificationError(
-                f"eigenvalue brackets at {float(x)} and {float(y)} overlap")
-    return out
-
-
 def _exact_eigenvalues(L, d, l, u, seeds):
     """The spectrum of an exact tridiagonal, given by its integer tridiagonal
-    (_tridiag_exact), proved on its characteristic polynomial; float seeds
-    only say where to look.
+    (_tridiag_exact), proved root by root on its characteristic polynomial;
+    float seeds only say where to look.
 
     Near band-closure crossings the matrix is nonnormal enough that float
     eigenvalues carry ~1e-9 error, far above the certification bound, and
@@ -416,20 +335,19 @@ def _exact_eigenvalues(L, d, l, u, seeds):
     point): the first for which (b t - a) divides p exactly is a proved
     root, divided out as often as it divides (its multiplicity), so p's
     degree shrinks as roots come off; each repeat, and each root 0, also
-    retires the seed nearest it.  A seed whose fixed point proves nothing
-    waits, with its fixed point and steps, for the rest: a remainder of
-    degree 1 is its own exact root; one of degree >= 2 gets a Sturm count
-    and sign-change brackets (_bracketed).
+    retires the seed nearest it.  A seed whose fixed point proves nothing is
+    dropped.  A remainder of degree 1 is its own exact root; one of degree
+    >= 2 once the seeds are spent raises EigenCertificationError with the
+    count proved.
 
-    Returns the eigenvalues as floats, each as its exact Fraction (None for
-    a bracketed root), the Newton steps each took (0 for a repeat or a
-    degree-1 remainder) and its bracket half-width (0.0 when proved by
-    division), all ascending by eigenvalue, repeated roots repeated.
+    Returns the eigenvalues as floats, each as its exact Fraction, and the
+    Newton steps each took (0 for a repeat or a degree-1 remainder), all
+    ascending by eigenvalue, repeated roots repeated.
     """
     p = _char_poly(L, d, l, u)
     zeros = next(i for i, c in enumerate(p) if c)
-    roots = [(Fraction(0), 0, 0)] * zeros   # (root, Newton steps, half-width)
-    p, pending, seeds = p[zeros:], [], list(seeds)
+    roots = [(Fraction(0), 0)] * zeros   # (root, Newton steps)
+    p, seeds = p[zeros:], list(seeds)
 
     def consume(r, m):
         # a root divided out m more times than a seed found it (or the root
@@ -440,53 +358,51 @@ def _exact_eigenvalues(L, d, l, u, seeds):
 
     consume(0.0, zeros)
     while seeds and len(p) > 2:
-        x, steps, hit = _newton(p, seeds.pop(0))
+        steps, hit = _newton(p, seeds.pop(0))
         if hit is None:
-            pending.append((x, steps))
             continue
         a, b, p = hit
-        roots.append((Fraction(a, b), steps, 0))
+        roots.append((Fraction(a, b), steps))
         while (q := _divide(p, a, b)) is not None:
             p = q
-            roots.append((Fraction(a, b), 0, 0))
+            roots.append((Fraction(a, b), 0))
             consume(a / b, 1)
+    if len(p) > 2:
+        raise EigenCertificationError(
+            f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
+            f"no rational root found for the degree-{len(p) - 1} rest")
     if len(p) == 2:
-        roots.append((Fraction(-p[0], p[1]), 0, 0))
-    elif len(p) > 2:
-        roots += _bracketed(p, pending)
+        roots.append((Fraction(-p[0], p[1]), 0))
     roots.sort(key=lambda t: t[0])
-    return ([float(x) for x, _, _ in roots], [None if h else x for x, _, h in roots],
-            [n for _, n, _ in roots], [float(h) for _, _, h in roots])
+    return [float(x) for x, _ in roots], [x for x, _ in roots], [n for _, n in roots]
 
 
 def eigen_solve(matrix) -> EigenResult:
     """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
 
-    Exact tridiagonal input (entries exact under spectrum._exact) has its
-    spectrum proved on the integer characteristic polynomial (see
-    _exact_eigenvalues): rational eigenvalues by exact division and
-    deflation, reported with their Fraction and bracket half-width 0, and
-    any irrational rest by a Sturm count and a sign-change bracket of
-    half-width max(1, |x|)/10^13; a complex spectrum is refused with the
-    Sturm count.  LAPACK's eigenvalues only seed that search.  Float input
-    keeps the plain LAPACK values and refuses an imaginary part above 1e-8
-    of the spectral radius.  A value proved by division, on exact input
-    with no zero super-diagonal, takes its vector from the fraction-free
-    three-term recurrence (_recurrence_vectors), whose exactly vanishing last
-    row proves the value a second time.  Every other vector (float input,
-    bracketed roots, reducible matrices) is the smallest singular vector of
-    (R - lambda I), the minimizer of ||R v - lambda v|| at that lambda, all
-    from one stacked SVD.  The first pair failing the 1e-10 residual bound
-    raises EigenCertificationError carrying the offending matrix.  A matrix
-    that is empty, ragged or not square raises ValueError naming its rows'
-    lengths.
+    Exact tridiagonal input (entries exact under spectrum._exact) has every
+    eigenvalue proved rational on the integer characteristic polynomial
+    (see _exact_eigenvalues), by exact division and deflation, and reported
+    with its Fraction; a rest with no rational root is refused, naming how
+    many eigenvalues were proved.  LAPACK's eigenvalues only seed that
+    search.  Float input keeps the plain LAPACK values and refuses an
+    imaginary part above 1e-8 of the spectral radius.  Exact input with no
+    zero super-diagonal takes every vector from the fraction-free three-term
+    recurrence (_recurrence_vectors), whose exactly vanishing last row
+    proves each value a second time.  Every other matrix (float input,
+    reducible tridiagonals) takes each vector as the smallest singular
+    vector of (R - lambda I), the minimizer of ||R v - lambda v|| at that
+    lambda, all from one stacked SVD.  The first pair failing the 1e-10
+    residual bound raises EigenCertificationError carrying the offending
+    matrix.  A matrix that is empty, ragged or not square raises ValueError
+    naming its rows' lengths.
     """
     lens = [len(r) for r in matrix]
     if set(lens) != {len(lens)}:
         raise ValueError("eigen_solve needs a nonempty square matrix, got "
                          + (f"rows of lengths {lens}" if lens else "no rows"))
     exact = _tridiag_exact(matrix)
-    fracs = steps = widths = None
+    fracs = steps = None
     if exact is None:
         mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
         vals, _ = np.linalg.eig(mat)
@@ -502,24 +418,17 @@ def eigen_solve(matrix) -> EigenResult:
         for start, band in ((0, d), (n, l), (1, u)):
             mat.flat[start::n + 1] = [x / L for x in band]
         seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
-        lams, fracs, steps, widths = _exact_eigenvalues(*exact, seeds)
-        fracs, steps, widths = tuple(fracs), np.array(steps), np.array(widths)
+        lams, fracs, steps = _exact_eigenvalues(*exact, seeds)
+        fracs, steps = tuple(fracs), np.array(steps)
     lam = np.array(lams)
-    # column k of vecs pairs with lams[k]: a proved eigenvalue of an exact
-    # tridiagonal with no zero super-diagonal takes the recurrence vector;
-    # every other column the last right singular vector of R - lams[k] I,
-    # all from one stacked SVD
-    proved = fracs if exact is not None and all(exact[3]) else (None,) * len(lams)
-    # columns strided like the SVD's transposed rows: the residual product
-    # below then rounds as it did on the SVD alone (float input bit for bit)
+    # column k of vecs pairs with lams[k], strided like the SVD's transposed
+    # rows: the residual product below then rounds as it did on the SVD
+    # alone (float input bit for bit)
     vecs = np.empty((len(lams), len(mat))).T
-    cols = [k for k, x in enumerate(proved) if x is not None]
-    if cols:
-        vecs[:, cols] = _recurrence_vectors(*exact, [proved[k] for k in cols])
-    rest = [k for k, x in enumerate(proved) if x is None]
-    if rest:
-        vecs[:, rest] = np.linalg.svd(
-            mat - lam[rest, None, None] * np.eye(len(mat)))[2][:, -1].T
+    if exact is not None and all(exact[3]):
+        vecs[:] = _recurrence_vectors(*exact, fracs)
+    else:
+        vecs[:] = np.linalg.svd(mat - lam[:, None, None] * np.eye(len(mat)))[2][:, -1].T
     res = np.linalg.norm(mat @ vecs - vecs * lam, axis=0)
     bad = np.nonzero(res > _CERT_TOL)[0]
     if len(bad):
@@ -528,7 +437,7 @@ def eigen_solve(matrix) -> EigenResult:
             f"residual {res[i]:.3e} > {_CERT_TOL} for eigenvalue {lams[i]} of "
             f"matrix {mat.tolist()}")
     return EigenResult(values=lam, vectors=vecs, residuals=res, exact_values=fracs,
-                       newton_steps=steps, bracket_halfwidths=widths)
+                       newton_steps=steps)
 
 
 # ---- closed-form eigenfunctions and the angular ODE residual ----

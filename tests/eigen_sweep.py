@@ -7,9 +7,8 @@ Run as a script (pytest does not collect it; it takes several seconds):
 
 It fails (exit 1) when eigen_solve fails on any exact curve, when an exact
 curve's eigenvalues miss the closed beta_l (even l) by more than 1e-10
-max(1, max |beta_l|), when an exact curve has an eigenvalue bracketed
-instead of proved by exact division (a seed that reached the Newton cap
-would move it there), when select_beta_tilde on a certified curve, exact
+max(1, max |beta_l|), when an exact curve's proved Fractions are not
+exactly the closed beta_l, sorted, when select_beta_tilde on a certified curve, exact
 or float, disagrees with beta_tilde_on_curve beyond criterion 4's scale
 1e-9 max(1, max |beta_l|), or when it returns another value or refusal
 than the Clenshaw selection it replaced (test_eigen's frozen reference).
@@ -23,7 +22,9 @@ before Newton's fixed point, how many of their eigenvalues were proved by
 exact division, how many curves have a repeated eigenvalue,
 the largest bit length of a proved eigenvalue's denominator, how many
 exact curves took any vector from the SVD instead of the exact recurrence,
-and the largest vector residual on the exact and on the float curves.
+the largest vector residual on the exact and on the float curves, and how
+many exact curves eigen_solve refuses among gamma = k/48, k = 1, 7, ..., 157,
+at M = 21, 24, 28, 32 and 40, past the swept range.
 """
 import sys
 from fractions import Fraction
@@ -68,11 +69,11 @@ def sweep(exact=True):
     guard; stats holds the largest vector residual and, on the exact curves
     only, the Newton steps (total, and the most on one eigenvalue with its
     curve), the convergent walks and the early ones that found nothing, the
-    eigenvalues proved by division and bracketed, the curves with a repeated
-    eigenvalue, the largest denominator bit length and the curves on which
-    eigen_solve called the SVD."""
+    eigenvalues proved by division, the curves with a repeated eigenvalue,
+    the largest denominator bit length and the curves on which eigen_solve
+    called the SVD."""
     curves, failures, problems = 0, 0, []
-    stats = dict.fromkeys(("steps", "walks", "early_misses", "proved", "bracketed",
+    stats = dict.fromkeys(("steps", "walks", "early_misses", "proved",
                            "repeated", "den_bits", "svd_curves", "residual"), 0)
     stats["max_steps"] = (0, None)
     for M in range(1, 21):
@@ -92,23 +93,22 @@ def sweep(exact=True):
                 if exact:
                     problems.append(f"(M={M}, k={k}): eigen_solve failed: {exc}"[:200])
                 continue
-            closed = sorted(float(S.eigen_beta_closed(c, l)) for l in range(0, 2 * M + 1, 2))
+            betas = sorted(S.eigen_beta_closed(c, l) for l in range(0, 2 * M + 1, 2))
+            closed = [float(v) for v in betas]
             scale = max(1.0, max(abs(v) for v in closed))
             stats["residual"] = max(stats["residual"], float(res.residuals.max()))
             if exact:
-                proved = [x for x in res.exact_values if x is not None]
                 stats["svd_curves"] += svd.called
                 if res.newton_steps.max() > stats["max_steps"][0]:
                     stats["max_steps"] = (int(res.newton_steps.max()), f"(M={M}, k={k})")
                 stats["steps"] += int(res.newton_steps.sum())
-                stats["proved"] += len(proved)
-                stats["bracketed"] += len(res.values) - len(proved)
-                if len(proved) < len(res.values):
-                    problems.append(f"(M={M}, k={k}): {len(res.values) - len(proved)} "
-                                    f"eigenvalues bracketed, not proved by division")
+                stats["proved"] += len(res.exact_values)
+                if list(res.exact_values) != betas:
+                    problems.append(f"(M={M}, k={k}): the proved Fractions are not "
+                                    f"the closed beta_l")
                 stats["repeated"] += len(set(res.values)) < len(res.values)
-                stats["den_bits"] = max([stats["den_bits"]]
-                                        + [x.denominator.bit_length() for x in proved])
+                stats["den_bits"] = max([stats["den_bits"]] + [
+                    x.denominator.bit_length() for x in res.exact_values])
                 dev = max(abs(a - b) for a, b in zip(res.values, closed))
                 if len(res.values) != len(closed) or dev > 1e-10 * scale:
                     problems.append(f"(M={M}, k={k}): eigenvalues off the closed "
@@ -126,6 +126,27 @@ def sweep(exact=True):
     return curves, failures, problems, stats
 
 
+def refused_past_the_sweep():
+    """{M: (refused, curves)}: exact curves gamma = k/48, k = 1, 7, ..., 157,
+    on which eigen_solve raises EigenCertificationError, at M = 21, 24, 28,
+    32 and 40."""
+    out = {}
+    for M in (21, 24, 28, 32, 40):
+        refused = curves = 0
+        for k in range(1, 160, 6):
+            try:
+                sysM = S.build_system(S.CurveParams(M, Fraction(k, 48)))
+            except S.InvalidCurveError:
+                continue
+            curves += 1
+            try:
+                S.eigen_solve(S.reduced_matrix(sysM))
+            except S.EigenCertificationError:
+                refused += 1
+        out[M] = (refused, curves)
+    return out
+
+
 def main() -> int:
     bad = 0
     for exact, known in ((True, "none allowed"), (False, "not pinned")):
@@ -139,7 +160,7 @@ def main() -> int:
                   f"(cap {S.eigen._NEWTON_CAP}); {stats['walks']} convergent walks, "
                   f"{stats['early_misses']} of them at Newton's first small update "
                   f"finding nothing; {stats['proved']} eigenvalues proved by "
-                  f"exact division, {stats['bracketed']} bracketed (gated); {stats['repeated']} "
+                  f"exact division, each the closed beta_l (gated); {stats['repeated']} "
                   f"curves with a repeated eigenvalue; largest denominator "
                   f"{stats['den_bits']} bits; {stats['svd_curves']} exact curves took "
                   f"SVD vectors, the rest the exact recurrence")
@@ -148,6 +169,9 @@ def main() -> int:
         for line in problems:
             print(line)
         bad += len(problems)
+    counts = ", ".join(f"{r} of {n} at M={M}" for M, (r, n) in refused_past_the_sweep().items())
+    print(f"eigen sweep (printed, not gated): exact curves refused past M = 20, "
+          f"gamma = k/48, k = 1, 7, ..., 157: {counts}")
     return 1 if bad else 0
 
 

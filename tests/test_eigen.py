@@ -204,28 +204,26 @@ def test_eigen_solve_rejects_complex_spectrum():
 
 
 def test_eigen_solve_reports_brackets_on_exact_input():
-    # the eigenvalues 1 and 4 are proved by division: their Fractions, and
-    # brackets of half-width 0
+    # the eigenvalues 1 and 4 are proved by division: their Fractions
     res = S.eigen_solve(S.reduced_matrix(S.build_system(S.CurveParams(1, 1))))
-    lams, widths = res.values, res.bracket_halfwidths
-    assert len(res.newton_steps) == len(widths) == len(lams) == len(res.exact_values) == 2
+    lams = res.values
+    assert len(res.newton_steps) == len(lams) == len(res.exact_values) == 2
     assert res.exact_values == (Fraction(1), Fraction(4))
-    assert list(lams) == [1.0, 4.0] and list(widths) == [0.0, 0.0]
+    assert list(lams) == [1.0, 4.0]
     floats = S.eigen_solve([[3.0, -2.0], [-1.0, 2.0]])
-    assert floats.newton_steps is None and floats.bracket_halfwidths is None
+    assert floats.newton_steps is None
     assert floats.exact_values is None
 
 
 def test_exact_matrix_off_the_tridiagonal_takes_float_path():
     # exact entries alone do not make the exact path: the corner 1/2 lies off
-    # the tridiagonal, so the values are LAPACK's and carry no brackets
+    # the tridiagonal, so the values are LAPACK's and carry no Fractions
     m = [[Fraction(2), Fraction(1), Fraction(1, 2)],
          [Fraction(1), Fraction(3), Fraction(1)],
          [Fraction(1, 2), Fraction(1), Fraction(4)]]
     assert S.eigen._tridiag_exact(m) is None
     res = S.eigen_solve(m)
-    assert res.newton_steps is None and res.bracket_halfwidths is None
-    assert res.exact_values is None
+    assert res.newton_steps is None and res.exact_values is None
     assert np.allclose(res.values, np.linalg.eigvalsh(np.array(m, dtype=float)),
                        rtol=0, atol=1e-12)
     assert max(res.residuals) < 1e-12
@@ -237,8 +235,7 @@ def test_numpy_integer_matrix_takes_exact_path():
     assert S.eigen._tridiag_exact(arr) == S.eigen._tridiag_exact(ints)
     a, b = S.eigen_solve(arr), S.eigen_solve(ints)
     assert a.newton_steps is not None
-    for field in ("values", "vectors", "residuals", "newton_steps",
-                  "bracket_halfwidths", "exact_values"):
+    for field in ("values", "vectors", "residuals", "newton_steps", "exact_values"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -396,15 +393,20 @@ def _matches_reference(grid):
     """Exact division against the bracket path it replaced, on its own
     seeds: where the reference certifies, the same number of values, each
     within 1e-12 max(1, |x|); where it refuses, exact division certifies,
-    and every value is the exact spectrum's, proved (its Fraction, bracket
-    half-width 0)."""
+    and every value is the exact spectrum's, proved (its Fraction).  A
+    spectrum that is not rational, which the reference bracketed, is
+    refused."""
     refused = 0
     for where, exact, tridiag, seeds, spectrum in _reference_cases():
-        vals, fracs, _, widths = S.eigen._exact_eigenvalues(*exact, seeds)
+        if spectrum is None:
+            with pytest.raises(S.EigenCertificationError, match="proved 0 of 2 "):
+                S.eigen._exact_eigenvalues(*exact, seeds)
+            continue
+        vals, fracs, _ = S.eigen._exact_eigenvalues(*exact, seeds)
         old = _outcome(lambda: _ref_exact_eigenvalues(*tridiag, seeds, grid))
         if old[0] is S.EigenCertificationError:
             refused += 1
-            assert fracs == spectrum and not any(widths), where
+            assert fracs == spectrum, where
             assert vals == [float(x) for x in spectrum], where
             continue
         assert len(vals) == len(old[0]), where
@@ -464,11 +466,9 @@ _RESIDUAL_FAILURE = [[3e7, 1e7], [1e7, -2e7]]
 
 def _svd_columns(R, res):
     """Which columns of eigen_solve's result are SVD vectors: all on float
-    input and on a zero super-diagonal, else the bracketed roots'."""
+    input and on a zero super-diagonal, else none."""
     exact = S.eigen._tridiag_exact(R)
-    if exact is None or not all(exact[3]):
-        return [True] * len(res.values)
-    return [x is None for x in res.exact_values]
+    return [exact is None or not all(exact[3])] * len(res.values)
 
 
 def _sign_aligned(v, w):
@@ -476,7 +476,7 @@ def _sign_aligned(v, w):
 
 
 def test_stacked_svd_matches_per_eigenvalue_reference():
-    # values bit for bit everywhere; SVD columns (float input, fallbacks)
+    # values bit for bit everywhere; SVD columns (float input)
     # and their residuals bit for bit; recurrence columns within 1e-12 of the
     # reference's SVD vector, up to sign; the same refusals
     matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, g)))
@@ -559,7 +559,7 @@ def _parent_eigen_solve(matrix):
     mat = (np.diag([x / L for x in d]) + np.diag([x / L for x in l], -1)
            + np.diag([x / L for x in u], 1))
     seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
-    lams, fracs, steps, widths = S.eigen._exact_eigenvalues(*exact, seeds)
+    lams, fracs, steps = S.eigen._exact_eigenvalues(*exact, seeds)
     lam = np.array(lams)
     proved = fracs if all(u) else (None,) * len(lams)
     vecs = np.empty((len(lams), len(mat))).T
@@ -578,22 +578,20 @@ def _parent_eigen_solve(matrix):
             f"residual {res[i]:.3e} > 1e-10 for eigenvalue {lams[i]} of "
             f"matrix {mat.tolist()}")
     return S.EigenResult(values=lam, vectors=vecs, residuals=res,
-                         exact_values=tuple(fracs), newton_steps=np.array(steps),
-                         bracket_halfwidths=np.array(widths))
+                         exact_values=tuple(fracs), newton_steps=np.array(steps))
 
 
 def _bits(result):
     """Every EigenResult field, arrays as (dtype, shape, strides, bytes)."""
     return tuple(v if f == "exact_values" else (v.dtype, v.shape, v.strides, v.tobytes())
-                 for f in ("values", "vectors", "residuals", "newton_steps",
-                           "bracket_halfwidths", "exact_values")
+                 for f in ("values", "vectors", "residuals", "newton_steps", "exact_values")
                  for v in [getattr(result, f)])
 
 
 def test_exact_path_is_bit_identical_to_frozen_assembly():
     # every field bit for bit, or the same refusal, on EQUIVALENCE_CURVES and
-    # on matrices that take the SVD (reducible, bracketed), the root 0 and
-    # numpy integers
+    # on a matrix that takes the SVD (reducible), one with no rational root,
+    # the root 0 and numpy integers
     matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
                 for M, k in EQUIVALENCE_CURVES + [(5, 60), (12, 144)]]
     matrices += [[[1, 1], [1, 0]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
@@ -636,49 +634,15 @@ def _parent_newton(p, x):
     return x, steps
 
 
-def _parent_bracketed(p, pending):
-    """_bracketed as it was, on _parent_newton and _parent_homogeneous with
-    D = 10^13: the reference."""
-    d = len(p) - 1
-    real, distinct = S.eigen._sturm_count(p)
-    if real < distinct:
-        raise S.EigenCertificationError(
-            f"complex spectrum: {real} of {distinct} real roots in the square-free "
-            f"part of a degree-{d} factor of the characteristic polynomial")
-    if distinct < d:
-        raise S.EigenCertificationError(
-            f"repeated irrational eigenvalue: {distinct} distinct roots in a "
-            f"degree-{d} factor of the characteristic polynomial")
-    polished = {}
-    for x, steps in pending:
-        x, more = _parent_newton(p, x)
-        polished.setdefault(x, steps + more)
-    if len(polished) < d:
-        raise S.EigenCertificationError(
-            f"Newton reached {len(polished)} of {d} irrational eigenvalues")
-    out, D = [], 10 ** 13
-    for x, steps in sorted(polished.items()):
-        a, b = x.as_integer_ratio()
-        e = b.bit_length() - 1
-        s = max(1 << e, abs(a))
-        lo, hi = (_parent_homogeneous(p, a * D + t, e, D)[0] for t in (-s, s))
-        if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
-            raise S.EigenCertificationError(f"no sign-change certificate at eigenvalue {x}")
-        out.append((Fraction(a, b), steps, Fraction(s, D << e)))
-    for (x, _, hx), (y, _, hy) in zip(out, out[1:]):
-        if y - x <= hx + hy:
-            raise S.EigenCertificationError(
-                f"eigenvalue brackets at {float(x)} and {float(y)} overlap")
-    return out
-
-
 def _parent_exact_eigenvalues(L, d, l, u, seeds):
     """_exact_eigenvalues as it was, each seed walked only at Newton's fixed
-    point: the reference."""
+    point: the reference.  Where it left a rest of degree >= 2 for the
+    sign-change brackets, it raises the refusal that replaced them, with
+    the count it had proved."""
     p = S.eigen._char_poly(L, d, l, u)
     zeros = next(i for i, c in enumerate(p) if c)
-    roots = [(Fraction(0), 0, 0)] * zeros
-    p, pending, seeds = p[zeros:], [], list(seeds)
+    roots = [(Fraction(0), 0)] * zeros
+    p, seeds = p[zeros:], list(seeds)
 
     def consume(r, m):
         for _ in range(min(m, len(seeds))):
@@ -689,25 +653,25 @@ def _parent_exact_eigenvalues(L, d, l, u, seeds):
         x, steps = _parent_newton(p, seeds.pop(0))
         hit = S.eigen._rational_root(p, x)
         if hit is None:
-            pending.append((x, steps))
             continue
         a, b, p = hit
-        roots.append((Fraction(a, b), steps, 0))
+        roots.append((Fraction(a, b), steps))
         while (q := S.eigen._divide(p, a, b)) is not None:
             p = q
-            roots.append((Fraction(a, b), 0, 0))
+            roots.append((Fraction(a, b), 0))
             consume(a / b, 1)
     if len(p) == 2:
-        roots.append((Fraction(-p[0], p[1]), 0, 0))
+        roots.append((Fraction(-p[0], p[1]), 0))
     elif len(p) > 2:
-        roots += _parent_bracketed(p, pending)
+        raise S.EigenCertificationError(
+            f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
+            f"no rational root found for the degree-{len(p) - 1} rest")
     roots.sort(key=lambda t: t[0])
-    return ([float(x) for x, _, _ in roots], [None if h else x for x, _, h in roots],
-            [n for _, n, _ in roots], [float(h) for _, _, h in roots])
+    return [float(x) for x, _ in roots], [x for x, _ in roots], [n for _, n in roots]
 
 
-# hand-built exact matrices: irrational roots (one 2x2, one 3x3), a root 0
-# beside 1e-13 (reducible, and by recurrence), a tiny 1x1 and a triple root
+# hand-built exact matrices: irrational roots (one 2x2, one 3x3; refused on
+# both sides), a root 0 beside 1e-13 (reducible, and by recurrence), a tiny 1x1 and a triple root
 _HAND_BUILT = [[[1, 1], [1, 0]], [[1, 1, 0], [1, 0, 1], [0, 1, 2]],
                [[0, 0], [0, Fraction(1, 10 ** 13)]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
                [[Fraction(1, 10 ** 20)]],
@@ -720,9 +684,9 @@ def _seeds(R):
 
 
 def test_early_proof_matches_frozen_newton():
-    # each root proved at Newton's first small update: the same values,
-    # Fractions and half-widths (or the same refusal) as the fixed-point
-    # walk, and per matrix no more Newton steps; fewer in all
+    # each root proved at Newton's first small update: the same values and
+    # Fractions (or the same refusal) as the fixed-point walk, and per
+    # matrix no more Newton steps; fewer in all
     matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
                 for M, k in EQUIVALENCE_CURVES + [(12, 144), (5, 60)]] + _HAND_BUILT
     ours = theirs = 0
@@ -733,26 +697,11 @@ def test_early_proof_matches_frozen_newton():
         if want[0] is S.EigenCertificationError:
             assert got == want
             continue
-        (vals, fracs, steps, widths), (wvals, wfracs, wsteps, wwidths) = got, want
-        assert (vals, fracs, widths) == (wvals, wfracs, wwidths), R
+        (vals, fracs, steps), (wvals, wfracs, wsteps) = got, want
+        assert (vals, fracs) == (wvals, wfracs), R
         assert sum(steps) <= sum(wsteps), R
         ours, theirs = ours + sum(steps), theirs + sum(wsteps)
     assert ours < theirs
-
-
-@pytest.mark.parametrize("R", _HAND_BUILT[:2], ids=["x^2-x-1", "3x3-irrational"])
-def test_brackets_unchanged_without_the_denominator_factor(R):
-    # irrational roots: no convergent divides, so the walk finds nothing and
-    # Newton runs on to the fixed point it reached before; the brackets,
-    # evaluated on coefficients scaled by powers of 10^13, are the frozen ones
-    exact, seeds = S.eigen._tridiag_exact(R), _seeds(R)
-    p = S.eigen._char_poly(*exact)
-    pending = [_parent_newton(p, x) for x in seeds]
-    assert S.eigen._rational_root(p, pending[0][0]) is None
-    assert S.eigen._bracketed(p, pending) == _parent_bracketed(p, pending)
-    got = S.eigen._exact_eigenvalues(*exact, seeds)
-    assert got == _parent_exact_eigenvalues(*exact, seeds)
-    assert got[1] == [None] * len(R) and all(got[3])
 
 
 @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=2, max_size=12),
@@ -830,11 +779,10 @@ def test_nonzero_last_row_is_refused():
 
 @pytest.mark.parametrize("R", [
     S.reduced_matrix(S.build_system(S.CurveParams(5, Fraction(60, 48)))),
-    [[1, 1], [1, 0]],
-], ids=["reducible-(5,60/48)", "bracketed-x^2-x-1"])
+], ids=["reducible-(5,60/48)"])
 def test_exact_input_without_exact_vectors_takes_svd_columns(R):
-    # a zero super-diagonal stops the recurrence, and a bracketed root has no
-    # exact value: both take the reference's SVD columns bit for bit
+    # a zero super-diagonal stops the recurrence: the reference's SVD
+    # columns bit for bit
     got, want = S.eigen_solve(R), _ref_eigen_solve(R)
     assert all(_svd_columns(R, got))
     assert np.array_equal(got.values, want[0]) and np.array_equal(got.vectors, want[1])
@@ -910,8 +858,8 @@ def test_certifies_every_formerly_failing_curve():
         scale = max(1.0, max(abs(float(v)) for v in closed))
         assert len(res.values) == len(closed), (M, k)
         assert max(abs(a - float(b)) for a, b in zip(res.values, closed)) <= 1e-10 * scale
-        # every eigenvalue is proved: its exact Fraction, bracket half-width 0
-        assert list(res.exact_values) == closed and not res.bracket_halfwidths.any()
+        # every eigenvalue is proved: its exact Fraction
+        assert list(res.exact_values) == closed
         bt = S.select_beta_tilde(res, c)
         assert abs(bt - float(S.beta_tilde_on_curve(c))) <= 1e-9 * scale, (M, k)
         repeated += len(set(closed)) < len(closed)
@@ -928,14 +876,13 @@ def test_seeds_of_a_repeated_root_retire_with_it():
     assert max(res.newton_steps) <= 30
 
 
-# ---- exact input off the curves: the degree-1 remainder and the Sturm fallback ----
+# ---- exact input off the curves: the degree-1 remainder and the refusal ----
 
 def test_degree_one_remainder_is_its_own_root():
     # no Newton step and no convergent: the polynomial 1 - 10^20 x divides itself
     res = S.eigen_solve([[Fraction(1, 10 ** 20)]])
     assert res.exact_values == (Fraction(1, 10 ** 20),)
     assert list(res.values) == [1e-20] and list(res.newton_steps) == [0]
-    assert list(res.bracket_halfwidths) == [0.0]
 
 
 def test_root_zero_comes_off_first():
@@ -943,66 +890,47 @@ def test_root_zero_comes_off_first():
     # and 1e-13 is the degree-1 remainder's root
     res = S.eigen_solve([[0, 0], [0, Fraction(1, 10 ** 13)]])
     assert res.exact_values == (Fraction(0), Fraction(1, 10 ** 13))
-    assert list(res.values) == [0.0, 1e-13] and not res.bracket_halfwidths.any()
+    assert list(res.values) == [0.0, 1e-13]
 
 
 def test_multiplicity_comes_from_division_not_from_the_seeds():
     # (x - 2)^3 (x + 1) from the one seed 2.0: (x - 2) divides three times,
     # and the remainder x + 1 is its own root
     # the integer tridiagonal (L, d, l, u) of diag(2, 2, 2, -1)
-    vals, fracs, steps, widths = S.eigen._exact_eigenvalues(
+    vals, fracs, steps = S.eigen._exact_eigenvalues(
         1, [2, 2, 2, -1], [0] * 3, [0] * 3, [2.0])
     assert fracs == [-1, 2, 2, 2] and vals == [-1.0, 2.0, 2.0, 2.0]
-    assert steps == [0] * 4 and widths == [0.0] * 4
+    assert steps == [0] * 4
 
 
-def test_irrational_roots_are_bracketed():
-    # x^2 - x - 1: no rational root, so Sturm counts 2 of 2 real roots and
-    # each is certified by a sign change of half-width max(1, |x|)/10^13
-    res = S.eigen_solve([[1, 1], [1, 0]])
-    assert res.exact_values == (None, None)
+def _curve_matrix(M, k):
+    return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
+
+
+@pytest.mark.parametrize("R,proved,rest", [
+    ([[1, 1], [1, 0]], 0, 2),                                    # x^2 - x - 1
+    ([[0, -1], [1, 0]], 0, 2),                                   # x^2 + 1
+    ([[0, 0, 0], [0, 0, -1], [0, 1, 0]], 1, 2),                  # x (x^2 + 1)
+    ([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]], 0, 4),   # (x^2 - 2)^2
+    (_curve_matrix(24, 79), 23, 2),
+    (_curve_matrix(24, 151), 23, 2),
+], ids=["x^2-x-1", "complex", "0-and-complex", "double-sqrt2", "(24,79/48)", "(24,151/48)"])
+def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest):
+    # exact input proves every eigenvalue by division or is refused with the
+    # count proved: irrational, complex and repeated irrational roots alike,
+    # and the two M = 24 curves whose last rational pair Newton does not reach
+    n = proved + rest
+    with pytest.raises(S.EigenCertificationError) as exc:
+        S.eigen_solve(R)
+    assert str(exc.value) == (f"proved {proved} of {n} eigenvalues by exact division; "
+                              f"no rational root found for the degree-{rest} rest")
+    assert "irrational" not in str(exc.value)
+    # only exact input is refused: x^2 - x - 1 as floats keeps LAPACK's
+    # residual-certified golden-ratio pair
+    res = S.eigen_solve([[1.0, 1.0], [1.0, 0.0]])
     want = [(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2]
     assert np.allclose(res.values, want, rtol=1e-15, atol=0)
-    assert list(res.bracket_halfwidths) == [max(1.0, abs(x)) / 1e13 for x in res.values]
-
-
-def test_brackets_need_a_fixed_point_per_root():
-    # x^2 - 2: both seeds polish to sqrt(2), so -sqrt(2) has no bracket
-    with pytest.raises(S.EigenCertificationError, match="Newton reached 1 of 2"):
-        S.eigen._bracketed([-2, 0, 1], [(1.0, 0), (2.0, 0)])
-    assert [float(x) for x, _, _ in S.eigen._bracketed([-2, 0, 1], [(-1.0, 0), (2.0, 0)])] \
-        == [-math.sqrt(2), math.sqrt(2)]
-
-
-def test_complex_spectrum_is_refused_with_the_sturm_count():
-    with pytest.raises(S.EigenCertificationError, match="0 of 2 real roots"):
-        S.eigen_solve([[0, -1], [1, 0]])
-    # x (x^2 + 1): the root 0 comes off, and the rest has no real root
-    with pytest.raises(S.EigenCertificationError, match="0 of 2 real roots"):
-        S.eigen_solve([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
-
-
-def test_repeated_irrational_eigenvalue_is_refused():
-    # (x^2 - 2)^2: all roots real, but a double root has no sign change
-    m = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
-    with pytest.raises(S.EigenCertificationError, match="2 distinct roots in a degree-4"):
-        S.eigen_solve(m)
-
-
-@pytest.mark.parametrize("roots,complex_pairs,want", [
-    ([], 1, (0, 2)),                                   # x^2 + 1
-    ([Fraction(1), Fraction(1), Fraction(-2)], 0, (2, 2)),
-    ([Fraction(1, 3), Fraction(-5, 7), Fraction(2)], 1, (3, 5)),
-    ([Fraction(3, 2)] * 3 + [Fraction(-1)], 2, (2, 4)),   # (x^2 + 1)^2 counts once
-])
-def test_sturm_count_against_known_factorizations(roots, complex_pairs, want):
-    # (k, d): distinct real roots, and the degree of the square-free part
-    factors = [[-r.numerator, r.denominator] for r in roots] + [[1, 0, 1]] * complex_pairs
-    p = [1]
-    for f in factors:   # ascending integer coefficients of prod f
-        p = [sum(p[j] * f[i - j] for j in range(len(p)) if 0 <= i - j < len(f))
-             for i in range(len(p) + len(f) - 1)]
-    assert S.eigen._sturm_count(p) == want
+    assert res.exact_values is None and max(res.residuals) < 1e-10
 
 
 # ---- closed-form eigenvalues ----
