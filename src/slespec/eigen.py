@@ -7,11 +7,12 @@ The reflection-symmetric subspace psi_n = psi_{-n} reduces to (M+1)x(M+1).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -19,9 +20,7 @@ from .special import _terminating_terms
 from .spectrum import CurveParams, _checked_curve, _curve_params, _exact, _index
 
 _CERT_TOL = 1e-10
-_NEWTON_CAP = 64              # Newton steps per seed
-_MAX_ROOT_DEN = 1 << 30       # largest denominator tried as a rational root
-_WALK_TOL = 2.0 ** -30        # convergents tried within max(1, |x|) _WALK_TOL of x
+_FIRST_PRIME = 1009   # least modulus of the exact root search (_exact_eigenvalues)
 
 
 class EigenCertificationError(RuntimeError):
@@ -123,10 +122,9 @@ class EigenResult:
     vectors: np.ndarray      # column k pairs with values[k], unit 2-norm: the exact
                              # recurrence on an irreducible exact tridiagonal, else SVD
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
-    # exact input only (None on float input), one entry per value:
-    newton_steps: Optional[np.ndarray] = None  # Newton updates taken, up to the
-                                               # iterate whose convergent proved it
-    exact_values: Optional[tuple] = None       # the Fraction proved by division
+    # exact input only (None on float input): per value, the Fraction proved
+    # by division
+    exact_values: Optional[tuple] = None
 
 
 def _tridiag_exact(matrix):
@@ -228,55 +226,6 @@ def _recurrence_vectors(L, d, l, u, roots) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=0)
 
 
-def _homogeneous(coeffs: Sequence[int], a: int, e: int):
-    """(H, H') = (b^d p(a/b), b^(d-1) p'(a/b)) at b = 2^e, in integers.
-
-    One Horner pass: h <- h a + c_k b^(d-k) for the value, dh <- dh a + h for
-    the derivative; the powers of 2^e are shifts.  H has the sign of p(a/b).
-    _newton evaluates no iterate past the one whose convergent proves a
-    root.
-    """
-    h, dh, k = coeffs[-1], 0, 0
-    for c in reversed(coeffs[:-1]):
-        k += e
-        dh = dh * a + h
-        h = h * a + (c << k)
-    return h, dh
-
-
-def _newton(p, x):
-    """(steps, hit): float64 Newton on the integer polynomial p from the
-    float x, and the first convergent a/b of an iterate that divides p, as
-    _rational_root's (a, b, p / (b t - a)), or None.
-
-    An iterate x = a/2^e is evaluated exactly as H(a, 2^e) = 2^(ed) p(x),
-    and the next iterate is the exact Newton update (a H' - H)/(2^e H'),
-    rounded once to float64 by one int/int true division.  Newton stops at
-    a fixed point (the update rounds to x), where H or H' is 0, or after
-    _NEWTON_CAP steps.  The first iterate whose update is within
-    _rational_root's tolerance 2^-30 max(1, |x|) is walked at once, and a
-    convergent that divides p ends the search there; otherwise Newton runs
-    on, and the iterate it stops at is walked as well.
-    """
-    steps, early = 0, True
-    while steps < _NEWTON_CAP:
-        a, b = x.as_integer_ratio()
-        e = b.bit_length() - 1
-        H, dH = _homogeneous(p, a, e)
-        if H == 0 or dH == 0:
-            break
-        x, last = (a * dH - H) / (dH << e), x
-        steps += 1
-        if x == last:
-            break
-        if early and abs(x - last) <= max(1.0, abs(x)) * _WALK_TOL:
-            early = False
-            hit = _rational_root(p, x)
-            if hit is not None:
-                return steps, hit
-    return steps, _rational_root(p, x)
-
-
 def _divide(p, a, b):
     """p / (b t - a), ascending integer coefficients, if it divides, else None.
 
@@ -296,96 +245,134 @@ def _divide(p, a, b):
     return q[::-1] if p[0] + a * acc == 0 else None
 
 
-def _rational_root(p, x):
-    """(a, b, p / (b t - a)) for the first continued-fraction convergent a/b
-    of the float x, b <= _MAX_ROOT_DEN, that divides p exactly; else None.
+def _horner(f, r, m):
+    """(f(r), f'(r)) mod m for the integer polynomial f, in one pass."""
+    v = dv = 0
+    for c in reversed(f):
+        dv = (dv * r + v) % m
+        v = (v * r + c) % m
+    return v, dv
 
-    Only convergents within 2^-30 max(1, |x|) of x are tried: x is a Newton
-    iterate after an update at least that small (_newton), so near its root.
+
+def _roots_mod(p, q) -> list:
+    """The roots of the integer polynomial p mod q, ascending: one int64
+    Horner pass over all q residues (q < 2^31, so no product overflows)."""
+    x = np.arange(q, dtype=np.int64)
+    v = np.zeros(q, dtype=np.int64)
+    for c in reversed(p):
+        v = (v * x + c % q) % q
+    return np.flatnonzero(v == 0).tolist()
+
+
+def _lifted_root(p, r, q, floor):
+    """(simple, hit) for r, a root of p mod q.
+
+    r is lifted on f = p^(j), the first derivative of p of which r is a
+    simple root mod q (j = 0 says r is simple), since a rational root of
+    multiplicity k is a simple root of p^(k-1).  Each Newton-Hensel step
+    takes r mod m to r mod m^2 (m = q, q^2, q^4, ...), with f and f' in one
+    Horner pass.  After each step with m >= floor, the half extended Euclid
+    rebuilds the a/b with |a|, b <= sqrt(m/2) that r stands for, and
+    _divide proves or rejects it: hit is (a, b, p / (b t - a), m) for the
+    first that divides p.  A rational root of primitive p has |a| <= |p_0|
+    and b <= |p_d|, so it is rebuilt once m > 2 max(|p_0|, |p_d|)^2, and
+    hit is None if none divides by then.
     """
-    num, den = x.as_integer_ratio()
-    a0, a, b0, b = 0, 1, 1, 0
-    tol = max(1.0, abs(x)) * _WALK_TOL
-    while den:
-        q, r = divmod(num, den)
-        a0, a, b0, b = a, q * a + a0, b, q * b + b0
-        if b > _MAX_ROOT_DEN:
-            return None
-        if a and abs(x - a / b) <= tol:
-            quo = _divide(p, a, b)
-            if quo is not None:
-                return a, b, quo
-        num, den = den, r
-    return None
+    f = p
+    while (h := _horner(f, r, q * q))[1] % q == 0:
+        f = [k * c for k, c in enumerate(f)][1:]
+    m, bound = q, 2 * max(abs(p[0]), abs(p[-1])) ** 2
+    while True:
+        v, dv = h
+        r, m = (r - v * pow(dv, -1, m)) % (m * m), m * m
+        if m >= floor or m > bound:
+            r0, r1, t0, t1 = m, r, 0, 1
+            half = math.isqrt(m // 2)
+            while r1 > half:
+                k = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+            a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+            if a and (quo := _divide(p, a, b)) is not None:
+                return f is p, (a, b, quo, m)
+        if m > bound:
+            return f is p, None
+        h = _horner(f, r, m * m)
 
 
-def _exact_eigenvalues(L, d, l, u, seeds):
+def _exact_eigenvalues(L, d, l, u):
     """The spectrum of an exact tridiagonal, given by its integer tridiagonal
-    (_tridiag_exact), proved root by root on its characteristic polynomial;
-    float seeds only say where to look.
+    (_tridiag_exact), proved root by root on its characteristic polynomial
+    p (_char_poly's primitive integer polynomial), in integers only.
 
     Near band-closure crossings the matrix is nonnormal enough that float
     eigenvalues carry ~1e-9 error, far above the certification bound, and
     double roots come back from LAPACK as complex pairs: that is why this
-    path exists at all.  p is _char_poly's primitive integer polynomial.
-    Its root 0 comes off first, as factors t.  Each seed is then polished by
-    _newton on the current p, and the continued-fraction convergents of its
-    first iterate within 2^-30 max(1, |x|) of the last are tried as
-    rational roots a/b (and, if none divides, those of Newton's fixed
-    point): the first for which (b t - a) divides p exactly is a proved
-    root, divided out as often as it divides (its multiplicity), so p's
-    degree shrinks as roots come off; each repeat, and each root 0, also
-    retires the seed nearest it.  A seed whose fixed point proves nothing is
-    dropped.  A remainder of degree 1 is its own exact root; one of degree
-    >= 2 once the seeds are spent raises EigenCertificationError with the
-    count proved.
+    path exists at all.  p's root 0 comes off first, as factors t.  The
+    rest are found by Loos's p-adic search, one pass per prime q.  The
+    first q is the least prime >= max(_FIRST_PRIME, deg p + 1) that does
+    not divide p's leading coefficient, and each later pass takes the next
+    such prime.  A pass finds p's roots mod q (_roots_mod) and lifts each
+    (_lifted_root).  Each rational a/b found is proved on p by exact
+    division and divided out as often as it divides (its multiplicity), so
+    p's degree shrinks.  No rebuild is tried below the modulus at which the
+    previous root was rebuilt: the roots of a curve have like sizes.  A
+    remainder of degree 1 is its own exact root.
 
-    Returns the eigenvalues as floats, each as its exact Fraction, and the
-    Newton steps each took (0 for a repeat or a degree-1 remainder), all
-    ascending by eigenvalue, repeated roots repeated.
+    A remainder of degree >= 2 raises EigenCertificationError with the
+    count proved, and only on a proof that it has no rational root: a pass
+    that proves nothing at a prime where each of its roots mod q is simple
+    (every rational root is then lifted from its residue), or t such passes
+    in a row with 9t >= (deg p + 1)(bits(max |p_i|) + 2).  A rational root
+    a/b of multiplicity k escapes a pass only if q divides the nonzero
+    integer b^(d-k) g(a/b), p = (b t - a)^k g, which Mignotte's bound keeps
+    below 2^((d+1)(bits + 2)), while t primes above 2^9 multiply past it.
+
+    Returns the eigenvalues as Fractions, ascending, repeated roots
+    repeated.
     """
     p = _char_poly(L, d, l, u)
     zeros = next(i for i, c in enumerate(p) if c)
-    roots = [(Fraction(0), 0)] * zeros   # (root, Newton steps)
-    p, seeds = p[zeros:], list(seeds)
-
-    def consume(r, m):
-        # a root divided out m more times than a seed found it (or the root
-        # 0) stood for the m seeds nearest it; left in, each would wander
-        # off to a root that another seed stands for
-        for _ in range(min(m, len(seeds))):
-            seeds.remove(min(seeds, key=lambda s: abs(s - r)))
-
-    consume(0.0, zeros)
-    while seeds and len(p) > 2:
-        steps, hit = _newton(p, seeds.pop(0))
-        if hit is None:
-            continue
-        a, b, p = hit
-        roots.append((Fraction(a, b), steps))
-        while (q := _divide(p, a, b)) is not None:
-            p = q
-            roots.append((Fraction(a, b), 0))
-            consume(a / b, 1)
-    if len(p) > 2:
-        raise EigenCertificationError(
-            f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
-            f"no rational root found for the degree-{len(p) - 1} rest")
+    roots, p = [Fraction(0)] * zeros, p[zeros:]
+    q, idle, floor = max(_FIRST_PRIME, len(p)) - 1, 0, 0
+    while len(p) > 2:
+        q = next(n for n in itertools.count(q + 1)
+                 if p[-1] % n and all(n % k for k in range(2, math.isqrt(n) + 1)))
+        found, simple = False, True
+        for r in _roots_mod(p, q):
+            simple_r, hit = _lifted_root(p, r, q, floor)
+            simple = simple and simple_r
+            if hit is not None:
+                a, b, p, floor = hit
+                roots.append(Fraction(a, b))
+                while (quo := _divide(p, a, b)) is not None:
+                    p = quo
+                    roots.append(Fraction(a, b))
+                found = True
+                if len(p) <= 2:
+                    break
+        idle = 0 if found else idle + 1
+        if not found and (simple or 9 * idle >= len(p) * (
+                max(abs(c) for c in p).bit_length() + 2)):
+            raise EigenCertificationError(
+                f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
+                f"no rational root found for the degree-{len(p) - 1} rest")
     if len(p) == 2:
-        roots.append((Fraction(-p[0], p[1]), 0))
-    roots.sort(key=lambda t: t[0])
-    return [float(x) for x, _ in roots], [x for x, _ in roots], [n for _, n in roots]
+        roots.append(Fraction(-p[0], p[1]))
+    return sorted(roots)
 
 
 def eigen_solve(matrix) -> EigenResult:
     """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
 
     Exact tridiagonal input (entries exact under spectrum._exact) has every
-    eigenvalue proved rational on the integer characteristic polynomial
-    (see _exact_eigenvalues), by exact division and deflation, and reported
-    with its Fraction; a rest with no rational root is refused, naming how
-    many eigenvalues were proved.  LAPACK's eigenvalues only seed that
-    search.  Float input keeps the plain LAPACK values and refuses an
+    eigenvalue proved rational on the integer characteristic polynomial p,
+    by exact division and deflation, and reported with its Fraction.  The
+    roots are found with no float: p-adic lifting from p's roots mod a
+    prime q, the first prime >= 1009 (and above p's degree) that does not
+    divide p's leading coefficient, then the next ones as needed (see
+    _exact_eigenvalues).  A rest proved to have no rational root is
+    refused, naming how many eigenvalues were proved.  Float input keeps
+    the plain LAPACK values and refuses an
     imaginary part above 1e-8 of the spectral radius.  Exact input with no
     zero super-diagonal takes every vector from the fraction-free three-term
     recurrence (_recurrence_vectors), whose exactly vanishing last row
@@ -402,7 +389,7 @@ def eigen_solve(matrix) -> EigenResult:
         raise ValueError("eigen_solve needs a nonempty square matrix, got "
                          + (f"rows of lengths {lens}" if lens else "no rows"))
     exact = _tridiag_exact(matrix)
-    fracs = steps = None
+    fracs = None
     if exact is None:
         mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
         vals, _ = np.linalg.eig(mat)
@@ -417,9 +404,8 @@ def eigen_solve(matrix) -> EigenResult:
         mat = np.zeros((n, n))
         for start, band in ((0, d), (n, l), (1, u)):
             mat.flat[start::n + 1] = [x / L for x in band]
-        seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
-        lams, fracs, steps = _exact_eigenvalues(*exact, seeds)
-        fracs, steps = tuple(fracs), np.array(steps)
+        fracs = tuple(_exact_eigenvalues(*exact))
+        lams = [float(x) for x in fracs]
     lam = np.array(lams)
     # column k of vecs pairs with lams[k], strided like the SVD's transposed
     # rows: the residual product below then rounds as it did on the SVD
@@ -436,8 +422,7 @@ def eigen_solve(matrix) -> EigenResult:
         raise EigenCertificationError(
             f"residual {res[i]:.3e} > {_CERT_TOL} for eigenvalue {lams[i]} of "
             f"matrix {mat.tolist()}")
-    return EigenResult(values=lam, vectors=vecs, residuals=res, exact_values=fracs,
-                       newton_steps=steps)
+    return EigenResult(values=lam, vectors=vecs, residuals=res, exact_values=fracs)
 
 
 # ---- closed-form eigenfunctions and the angular ODE residual ----

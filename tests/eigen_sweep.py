@@ -1,5 +1,7 @@
 """Eigen route sweep over every curve (M, k/48), M = 1..20, k = 1..159, with
-gamma exact (Fraction(k, 48)) and as its float twin (k / 48).
+gamma exact (Fraction(k, 48)) and as its float twin (k / 48), and over the
+exact curves gamma = k/48, k = 1, 7, ..., 157, at M = 21, 24, 28, 32, 40
+and 60, past the swept range.
 
 Run as a script (pytest does not collect it; it takes several seconds):
 
@@ -13,20 +15,21 @@ or float, disagrees with beta_tilde_on_curve beyond criterion 4's scale
 1e-9 max(1, max |beta_l|), or when it returns another value or refusal
 than the Clenshaw selection it replaced (test_eigen's frozen reference).
 Float failures are counted, not pinned: which curves fail depends on LAPACK.
+Past the swept range it fails when eigen_solve refuses a sampled curve or
+when that curve's proved Fractions are not exactly the closed beta_l,
+sorted.
 
-It also prints, without gating them, the Newton steps that the exact curves
-took in total and the most that one eigenvalue took (with its curve; the
-cap is 64), how many continued-fraction walks for a rational root ran and
-how many of those, tried at Newton's first small update, found nothing
-before Newton's fixed point, how many of their eigenvalues were proved by
-exact division, how many curves have a repeated eigenvalue,
-the largest bit length of a proved eigenvalue's denominator, how many
-exact curves took any vector from the SVD instead of the exact recurrence,
-the largest vector residual on the exact and on the float curves, and how
-many exact curves eigen_solve refuses among gamma = k/48, k = 1, 7, ..., 157,
-at M = 21, 24, 28, 32 and 40, past the swept range.
+It also prints, without gating them, how many eigenvalues of the exact
+curves were proved by exact division, how many curves have a repeated
+eigenvalue, the largest bit length of a proved eigenvalue's denominator,
+how many exact curves took any vector from the SVD instead of the exact
+recurrence, the largest vector residual on the exact and on the float
+curves, and, past the swept range, the curves solved and the median solve
+time at each M.
 """
+import statistics
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -43,39 +46,14 @@ def _outcome(select, res, c):
         return type(exc), str(exc)
 
 
-def counted_walks(stats):
-    """A patch of eigen's _newton and _rational_root under which
-    stats["walks"] counts the continued-fraction walks and
-    stats["early_misses"] the walks at Newton's first small update that
-    found nothing: a Newton call walks again at its fixed point only then,
-    so each of its walks but the last is such a miss."""
-    walk, newton = S.eigen._rational_root, S.eigen._newton
-
-    def counted_walk(p, x):
-        stats["walks"] += 1
-        return walk(p, x)
-
-    def counted_newton(*args, **kwargs):
-        before = stats["walks"]
-        out = newton(*args, **kwargs)
-        stats["early_misses"] += max(stats["walks"] - before - 1, 0)
-        return out
-
-    return mock.patch.multiple(S.eigen, _rational_root=counted_walk, _newton=counted_newton)
-
-
 def sweep(exact=True):
     """(curves, failures, problems, stats): problems lists what breaks the
     guard; stats holds the largest vector residual and, on the exact curves
-    only, the Newton steps (total, and the most on one eigenvalue with its
-    curve), the convergent walks and the early ones that found nothing, the
-    eigenvalues proved by division, the curves with a repeated eigenvalue,
-    the largest denominator bit length and the curves on which eigen_solve
-    called the SVD."""
+    only, the eigenvalues proved by division, the curves with a repeated
+    eigenvalue, the largest denominator bit length and the curves on which
+    eigen_solve called the SVD."""
     curves, failures, problems = 0, 0, []
-    stats = dict.fromkeys(("steps", "walks", "early_misses", "proved",
-                           "repeated", "den_bits", "svd_curves", "residual"), 0)
-    stats["max_steps"] = (0, None)
+    stats = dict.fromkeys(("proved", "repeated", "den_bits", "svd_curves", "residual"), 0)
     for M in range(1, 21):
         for k in range(1, 160):
             c = S.CurveParams(M, Fraction(k, 48) if exact else k / 48)
@@ -85,8 +63,7 @@ def sweep(exact=True):
                 continue
             curves += 1
             try:
-                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
-                        counted_walks(stats):
+                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
                     res = S.eigen_solve(S.reduced_matrix(sysM))
             except S.EigenCertificationError as exc:
                 failures += 1
@@ -99,9 +76,6 @@ def sweep(exact=True):
             stats["residual"] = max(stats["residual"], float(res.residuals.max()))
             if exact:
                 stats["svd_curves"] += svd.called
-                if res.newton_steps.max() > stats["max_steps"][0]:
-                    stats["max_steps"] = (int(res.newton_steps.max()), f"(M={M}, k={k})")
-                stats["steps"] += int(res.newton_steps.sum())
                 stats["proved"] += len(res.exact_values)
                 if list(res.exact_values) != betas:
                     problems.append(f"(M={M}, k={k}): the proved Fractions are not "
@@ -126,25 +100,32 @@ def sweep(exact=True):
     return curves, failures, problems, stats
 
 
-def refused_past_the_sweep():
-    """{M: (refused, curves)}: exact curves gamma = k/48, k = 1, 7, ..., 157,
-    on which eigen_solve raises EigenCertificationError, at M = 21, 24, 28,
-    32 and 40."""
-    out = {}
-    for M in (21, 24, 28, 32, 40):
-        refused = curves = 0
+def past_the_sweep():
+    """(problems, {M: (curves, median ms)}) on the exact curves gamma = k/48,
+    k = 1, 7, ..., 157, at M = 21, 24, 28, 32, 40 and 60: each must be
+    solved, its proved Fractions exactly the closed beta_l, sorted."""
+    problems, out = [], {}
+    for M in (21, 24, 28, 32, 40, 60):
+        times = []
         for k in range(1, 160, 6):
+            c = S.CurveParams(M, Fraction(k, 48))
             try:
-                sysM = S.build_system(S.CurveParams(M, Fraction(k, 48)))
+                R = S.reduced_matrix(S.build_system(c))
             except S.InvalidCurveError:
                 continue
-            curves += 1
+            t = time.perf_counter()
             try:
-                S.eigen_solve(S.reduced_matrix(sysM))
-            except S.EigenCertificationError:
-                refused += 1
-        out[M] = (refused, curves)
-    return out
+                res = S.eigen_solve(R)
+            except S.EigenCertificationError as exc:
+                problems.append(f"(M={M}, k={k}): eigen_solve failed: {exc}"[:200])
+                continue
+            times.append(time.perf_counter() - t)
+            betas = sorted(S.eigen_beta_closed(c, l) for l in range(0, 2 * M + 1, 2))
+            if list(res.exact_values) != betas:
+                problems.append(f"(M={M}, k={k}): the proved Fractions are not "
+                                f"the closed beta_l")
+        out[M] = (len(times), statistics.median(times) * 1e3 if times else float("nan"))
+    return problems, out
 
 
 def main() -> int:
@@ -154,13 +135,8 @@ def main() -> int:
         print(f"eigen sweep: {curves} {'exact' if exact else 'float'} curves, "
               f"{failures} failures ({known}), {len(problems)} problems")
         if exact:
-            most, where = stats["max_steps"]
-            print(f"eigen sweep (printed, not gated): {stats['steps']} Newton steps on "
-                  f"the exact curves, at most {most} on one eigenvalue at {where} "
-                  f"(cap {S.eigen._NEWTON_CAP}); {stats['walks']} convergent walks, "
-                  f"{stats['early_misses']} of them at Newton's first small update "
-                  f"finding nothing; {stats['proved']} eigenvalues proved by "
-                  f"exact division, each the closed beta_l (gated); {stats['repeated']} "
+            print(f"eigen sweep (printed, not gated): {stats['proved']} eigenvalues "
+                  f"proved by exact division, each the closed beta_l (gated); {stats['repeated']} "
                   f"curves with a repeated eigenvalue; largest denominator "
                   f"{stats['den_bits']} bits; {stats['svd_curves']} exact curves took "
                   f"SVD vectors, the rest the exact recurrence")
@@ -169,9 +145,13 @@ def main() -> int:
         for line in problems:
             print(line)
         bad += len(problems)
-    counts = ", ".join(f"{r} of {n} at M={M}" for M, (r, n) in refused_past_the_sweep().items())
-    print(f"eigen sweep (printed, not gated): exact curves refused past M = 20, "
-          f"gamma = k/48, k = 1, 7, ..., 157: {counts}")
+    problems, solved = past_the_sweep()
+    counts = ", ".join(f"{n} at M={M} ({ms:.1f} ms median)" for M, (n, ms) in solved.items())
+    print(f"eigen sweep: exact curves past M = 20, gamma = k/48, k = 1, 7, ..., 157, "
+          f"each the closed beta_l (gated): {counts} solved, {len(problems)} problems")
+    for line in problems:
+        print(line)
+    bad += len(problems)
     return 1 if bad else 0
 
 

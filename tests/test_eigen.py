@@ -206,13 +206,9 @@ def test_eigen_solve_rejects_complex_spectrum():
 def test_eigen_solve_reports_brackets_on_exact_input():
     # the eigenvalues 1 and 4 are proved by division: their Fractions
     res = S.eigen_solve(S.reduced_matrix(S.build_system(S.CurveParams(1, 1))))
-    lams = res.values
-    assert len(res.newton_steps) == len(lams) == len(res.exact_values) == 2
     assert res.exact_values == (Fraction(1), Fraction(4))
-    assert list(lams) == [1.0, 4.0]
-    floats = S.eigen_solve([[3.0, -2.0], [-1.0, 2.0]])
-    assert floats.newton_steps is None
-    assert floats.exact_values is None
+    assert list(res.values) == [1.0, 4.0]
+    assert S.eigen_solve([[3.0, -2.0], [-1.0, 2.0]]).exact_values is None
 
 
 def test_exact_matrix_off_the_tridiagonal_takes_float_path():
@@ -223,7 +219,7 @@ def test_exact_matrix_off_the_tridiagonal_takes_float_path():
          [Fraction(1, 2), Fraction(1), Fraction(4)]]
     assert S.eigen._tridiag_exact(m) is None
     res = S.eigen_solve(m)
-    assert res.newton_steps is None and res.exact_values is None
+    assert res.exact_values is None
     assert np.allclose(res.values, np.linalg.eigvalsh(np.array(m, dtype=float)),
                        rtol=0, atol=1e-12)
     assert max(res.residuals) < 1e-12
@@ -234,8 +230,8 @@ def test_numpy_integer_matrix_takes_exact_path():
     arr = np.array(ints)
     assert S.eigen._tridiag_exact(arr) == S.eigen._tridiag_exact(ints)
     a, b = S.eigen_solve(arr), S.eigen_solve(ints)
-    assert a.newton_steps is not None
-    for field in ("values", "vectors", "residuals", "newton_steps", "exact_values"):
+    assert a.exact_values is not None
+    for field in ("values", "vectors", "residuals", "exact_values"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -400,9 +396,10 @@ def _matches_reference(grid):
     for where, exact, tridiag, seeds, spectrum in _reference_cases():
         if spectrum is None:
             with pytest.raises(S.EigenCertificationError, match="proved 0 of 2 "):
-                S.eigen._exact_eigenvalues(*exact, seeds)
+                S.eigen._exact_eigenvalues(*exact)
             continue
-        vals, fracs, _ = S.eigen._exact_eigenvalues(*exact, seeds)
+        fracs = S.eigen._exact_eigenvalues(*exact)
+        vals = [float(x) for x in fracs]
         old = _outcome(lambda: _ref_exact_eigenvalues(*tridiag, seeds, grid))
         if old[0] is S.EigenCertificationError:
             refused += 1
@@ -443,8 +440,7 @@ def _ref_eigen_solve(matrix):
                 f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
         lams = sorted(float(v) for v in vals.real)
     else:
-        seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
-        lams = S.eigen._exact_eigenvalues(*exact, seeds)[0]
+        lams = [float(x) for x in S.eigen._exact_eigenvalues(*exact)]
     eye = np.eye(mat.shape[0])
     out_vecs, out_res = [], []
     for lam in lams:
@@ -549,17 +545,116 @@ def _parent_recurrence_vectors(L, d, l, u, roots):
     return vecs / np.linalg.norm(vecs, axis=0)
 
 
+# The root search as it was before p-adic lifting, frozen as the reference:
+# LAPACK's eigenvalues seed float64 Newton on the integer polynomial, and the
+# continued-fraction convergents of its iterates are tried by exact division.
+_FROZEN_NEWTON_CAP = 64           # Newton steps per seed
+_FROZEN_MAX_ROOT_DEN = 1 << 30    # largest denominator tried as a rational root
+_FROZEN_WALK_TOL = 2.0 ** -30     # convergents tried within max(1, |x|) of this of x
+
+
+def _frozen_homogeneous(coeffs, a, e):
+    """(b^d p(a/b), b^(d-1) p'(a/b)) at b = 2^e, in integers."""
+    h, dh, k = coeffs[-1], 0, 0
+    for c in reversed(coeffs[:-1]):
+        k += e
+        dh = dh * a + h
+        h = h * a + (c << k)
+    return h, dh
+
+
+def _frozen_rational_root(p, x):
+    """(a, b, p / (b t - a)) for the first convergent a/b of the float x,
+    b <= 2^30 and within 2^-30 max(1, |x|) of x, that divides p; else None."""
+    num, den = x.as_integer_ratio()
+    a0, a, b0, b = 0, 1, 1, 0
+    tol = max(1.0, abs(x)) * _FROZEN_WALK_TOL
+    while den:
+        q, r = divmod(num, den)
+        a0, a, b0, b = a, q * a + a0, b, q * b + b0
+        if b > _FROZEN_MAX_ROOT_DEN:
+            return None
+        if a and abs(x - a / b) <= tol:
+            quo = S.eigen._divide(p, a, b)
+            if quo is not None:
+                return a, b, quo
+        num, den = den, r
+    return None
+
+
+def _frozen_newton(p, x):
+    """(steps, hit): float64 Newton on p from x, its iterates evaluated
+    exactly; the first iterate whose update is within the walk tolerance is
+    walked at once, and otherwise the iterate Newton stops at."""
+    steps, early = 0, True
+    while steps < _FROZEN_NEWTON_CAP:
+        a, b = x.as_integer_ratio()
+        e = b.bit_length() - 1
+        H, dH = _frozen_homogeneous(p, a, e)
+        if H == 0 or dH == 0:
+            break
+        x, last = (a * dH - H) / (dH << e), x
+        steps += 1
+        if x == last:
+            break
+        if early and abs(x - last) <= max(1.0, abs(x)) * _FROZEN_WALK_TOL:
+            early = False
+            hit = _frozen_rational_root(p, x)
+            if hit is not None:
+                return steps, hit
+    return steps, _frozen_rational_root(p, x)
+
+
+def _frozen_exact_eigenvalues(L, d, l, u):
+    """_exact_eigenvalues as it was, with LAPACK's seeds from the float
+    matrix eigen_solve built: the root 0 first, then each seed polished and
+    walked, each proved root divided out as often as it divides and the
+    seeds nearest its repeats retired.  The sorted Fractions, or the same
+    refusal with the count proved."""
+    n = len(d)
+    mat = np.zeros((n, n))
+    for start, band in ((0, d), (n, l), (1, u)):
+        mat.flat[start::n + 1] = [x / L for x in band]
+    seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
+    p = S.eigen._char_poly(L, d, l, u)
+    zeros = next(i for i, c in enumerate(p) if c)
+    roots, p = [Fraction(0)] * zeros, p[zeros:]
+
+    def consume(r, m):
+        for _ in range(min(m, len(seeds))):
+            seeds.remove(min(seeds, key=lambda s: abs(s - r)))
+
+    consume(0.0, zeros)
+    while seeds and len(p) > 2:
+        _, hit = _frozen_newton(p, seeds.pop(0))
+        if hit is None:
+            continue
+        a, b, p = hit
+        roots.append(Fraction(a, b))
+        while (q := S.eigen._divide(p, a, b)) is not None:
+            p = q
+            roots.append(Fraction(a, b))
+            consume(a / b, 1)
+    if len(p) > 2:
+        raise S.EigenCertificationError(
+            f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
+            f"no rational root found for the degree-{len(p) - 1} rest")
+    if len(p) == 2:
+        roots.append(Fraction(-p[0], p[1]))
+    return sorted(roots)
+
+
 def _parent_eigen_solve(matrix):
     """eigen_solve on exact tridiagonal input as it was before the one-pass
-    read, the in-place float matrix and the local recurrence: the frozen
-    _tridiag_exact, np.diag assembly and _recurrence_vectors around the
-    unchanged _exact_eigenvalues.  The reference."""
+    read, the in-place float matrix, the local recurrence and p-adic
+    lifting: the frozen _tridiag_exact, np.diag assembly,
+    _recurrence_vectors and root search.  The reference."""
     exact = _parent_tridiag_exact(matrix)
     L, d, l, u = exact
     mat = (np.diag([x / L for x in d]) + np.diag([x / L for x in l], -1)
            + np.diag([x / L for x in u], 1))
-    seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
-    lams, fracs, steps = S.eigen._exact_eigenvalues(*exact, seeds)
+    fracs = _frozen_exact_eigenvalues(*exact)
+    lams = [float(x) for x in fracs]
     lam = np.array(lams)
     proved = fracs if all(u) else (None,) * len(lams)
     vecs = np.empty((len(lams), len(mat))).T
@@ -578,139 +673,58 @@ def _parent_eigen_solve(matrix):
             f"residual {res[i]:.3e} > 1e-10 for eigenvalue {lams[i]} of "
             f"matrix {mat.tolist()}")
     return S.EigenResult(values=lam, vectors=vecs, residuals=res,
-                         exact_values=tuple(fracs), newton_steps=np.array(steps))
+                         exact_values=tuple(fracs))
 
 
 def _bits(result):
     """Every EigenResult field, arrays as (dtype, shape, strides, bytes)."""
     return tuple(v if f == "exact_values" else (v.dtype, v.shape, v.strides, v.tobytes())
-                 for f in ("values", "vectors", "residuals", "newton_steps", "exact_values")
+                 for f in ("values", "vectors", "residuals", "exact_values")
                  for v in [getattr(result, f)])
 
 
+# hand-built exact matrices: irrational roots (one 2x2, one 3x3; refused on
+# both sides), a root 0 beside 1e-13 (reducible, and by recurrence), a tiny
+# 1x1, a triple root and numpy integers
+_HAND_BUILT = [[[1, 1], [1, 0]], [[1, 1, 0], [1, 0, 1], [0, 1, 2]],
+               [[0, 0], [0, Fraction(1, 10 ** 13)]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
+               [[Fraction(1, 10 ** 20)]],
+               [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]],
+               np.array([[3, -2], [-1, 2]])]
+
+# the curves of the frozen comparisons: EQUIVALENCE_CURVES, the reducible
+# (5, 60/48) and (12, 144/48), which has the eigenvalue 0
+_FROZEN_CURVES = EQUIVALENCE_CURVES + [(5, 60), (12, 144)]
+
+
 def test_exact_path_is_bit_identical_to_frozen_assembly():
-    # every field bit for bit, or the same refusal, on EQUIVALENCE_CURVES and
-    # on a matrix that takes the SVD (reducible), one with no rational root,
-    # the root 0 and numpy integers
+    # every field bit for bit, or the same refusal, against the frozen
+    # assembly and Newton search, on the frozen curves and _HAND_BUILT
     matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
-                for M, k in EQUIVALENCE_CURVES + [(5, 60), (12, 144)]]
-    matrices += [[[1, 1], [1, 0]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
-                 [[Fraction(1, 10 ** 20)]], np.array([[3, -2], [-1, 2]])]
+                for M, k in _FROZEN_CURVES] + _HAND_BUILT
+    refused = 0
     for R in matrices:
         assert S.eigen._tridiag_exact(R) == _parent_tridiag_exact(R)
         got = _outcome(lambda: _bits(S.eigen_solve(R)))
         assert got == _outcome(lambda: _bits(_parent_eigen_solve(R)))
+        refused += got[0] is S.EigenCertificationError
+    assert refused == 2
     # float twins and off-band entries take the float path in both
     for R in ([[float(x) for x in r] for r in matrices[0]],
               [[Fraction(2), 0, Fraction(1, 2)], [1, 3, 1], [Fraction(1, 2), 1, 4]]):
         assert S.eigen._tridiag_exact(R) is None and _parent_tridiag_exact(R) is None
 
 
-def _parent_homogeneous(coeffs, a, e, D=1):
-    """_homogeneous as it was with its denominator factor D: the reference."""
-    h, dh, Dk, k = coeffs[-1], 0, 1, 0
-    for c in reversed(coeffs[:-1]):
-        Dk *= D
-        k += e
-        dh = dh * a + h
-        h = h * a + (c * Dk << k)
-    return h, dh
-
-
-def _parent_newton(p, x):
-    """_newton as it was, Newton to its float64 fixed point with no
-    convergent walked on the way: the reference."""
-    steps = 0
-    while steps < S.eigen._NEWTON_CAP:
-        a, b = x.as_integer_ratio()
-        e = b.bit_length() - 1
-        H, dH = _parent_homogeneous(p, a, e)
-        if H == 0 or dH == 0:
-            break
-        x, last = (a * dH - H) / (dH << e), x
-        steps += 1
-        if x == last:
-            break
-    return x, steps
-
-
-def _parent_exact_eigenvalues(L, d, l, u, seeds):
-    """_exact_eigenvalues as it was, each seed walked only at Newton's fixed
-    point: the reference.  Where it left a rest of degree >= 2 for the
-    sign-change brackets, it raises the refusal that replaced them, with
-    the count it had proved."""
-    p = S.eigen._char_poly(L, d, l, u)
-    zeros = next(i for i, c in enumerate(p) if c)
-    roots = [(Fraction(0), 0)] * zeros
-    p, seeds = p[zeros:], list(seeds)
-
-    def consume(r, m):
-        for _ in range(min(m, len(seeds))):
-            seeds.remove(min(seeds, key=lambda s: abs(s - r)))
-
-    consume(0.0, zeros)
-    while seeds and len(p) > 2:
-        x, steps = _parent_newton(p, seeds.pop(0))
-        hit = S.eigen._rational_root(p, x)
-        if hit is None:
-            continue
-        a, b, p = hit
-        roots.append((Fraction(a, b), steps))
-        while (q := S.eigen._divide(p, a, b)) is not None:
-            p = q
-            roots.append((Fraction(a, b), 0))
-            consume(a / b, 1)
-    if len(p) == 2:
-        roots.append((Fraction(-p[0], p[1]), 0))
-    elif len(p) > 2:
-        raise S.EigenCertificationError(
-            f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
-            f"no rational root found for the degree-{len(p) - 1} rest")
-    roots.sort(key=lambda t: t[0])
-    return [float(x) for x, _ in roots], [x for x, _ in roots], [n for _, n in roots]
-
-
-# hand-built exact matrices: irrational roots (one 2x2, one 3x3; refused on
-# both sides), a root 0 beside 1e-13 (reducible, and by recurrence), a tiny 1x1 and a triple root
-_HAND_BUILT = [[[1, 1], [1, 0]], [[1, 1, 0], [1, 0, 1], [0, 1, 2]],
-               [[0, 0], [0, Fraction(1, 10 ** 13)]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
-               [[Fraction(1, 10 ** 20)]],
-               [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]]]
-
-
-def _seeds(R):
-    return sorted(float(v) for v in np.linalg.eigvals(
-        np.array([[float(x) for x in r] for r in R])).real)
-
-
-def test_early_proof_matches_frozen_newton():
-    # each root proved at Newton's first small update: the same values and
-    # Fractions (or the same refusal) as the fixed-point walk, and per
-    # matrix no more Newton steps; fewer in all
+def test_lifting_matches_frozen_newton_search():
+    # the same Fractions, or the same refusal text with its count, as the
+    # frozen seeds, Newton and convergent walks, on the frozen curves and
+    # _HAND_BUILT
     matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
-                for M, k in EQUIVALENCE_CURVES + [(12, 144), (5, 60)]] + _HAND_BUILT
-    ours = theirs = 0
+                for M, k in _FROZEN_CURVES] + _HAND_BUILT
     for R in matrices:
-        exact, seeds = S.eigen._tridiag_exact(R), _seeds(R)
-        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact, seeds))
-        want = _outcome(lambda: _parent_exact_eigenvalues(*exact, seeds))
-        if want[0] is S.EigenCertificationError:
-            assert got == want
-            continue
-        (vals, fracs, steps), (wvals, wfracs, wsteps) = got, want
-        assert (vals, fracs) == (wvals, wfracs), R
-        assert sum(steps) <= sum(wsteps), R
-        ours, theirs = ours + sum(steps), theirs + sum(wsteps)
-    assert ours < theirs
-
-
-@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=2, max_size=12),
-       st.integers(-10 ** 40, 10 ** 40), st.integers(0, 80), st.sampled_from([1, 3, 10 ** 13]))
-def test_homogeneous_on_scaled_coefficients_matches_denominator_factor(p, a, e, D):
-    # p at a/(D 2^e): the coefficients times D^(d-k) at a/2^e give the same integers
-    d = len(p) - 1
-    scaled = [c * D ** (d - k) for k, c in enumerate(p)]
-    assert S.eigen._homogeneous(scaled, a, e) == _parent_homogeneous(p, a, e, D)
+        exact = S.eigen._tridiag_exact(R)
+        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact))
+        assert got == _outcome(lambda: _frozen_exact_eigenvalues(*exact)), R
 
 
 def _with_off_band(R, fill):
@@ -867,22 +881,21 @@ def test_certifies_every_formerly_failing_curve():
 
 
 def test_seeds_of_a_repeated_root_retire_with_it():
-    # (15, 150/48) has double eigenvalues, each seeded twice by LAPACK; once
-    # division takes both copies, the second seed is dropped instead of
-    # wandering across the spectrum (it took 55-58 Newton steps then)
+    # (15, 150/48) has double eigenvalues: each is a double root mod q, found
+    # on the derivative, and divides out twice
     c = S.CurveParams(15, Fraction(150, 48))
     res = S.eigen_solve(S.reduced_matrix(S.build_system(c)))
     assert len(set(res.values)) < len(res.values)
-    assert max(res.newton_steps) <= 30
+    assert list(res.exact_values) == _closed_spectrum(15, 150)
 
 
 # ---- exact input off the curves: the degree-1 remainder and the refusal ----
 
 def test_degree_one_remainder_is_its_own_root():
-    # no Newton step and no convergent: the polynomial 1 - 10^20 x divides itself
+    # no search: the polynomial 1 - 10^20 x divides itself
     res = S.eigen_solve([[Fraction(1, 10 ** 20)]])
     assert res.exact_values == (Fraction(1, 10 ** 20),)
-    assert list(res.values) == [1e-20] and list(res.newton_steps) == [0]
+    assert list(res.values) == [1e-20]
 
 
 def test_root_zero_comes_off_first():
@@ -894,36 +907,108 @@ def test_root_zero_comes_off_first():
 
 
 def test_multiplicity_comes_from_division_not_from_the_seeds():
-    # (x - 2)^3 (x + 1) from the one seed 2.0: (x - 2) divides three times,
-    # and the remainder x + 1 is its own root
-    # the integer tridiagonal (L, d, l, u) of diag(2, 2, 2, -1)
-    vals, fracs, steps = S.eigen._exact_eigenvalues(
-        1, [2, 2, 2, -1], [0] * 3, [0] * 3, [2.0])
-    assert fracs == [-1, 2, 2, 2] and vals == [-1.0, 2.0, 2.0, 2.0]
-    assert steps == [0] * 4
+    # (x - 2)^3 (x + 1), the integer tridiagonal (L, d, l, u) of
+    # diag(2, 2, 2, -1): 2 is a triple root mod q, lifted on p'' where it is
+    # simple, and (x - 2) divides three times
+    fracs = S.eigen._exact_eigenvalues(1, [2, 2, 2, -1], [0] * 3, [0] * 3)
+    assert fracs == [-1, 2, 2, 2] and all(type(x) is Fraction for x in fracs)
+
+
+def _roots_mod_primes(monkeypatch):
+    """The primes q at which _roots_mod is called, in order, under a patch."""
+    primes, roots_mod = [], S.eigen._roots_mod
+
+    def recorded(p, q):
+        primes.append(q)
+        return roots_mod(p, q)
+
+    monkeypatch.setattr(S.eigen, "_roots_mod", recorded)
+    return primes
+
+
+def test_roots_congruent_mod_the_first_prime_take_the_next(monkeypatch):
+    # 100 and 1109 are one double root mod 1009: lifted on p', where it is
+    # simple, it gives the critical point 1209/2, which does not divide, so
+    # the search moves to 1013, where both are simple
+    R = [[100, 2], [0, 1109]]
+    p = S.eigen._char_poly(*S.eigen._tridiag_exact(R))
+    assert S.eigen._roots_mod(p, 1009) == [100]
+    assert S.eigen._roots_mod(p, 1013) == [96, 100]
+    primes = _roots_mod_primes(monkeypatch)
+    res = S.eigen_solve(R)
+    assert res.exact_values == (100, 1109) and primes == [1009, 1013]
+    assert max(res.residuals) <= 1e-10
+
+
+def test_denominators_beyond_two_to_the_thirty_are_proved(monkeypatch):
+    # 3^21 and 5^14 exceed 2^30, the largest denominator a float convergent
+    # walk tried: lifting proves both at the first prime.  Their residues
+    # mod 1009 (817, 886) come before those of -5 and -2 (1004, 1007), which
+    # are rebuilt at q^2, below the modulus that took 1/3^21, since q^2
+    # exceeds the bound of the rest (x + 5)(x + 2)
+    R = [[Fraction(1, 3 ** 21), 1, 0, 0], [0, Fraction(-2, 5 ** 14), 1, 0],
+         [0, 0, -5, 1], [0, 0, 0, -2]]
+    primes = _roots_mod_primes(monkeypatch)
+    res = S.eigen_solve(R)
+    assert res.exact_values == (-5, -2, Fraction(-2, 5 ** 14), Fraction(1, 3 ** 21))
+    assert min(x.denominator for x in res.exact_values[2:]) > 2 ** 30
+    assert primes == [1009] and max(res.residuals) <= 1e-10
 
 
 def _curve_matrix(M, k):
     return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
 
 
-@pytest.mark.parametrize("R,proved,rest", [
-    ([[1, 1], [1, 0]], 0, 2),                                    # x^2 - x - 1
-    ([[0, -1], [1, 0]], 0, 2),                                   # x^2 + 1
-    ([[0, 0, 0], [0, 0, -1], [0, 1, 0]], 1, 2),                  # x (x^2 + 1)
-    ([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]], 0, 4),   # (x^2 - 2)^2
-    (_curve_matrix(24, 79), 23, 2),
-    (_curve_matrix(24, 151), 23, 2),
-], ids=["x^2-x-1", "complex", "0-and-complex", "double-sqrt2", "(24,79/48)", "(24,151/48)"])
-def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest):
+@pytest.mark.parametrize("M,k", [(24, 79), (24, 151)], ids=["(24,79/48)", "(24,151/48)"])
+def test_curves_refused_by_newton_are_proved(M, k):
+    # the last rational pair on these curves has 25-bit denominators, out of
+    # a float64 convergent's reach: every eigenvalue is now the closed beta_l
+    res = S.eigen_solve(_curve_matrix(M, k))
+    assert list(res.exact_values) == _closed_spectrum(M, k)
+    assert max(res.residuals) <= 1e-10
+
+
+def _blocks(*blocks):
+    """The block-diagonal tridiagonal of 2x2 blocks, zeros between them."""
+    n = 2 * len(blocks)
+    R = [[0] * n for _ in range(n)]
+    for i, B in enumerate(blocks):
+        for r in range(2):
+            R[2 * i + r][2 * i:2 * i + 2] = B[r]
+    return R
+
+
+# (x^2 - 2)(x^2 - 3)(x^2 - 6) has roots mod every prime, since one of 2, 3
+# and 6 is a square mod q; squared, none of them is simple
+_ROOTS_MOD_EVERY_PRIME = _blocks(*[[[0, c], [1, 0]] for c in (2, 3, 6, 2, 3, 6)])
+
+
+@pytest.mark.parametrize("R,proved,rest,passes", [
+    ([[1, 1], [1, 0]], 0, 2, 1),                                 # x^2 - x - 1
+    ([[0, -1], [1, 0]], 0, 2, 1),                                # x^2 + 1
+    ([[0, 0, 0], [0, 0, -1], [0, 1, 0]], 1, 2, 1),               # x (x^2 + 1)
+    ([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]], 0, 4, 2),   # (x^2 - 2)^2
+    (_ROOTS_MOD_EVERY_PRIME, 0, 12, 21),
+    # (3x - 2^45 - 1)(x^2 - 2): the rational root needs a modulus above
+    # 2 (2^45)^2, near the bound 2 max(|p_0|, |p_d|)^2 = 2 (2^46 + 2)^2
+    ([[Fraction(2 ** 45 + 1, 3), 0, 0], [0, 0, 2], [0, 1, 0]], 1, 2, 2),
+], ids=["x^2-x-1", "complex", "0-and-complex", "double-sqrt2", "roots-mod-every-prime",
+        "large-root-and-sqrt2"])
+def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes, monkeypatch):
     # exact input proves every eigenvalue by division or is refused with the
-    # count proved: irrational, complex and repeated irrational roots alike,
-    # and the two M = 24 curves whose last rational pair Newton does not reach
+    # count proved, on a proof that the rest has no rational root:
+    # irrational, complex and repeated irrational roots alike.  Most are
+    # refused at the first pass whose roots mod q are all simple; (x^2 - 2)^2
+    # and x^2 - 2 have none mod 1013, the second prime.  The block matrix
+    # has double roots mod every prime, and is refused by the count of
+    # passes: 9 t >= 13 (12 + 2) at t = 21
     n = proved + rest
+    primes = _roots_mod_primes(monkeypatch)
     with pytest.raises(S.EigenCertificationError) as exc:
         S.eigen_solve(R)
     assert str(exc.value) == (f"proved {proved} of {n} eigenvalues by exact division; "
                               f"no rational root found for the degree-{rest} rest")
+    assert len(primes) == passes
     assert "irrational" not in str(exc.value)
     # only exact input is refused: x^2 - x - 1 as floats keeps LAPACK's
     # residual-certified golden-ratio pair

@@ -310,7 +310,7 @@ def test_rational_scalars_stay_exact_in_every_module(kind):
     # Fractions of Python ints: a numpy integer inside would wrap on overflow
     assert all(type(x) is Fraction and type(x.numerator) is int for x in got)
     m = [[kind(3), kind(-2)], [kind(-1), kind(2)]]
-    assert S.eigen_solve(np.array(m) if kind is not Fraction else m).newton_steps is not None
+    assert S.eigen_solve(np.array(m) if kind is not Fraction else m).exact_values is not None
 
 
 _T = S.CurveParams(2, True)
