@@ -372,8 +372,8 @@ def eigen_solve(matrix) -> EigenResult:
     divide p's leading coefficient, then the next ones as needed (see
     _exact_eigenvalues).  A rest proved to have no rational root is
     refused, naming how many eigenvalues were proved.  Float input keeps
-    the plain LAPACK values and refuses an
-    imaginary part above 1e-8 of the spectral radius.  Exact input with no
+    the plain LAPACK values and refuses an imaginary part above 1e-8 of
+    the spectral radius.  Exact input with no
     zero super-diagonal takes every vector from the fraction-free three-term
     recurrence (_recurrence_vectors), whose exactly vanishing last row
     proves each value a second time.  Every other matrix (float input,

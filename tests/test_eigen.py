@@ -943,9 +943,9 @@ def test_roots_congruent_mod_the_first_prime_take_the_next(monkeypatch):
 def test_denominators_beyond_two_to_the_thirty_are_proved(monkeypatch):
     # 3^21 and 5^14 exceed 2^30, the largest denominator a float convergent
     # walk tried: lifting proves both at the first prime.  Their residues
-    # mod 1009 (817, 886) come before those of -5 and -2 (1004, 1007), which
-    # are rebuilt at q^2, below the modulus that took 1/3^21, since q^2
-    # exceeds the bound of the rest (x + 5)(x + 2)
+    # mod 1009 (817, 886) come before that of -5 (1004), which is rebuilt
+    # at q^2, below the modulus that took 1/3^21, since q^2 exceeds the
+    # bound of the rest (x + 5)(x + 2); -2 is then the degree-1 remainder
     R = [[Fraction(1, 3 ** 21), 1, 0, 0], [0, Fraction(-2, 5 ** 14), 1, 0],
          [0, 0, -5, 1], [0, 0, 0, -2]]
     primes = _roots_mod_primes(monkeypatch)
@@ -961,8 +961,9 @@ def _curve_matrix(M, k):
 
 @pytest.mark.parametrize("M,k", [(24, 79), (24, 151)], ids=["(24,79/48)", "(24,151/48)"])
 def test_curves_refused_by_newton_are_proved(M, k):
-    # the last rational pair on these curves has 25-bit denominators, out of
-    # a float64 convergent's reach: every eigenvalue is now the closed beta_l
+    # the float Newton search refused both curves, proving 23 of 25: their
+    # last rational pairs have 23- to 25-bit denominators, at or beyond a
+    # float64 convergent's reach.  Every eigenvalue is now the closed beta_l
     res = S.eigen_solve(_curve_matrix(M, k))
     assert list(res.exact_values) == _closed_spectrum(M, k)
     assert max(res.residuals) <= 1e-10
