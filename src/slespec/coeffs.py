@@ -9,16 +9,20 @@ eigen._stencil; exact gamma and kappa (spectrum._exact) build a rational
 table at any N, other inputs a float one.  The float sweep runs on float64;
 the rational sweep is fraction-free, on Python integers: the stencil times
 one integer L, and integer numerators over one denominator per
-anti-diagonal, turned into reduced Fractions once at the end.  Entries are
-an (N, N) ndarray: dtype=object Fractions (rational) or float64 (float).
-eval_theta reads a float table in place, in 2 MB row blocks (one product
-up to N = 512), and a rational one in row blocks converted to float;
-integral_means reads either in column blocks; none makes an N x N
-temporary.  Each decides its corner-tail check from the pass it makes
-anyway: |value| (eval_theta) and sum |c_n| of the diagonal sums
-(integral_means) bound the absolute partial sum S from below,
-and with a 1e-9 relative margin for rounding they settle the check alone;
-a second, |theta| pass computes S only when they cannot.
+anti-diagonal.  A table keeps what its sweep produced: an (N, N) array num,
+float64 values (float) or Python-int numerators (rational), and for a
+rational table den, the denominator of each anti-diagonal s = i + j.  A
+Fraction is made only where one is read (CoeffTable.get, and the
+CoeffTable.entries view that no reader here uses).  Every float reader
+takes float64 blocks from _floats: a float table read in place, a rational
+one as n / den[s], which Python rounds correctly, reduced or not.
+eval_theta reads a float table in 2 MB row blocks (one product up to
+N = 512), and a rational one in smaller row blocks; integral_means reads
+either in column blocks; none makes an N x N temporary.  Each decides its
+corner-tail check from the pass it makes anyway: |value| (eval_theta) and
+sum |c_n| of the diagonal sums (integral_means) bound the absolute partial
+sum S from below, and with a 1e-9 relative margin for rounding they settle
+the check alone; a second, |theta| pass computes S only when they cannot.
 """
 from __future__ import annotations
 
@@ -63,22 +67,42 @@ class FitResult:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """theta_{i,j} for 1 <= i, j <= N; the entries' dtype is the backend."""
+    """theta_{i,j} for 1 <= i, j <= N, as the sweep produced it.
+
+    num is (N, N): float64 values (float table, den None), or Python-int
+    numerators (rational table) with theta_{i,j} = num[i-1, j-1] / den[i+j],
+    den a tuple of 2N+1 positive ints, one per anti-diagonal s = i + j.
+    """
     N: int
     gamma: object
     kappa: object
-    entries: np.ndarray   # (N, N): object Fractions (rational) or float64
+    num: np.ndarray
+    den: Optional[tuple] = None
 
     @property
     def backend(self) -> str:
-        return BACKEND_RATIONAL if self.entries.dtype == object else BACKEND_FLOAT
+        return BACKEND_FLOAT if self.den is None else BACKEND_RATIONAL
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The (N, N) table: num itself (float), or a new object array of
+        reduced Fractions, one gcd per nonzero entry on every access
+        (rational)."""
+        if self.den is None:
+            return self.num
+        ent = np.full((self.N, self.N), Fraction(0))
+        i, j = np.nonzero(self.num)
+        ent[i, j] = [Fraction(v, self.den[s])
+                     for v, s in zip(self.num[i, j], (i + j + 2).tolist())]
+        return ent
 
     def get(self, i: int, j: int):
         """theta_{i,j}: i, j by spectrum._index (else TypeError), in 1..N (else IndexError)."""
         i, j = _index(i, "i", TypeError), _index(j, "j", TypeError)
         if not (1 <= i <= self.N and 1 <= j <= self.N):
             raise IndexError(f"(i,j)=({i},{j}) outside 1..{self.N}")
-        return self.entries.item(i - 1, j - 1)
+        v = self.num.item(i - 1, j - 1)
+        return v if self.den is None else Fraction(v, self.den[i + j])
 
 
 def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> CoeffTable:
@@ -99,9 +123,9 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     edge only when an end of the anti-diagonal is zero.  The rational sweep
     runs on Python integers: the stencil is A_n, B_n, C_n times one integer
     L (eigen._stencil), and anti-diagonal s holds integer numerators over
-    one denominator den[s] (see _solve_diagonal); each nonzero entry becomes
-    a reduced Fraction once, at the end, through the public Fraction
-    constructor.
+    one denominator den[s] (see _solve_diagonal), and the table keeps both
+    as they are: num is the integer grid itself and den the tuple of the
+    per-anti-diagonal denominators, with no gcd per entry.
     Float tables are accurate to ~1e-15 of max(1, |theta|); tiny entries
     that come out of cancellation can be off by far more, relatively (2.9e-8
     at gamma=-0.3, kappa=4, N=120).
@@ -164,20 +188,14 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
                 if len(nz):
                     width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
     if rational:
-        # the stencil is symmetric under i <-> j, and so are the numerators:
-        # one Fraction (one gcd) per pair, shared by theta_{i,j} and theta_{j,i}
-        entries = np.full((N, N), Fraction(0))
-        i, j = np.nonzero(np.triu(G))
-        fr = [Fraction(v, den[s]) for v, s in zip(G[i, j], (i + j).tolist())]
-        entries[i - 1, j - 1] = entries[j - 1, i - 1] = fr
-        return CoeffTable(N=N, gamma=g, kappa=kap, entries=entries)
+        return CoeffTable(N=N, gamma=g, kappa=kap, num=G[1:, 1:], den=tuple(den))
     if not np.isfinite(G).all():
         i, j = np.nonzero(~np.isfinite(G))
         b = np.lexsort((i, i + j))[0]
         raise OverflowError(
             f"float overflow at theta({int(i[b])},{int(j[b])}); "
             f"use exact inputs or a smaller N")
-    return CoeffTable(N=N, gamma=g, kappa=kap, entries=G[1:, 1:])
+    return CoeffTable(N=N, gamma=g, kappa=kap, num=G[1:, 1:])
 
 
 def _solve_diagonal(near, far, c, d_near: int, d_far: int):
@@ -209,7 +227,7 @@ def truncation_width(table: CoeffTable) -> Optional[int]:
     Nonzero entries reaching the table corner |i-j| = N-1 leave no in-table
     evidence of banding, hence None.
     """
-    ii, jj = np.nonzero(table.entries.astype(bool))   # one bool() per entry
+    ii, jj = np.nonzero(table.num)   # numerators: one bool() per entry
     m = int(np.max(np.abs(ii - jj))) if len(ii) else 0
     if m >= table.N - 1:
         return None
@@ -225,14 +243,34 @@ def _block_rows(N: int, nbytes: int = _BLOCK_BYTES) -> int:
     return max(1, nbytes // (8 * N))
 
 
+def _floats(table: CoeffTable, rows, cols=slice(None)) -> np.ndarray:
+    """theta over num[rows, cols] (0-based, any numpy index) as float64.
+
+    A float table's num is read as numpy indexes it: in place for slices.
+    A rational entry is n / den[s], s = i + j + 2 in 0-based indices, one
+    Python int/int division each: correctly rounded, so it equals
+    float(Fraction(n, den[s])) bit for bit, and it raises OverflowError
+    where that would.
+    """
+    blk = table.num[rows, cols]
+    if table.den is None:
+        return blk
+    # hankel[i, j] = den[i + j + 2], a view of den
+    hankel = np.lib.stride_tricks.sliding_window_view(
+        np.array(table.den[2:], dtype=object), table.N)
+    return (blk / hankel[rows, cols]).astype(float)
+
+
 def _corner_tail(table: CoeffTable, apw, apb) -> float:
     """T, the corner terms (N, N), (N, N-1) and (N-1, N) of the absolute
     partial sum, with apw[i] = aw^i and apb[j] = awbar^j."""
-    N, ent = table.N, table.entries
+    N = table.N
+    k = max(0, N - 2)
+    ent = _floats(table, slice(k, N), slice(k, N))   # the corner's 2 x 2 block
     corner = [(N - 1, N - 1)] + ([(N - 1, N - 2), (N - 2, N - 1)] if N >= 2 else [])
     T = 0.0
     for i, j in corner:
-        T += abs(float(ent[i, j])) * float(apw[i]) * float(apb[j])
+        T += abs(float(ent[i - k, j - k])) * float(apw[i]) * float(apb[j])
     return T
 
 
@@ -252,7 +290,7 @@ def _antidiagonal_sums(table: CoeffTable) -> np.ndarray:
     sums = np.zeros(2 * N + b)
     for a in range(0, N, b):
         m = min(b, N - a)
-        np.abs(np.asarray(table.entries[a:a + m], dtype=float), out=skew[:m])
+        np.abs(_floats(table, slice(a, a + m)), out=skew[:m])
         sums[a:a + N + b] += buf[:m].sum(axis=0)
     return sums[:2 * N - 1]
 
@@ -267,19 +305,17 @@ def _table_sums(table: CoeffTable, aw: float, awbar: float):
 
     S = sum |theta_{i,j}| aw^(i-1) awbar^(j-1) is the absolute partial sum
     and T its corner terms (N, N), (N, N-1) and (N-1, N), the tail heuristic.
-    |entries| goes block by block into one reused buffer; rational entries
-    are converted to float one block at a time.  The evaluators call it only
-    when the lower bound on S that their value pass gives cannot decide the
-    tail check.
+    |theta| goes block by block (_floats) into one reused buffer.  The
+    evaluators call it only when the lower bound on S that their value pass
+    gives cannot decide the tail check.
     """
     N = table.N
     apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
-    ent = table.entries
-    row = np.zeros(N)      # apw @ |entries|
+    row = np.zeros(N)      # apw @ |theta|
     b = _block_rows(N)
     buf = np.empty((min(b, N), N))
     for a in range(0, N, b):
-        blk = np.asarray(ent[a:a + b], dtype=float)
+        blk = _floats(table, slice(a, a + b))
         row += apw[a:a + b] @ np.abs(blk, out=buf[:len(blk)])
     return float(row @ apb), _corner_tail(table, apw, apb)
 
@@ -299,11 +335,12 @@ def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
 
     ValueError, before any table pass, unless w and wbar are finite.  The
     value is one pass over the table with no N x N temporary: the real and
-    imaginary parts of w^i @ entries are one real (2, b) @ (b, N) product per
+    imaginary parts of w^i @ theta are one real (2, b) @ (b, N) product per
     block of b rows, never cast to complex.  BLAS reads a float table in
     place, in 2 MB blocks that stay in cache (one product up to N = 512; at
     N = 1200 one product took 1.7 times as long on one BLAS thread); a
-    rational table is converted to float one _BLOCK_BYTES block at a time.
+    rational table is divided out to float (_floats) one _BLOCK_BYTES block
+    at a time.
     tail is T, the corner terms of the absolute partial sum S, and warning
     is T > 1e-6 S.
 
@@ -321,13 +358,13 @@ def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
     for name, v in (("w", w), ("wbar", wbar)):
         if not cmath.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    N, ent = table.N, table.entries
+    N = table.N
     pw, pb = _powers(w, wbar, N)
     P = np.stack((pw.real, pw.imag))
-    U = np.zeros((2, N))   # Re, Im of pw @ entries
-    b = _block_rows(N, _BLOCK_BYTES if ent.dtype == object else 1 << 21)
+    U = np.zeros((2, N))   # Re, Im of pw @ theta
+    b = _block_rows(N, 1 << 21 if table.den is None else _BLOCK_BYTES)
     for a in range(0, N, b):
-        U += P[:, a:a + b] @ np.asarray(ent[a:a + b], dtype=float)
+        U += P[:, a:a + b] @ _floats(table, slice(a, a + b))
     value = complex((U[0] + 1j * U[1]) @ pb)
     aw, awbar = abs(w), abs(wbar)
     apw = aw ** np.arange(N)
@@ -363,7 +400,8 @@ def diagonal_growth_exponent(table: CoeffTable) -> float:
     N = table.N
     if N < 8:
         raise ValueError("table too small for a growth fit")
-    d = np.asarray(np.diagonal(table.entries), dtype=float)
+    k = np.arange(N)
+    d = _floats(table, k, k)
     lo = N // 2
     window = d[lo - 1:]
     if np.any(window <= 0):
@@ -438,7 +476,7 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
     for a in range(0, N, b):
         m = min(b, N - a)
         buf[:, N - a:N - a + b] = 0   # the previous block's last columns
-        buf[:m, :N - a] = table.entries[a:, a:a + m].T
+        buf[:m, :N - a] = _floats(table, slice(a, None), slice(a, a + m)).T
         cn += x[a:a + m] @ skew[:m]
     rk = r ** np.arange(N)
     cn *= rk

@@ -245,6 +245,41 @@ def _divide(p, a, b):
     return q[::-1] if p[0] + a * acc == 0 else None
 
 
+def _squarefree(p):
+    """p / gcd(p, p') for the primitive integer polynomial p (ascending):
+    each of p's irreducible factors once, so every rational root simple.
+
+    The gcd is the last nonzero term of the primitive remainder sequence of
+    p and p' (pseudo-remainders over the integers, each divided by its
+    content); the division of p by it is exact, by Gauss's lemma, and keeps
+    p's leading sign.
+    """
+    def primitive(f):   # content out, leading coefficient positive
+        c = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+        return [x // c for x in f]
+
+    def remainder(f, g):   # g[-1]^k f mod g: integers, no content removed
+        while len(f) >= len(g):
+            k = len(f) - len(g)
+            f = [g[-1] * x - (f[-1] * g[i - k] if i >= k else 0)
+                 for i, x in enumerate(f[:-1])]
+            while f and not f[-1]:
+                f.pop()
+        return f
+
+    f, g = p, [k * c for k, c in enumerate(p)][1:]
+    while g:
+        f, g = g, remainder(f, g)
+        g = primitive(g) if g else g
+    f = primitive(f)
+    quo, rest = [0] * (len(p) - len(f) + 1), list(p)
+    for k in reversed(range(len(quo))):
+        quo[k] = rest[k + len(f) - 1] // f[-1]
+        for i, c in enumerate(f):
+            rest[k + i] -= quo[k] * c
+    return quo
+
+
 def _horner(f, r, m):
     """(f(r), f'(r)) mod m for the integer polynomial f, in one pass."""
     v = dv = 0
@@ -316,16 +351,22 @@ def _exact_eigenvalues(L, d, l, u):
     division and divided out as often as it divides (its multiplicity), so
     p's degree shrinks.  No rebuild is tried below the modulus at which the
     previous root was rebuilt: the roots of a curve have like sizes.  A
-    remainder of degree 1 is its own exact root.
+    remainder of degree 1 is its own exact root.  The first pass that
+    proves nothing while some residue is not simple mod q turns the search
+    to s, p's squarefree part (_squarefree): each later pass finds and
+    lifts the roots of s, divides each root found out of s once and out of
+    p as often as it divides.  Every rational root of p is a simple root of
+    s, and s has only simple roots mod all but finitely many primes.
 
     A remainder of degree >= 2 raises EigenCertificationError with the
     count proved, and only on a proof that it has no rational root: a pass
-    that proves nothing at a prime where each of its roots mod q is simple
-    (every rational root is then lifted from its residue), or t such passes
-    in a row with 9t >= (deg p + 1)(bits(max |p_i|) + 2).  A rational root
-    a/b of multiplicity k escapes a pass only if q divides the nonzero
-    integer b^(d-k) g(a/b), p = (b t - a)^k g, which Mignotte's bound keeps
-    below 2^((d+1)(bits + 2)), while t primes above 2^9 multiply past it.
+    that proves nothing at a prime where each root mod q of the polynomial
+    searched (p, or s) is simple (every rational root is then lifted from
+    its residue), or t such passes of s in a row with
+    9t >= (deg s + 1)(bits(max |s_i|) + 2).  A rational root a/b of s
+    escapes a pass only if q divides the nonzero integer b^(d-1) g(a/b),
+    s = (b t - a) g of degree d, which Mignotte's bound keeps below
+    2^((d+1)(bits + 2)), while t primes above 2^9 multiply past it.
 
     Returns the eigenvalues as Fractions, ascending, repeated roots
     repeated.
@@ -333,17 +374,23 @@ def _exact_eigenvalues(L, d, l, u):
     p = _char_poly(L, d, l, u)
     zeros = next(i for i, c in enumerate(p) if c)
     roots, p = [Fraction(0)] * zeros, p[zeros:]
+    s = None   # p's squarefree part less the roots found, once searched
     q, idle, floor = max(_FIRST_PRIME, len(p)) - 1, 0, 0
     while len(p) > 2:
+        # s's leading coefficient divides p's, so q divides neither
         q = next(n for n in itertools.count(q + 1)
                  if p[-1] % n and all(n % k for k in range(2, math.isqrt(n) + 1)))
         found, simple = False, True
-        for r in _roots_mod(p, q):
-            simple_r, hit = _lifted_root(p, r, q, floor)
+        for r in _roots_mod(p if s is None else s, q):
+            simple_r, hit = _lifted_root(p if s is None else s, r, q, floor)
             simple = simple and simple_r
             if hit is not None:
-                a, b, p, floor = hit
-                roots.append(Fraction(a, b))
+                a, b, quo, floor = hit
+                if s is None:
+                    p = quo
+                    roots.append(Fraction(a, b))
+                else:
+                    s = quo
                 while (quo := _divide(p, a, b)) is not None:
                     p = quo
                     roots.append(Fraction(a, b))
@@ -351,8 +398,10 @@ def _exact_eigenvalues(L, d, l, u):
                 if len(p) <= 2:
                     break
         idle = 0 if found else idle + 1
-        if not found and (simple or 9 * idle >= len(p) * (
-                max(abs(c) for c in p).bit_length() + 2)):
+        if not found and not simple and s is None:
+            s, idle = _squarefree(p), 0
+        elif not found and (simple or 9 * idle >= len(s) * (
+                max(abs(c) for c in s).bit_length() + 2)):
             raise EigenCertificationError(
                 f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
                 f"no rational root found for the degree-{len(p) - 1} rest")

@@ -285,9 +285,10 @@ def test_backend_must_name_the_inputs_arithmetic(g, k, backend):
 def test_backend_follows_entries_dtype(g, k, backend):
     t = S.build_theta_table(g, k, 8)
     assert t.backend == backend
-    # backend is read off the entries, not stored beside them
+    # backend is read off the denominators (None for a float table), not
+    # stored beside them
     with pytest.raises(TypeError):
-        S.CoeffTable(N=t.N, gamma=t.gamma, kappa=t.kappa, entries=t.entries,
+        S.CoeffTable(N=t.N, gamma=t.gamma, kappa=t.kappa, num=t.num, den=t.den,
                      backend=backend)
 
 
@@ -544,11 +545,12 @@ def test_band_width_matches_parent_formula():
             tables.append(S.build_theta_table(*gk, 40, backend=backend))
     tables.append(S.build_theta_table(Fraction(2, 3), 6, 12))   # no band: None
     tables.append(S.build_theta_table(2 / 3, 6.0, 12))
-    diag = np.diag([Fraction(i) for i in range(1, 7)]).astype(object)
-    zeros = np.zeros((6, 6), dtype=object) * Fraction(0)
-    for entries in (diag, zeros, diag.astype(float), zeros.astype(float)):
+    diag = np.diag(list(range(1, 7))).astype(object)
+    zeros = np.zeros((6, 6), dtype=object)
+    for num, den in ((diag, (1,) * 13), (zeros, (1,) * 13),
+                     (diag.astype(float), None), (zeros.astype(float), None)):
         # all-zero off the diagonal: width 0, also with no nonzero at all
-        tables.append(coeffs.CoeffTable(6, Fraction(0), Fraction(0), entries))
+        tables.append(coeffs.CoeffTable(6, Fraction(0), Fraction(0), num, den))
     widths = [S.truncation_width(t) for t in tables]
     assert widths == [_parent_truncation_width(t) for t in tables]
     assert None in widths and 0 in widths and 3 in widths
@@ -1057,7 +1059,7 @@ def _alternating_width0_table(N):
     """theta_{1,1} = 1 and theta_{j,j} = -1 beyond: on conjugate pairs
     Theta = 1 - sum_{j=1}^{N-1} y^j with y = |w|^2, which is y^(N-1) at y = 1/2,
     far below S = 2 - y^(N-1)."""
-    return S.CoeffTable(N=N, gamma=1.0, kappa=6.0, entries=np.diag([1.0] + [-1.0] * (N - 1)))
+    return S.CoeffTable(N=N, gamma=1.0, kappa=6.0, num=np.diag([1.0] + [-1.0] * (N - 1)))
 
 
 def test_cancellation_takes_the_absolute_pass_and_still_decides_false(monkeypatch):
@@ -1294,3 +1296,108 @@ def test_slope_fit_offcurve_and_growth_consistency():
     rs = [1 - 2.0 ** -k for k in range(3, 8)]
     fit = S.fit_beta([(r, S.integral_means(t, r, tail_tol=1e-3)) for r in rs])
     assert fit.slope == pytest.approx(3.0, rel=0.05)
+
+
+# ---- rational tables keep their numerators: equivalence with the Fraction step ----
+
+def _fraction_step(table):
+    """The rational build's last step as it was when tables held reduced
+    Fractions, frozen: one Fraction (one gcd) per nonzero pair i <= j of
+    the padded integer grid, shared by theta_{i,j} and theta_{j,i}, and one
+    Fraction(0) everywhere else.  The reference for every rational read."""
+    N, den = table.N, table.den
+    G = np.zeros((N + 1, N + 1), dtype=object)
+    G[1:, 1:] = table.num
+    entries = np.full((N, N), Fraction(0))
+    i, j = np.nonzero(np.triu(G))
+    fr = [Fraction(v, den[s]) for v, s in zip(G[i, j], (i + j).tolist())]
+    entries[i - 1, j - 1] = entries[j - 1, i - 1] = fr
+    return entries
+
+
+def _on_curve_exact(M, N):
+    g = Fraction(1, 2) if M else Fraction(1)
+    return g, S.curve_point(S.CurveParams(M, g)).kappa, N
+
+
+_OFF_CURVE = (Fraction(3, 4), Fraction(653, 413))
+_RATIONAL_TABLES = [_on_curve_exact(M, N) for M in range(4) for N in (40, 60, 120)] + [
+    (*_OFF_CURVE, 40), (*_OFF_CURVE, 60), (Fraction(-3, 10), Fraction(4), 40),
+    (Fraction(1, 2), Fraction(0), 40), (Fraction(1, 2), Fraction(5, 2), 1),
+    (Fraction(1, 2), Fraction(5, 2), 2)]
+_RATIONAL_IDS = [f"M{M}-N{N}" for M in range(4) for N in (40, 60, 120)] + [
+    "offcurve-N40", "offcurve-N60", "negative-g-N40", "kappa0-N40", "N1", "N2"]
+
+
+def _outcome(fn, *args, **kw):
+    """The bits of fn's result, or the type, text and r_max of its ValueError."""
+    try:
+        v = fn(*args, **kw)
+    except ValueError as e:   # TailCheckError included
+        r_max = getattr(e, "r_max", None)
+        return type(e), str(e), None if r_max is None else _bits(r_max)
+    if isinstance(v, S.SeriesValue):
+        return _bits(v.value, v.tail), v.warning
+    return _bits(v)
+
+
+def _reads(table):
+    """Every float reader of a table, at points and radii that take both
+    sides of the tail checks."""
+    pts = [(0.3 + 0.2j, 0.3 - 0.2j), (0.5j, -0.5j), (-0.6, 0.4), (0.97, 0.97),
+           (0.999 + 0.01j, 0.999 - 0.01j)]
+    out = [_outcome(f, table, w, wbar) for w, wbar in pts for f in (S.eval_theta, S.eval_rho)]
+    out += [_outcome(S.integral_means, table, r, n_phi=256) for r in (0.5, 0.9, 0.999)]
+    out += [_outcome(S.integral_means, table, 0.9, n_phi=256, tail_tol=1e-12)]
+    return out + [_outcome(S.diagonal_growth_exponent, table)]
+
+
+@pytest.mark.parametrize("g,k,N", _RATIONAL_TABLES, ids=_RATIONAL_IDS)
+def test_rational_reads_equal_the_fraction_step(g, k, N):
+    t = S.build_theta_table(g, k, N)
+    assert t.backend == "rational" and len(t.den) == 2 * N + 1
+    ref = _fraction_step(t)
+    ent = t.entries
+    assert ent.shape == (N, N) and all(type(x) is Fraction for x in ent.flat)
+    assert (ent == ref).all()
+    gets = [[t.get(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)]
+    assert gets == ref.tolist() and all(type(x) is Fraction for row in gets for x in row)
+    # every float block a reader takes, bit for bit as the parent's cast of
+    # the Fractions: row blocks, integral_means' column blocks, the corner,
+    # the diagonal and the whole table
+    want = np.asarray(ref, dtype=float)
+    k, idx = max(0, N - 2), np.arange(N)
+    blocks = [(slice(a, a + 7), slice(None)) for a in range(0, N, 7)]
+    blocks += [(slice(a, None), slice(a, a + 7)) for a in range(0, N, 7)]
+    blocks += [(slice(k, N), slice(k, N)), (idx, idx), (slice(None), slice(None))]
+    for rows, cols in blocks:
+        got = coeffs._floats(t, rows, cols)
+        assert got.dtype == np.float64 and got.tobytes() == want[rows, cols].tobytes()
+    # every reader gives the bits it gives on a table of the reference
+    # Fractions over denominators 1, each read as float(Fraction), as the
+    # parent's np.asarray(entries, dtype=float) read it
+    old = coeffs.CoeffTable(N, t.gamma, t.kappa, num=ref, den=(1,) * (2 * N + 1))
+    assert _reads(t) == _reads(old)
+
+
+def test_library_never_builds_the_fraction_view(monkeypatch, capsys):
+    # entries builds one Fraction per nonzero entry on each access: no path
+    # of the library may fall back to it
+    def refused(self):
+        raise AssertionError("CoeffTable.entries read")
+
+    monkeypatch.setattr(coeffs.CoeffTable, "entries", property(refused))
+    for g, k, N in ((*_OFF_CURVE, 40), _on_curve_exact(2, 60), (Fraction(-3, 10), 4, 40)):
+        t = S.build_theta_table(g, k, N)
+        S.truncation_width(t)
+        S.eval_theta(t, 0.3 + 0.2j, 0.3 - 0.2j)
+        S.eval_rho(t, 0.97, 0.97)   # takes the |theta| pass
+        S.integral_means(t, 0.5)
+        with pytest.raises(S.TailCheckError):
+            S.integral_means(t, 0.9, tail_tol=1e-12)
+        S.diagonal_growth_exponent(t)
+    from slespec import cli
+    assert cli.main(["truncate", "--m", "1", "--gamma", "1/2", "--order", "40"]) == 0
+    assert cli.main(["truncate", "--m", "2", "--gamma", "3/4", "--kappa", "653/413",
+                     "--order", "40"]) == 2
+    capsys.readouterr()

@@ -955,6 +955,23 @@ def test_denominators_beyond_two_to_the_thirty_are_proved(monkeypatch):
     assert primes == [1009] and max(res.residuals) <= 1e-10
 
 
+def test_squarefree_search_divides_each_root_out_with_its_multiplicity(monkeypatch):
+    # 100 and 1109 are one residue mod 1009, of multiplicity 4: lifted on
+    # p''', it rebuilds nothing that divides, so the second pass searches
+    # the squarefree part (x - 100)(x - 1109), and each root it proves comes
+    # out of p twice
+    primes = _roots_mod_primes(monkeypatch)
+    calls, squarefree = [], S.eigen._squarefree
+    monkeypatch.setattr(S.eigen, "_squarefree", lambda p: calls.append(p) or squarefree(p))
+    fracs = S.eigen._exact_eigenvalues(1, [100, 100, 1109, 1109], [0] * 3, [0] * 3)
+    assert fracs == [100, 100, 1109, 1109] and all(type(x) is Fraction for x in fracs)
+    assert primes == [1009, 1013] and len(calls) == 1
+    assert squarefree(calls[0]) == [110900, -1209, 1]
+    # primitive, with p's leading sign: (x - 1)^2 (x - 2) and its negative
+    assert squarefree([-2, 5, -4, 1]) == [2, -3, 1]
+    assert squarefree([2, -5, 4, -1]) == [-2, 3, -1]
+
+
 def _curve_matrix(M, k):
     return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
 
@@ -979,9 +996,10 @@ def _blocks(*blocks):
     return R
 
 
-# (x^2 - 2)(x^2 - 3)(x^2 - 6) has roots mod every prime, since one of 2, 3
-# and 6 is a square mod q; squared, none of them is simple
-_ROOTS_MOD_EVERY_PRIME = _blocks(*[[[0, c], [1, 0]] for c in (2, 3, 6, 2, 3, 6)])
+# (x^2 - a)(x^2 - b)(x^2 - ab) has roots mod every prime, since one of a, b
+# and ab is a square mod q; squared, none of them is simple
+def _roots_mod_every_prime(a, b):
+    return _blocks(*[[[0, c], [1, 0]] for c in (a, b, a * b, a, b, a * b)])
 
 
 @pytest.mark.parametrize("R,proved,rest,passes", [
@@ -989,20 +1007,22 @@ _ROOTS_MOD_EVERY_PRIME = _blocks(*[[[0, c], [1, 0]] for c in (2, 3, 6, 2, 3, 6)]
     ([[0, -1], [1, 0]], 0, 2, 1),                                # x^2 + 1
     ([[0, 0, 0], [0, 0, -1], [0, 1, 0]], 1, 2, 1),               # x (x^2 + 1)
     ([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]], 0, 4, 2),   # (x^2 - 2)^2
-    (_ROOTS_MOD_EVERY_PRIME, 0, 12, 21),
+    (_roots_mod_every_prime(2, 3), 0, 12, 2),
+    (_roots_mod_every_prime(10 ** 20 + 39, 10 ** 20 + 51), 0, 12, 2),
     # (3x - 2^45 - 1)(x^2 - 2): the rational root needs a modulus above
     # 2 (2^45)^2, near the bound 2 max(|p_0|, |p_d|)^2 = 2 (2^46 + 2)^2
     ([[Fraction(2 ** 45 + 1, 3), 0, 0], [0, 0, 2], [0, 1, 0]], 1, 2, 2),
 ], ids=["x^2-x-1", "complex", "0-and-complex", "double-sqrt2", "roots-mod-every-prime",
-        "large-root-and-sqrt2"])
+        "roots-mod-every-prime-1e20", "large-root-and-sqrt2"])
 def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes, monkeypatch):
     # exact input proves every eigenvalue by division or is refused with the
     # count proved, on a proof that the rest has no rational root:
     # irrational, complex and repeated irrational roots alike.  Most are
     # refused at the first pass whose roots mod q are all simple; (x^2 - 2)^2
-    # and x^2 - 2 have none mod 1013, the second prime.  The block matrix
-    # has double roots mod every prime, and is refused by the count of
-    # passes: 9 t >= 13 (12 + 2) at t = 21
+    # and x^2 - 2 have none mod 1013, the second prime.  The block matrices
+    # have double roots mod every prime: the first pass proves nothing and
+    # turns the search to the squarefree part, whose roots mod 1013 are all
+    # simple, at any size of a and b
     n = proved + rest
     primes = _roots_mod_primes(monkeypatch)
     with pytest.raises(S.EigenCertificationError) as exc:
