@@ -115,13 +115,13 @@ def _cmd_curves(args):
     for M in range(args.m_max + 1):
         for g in args.gamma:
             curve = sp.CurveParams(M=M, gamma=g)
-            try:
-                params = sp.curve_point(curve)
+            try:   # validated once; q, kappa, beta~ and beta all from (M, g, D)
+                _, gx, D = sp._checked_curve(curve)
             except sp.InvalidCurveError:
                 skipped += 1
                 continue
-            bt = sp.beta_tilde_on_curve(curve)
-            beta = sp.beta_on_curve(curve)
+            params = sp._curve_params(M, gx, D)
+            bt, beta = sp._betas(M, gx, D)
             rows.append({"M": str(M), "gamma": _fmt(g), "q": _fmt(params.q),
                          "kappa": _fmt(params.kappa), "beta_tilde": _fmt(bt),
                          "beta": _fmt(beta)})

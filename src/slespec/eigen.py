@@ -302,20 +302,19 @@ def _roots_mod(p, q) -> list:
 def _lifted_root(p, r, q, floor):
     """(simple, hit) for r, a root of p mod q.
 
-    r is lifted on f = p^(j), the first derivative of p of which r is a
-    simple root mod q (j = 0 says r is simple), since a rational root of
-    multiplicity k is a simple root of p^(k-1).  Each Newton-Hensel step
-    takes r mod m to r mod m^2 (m = q, q^2, q^4, ...), with f and f' in one
-    Horner pass.  After each step with m >= floor, the half extended Euclid
-    rebuilds the a/b with |a|, b <= sqrt(m/2) that r stands for, and
+    A root that is not simple mod q (p'(r) = 0 mod q) is not lifted:
+    (False, None).  A simple one is lifted by Newton-Hensel steps, each
+    taking r mod m to r mod m^2 (m = q, q^2, q^4, ...), with p and p' in
+    one Horner pass.  After each step with m >= floor, the half extended
+    Euclid rebuilds the a/b with |a|, b <= sqrt(m/2) that r stands for, and
     _divide proves or rejects it: hit is (a, b, p / (b t - a), m) for the
     first that divides p.  A rational root of primitive p has |a| <= |p_0|
     and b <= |p_d|, so it is rebuilt once m > 2 max(|p_0|, |p_d|)^2, and
     hit is None if none divides by then.
     """
-    f = p
-    while (h := _horner(f, r, q * q))[1] % q == 0:
-        f = [k * c for k, c in enumerate(f)][1:]
+    h = _horner(p, r, q * q)
+    if h[1] % q == 0:
+        return False, None
     m, bound = q, 2 * max(abs(p[0]), abs(p[-1])) ** 2
     while True:
         v, dv = h
@@ -328,10 +327,10 @@ def _lifted_root(p, r, q, floor):
                 r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
             a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
             if a and (quo := _divide(p, a, b)) is not None:
-                return f is p, (a, b, quo, m)
+                return True, (a, b, quo, m)
         if m > bound:
-            return f is p, None
-        h = _horner(f, r, m * m)
+            return True, None
+        h = _horner(p, r, m * m)
 
 
 def _exact_eigenvalues(L, d, l, u):
@@ -343,30 +342,28 @@ def _exact_eigenvalues(L, d, l, u):
     eigenvalues carry ~1e-9 error, far above the certification bound, and
     double roots come back from LAPACK as complex pairs: that is why this
     path exists at all.  p's root 0 comes off first, as factors t.  The
-    rest are found by Loos's p-adic search, one pass per prime q.  The
-    first q is the least prime >= max(_FIRST_PRIME, deg p + 1) that does
-    not divide p's leading coefficient, and each later pass takes the next
-    such prime.  A pass finds p's roots mod q (_roots_mod) and lifts each
-    (_lifted_root).  Each rational a/b found is proved on p by exact
-    division and divided out as often as it divides (its multiplicity), so
-    p's degree shrinks.  No rebuild is tried below the modulus at which the
-    previous root was rebuilt: the roots of a curve have like sizes.  A
-    remainder of degree 1 is its own exact root.  The first pass that
-    proves nothing while some residue is not simple mod q turns the search
-    to s, p's squarefree part (_squarefree): each later pass finds and
-    lifts the roots of s, divides each root found out of s once and out of
-    p as often as it divides.  Every rational root of p is a simple root of
-    s, and s has only simple roots mod all but finitely many primes.
+    rest are found by Loos's p-adic search, one pass per prime q: the least
+    prime >= max(_FIRST_PRIME, deg p + 1) that does not divide p's leading
+    coefficient, then the next such prime.  A pass finds the roots mod q of
+    the polynomial searched (_roots_mod) and lifts each simple one
+    (_lifted_root); a root that is not simple mod q is skipped and marks
+    the pass not simple.  Each rational a/b found is proved by exact
+    division and divided out of p as often as it divides, so p's degree
+    shrinks.  No rebuild is tried below the modulus at which the previous
+    root was rebuilt: the roots of a curve have like sizes.  A remainder of
+    degree 1 is its own exact root.
 
-    A remainder of degree >= 2 raises EigenCertificationError with the
-    count proved, and only on a proof that it has no rational root: a pass
-    that proves nothing at a prime where each root mod q of the polynomial
-    searched (p, or s) is simple (every rational root is then lifted from
-    its residue), or t such passes of s in a row with
-    9t >= (deg s + 1)(bits(max |s_i|) + 2).  A rational root a/b of s
-    escapes a pass only if q divides the nonzero integer b^(d-1) g(a/b),
-    s = (b t - a) g of degree d, which Mignotte's bound keeps below
-    2^((d+1)(bits + 2)), while t primes above 2^9 multiply past it.
+    The search starts on p.  Its first pass that proves nothing and is not
+    simple turns it to s, p's squarefree part (_squarefree), of which every
+    rational root of p is a simple root; each root found divides s once
+    and p as often as it divides.  A pass that proves nothing and is simple
+    raises EigenCertificationError with the count proved: every rational
+    root of the rest would have been lifted from its residue.  The search
+    ends with no pass count: s is squarefree, and stays so as roots divide
+    out, and q never divides its leading coefficient, so a residue of s
+    that is not simple mod q means q | disc(s) != 0.  An unproductive pass
+    that does not refuse therefore comes only at one of the at most
+    log_1009 |disc(s)| primes that divide disc(s).
 
     Returns the eigenvalues as Fractions, ascending, repeated roots
     repeated.
@@ -375,7 +372,7 @@ def _exact_eigenvalues(L, d, l, u):
     zeros = next(i for i, c in enumerate(p) if c)
     roots, p = [Fraction(0)] * zeros, p[zeros:]
     s = None   # p's squarefree part less the roots found, once searched
-    q, idle, floor = max(_FIRST_PRIME, len(p)) - 1, 0, 0
+    q, floor = max(_FIRST_PRIME, len(p)) - 1, 0
     while len(p) > 2:
         # s's leading coefficient divides p's, so q divides neither
         q = next(n for n in itertools.count(q + 1)
@@ -397,14 +394,12 @@ def _exact_eigenvalues(L, d, l, u):
                 found = True
                 if len(p) <= 2:
                     break
-        idle = 0 if found else idle + 1
-        if not found and not simple and s is None:
-            s, idle = _squarefree(p), 0
-        elif not found and (simple or 9 * idle >= len(s) * (
-                max(abs(c) for c in s).bit_length() + 2)):
+        if not found and simple:
             raise EigenCertificationError(
                 f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
                 f"no rational root found for the degree-{len(p) - 1} rest")
+        if not found and s is None:
+            s = _squarefree(p)
     if len(p) == 2:
         roots.append(Fraction(-p[0], p[1]))
     return sorted(roots)
@@ -416,9 +411,10 @@ def eigen_solve(matrix) -> EigenResult:
     Exact tridiagonal input (entries exact under spectrum._exact) has every
     eigenvalue proved rational on the integer characteristic polynomial p,
     by exact division and deflation, and reported with its Fraction.  The
-    roots are found with no float: p-adic lifting from p's roots mod a
-    prime q, the first prime >= 1009 (and above p's degree) that does not
-    divide p's leading coefficient, then the next ones as needed (see
+    roots are found with no float: p-adic lifting from p's simple roots
+    mod a prime q, the first prime >= 1009 (and above p's degree) that
+    does not divide p's leading coefficient, then the next ones as needed;
+    repeated roots are found on p's squarefree part (see
     _exact_eigenvalues).  A rest proved to have no rational root is
     refused, naming how many eigenvalues were proved.  Float input keeps
     the plain LAPACK values and refuses an imaginary part above 1e-8 of

@@ -271,6 +271,12 @@ def _beta_l(M: int, g, D, l: int):
     return num / (2 * D)
 
 
+def _betas(M: int, g, D):
+    """(beta~, beta) on an admissible curve (M, g, D): the crossing and tip rules."""
+    bt = _beta_l(M, g, D, 0 if _crossing_poly(M, g) <= 0 else 2 * M)
+    return bt, (bt - 2 * g - 1 if g <= Fraction(-1, 2) else bt)
+
+
 def beta_tilde_on_curve(curve: CurveParams) -> Scalar:
     """Largest admissible eigenvalue on the curve: beta_0 below gamma_M, beta_2M above.
 
@@ -278,12 +284,9 @@ def beta_tilde_on_curve(curve: CurveParams) -> Scalar:
     rational gamma (no surd comparison needed).  The curve is validated
     first, by _checked_curve.
     """
-    M, g, D = _checked_curve(curve)
-    return _beta_l(M, g, D, 0 if _crossing_poly(M, g) <= 0 else 2 * M)
+    return _betas(*_checked_curve(curve))[0]
 
 
 def beta_on_curve(curve: CurveParams) -> Scalar:
     """beta on the curve: beta~ - 2g - 1 on the tip branch gamma <= -1/2, else beta~."""
-    bt = beta_tilde_on_curve(curve)
-    g = _exact(curve.gamma)
-    return bt - 2 * g - 1 if g <= Fraction(-1, 2) else bt
+    return _betas(*_checked_curve(curve))[1]

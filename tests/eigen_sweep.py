@@ -22,7 +22,9 @@ sorted.
 It also prints, without gating them, how many eigenvalues of the exact
 curves were proved by exact division, how many curves have a repeated
 eigenvalue, the largest bit length of a proved eigenvalue's denominator,
-how many exact curves took any vector from the SVD instead of the exact
+how many exact curves switched the root search to the squarefree part,
+the most passes (primes) the search took on one exact curve, how many
+exact curves took any vector from the SVD instead of the exact
 recurrence, the largest vector residual on the exact and on the float
 curves, and, past the swept range, the curves solved and the median solve
 time at each M.
@@ -50,10 +52,12 @@ def sweep(exact=True):
     """(curves, failures, problems, stats): problems lists what breaks the
     guard; stats holds the largest vector residual and, on the exact curves
     only, the eigenvalues proved by division, the curves with a repeated
-    eigenvalue, the largest denominator bit length and the curves on which
-    eigen_solve called the SVD."""
+    eigenvalue, the largest denominator bit length, the curves whose
+    search switched to the squarefree part, the most passes of one search
+    and the curves on which eigen_solve called the SVD."""
     curves, failures, problems = 0, 0, []
-    stats = dict.fromkeys(("proved", "repeated", "den_bits", "svd_curves", "residual"), 0)
+    stats = dict.fromkeys(("proved", "repeated", "den_bits", "squarefree", "passes",
+                           "svd_curves", "residual"), 0)
     for M in range(1, 21):
         for k in range(1, 160):
             c = S.CurveParams(M, Fraction(k, 48) if exact else k / 48)
@@ -63,7 +67,11 @@ def sweep(exact=True):
                 continue
             curves += 1
             try:
-                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                        mock.patch.object(S.eigen, "_roots_mod",
+                                          wraps=S.eigen._roots_mod) as passes, \
+                        mock.patch.object(S.eigen, "_squarefree",
+                                          wraps=S.eigen._squarefree) as squarefree:
                     res = S.eigen_solve(S.reduced_matrix(sysM))
             except S.EigenCertificationError as exc:
                 failures += 1
@@ -76,6 +84,8 @@ def sweep(exact=True):
             stats["residual"] = max(stats["residual"], float(res.residuals.max()))
             if exact:
                 stats["svd_curves"] += svd.called
+                stats["squarefree"] += squarefree.called
+                stats["passes"] = max(stats["passes"], passes.call_count)
                 stats["proved"] += len(res.exact_values)
                 if list(res.exact_values) != betas:
                     problems.append(f"(M={M}, k={k}): the proved Fractions are not "
@@ -138,8 +148,10 @@ def main() -> int:
             print(f"eigen sweep (printed, not gated): {stats['proved']} eigenvalues "
                   f"proved by exact division, each the closed beta_l (gated); {stats['repeated']} "
                   f"curves with a repeated eigenvalue; largest denominator "
-                  f"{stats['den_bits']} bits; {stats['svd_curves']} exact curves took "
-                  f"SVD vectors, the rest the exact recurrence")
+                  f"{stats['den_bits']} bits; {stats['squarefree']} curves searched "
+                  f"the squarefree part; at most {stats['passes']} passes on one curve; "
+                  f"{stats['svd_curves']} exact curves took SVD vectors, the rest the "
+                  f"exact recurrence")
         print(f"eigen sweep (printed, not gated): largest vector residual on the "
               f"{'exact' if exact else 'float'} curves {stats['residual']:.2e}")
         for line in problems:

@@ -485,3 +485,19 @@ def test_readme_commands_match_golden_output(capsys, name, code, err, argv):
     # betafit and mc are left out: their FFT, LAPACK and complex ufunc
     # round-off may differ between numpy versions
     assert run(capsys, *argv) == (code, (_GOLDEN / name).read_bytes().decode(), err)
+
+
+def test_curves_validates_each_point_once(capsys, monkeypatch):
+    # the README grid has 240 (M, gamma) points, 10 of them skipped: one
+    # _checked_curve call each; curve_point, beta_tilde_on_curve and
+    # beta_on_curve each validate once per call
+    calls, checked = [], S.spectrum._checked_curve
+    monkeypatch.setattr(S.spectrum, "_checked_curve",
+                        lambda c: calls.append(c) or checked(c))
+    assert run(capsys, *_CURVES)[0] == 0
+    assert len(calls) == 240 and len(set(calls)) == 240
+    c = S.CurveParams(2, Fraction(1, 2))
+    for f in (S.curve_point, S.beta_tilde_on_curve, S.beta_on_curve):
+        calls.clear()
+        f(c)
+        assert calls == [c], f.__name__

@@ -1,5 +1,6 @@
 """Tridiagonal angular systems: matrices, eigenvalues, eigenfunctions."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -880,9 +881,11 @@ def test_certifies_every_formerly_failing_curve():
     assert repeated == 5   # every exact curve with a double eigenvalue is here
 
 
-def test_seeds_of_a_repeated_root_retire_with_it():
-    # (15, 150/48) has double eigenvalues: each is a double root mod q, found
-    # on the derivative, and divides out twice
+def test_repeated_eigenvalues_are_proved_on_the_squarefree_part():
+    # (15, 150/48) has double eigenvalues: each is a double root mod q, which
+    # no pass on p lifts.  The simple ones are proved at 1009; the pass at
+    # 1013 proves nothing and turns the search to the squarefree part, where
+    # each double eigenvalue is simple mod 1019, and each divides p twice
     c = S.CurveParams(15, Fraction(150, 48))
     res = S.eigen_solve(S.reduced_matrix(S.build_system(c)))
     assert len(set(res.values)) < len(res.values)
@@ -906,10 +909,12 @@ def test_root_zero_comes_off_first():
     assert list(res.values) == [0.0, 1e-13]
 
 
-def test_multiplicity_comes_from_division_not_from_the_seeds():
+def test_multiplicity_comes_from_division():
     # (x - 2)^3 (x + 1), the integer tridiagonal (L, d, l, u) of
-    # diag(2, 2, 2, -1): 2 is a triple root mod q, lifted on p'' where it is
-    # simple, and (x - 2) divides three times
+    # diag(2, 2, 2, -1): -1 is proved at 1009; 2 is a triple root mod q, so
+    # the pass at 1013 proves nothing and turns the search to the squarefree
+    # part x - 2, whose root 2 is proved at 1019, and (x - 2) divides p
+    # three times
     fracs = S.eigen._exact_eigenvalues(1, [2, 2, 2, -1], [0] * 3, [0] * 3)
     assert fracs == [-1, 2, 2, 2] and all(type(x) is Fraction for x in fracs)
 
@@ -927,9 +932,9 @@ def _roots_mod_primes(monkeypatch):
 
 
 def test_roots_congruent_mod_the_first_prime_take_the_next(monkeypatch):
-    # 100 and 1109 are one double root mod 1009: lifted on p', where it is
-    # simple, it gives the critical point 1209/2, which does not divide, so
-    # the search moves to 1013, where both are simple
+    # 100 and 1109 are one double root mod 1009, which is not lifted: the
+    # pass proves nothing and turns the search to the squarefree part, p
+    # itself, whose roots are both simple mod 1013
     R = [[100, 2], [0, 1109]]
     p = S.eigen._char_poly(*S.eigen._tridiag_exact(R))
     assert S.eigen._roots_mod(p, 1009) == [100]
@@ -956,8 +961,8 @@ def test_denominators_beyond_two_to_the_thirty_are_proved(monkeypatch):
 
 
 def test_squarefree_search_divides_each_root_out_with_its_multiplicity(monkeypatch):
-    # 100 and 1109 are one residue mod 1009, of multiplicity 4: lifted on
-    # p''', it rebuilds nothing that divides, so the second pass searches
+    # 100 and 1109 are one residue mod 1009, of multiplicity 4, which is not
+    # lifted: the pass proves nothing, so the second pass, at 1013, searches
     # the squarefree part (x - 100)(x - 1109), and each root it proves comes
     # out of p twice
     primes = _roots_mod_primes(monkeypatch)
@@ -974,6 +979,78 @@ def test_squarefree_search_divides_each_root_out_with_its_multiplicity(monkeypat
 
 def _curve_matrix(M, k):
     return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
+
+
+# ---- the search against the one it replaced: derivative lift and pass count ----
+
+def _frozen_lifted_root(p, r, q, floor):
+    """_lifted_root as it was: r lifted on the first derivative of p of which
+    it is a simple root mod q, the rebuilt a/b proved on p."""
+    f = p
+    while (h := S.eigen._horner(f, r, q * q))[1] % q == 0:
+        f = [k * c for k, c in enumerate(f)][1:]
+    m, bound = q, 2 * max(abs(p[0]), abs(p[-1])) ** 2
+    while True:
+        v, dv = h
+        r, m = (r - v * pow(dv, -1, m)) % (m * m), m * m
+        if m >= floor or m > bound:
+            r0, r1, t0, t1 = m, r, 0, 1
+            half = math.isqrt(m // 2)
+            while r1 > half:
+                k = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+            a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+            if a and (quo := S.eigen._divide(p, a, b)) is not None:
+                return f is p, (a, b, quo, m)
+        if m > bound:
+            return f is p, None
+        h = S.eigen._horner(f, r, m * m)
+
+
+def _frozen_counted_eigenvalues(L, d, l, u):
+    """_exact_eigenvalues as it was: the derivative lift, the switch to the
+    squarefree part, and a refusal on an all-simple pass or on a run of
+    unproductive passes of the squarefree part past Mignotte's count."""
+    p = S.eigen._char_poly(L, d, l, u)
+    zeros = next(i for i, c in enumerate(p) if c)
+    roots, p = [Fraction(0)] * zeros, p[zeros:]
+    s = None
+    q, idle, floor = max(1009, len(p)) - 1, 0, 0
+    while len(p) > 2:
+        q = next(n for n in itertools.count(q + 1)
+                 if p[-1] % n and all(n % k for k in range(2, math.isqrt(n) + 1)))
+        found, simple = False, True
+        for r in S.eigen._roots_mod(p if s is None else s, q):
+            simple_r, hit = _frozen_lifted_root(p if s is None else s, r, q, floor)
+            simple = simple and simple_r
+            if hit is not None:
+                a, b, quo, floor = hit
+                if s is None:
+                    p = quo
+                    roots.append(Fraction(a, b))
+                else:
+                    s = quo
+                while (quo := S.eigen._divide(p, a, b)) is not None:
+                    p = quo
+                    roots.append(Fraction(a, b))
+                found = True
+                if len(p) <= 2:
+                    break
+        idle = 0 if found else idle + 1
+        if not found and not simple and s is None:
+            s, idle = S.eigen._squarefree(p), 0
+        elif not found and (simple or 9 * idle >= len(s) * (
+                max(abs(c) for c in s).bit_length() + 2)):
+            raise S.EigenCertificationError(
+                f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
+                f"no rational root found for the degree-{len(p) - 1} rest")
+    if len(p) == 2:
+        roots.append(Fraction(-p[0], p[1]))
+    return sorted(roots)
+
+
+# the exact curves with a repeated eigenvalue, all of them up to M = 20
+_REPEATED = [(5, 48), (6, 96), (15, 150), (17, 102), (19, 144)]
 
 
 @pytest.mark.parametrize("M,k", [(24, 79), (24, 151)], ids=["(24,79/48)", "(24,151/48)"])
@@ -1002,7 +1079,8 @@ def _roots_mod_every_prime(a, b):
     return _blocks(*[[[0, c], [1, 0]] for c in (a, b, a * b, a, b, a * b)])
 
 
-@pytest.mark.parametrize("R,proved,rest,passes", [
+# (R, proved, rest, passes) per refused exact matrix, and its test id
+_REFUSED = [
     ([[1, 1], [1, 0]], 0, 2, 1),                                 # x^2 - x - 1
     ([[0, -1], [1, 0]], 0, 2, 1),                                # x^2 + 1
     ([[0, 0, 0], [0, 0, -1], [0, 1, 0]], 1, 2, 1),               # x (x^2 + 1)
@@ -1012,8 +1090,17 @@ def _roots_mod_every_prime(a, b):
     # (3x - 2^45 - 1)(x^2 - 2): the rational root needs a modulus above
     # 2 (2^45)^2, near the bound 2 max(|p_0|, |p_d|)^2 = 2 (2^46 + 2)^2
     ([[Fraction(2 ** 45 + 1, 3), 0, 0], [0, 0, 2], [0, 1, 0]], 1, 2, 2),
-], ids=["x^2-x-1", "complex", "0-and-complex", "double-sqrt2", "roots-mod-every-prime",
-        "roots-mod-every-prime-1e20", "large-root-and-sqrt2"])
+    # x^2 - D, D = 1009 1013 1019, is squarefree, but 0 is a double root of
+    # it mod each of the first three primes: three unproductive passes that
+    # are not all simple, then 1021, where every residue is simple
+    ([[0, 1009 * 1013 * 1019], [1, 0]], 0, 2, 4),
+]
+_REFUSED_IDS = ["x^2-x-1", "complex", "0-and-complex", "double-sqrt2",
+                "roots-mod-every-prime", "roots-mod-every-prime-1e20",
+                "large-root-and-sqrt2", "double-residue-mod-three-primes"]
+
+
+@pytest.mark.parametrize("R,proved,rest,passes", _REFUSED, ids=_REFUSED_IDS)
 def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes, monkeypatch):
     # exact input proves every eigenvalue by division or is refused with the
     # count proved, on a proof that the rest has no rational root:
@@ -1022,7 +1109,9 @@ def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes,
     # and x^2 - 2 have none mod 1013, the second prime.  The block matrices
     # have double roots mod every prime: the first pass proves nothing and
     # turns the search to the squarefree part, whose roots mod 1013 are all
-    # simple, at any size of a and b
+    # simple, at any size of a and b.  x^2 - D ends with no pass count: a
+    # residue of a squarefree polynomial is not simple only at the primes
+    # that divide its discriminant, here 4D
     n = proved + rest
     primes = _roots_mod_primes(monkeypatch)
     with pytest.raises(S.EigenCertificationError) as exc:
@@ -1037,6 +1126,42 @@ def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes,
     want = [(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2]
     assert np.allclose(res.values, want, rtol=1e-15, atol=0)
     assert res.exact_values is None and max(res.residuals) < 1e-10
+
+
+# every hand-built exact matrix above whose search takes a pass: the refused
+# ones, _HAND_BUILT but for the 1x1 and the two with roots 0 and 1e-13 (no
+# pass: a degree-1 rest), the irrational "tiny pair", [[2, 1], [1, 2]], the
+# roots congruent mod 1009, the large denominators, the upper bidiagonals
+# and the diagonal matrix with two double roots
+_SEARCHED = [R for R, *_ in _REFUSED] + [
+    m for m in _HAND_BUILT if len(m) > 1 and m[1][1] != Fraction(1, 10 ** 13)] + [
+    [[Fraction(-3, 10 ** 30), Fraction(1, 10 ** 10)], [Fraction(1, 10 ** 10), 1]],
+    [[2, 1], [1, 2]], [[100, 2], [0, 1109]],
+    [[Fraction(1, 3 ** 21), 1, 0, 0], [0, Fraction(-2, 5 ** 14), 1, 0],
+     [0, 0, -5, 1], [0, 0, 0, -2]],
+    *([[Fraction(i + 1) if i == j else Fraction(1, 10 ** 200) if j == i + 1 else 0
+        for j in range(n)] for i in range(n)] for n in (3, 4)),
+    [[100, 0, 0, 0], [0, 100, 0, 0], [0, 0, 1109, 0], [0, 0, 0, 1109]]]
+
+
+def test_search_matches_the_derivative_lift_and_pass_count(monkeypatch):
+    # the same Fractions, or the same refusal text, as the frozen search with
+    # the derivative lift and the Mignotte pass count: on the five curves
+    # with a repeated eigenvalue, the frozen curves, curves sampled at
+    # M = 21..60 and every hand-built exact matrix that the search reaches
+    primes = _roots_mod_primes(monkeypatch)
+    curves = _REPEATED + _FROZEN_CURVES + [(24, 79), (24, 151)] + [
+        (M, k) for M in (21, 24, 28, 32, 40, 60) for k in (7, 43, 85, 157)]
+    matrices = [_curve_matrix(M, k) for M, k in curves]
+    refused = 0
+    for i, R in enumerate(matrices + _SEARCHED):
+        exact = S.eigen._tridiag_exact(R)
+        primes.clear()
+        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact))
+        assert got == _outcome(lambda: _frozen_counted_eigenvalues(*exact)), R
+        assert primes or i < len(matrices), R
+        refused += got[0] is S.EigenCertificationError
+    assert refused == len(_REFUSED) + 3
 
 
 # ---- closed-form eigenvalues ----
