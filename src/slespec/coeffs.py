@@ -18,11 +18,11 @@ takes float64 blocks from _floats: a float table read in place, a rational
 one as n / den[s], which Python rounds correctly, reduced or not.
 eval_theta reads a float table in 2 MB row blocks (one product up to
 N = 512), and a rational one in smaller row blocks; integral_means reads
-either in column blocks; none makes an N x N temporary.  Each decides its
-corner-tail check from the pass it makes anyway: |value| (eval_theta) and
-sum |c_n| of the diagonal sums (integral_means) bound the absolute partial
-sum S from below, and with a 1e-9 relative margin for rounding they settle
-the check alone; a second, |theta| pass computes S only when they cannot.
+either in column blocks; none makes an N x N temporary.  Each forms the
+corner tail T once and decides its check from the pass it makes anyway:
+|value| (eval_theta) and sum |c_n| of the diagonal sums (integral_means)
+bound the absolute partial sum S from below, and with a 1e-9 margin for
+rounding settle it alone; a |theta| pass computes S only when they cannot.
 """
 from __future__ import annotations
 
@@ -261,16 +261,18 @@ def _floats(table: CoeffTable, rows, cols=slice(None)) -> np.ndarray:
     return (blk / hankel[rows, cols]).astype(float)
 
 
-def _corner_tail(table: CoeffTable, apw, apb) -> float:
+def _corner_tail(table: CoeffTable, aw: float, awbar: float) -> float:
     """T, the corner terms (N, N), (N, N-1) and (N-1, N) of the absolute
-    partial sum, with apw[i] = aw^i and apb[j] = awbar^j."""
+    partial sum at moduli aw and awbar; x ** np.arange(N-2, N), numpy's, has
+    the bits of the last two entries of _table_sums' x ** np.arange(N)."""
     N = table.N
     k = max(0, N - 2)
-    ent = _floats(table, slice(k, N), slice(k, N))   # the corner's 2 x 2 block
-    corner = [(N - 1, N - 1)] + ([(N - 1, N - 2), (N - 2, N - 1)] if N >= 2 else [])
+    ent = _floats(table, slice(k, N), slice(k, N)).tolist()   # the corner's 2 x 2 block
+    e = np.arange(k, N)
+    apw, apb = (aw ** e).tolist(), (awbar ** e).tolist()
     T = 0.0
-    for i, j in corner:
-        T += abs(float(ent[i - k, j - k])) * float(apw[i]) * float(apb[j])
+    for i, j in [(N - 1 - k,) * 2] + ([(1, 0), (0, 1)] if N >= 2 else []):
+        T += abs(ent[i][j]) * apw[i] * apb[j]
     return T
 
 
@@ -300,14 +302,13 @@ def _antidiagonal_sums(table: CoeffTable) -> np.ndarray:
 _TAIL_MARGIN = 1e-9
 
 
-def _table_sums(table: CoeffTable, aw: float, awbar: float):
-    """(S, T) in one pass over the table in row blocks of about _BLOCK_BYTES.
+def _table_sums(table: CoeffTable, aw: float, awbar: float) -> float:
+    """S = sum |theta_{i,j}| aw^(i-1) awbar^(j-1), the absolute partial sum,
+    in one pass over the table in row blocks of about _BLOCK_BYTES.
 
-    S = sum |theta_{i,j}| aw^(i-1) awbar^(j-1) is the absolute partial sum
-    and T its corner terms (N, N), (N, N-1) and (N-1, N), the tail heuristic.
     |theta| goes block by block (_floats) into one reused buffer.  The
     evaluators call it only when the lower bound on S that their value pass
-    gives cannot decide the tail check.
+    gives cannot decide the tail check; they hold T (_corner_tail) already.
     """
     N = table.N
     apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
@@ -317,7 +318,7 @@ def _table_sums(table: CoeffTable, aw: float, awbar: float):
     for a in range(0, N, b):
         blk = _floats(table, slice(a, a + b))
         row += apw[a:a + b] @ np.abs(blk, out=buf[:len(blk)])
-    return float(row @ apb), _corner_tail(table, apw, apb)
+    return float(row @ apb)
 
 
 def _powers(w: complex, wbar: complex, N: int):
@@ -333,14 +334,14 @@ def _powers(w: complex, wbar: complex, N: int):
 def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
     """Partial sum of Theta at (w, wbar) with a corner-block tail heuristic.
 
-    ValueError, before any table pass, unless w and wbar are finite.  The
-    value is one pass over the table with no N x N temporary: the real and
-    imaginary parts of w^i @ theta are one real (2, b) @ (b, N) product per
-    block of b rows, never cast to complex.  BLAS reads a float table in
+    ValueError, before any table pass, unless w and wbar are finite, and
+    OverflowError, before any |theta| pass, where the value or T overflows.
+    The value is one pass over the table with no N x N temporary: the real
+    and imaginary parts of w^i @ theta are one real (2, b) @ (b, N) product
+    per block of b rows, never cast to complex.  BLAS reads a float table in
     place, in 2 MB blocks that stay in cache (one product up to N = 512; at
     N = 1200 one product took 1.7 times as long on one BLAS thread); a
-    rational table is divided out to float (_floats) one _BLOCK_BYTES block
-    at a time.
+    rational table goes to float (_floats) one _BLOCK_BYTES block at a time.
     tail is T, the corner terms of the absolute partial sum S, and warning
     is T > 1e-6 S.
 
@@ -359,20 +360,21 @@ def eval_theta(table: CoeffTable, w, wbar) -> SeriesValue:
         if not cmath.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     N = table.N
-    pw, pb = _powers(w, wbar, N)
-    P = np.stack((pw.real, pw.imag))
-    U = np.zeros((2, N))   # Re, Im of pw @ theta
-    b = _block_rows(N, 1 << 21 if table.den is None else _BLOCK_BYTES)
-    for a in range(0, N, b):
-        U += P[:, a:a + b] @ _floats(table, slice(a, a + b))
-    value = complex((U[0] + 1j * U[1]) @ pb)
     aw, awbar = abs(w), abs(wbar)
-    apw = aw ** np.arange(N)
-    T = _corner_tail(table, apw, apw if awbar == aw else awbar ** np.arange(N))
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below as one OverflowError
+        pw, pb = _powers(w, wbar, N)
+        P = np.stack((pw.real, pw.imag))
+        U = np.zeros((2, N))   # Re, Im of pw @ theta
+        b = _block_rows(N, 1 << 21 if table.den is None else _BLOCK_BYTES)
+        for a in range(0, N, b):
+            U += P[:, a:a + b] @ _floats(table, slice(a, a + b))
+        value = complex((U[0] + 1j * U[1]) @ pb)
+        T = _corner_tail(table, aw, awbar)
+    if not (cmath.isfinite(value) and math.isfinite(T)):
+        raise OverflowError(f"float overflow at (w, wbar) = ({w}, {wbar}); use a smaller |w| or N")
     if T <= 1e-6 * abs(value) * (1 - _TAIL_MARGIN):
         return SeriesValue(value=value, tail=T, warning=False)
-    S, T = _table_sums(table, aw, awbar)
-    return SeriesValue(value=value, tail=T, warning=T > 1e-6 * S)
+    return SeriesValue(value=value, tail=T, warning=T > 1e-6 * _table_sums(table, aw, awbar))
 
 
 def eval_rho(table: CoeffTable, w, wbar) -> SeriesValue:
@@ -417,14 +419,13 @@ def diagonal_growth_exponent(table: CoeffTable) -> float:
 
 def _tail_error(table: CoeffTable, r: float, tail_tol: float) -> TailCheckError:
     """The TailCheckError of a radius r that fails the tail check, with the
-    largest admissible radius found by a 60-step bisection.  S(x) and T(x)
-    are read off the anti-diagonal sums of one more pass: O(N) per step."""
+    largest admissible radius found by a 60-step bisection.  S(x) is read
+    off the anti-diagonal sums of one more pass (O(N) per step), T(x) off
+    the corner."""
     sums = _antidiagonal_sums(table)
-    k = np.arange(len(sums))
 
     def frac(x):
-        xp = x ** k
-        return _corner_tail(table, xp, xp) / float(sums @ xp)
+        return _corner_tail(table, x, x) / float(sums @ x ** np.arange(len(sums)))
 
     lo, hi = 1e-6, r
     for _ in range(60):
@@ -447,13 +448,13 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
     (_is_int) and tail_tol finite and positive.  On phi_k = 2 pi k/n_phi,
     Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j}
     r^(2j-2), is one FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).
-    The corner-block tail T at r must stay below tail_tol of the absolute
-    partial sum S, else TailCheckError reports the largest admissible
-    radius (_tail_error).  The c_n sum only the lower triangle i >= j, so
-    B = sum |c_n| <= S, and T <= tail_tol B (1 - m) passes r from the
-    diagonal sums alone, with eval_theta's margin m; only otherwise does
-    _table_sums compute S and decide.  The diagonal sums and any |theta|
-    pass read the table in blocks: no N x N temporary.
+    The corner-block tail T at r (_corner_tail) must stay below tail_tol
+    of the absolute partial sum S, else TailCheckError reports the largest
+    admissible radius (_tail_error).  The c_n sum only the lower triangle
+    i >= j, so B = sum |c_n| <= S, and T <= tail_tol B (1 - m) passes r
+    from the diagonal sums alone, with eval_theta's margin m; only otherwise
+    does _table_sums compute S, and T is not formed again.  The diagonal
+    sums and any |theta| pass read the table in blocks: no N x N temporary.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0,1), got {r}")
@@ -478,12 +479,10 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
         buf[:, N - a:N - a + b] = 0   # the previous block's last columns
         buf[:m, :N - a] = _floats(table, slice(a, None), slice(a, a + m)).T
         cn += x[a:a + m] @ skew[:m]
-    rk = r ** np.arange(N)
-    cn *= rk
-    T = _corner_tail(table, rk, rk)
+    cn *= r ** np.arange(N)
+    T = _corner_tail(table, r, r)
     if not T <= tail_tol * float(np.abs(cn).sum()) * (1 - _TAIL_MARGIN):
-        S, T = _table_sums(table, r, r)
-        if T / S > tail_tol:
+        if T / _table_sums(table, r, r) > tail_tol:
             raise _tail_error(table, r, tail_tol)
     fold = np.bincount(np.arange(N) % n_phi, weights=cn, minlength=n_phi)
     theta_vals = 2.0 * np.fft.fft(fold).real - cn[0]

@@ -31,7 +31,7 @@ _CHUNK = 2048
 _BLOCK = 256          # steps whose increments and rotations are held at once
 
 
-def _is_count(n) -> bool:   # steps, samples, threads: int or numpy integer, not bool
+def _is_count(n) -> bool:   # steps, samples, threads, seed: int or numpy integer, not bool
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
@@ -67,6 +67,8 @@ class MCConfig:
                              f"{self.n_samples!r}")
         if self.T <= 0 or self.n_steps < 1 or self.n_samples < 1:
             raise ValueError("T, n_steps, n_samples must be positive")
+        if not (_is_count(self.seed) and self.seed >= 0):   # as SeedSequence takes it
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.delta > _MAX_DELTA * (1 + 1e-12):
             raise ValueError(
                 f"delta = T/n_steps = {self.delta:.3e} exceeds {_MAX_DELTA}")

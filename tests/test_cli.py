@@ -313,6 +313,15 @@ def test_mc_zero_steps_fails_validation(capsys):
     assert "validation failure" in err and "n_steps" in err
 
 
+def test_mc_negative_seed_names_the_seed(capsys):
+    # numpy's "expected non-negative integer" named no option
+    code, out, err = run(capsys, "mc", "--q", "1", "--kappa", "2", "--w", "0.4",
+                         "--samples", "4", "--t-horizon", "4", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "validation failure: seed must be a nonnegative integer, got -1" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_mc_non_finite_horizon_names_t(capsys, value):
     # the default --steps comes from T, so it must not be derived from nan/inf

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -806,13 +807,26 @@ def test_tail_check_r_max_matches_parent(g, k, N, r, tol):
 
 # ---- value-first tail decision: equivalence with the |theta|-first code ----
 
+def _frozen_corner_tail(table, apw, apb):
+    """_corner_tail as it was when its callers passed N-long power tables
+    apw[i] = aw^i and apb[j] = awbar^j."""
+    N = table.N
+    k = max(0, N - 2)
+    ent = coeffs._floats(table, slice(k, N), slice(k, N))   # the corner's 2 x 2 block
+    corner = [(N - 1, N - 1)] + ([(N - 1, N - 2), (N - 2, N - 1)] if N >= 2 else [])
+    T = 0.0
+    for i, j in corner:
+        T += abs(float(ent[i - k, j - k])) * float(apw[i]) * float(apb[j])
+    return T
+
+
 def _frozen_table_sums(table, aw, awbar, pw=None):
     """_table_sums as it was when every evaluator called it first: (S, T, u)
     with u = pw @ entries from the same blocked pass."""
     N = table.N
     apw, apb = aw ** np.arange(N), awbar ** np.arange(N)
     ent = table.entries
-    T = coeffs._corner_tail(table, apw, apb)
+    T = _frozen_corner_tail(table, apw, apb)
     P = None if pw is None else np.stack((pw.real, pw.imag))
     U = np.zeros((2, N))
     row = np.zeros(N)
@@ -843,7 +857,7 @@ def _frozen_integral_means(table, r, n_phi=1024, tail_tol=1e-6):
 
         def frac(x):
             xp = x ** k
-            return coeffs._corner_tail(table, xp, xp) / float(sums @ xp)
+            return _frozen_corner_tail(table, xp, xp) / float(sums @ xp)
 
         lo, hi = 1e-6, r
         for _ in range(60):
@@ -989,6 +1003,73 @@ def test_integral_means_bit_identical_to_the_table_sums_first_code(g, k, N):
     assert outcomes == {"pass", "fail"} or N <= 2   # T is most of S
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 40, 400])
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_corner_tail_from_the_moduli_keeps_the_bits_of_n_long_power_tables(backend, N):
+    # x ** np.arange(N-2, N) is the end of x ** np.arange(N), bit for bit (the
+    # same numpy ufunc), at 0, 1, |w| > 1 and just below 1, also for x != y
+    g, k = (Fraction(-3, 10), Fraction(4)) if N < 400 else _WIDTH1_EXACT
+    t = S.build_theta_table(*((g, k) if backend == "rational" else (float(g), float(k))), N)
+    rng = np.random.default_rng(N)
+    xs = [0.0, 1.0, *rng.uniform(0.0, 1.0, 3), 1 - 2.0 ** -20, 1.5]
+    for x in xs:
+        for y in xs:
+            want = _frozen_corner_tail(t, x ** np.arange(N), y ** np.arange(N))
+            assert _bits(coeffs._corner_tail(t, x, y)) == _bits(want), (x, y)
+
+
+def test_eval_theta_at_shifted_pairs_matches_the_frozen_code():
+    # pde_residual's stencil evaluates at (w + a h, conj(w) + b h), a, b in
+    # -2..2, so |w| != |wbar| off its diagonal
+    h = 1e-3
+    warned = set()
+    for t in (S.build_theta_table(1.3, 2.5, 400), S.build_theta_table(*_WIDTH1_EXACT, 60)):
+        for w0 in (0.4 + 0.3j, 0.95 - 0.1j, -0.7j):
+            for a in range(-2, 3):
+                for b in range(-2, 3):
+                    w, wbar = w0 + a * h, w0.conjugate() + b * h
+                    S_, _, _ = _frozen_table_sums(t, abs(w), abs(wbar))
+                    want, got = _frozen_eval_theta(t, w, wbar), S.eval_theta(t, w, wbar)
+                    assert abs(got.value - want.value) <= _value_bound(t.N) * S_, (w, wbar)
+                    assert _bits(got.tail) == _bits(want.tail), (w, wbar)
+                    assert got.warning == want.warning, (w, wbar)
+                    warned.add(got.warning)
+    assert warned == {False, True}
+
+
+def _frozen_value(table, w, wbar):
+    """eval_theta's value pass before the overflow check: running-product
+    powers and float64 blocks of 2 MB (float) or 256 KB (rational) rows."""
+    N = table.N
+    pw, pb = _accumulated(complex(w), N), _accumulated(complex(wbar), N)
+    P = np.stack((pw.real, pw.imag))
+    ent = np.asarray(table.entries, dtype=float)
+    U = np.zeros((2, N))
+    b = max(1, (1 << 21 if table.den is None else 1 << 18) // (8 * N))
+    for a in range(0, N, b):
+        U += P[:, a:a + b] @ ent[a:a + b]
+    return complex((U[0] + 1j * U[1]) @ pb)
+
+
+def test_overflowing_powers_raise_instead_of_returning_nan():
+    # eval_theta(t, 1e10, 1e10) returned nan+nanj with tail nan and warning False
+    t = S.build_theta_table(1.0, 6.0, 50)
+    for w, wbar in ((1e10, 1e10), (1e10, 0.5), (0.5, -1e10j), (1e7 + 1e7j, 1e7 - 1e7j)):
+        for fn in (S.eval_theta, S.eval_rho):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # one OverflowError, no numpy warnings
+                with pytest.raises(OverflowError, match=re.escape(
+                        f"at (w, wbar) = ({complex(w)}, {complex(wbar)})")):
+                    fn(t, w, wbar)
+    # |w| > 1 with finite powers: the same value, tail and warning as before
+    for t in (t, S.build_theta_table(Fraction(-3, 10), Fraction(4), 40)):
+        for w, wbar in ((1.2 + 0.1j, 1.2 - 0.1j), (1.3, 1.1j), (-1.05, 0.5)):
+            got = S.eval_theta(t, w, wbar)
+            want = _frozen_eval_theta(t, w, wbar)
+            assert _bits(got.value, got.tail) == _bits(_frozen_value(t, w, wbar), want.tail)
+            assert got.warning == want.warning
+
+
 def _accumulated(x, N):
     """x^k for k = 0..N-1 as the running product over [1, x, x, ...]."""
     return np.multiply.accumulate(np.array([1] + [x] * (N - 1), dtype=complex))
@@ -1082,7 +1163,7 @@ def test_warning_decided_as_the_absolute_sum_would_at_the_threshold():
         lo, hi = 0.5, 0.99   # T/S below ratio at lo, above at hi
         while np.nextafter(lo, 1) < hi:
             mid = 0.5 * (lo + hi)
-            S_, T = coeffs._table_sums(t, mid, mid)
+            S_, T = coeffs._table_sums(t, mid, mid), coeffs._corner_tail(t, mid, mid)
             lo, hi = (lo, mid) if T > ratio * S_ else (mid, hi)
         return hi
 
@@ -1109,7 +1190,7 @@ def test_integral_means_falls_back_when_the_diagonal_bound_cannot_pass(monkeypat
     t = S.build_theta_table(S.gamma_roots(S.SLEParams(2, 6)).gamma_minus, 6.0, 400,
                             backend="float")
     r = 1 - 2.0 ** -7
-    S_, T = coeffs._table_sums(t, r, r)
+    S_, T = coeffs._table_sums(t, r, r), coeffs._corner_tail(t, r, r)
     # a tolerance that S passes and sum |c_n| (about 0.75 S) does not
     tol = 1.1 * T / S_
     calls = _count_table_sums(monkeypatch)

@@ -4,6 +4,7 @@ import cmath
 import io
 import math
 import operator
+import re
 import tracemalloc
 import warnings
 
@@ -65,6 +66,26 @@ def test_config_rejects_non_integer_counts(field, bad):
                 w=0.5 + 0j)
     with pytest.raises(ValueError, match="must be integers"):
         S.MCConfig(**{**base, field: bad})
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "3"])
+def test_config_rejects_seeds_that_seed_sequence_would(bad):
+    # -1 failed later inside numpy ("expected non-negative integer"), 1.5 with
+    # a TypeError from SeedSequence, and True was taken as seed 1
+    base = dict(kappa=2.0, q=1.0, T=8.0, n_steps=3200, n_samples=4, seed=0,
+                w=0.5 + 0j)
+    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, "
+                       f"got {re.escape(repr(bad))}$"):
+        S.MCConfig(**{**base, "seed": bad})
+
+
+def test_config_takes_numpy_and_wide_integer_seeds():
+    cfg = dict(kappa=2.0, q=1.0, T=4.0, n_steps=400, n_samples=8, w=0.4)
+    want = S.moment_estimate(S.MCConfig(seed=3, **cfg))
+    got = S.moment_estimate(S.MCConfig(seed=np.int64(3), **cfg))
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+    wide = S.moment_estimate(S.MCConfig(seed=2 ** 70, **cfg))
+    assert wide.seed == 2 ** 70 and math.isfinite(wide.mean)
 
 
 def test_sample_driving_variance_scale():
