@@ -110,8 +110,9 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
 
     gamma and kappa are read by spectrum._exact, the package's exactness
     rule: when both come back as Fractions the table is rational, at any N,
-    and otherwise it is float.  backend, if given, must name that same
-    arithmetic, else ValueError.  Float overflow raises with
+    and otherwise it is float, which needs a finite gamma and kappa, else
+    ValueError before the stencil is formed.  backend, if given, must name
+    that same arithmetic, else ValueError.  Float overflow raises with
     the first failing index (smallest i+j, then i).  An entry at offset
     n = i-j depends only on offsets n-1, n, n+1, so entries more than one
     offset beyond the widest nonzero one so far are not computed: they stay
@@ -145,6 +146,8 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     # all times L (1 for floats)
     if not rational:
         g, kap = float(g), float(kap)
+        if not (math.isfinite(g) and math.isfinite(kap)):
+            raise ValueError(f"gamma and kappa must be finite, got {gamma} and {kappa}")
     ns = range(-N, N + 2)
     L, A, B, C = _stencil(g, kap, ns)
     n = np.array(ns, dtype=A.dtype) * L   # rational: Python ints, not np.int64
@@ -444,9 +447,10 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
                    tail_tol: float = 1e-6) -> float:
     """Integral of rho(r e^{i phi}, r e^{-i phi}) over phi in [0, 2pi).
 
-    ValueError, before any table pass, unless n_phi is a power of two >= 256
-    (_is_int) and tail_tol finite and positive.  On phi_k = 2 pi k/n_phi,
-    Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j}
+    ValueError, before any table pass, unless r lies in (0, 1), n_phi is a
+    power of two >= 256 (_is_int) and tail_tol is finite and positive; r is
+    then read as a float, so a Fraction or numpy radius gives its bits.
+    On phi_k = 2 pi k/n_phi, Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j}
     r^(2j-2), is one FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).
     The corner-block tail T at r (_corner_tail) must stay below tail_tol
     of the absolute partial sum S, else TailCheckError reports the largest
@@ -458,6 +462,7 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0,1), got {r}")
+    r = float(r)   # a Fraction or numpy radius gives the bits of its float
     if not _is_int(n_phi) or n_phi < 256 or (n_phi & (n_phi - 1)) != 0:
         raise ValueError(f"n_phi must be a power of two >= 256, got {n_phi!r}")
     if not 0.0 < tail_tol < math.inf:   # NaN fails too, and would pass every radius

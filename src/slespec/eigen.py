@@ -426,10 +426,15 @@ def eigen_solve(matrix) -> EigenResult:
     vector of (R - lambda I), the minimizer of ||R v - lambda v|| at that
     lambda, all from one stacked SVD.  The first pair failing the 1e-10
     residual bound raises EigenCertificationError carrying the offending
-    matrix.  A matrix that is empty, ragged or not square raises ValueError
-    naming its rows' lengths.
+    matrix.  A matrix that is empty, ragged or not square, or 1-d or 0-d
+    (rows without a length), raises ValueError naming its rows' lengths or
+    itself; so does a float matrix with a non-finite entry, naming the entry
+    and its (i, j).
     """
-    lens = [len(r) for r in matrix]
+    try:
+        lens = [len(r) for r in matrix]
+    except TypeError:   # 0-d input, or 1-d: rows without a length
+        raise ValueError(f"eigen_solve needs a nonempty square matrix, got {matrix!r}") from None
     if set(lens) != {len(lens)}:
         raise ValueError("eigen_solve needs a nonempty square matrix, got "
                          + (f"rows of lengths {lens}" if lens else "no rows"))
@@ -437,6 +442,9 @@ def eigen_solve(matrix) -> EigenResult:
     fracs = None
     if exact is None:
         mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
+        if not np.isfinite(mat).all():
+            i, j = np.argwhere(~np.isfinite(mat))[0]
+            raise ValueError(f"eigen_solve needs finite entries, got {mat[i, j]} at ({i}, {j})")
         vals, _ = np.linalg.eig(mat)
         if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
             raise EigenCertificationError(

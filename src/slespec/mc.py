@@ -299,10 +299,14 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
 
     Per-path RNG streams are spawned from the seed, so the estimate is
     independent of chunking and thread count, and bit-identical per seed.
-    Optional dump: one `index log_deriv_re log_deriv_im B_T` line per path.
+    dump is None or an open text file, left open: one
+    `index log_deriv_re log_deriv_im B_T` line per path.  Anything without
+    `write`, a path too, raises TypeError before any path is simulated.
     The estimate reads Re log F' only, so without a dump the batch does not
     sum Im log F'; with one it does, and the estimate keeps the same bits.
     """
+    if dump is not None and not hasattr(dump, "write"):
+        raise TypeError(f"dump must be an open text file or None, got {dump!r}")
     if not _is_count(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if abs(config.q) > 2 or abs(complex(config.w)) > 0.9:
@@ -325,7 +329,6 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
     else:
         parts = [work(s) for s in spans]
     logd = np.concatenate([p[0] for p in parts])
-    bT = np.concatenate([p[1] for p in parts])
     with np.errstate(over="ignore"):   # reported below as one OverflowError
         X = np.exp(config.q * (config.T + logd.real))
     if not np.all(np.isfinite(X)):
@@ -338,14 +341,8 @@ def moment_estimate(config: MCConfig, dump=None, threads: int = 1) -> MCEstimate
         warnings.warn("estimate not converged: stderr exceeds mean/2",
                       RuntimeWarning, stacklevel=2)
     if dump is not None:
-        own = not hasattr(dump, "write")
-        fh = open(dump, "w") if own else dump
-        try:
-            for i in range(config.n_samples):
-                fh.write("%d %.17g %.17g %.17g\n"
-                         % (i, logd.real[i], logd.imag[i], bT[i]))
-        finally:
-            if own:
-                fh.close()
+        bT = np.concatenate([p[1] for p in parts])
+        for i in range(config.n_samples):
+            dump.write("%d %.17g %.17g %.17g\n" % (i, logd.real[i], logd.imag[i], bT[i]))
     return MCEstimate(mean=mean, stderr=stderr, n_samples=config.n_samples,
                       seed=config.seed)

@@ -20,15 +20,8 @@ _SERIES_SPLIT = 0.9
 
 
 def _nonpositive_int(v):
-    # returns -v (termination length) when v is a nonpositive integer
-    if isinstance(v, Fraction):
-        if v.denominator == 1 and v <= 0:
-            return -int(v)
-        return None
-    f = float(v)
-    if f <= 0 and float(f).is_integer():
-        return -int(f)
-    return None
+    # -v (termination length) when v is a nonpositive integer; v is finite
+    return -int(v) if v <= 0 and v == int(v) else None
 
 
 def _terminating_terms(a, b, c, x, n_terms: int) -> list:

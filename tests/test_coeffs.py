@@ -413,6 +413,18 @@ def test_float_overflow_reported():
         S.build_theta_table(20.0, 100.0, 60, backend="float")
 
 
+@pytest.mark.parametrize("g,k", [(math.nan, 4.0), (math.inf, 4.0), (-math.inf, 4.0),
+                                 (0.5, math.inf), (np.float64(math.nan), 2)],
+                         ids=["nan-gamma", "inf-gamma", "-inf-gamma", "inf-kappa", "np-nan-gamma"])
+def test_non_finite_float_gamma_or_kappa_is_refused_before_the_stencil(g, k):
+    # these ran the stencil into invalid-value warnings and then reported a
+    # float overflow at theta(1,2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma and kappa must be finite"):
+            S.build_theta_table(g, k, 10)
+
+
 def _parent_build(gamma, kappa, N):
     """build_theta_table's sweep as it was before the in-place rewrite, for
     both arithmetics: -(near + far)/C00 per anti-diagonal, with nonzero()
@@ -803,6 +815,20 @@ def test_tail_check_r_max_matches_parent(g, k, N, r, tol):
     with pytest.raises(S.TailCheckError) as got:
         S.integral_means(t, r, tail_tol=tol)
     assert got.value.r_max == want.value.r_max
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), np.float32(0.5)], ids=["Fraction", "float32"])
+def test_integral_means_reads_its_radius_as_a_float(r):
+    # a Fraction radius made object arrays of Fractions (18.616845354606184,
+    # not 18.61684535460618), and a float32 one a float32 r_max
+    t = S.build_theta_table(1.0, 6.0, 40)
+    assert _bits(S.integral_means(t, r)) == _bits(S.integral_means(t, 0.5))
+    with pytest.raises(S.TailCheckError) as want:
+        S.integral_means(t, 0.5, tail_tol=1e-25)
+    with pytest.raises(S.TailCheckError) as got:
+        S.integral_means(t, r, tail_tol=1e-25)
+    assert str(got.value) == str(want.value)
+    assert type(got.value.r_max) is float and _bits(got.value.r_max) == _bits(want.value.r_max)
 
 
 # ---- value-first tail decision: equivalence with the |theta|-first code ----

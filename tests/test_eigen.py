@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -753,12 +754,25 @@ def test_tridiag_exact_takes_equal_zeros_and_refuses_anything_else():
     assert S.eigen._tridiag_exact(_with_off_band(R, lambda i, j: one)) is None
 
 
+# 1-d and 0-d input, rows without a length, raised TypeError: object of
+# type 'float' has no len()
 @pytest.mark.parametrize("matrix", [
     [], np.zeros((0, 0)), [[Fraction(1), 0], [0]], [[1, 2, 3]],
-], ids=["empty-list", "empty-array", "ragged", "not-square"])
+    [1.0, 2.0], np.array([1.0, 2.0]), np.float64(2.0), np.array(3.0),
+], ids=["empty-list", "empty-array", "ragged", "not-square",
+        "1-d-list", "1-d-array", "scalar", "0-d"])
 def test_eigen_solve_refuses_empty_ragged_and_non_square(matrix):
     with pytest.raises(ValueError, match="nonempty square matrix"):
         S.eigen_solve(matrix)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigen_solve_refuses_a_non_finite_entry_naming_it(bad):
+    # LAPACK raised LinAlgError: Array must not contain infs or NaNs
+    with pytest.raises(ValueError, match=re.escape(f"got {bad} at (1, 0)")):
+        S.eigen_solve([[1.0, 0.0], [bad, 2.0]])
+    with pytest.raises(ValueError, match=re.escape(f"got {bad} at (0, 0)")):
+        S.eigen_solve([[bad, 0.0], [0.0, 1.0]])
 
 
 def _exact_recurrence(R, lam):

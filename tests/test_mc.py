@@ -4,6 +4,7 @@ import cmath
 import io
 import math
 import operator
+import pathlib
 import re
 import tracemalloc
 import warnings
@@ -572,11 +573,16 @@ def test_estimate_warns_when_not_converged():
 
 
 def test_dump_file_reproducible(tmp_path):
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    S.moment_estimate(small_config(n_samples=16), dump=str(p1))
-    S.moment_estimate(small_config(n_samples=16), dump=str(p2), threads=3)
+    # the caller opens the dump and closes it; the run leaves it open, and
+    # a file and a string buffer get the same text
+    p1, p2, buf = tmp_path / "a.txt", tmp_path / "b.txt", io.StringIO()
+    with open(p1, "w") as f1, open(p2, "w") as f2:
+        S.moment_estimate(small_config(n_samples=16), dump=f1)
+        S.moment_estimate(small_config(n_samples=16), dump=f2, threads=3)
+        assert not (f1.closed or f2.closed)
+    S.moment_estimate(small_config(n_samples=16), dump=buf)
     t1 = p1.read_text()
-    assert t1 == p2.read_text()
+    assert t1 == p2.read_text() == buf.getvalue()
     rows = [ln.split() for ln in t1.strip().splitlines()]
     assert len(rows) == 16
     assert [int(r[0]) for r in rows] == list(range(16))
@@ -584,6 +590,21 @@ def test_dump_file_reproducible(tmp_path):
     x = np.array([float(r[1]) for r in rows])
     est = S.moment_estimate(small_config(n_samples=16))
     assert np.mean(np.exp(1.0 * (4.0 + x))) == pytest.approx(est.mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("dump", ["paths.txt", pathlib.Path("paths.txt"), 3],
+                         ids=["str", "Path", "int"])
+def test_dump_that_is_not_an_open_file_is_refused_before_any_chunk(dump, monkeypatch,
+                                                                     tmp_path):
+    # a path was opened only after the whole run; now nothing is simulated
+    def fail(*args, **kwargs):
+        raise AssertionError("composed a chunk although the dump is not a file")
+
+    monkeypatch.setattr(S.mc, "_flow_chunk", fail)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(TypeError, match=re.escape(repr(dump))):
+        S.moment_estimate(small_config(n_samples=4), dump=dump)
+    assert not (tmp_path / "paths.txt").exists()
 
 
 def dump_rows(cfg):

@@ -63,6 +63,30 @@ def test_hyp2f1_rejects_non_finite_x_on_the_terminating_path(a, b, c, x):
         S.hyp2f1(a, b, c, x)
 
 
+def _parent_nonpositive_int(v):
+    """special._nonpositive_int as it was, with one branch per arithmetic."""
+    if isinstance(v, Fraction):
+        if v.denominator == 1 and v <= 0:
+            return -int(v)
+        return None
+    f = float(v)
+    if f <= 0 and float(f).is_integer():
+        return -int(f)
+    return None
+
+
+def test_nonpositive_int_matches_the_two_branch_rule():
+    # Fractions, floats, numpy float32 and float64 on a grid of integers and
+    # halves, plus signed zeros and huge magnitudes: same value, same type
+    grid = [Fraction(n, d) for n in range(-60, 61) for d in (1, 2, 3)]
+    values = grid + [float(x) for x in grid] + [np.float32(x) for x in grid] \
+        + [np.float64(x) for x in grid] + [-0.0, 0.0, 1e300, -1e300, np.float32(-0.0),
+                                           Fraction(-10 ** 400), Fraction(10 ** 400)]
+    for v in values:
+        got, want = S.special._nonpositive_int(v), _parent_nonpositive_int(v)
+        assert got == want and type(got) is type(want), v
+
+
 def test_hyp2f1_takes_a_fraction_too_large_for_a_float():
     # the finiteness check reads no Fraction through float()
     big = Fraction(10 ** 400)
