@@ -447,9 +447,10 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
                    tail_tol: float = 1e-6) -> float:
     """Integral of rho(r e^{i phi}, r e^{-i phi}) over phi in [0, 2pi).
 
-    ValueError, before any table pass, unless r lies in (0, 1), n_phi is a
-    power of two >= 256 (_is_int) and tail_tol is finite and positive; r is
-    then read as a float, so a Fraction or numpy radius gives its bits.
+    r is read as a float first, so a Fraction or numpy radius gives its
+    bits.  ValueError, before any table pass, unless that float lies in
+    (0, 1), n_phi is a power of two >= 256 (_is_int) and tail_tol is finite
+    and positive.
     On phi_k = 2 pi k/n_phi, Theta = c_0 + 2 sum_n c_n cos(n phi_k), c_n = r^n sum_j theta_{j+n,j}
     r^(2j-2), is one FFT of the c_n folded mod n_phi (Cooley & Tukey 1965).
     The corner-block tail T at r (_corner_tail) must stay below tail_tol
@@ -460,9 +461,9 @@ def integral_means(table: CoeffTable, r: float, n_phi: int = 1024,
     does _table_sums compute S, and T is not formed again.  The diagonal
     sums and any |theta| pass read the table in blocks: no N x N temporary.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"radius must lie in (0,1), got {r}")
     r = float(r)   # a Fraction or numpy radius gives the bits of its float
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"radius must lie in (0,1) as a float, got {r}")
     if not _is_int(n_phi) or n_phi < 256 or (n_phi & (n_phi - 1)) != 0:
         raise ValueError(f"n_phi must be a power of two >= 256, got {n_phi!r}")
     if not 0.0 < tail_tol < math.inf:   # NaN fails too, and would pass every radius

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .special import _terminating_terms
-from .spectrum import CurveParams, _checked_curve, _curve_params, _exact, _index
+from .spectrum import CurveParams, _checked_curve, _curve_params, _exact, _index, _rational
 
 _CERT_TOL = 1e-10
 _FIRST_PRIME = 1009   # least modulus of the exact root search (_exact_eigenvalues)
@@ -80,30 +79,32 @@ class TridiagSystem:
 
 
 def build_system(curve: CurveParams) -> TridiagSystem:
-    """The system on a curve; curve_point's kappa closes the band, A_{-M} = 0."""
-    M, g, D = _checked_curve(curve)
+    """The system on a curve, its gamma read exactly (spectrum._rational) and
+    then checked by the curve rule; curve_point's kappa closes the band, A_{-M} = 0."""
+    M, g, D = _checked_curve(CurveParams(curve.M, _rational(curve.gamma)))
     return TridiagSystem(M, g, _curve_params(M, g, D).kappa)
 
 
 # ---- matrices ----
 
 def reduced_matrix(sys: TridiagSystem) -> List[list]:
-    """R on the reflection-symmetric subspace psi_n = psi_{-n}, rows n = 0..M.
+    """R on the reflection-symmetric subspace psi_n = psi_{-n}, rows n = 0..M,
+    as Fractions.
 
     Sub-diagonal A_{-n+1}/2, diagonal B_n/2, super-diagonal A_{n+1}/2, and row
-    0's super-diagonal doubled, the psi_{-1} = psi_1 term.  A and B come from
-    one _stencil call on -M..M+1; exact entries are Fraction(L A_n, 2L), float
-    ones A_n/2.  Every off-band entry is one zero, B_0 * 0, built once.
+    0's super-diagonal doubled, the psi_{-1} = psi_1 term.  gamma and kappa
+    are read by spectrum._rational; A and B come from one _stencil call on
+    -M..M+1, and each entry is Fraction(L A_n, 2L).  Every off-band entry is
+    one zero, built once.
     """
     M = sys.M
-    L, A, B, _ = _stencil(sys.gamma, sys.kappa, range(-M, M + 2))
-    half = Fraction if A.dtype == object else operator.truediv
-    A, B = A.tolist(), B.tolist()   # Python ints or floats
+    L, A, B, _ = _stencil(_rational(sys.gamma), _rational(sys.kappa), range(-M, M + 2))
+    A, B = A.tolist(), B.tolist()   # Python ints
 
     def entry(coef, n):
-        return half(coef[n + M], 2 * L)
+        return Fraction(coef[n + M], 2 * L)
 
-    zero = entry(B, 0) * 0
+    zero = Fraction(0)
     R = [[zero] * (M + 1) for _ in range(M + 1)]
     for n in range(M + 1):
         R[n][n] = entry(B, n)
@@ -114,48 +115,49 @@ def reduced_matrix(sys: TridiagSystem) -> List[list]:
     return R
 
 
-# ---- numeric eigensolve with certification ----
+# ---- exact eigensolve with certification ----
 
 @dataclass(frozen=True)
 class EigenResult:
-    values: np.ndarray       # ascending
+    values: np.ndarray       # ascending, each the float of its exact value
     vectors: np.ndarray      # column k pairs with values[k], unit 2-norm: the exact
-                             # recurrence on an irreducible exact tridiagonal, else SVD
+                             # recurrence with no zero super-diagonal, else SVD
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
-    # exact input only (None on float input): per value, the Fraction proved
-    # by division
-    exact_values: Optional[tuple] = None
+    exact_values: tuple      # per value, the Fraction proved by division
 
 
 def _tridiag_exact(matrix):
-    """The integer tridiagonal (L, d, l, u) of exact tridiagonal input, or None.
+    """The integer tridiagonal (L, d, l, u) of a tridiagonal matrix.
 
-    Exact means every entry is a Fraction under spectrum._exact's rule;
-    any other entry sends the matrix down the float path.  One pass reads
-    the entries: one whose type is exactly Fraction is taken as it is, and
-    only the others go through _exact, so bool raises wherever it stands.
+    Every entry is read by spectrum._rational, so a float is the dyadic
+    rational it equals.  One pass reads the entries: one whose type is
+    exactly Fraction is taken as it is, and only the others are read, so
+    bool raises wherever it stands.  A non-finite entry raises ValueError
+    naming it and its (i, j), and so does a nonzero entry off the band.
     L > 0 is the lcm of the entries' denominators, and d, l and u are the
     diagonal, sub- and super-diagonal of L*T as Python ints
     (l[i] = L T[i+1][i], u[i] = L T[i][i+1]).  The matrix is square and
     nonempty: eigen_solve refuses any other shape first.
     """
-    others = []   # _exact of the entries that are not exactly Fractions
+    def read(x, i, j):
+        try:
+            return _rational(x)
+        except ValueError:
+            raise ValueError(f"eigen_solve needs finite entries, got {x} at ({i}, {j})") from None
 
-    def read(x):
-        others.append(x := _exact(x))
-        return x
-
-    rows = [[x if type(x) is Fraction else read(x) for x in r] for r in matrix]
+    rows = [[x if type(x) is Fraction else read(x, i, j) for j, x in enumerate(r)]
+            for i, r in enumerate(matrix)]
     n = len(rows)
-    if not all(isinstance(x, Fraction) for x in others):
-        return None
     if n > 2:
         # all (n-1)(n-2) entries off the band equal the corner's zero; list.count
         # takes an entry identical to it without calling Fraction.__eq__
         zero = rows[-1][0]
         if zero != 0 or sum(r[:max(i - 1, 0)].count(zero) + r[i + 2:].count(zero)
                             for i, r in enumerate(rows)) != (n - 1) * (n - 2):
-            return None
+            i, j = next((i, j) for i, r in enumerate(rows) for j, x in enumerate(r)
+                        if abs(i - j) > 1 and x)
+            raise ValueError(f"eigen_solve needs a tridiagonal matrix, got "
+                             f"{matrix[i][j]} at ({i}, {j})")
     diag = [rows[i][i] for i in range(n)]
     sub = [rows[i + 1][i] for i in range(n - 1)]
     sup = [rows[i][i + 1] for i in range(n - 1)]
@@ -340,8 +342,8 @@ def _exact_eigenvalues(L, d, l, u):
 
     Near band-closure crossings the matrix is nonnormal enough that float
     eigenvalues carry ~1e-9 error, far above the certification bound, and
-    double roots come back from LAPACK as complex pairs: that is why this
-    path exists at all.  p's root 0 comes off first, as factors t.  The
+    double roots come back from LAPACK as complex pairs: that is why the
+    spectrum is proved in integers.  p's root 0 comes off first, as factors t.  The
     rest are found by Loos's p-adic search, one pass per prime q: the least
     prime >= max(_FIRST_PRIME, deg p + 1) that does not divide p's leading
     coefficient, then the next such prime.  A pass finds the roots mod q of
@@ -406,30 +408,24 @@ def _exact_eigenvalues(L, d, l, u):
 
 
 def eigen_solve(matrix) -> EigenResult:
-    """All eigenvalues of a (small, real-spectrum) matrix with certified residuals.
+    """All eigenvalues of a tridiagonal matrix, proved rational, with
+    certified residuals.
 
-    Exact tridiagonal input (entries exact under spectrum._exact) has every
-    eigenvalue proved rational on the integer characteristic polynomial p,
-    by exact division and deflation, and reported with its Fraction.  The
-    roots are found with no float: p-adic lifting from p's simple roots
-    mod a prime q, the first prime >= 1009 (and above p's degree) that
-    does not divide p's leading coefficient, then the next ones as needed;
-    repeated roots are found on p's squarefree part (see
-    _exact_eigenvalues).  A rest proved to have no rational root is
-    refused, naming how many eigenvalues were proved.  Float input keeps
-    the plain LAPACK values and refuses an imaginary part above 1e-8 of
-    the spectral radius.  Exact input with no
-    zero super-diagonal takes every vector from the fraction-free three-term
-    recurrence (_recurrence_vectors), whose exactly vanishing last row
-    proves each value a second time.  Every other matrix (float input,
-    reducible tridiagonals) takes each vector as the smallest singular
-    vector of (R - lambda I), the minimizer of ||R v - lambda v|| at that
-    lambda, all from one stacked SVD.  The first pair failing the 1e-10
-    residual bound raises EigenCertificationError carrying the offending
-    matrix.  A matrix that is empty, ragged or not square, or 1-d or 0-d
-    (rows without a length), raises ValueError naming its rows' lengths or
-    itself; so does a float matrix with a non-finite entry, naming the entry
-    and its (i, j).
+    Every entry is read exactly (_tridiag_exact: a float is the dyadic
+    rational it equals).  Every eigenvalue is proved rational on the
+    integer characteristic polynomial, with no float, by the p-adic search
+    of _exact_eigenvalues, and reported with its Fraction; a rest proved to
+    have no rational root is refused, naming how many were proved.  A
+    matrix with no zero super-diagonal takes every vector from the
+    fraction-free three-term recurrence (_recurrence_vectors), whose
+    exactly vanishing last row proves each value a second time; a
+    reducible one takes each vector as the smallest singular vector of
+    (R - lambda I), all from one stacked SVD.  The first pair failing the
+    1e-10 residual bound raises EigenCertificationError carrying the
+    offending matrix.  ValueError names the rows' lengths of a matrix that
+    is empty, ragged or not square, or the input itself if 1-d or 0-d (rows
+    without a length), and the entry and its (i, j) of a non-finite entry
+    or of a nonzero one off the tridiagonal.
     """
     try:
         lens = [len(r) for r in matrix]
@@ -438,42 +434,27 @@ def eigen_solve(matrix) -> EigenResult:
     if set(lens) != {len(lens)}:
         raise ValueError("eigen_solve needs a nonempty square matrix, got "
                          + (f"rows of lengths {lens}" if lens else "no rows"))
-    exact = _tridiag_exact(matrix)
-    fracs = None
-    if exact is None:
-        mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
-        if not np.isfinite(mat).all():
-            i, j = np.argwhere(~np.isfinite(mat))[0]
-            raise ValueError(f"eigen_solve needs finite entries, got {mat[i, j]} at ({i}, {j})")
-        vals, _ = np.linalg.eig(mat)
-        if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
-            raise EigenCertificationError(
-                f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
-        lams = sorted(float(v) for v in vals.real)
-    else:
-        # each entry n/L rounded once, as float() rounds the Fraction it equals
-        L, d, l, u = exact
-        n = len(d)
-        mat = np.zeros((n, n))
-        for start, band in ((0, d), (n, l), (1, u)):
-            mat.flat[start::n + 1] = [x / L for x in band]
-        fracs = tuple(_exact_eigenvalues(*exact))
-        lams = [float(x) for x in fracs]
-    lam = np.array(lams)
-    # column k of vecs pairs with lams[k], strided like the SVD's transposed
-    # rows: the residual product below then rounds as it did on the SVD
-    # alone (float input bit for bit)
-    vecs = np.empty((len(lams), len(mat))).T
-    if exact is not None and all(exact[3]):
+    L, d, l, u = exact = _tridiag_exact(matrix)
+    # each entry n/L rounded once, as float() rounds the Fraction it equals
+    n = len(d)
+    mat = np.zeros((n, n))
+    for start, band in ((0, d), (n, l), (1, u)):
+        mat.flat[start::n + 1] = [x / L for x in band]
+    fracs = tuple(_exact_eigenvalues(*exact))
+    lam = np.array([float(x) for x in fracs])
+    # column k of vecs pairs with lam[k], strided like the SVD's transposed
+    # rows: the residual product below then rounds as it did on the SVD alone
+    vecs = np.empty((n, n)).T
+    if all(u):
         vecs[:] = _recurrence_vectors(*exact, fracs)
     else:
-        vecs[:] = np.linalg.svd(mat - lam[:, None, None] * np.eye(len(mat)))[2][:, -1].T
+        vecs[:] = np.linalg.svd(mat - lam[:, None, None] * np.eye(n))[2][:, -1].T
     res = np.linalg.norm(mat @ vecs - vecs * lam, axis=0)
     bad = np.nonzero(res > _CERT_TOL)[0]
     if len(bad):
         i = bad[0]
         raise EigenCertificationError(
-            f"residual {res[i]:.3e} > {_CERT_TOL} for eigenvalue {lams[i]} of "
+            f"residual {res[i]:.3e} > {_CERT_TOL} for eigenvalue {float(lam[i])} of "
             f"matrix {mat.tolist()}")
     return EigenResult(values=lam, vectors=vecs, residuals=res, exact_values=fracs)
 

@@ -51,6 +51,20 @@ def _exact(x):
     return x
 
 
+def _rational(x) -> Fraction:
+    """The eigen route's reading rule: _exact, then a float or numpy float as
+    the Fraction (a dyadic rational) it equals.  A NaN or infinity raises
+    ValueError, and anything else that is not rational TypeError."""
+    x = _exact(x)
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, (float, np.floating)):
+        raise TypeError(f"not a rational scalar: {x!r}")
+    if not np.isfinite(x):
+        raise ValueError(f"not a finite scalar: {x}")
+    return Fraction(*x.as_integer_ratio())
+
+
 def _is_int(n) -> bool:   # the integer rule; mc._is_count is its copy
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 

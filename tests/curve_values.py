@@ -4,13 +4,15 @@ float twin (k / 48).
 
 On each curve the digest reads eigen_beta_closed for every l,
 beta_tilde_on_curve, beta_on_curve, the entries of reduced_matrix, and
-eigenfunction_poly for every even l where M + 3 gamma != 0 (an error it
-raises there is read as its type and message).  A value's type and str()
-enter the digest, so a Fraction that becomes a float, or a float that moves
-by one ulp, changes it.  DIGESTS holds the SHA-256 of the values as they
-were before curve_point became the only curve rule; the tier-1 suite checks
-the slices in SLICE_DIGESTS, this script checks the whole range (about a
-minute):
+eigenfunction_poly for every even l where M + 3 gamma != 0 (an error that
+build_system or eigenfunction_poly raises is read as its type and
+message).  A value's type and str() enter the digest, so a Fraction that
+becomes a float, or a float that moves by one ulp, changes it.  DIGESTS
+holds the SHA-256 of the values: the exact ones as they were before
+curve_point became the only curve rule, the float ones since build_system
+reads a float gamma as the dyadic rational it equals.  The tier-1 suite
+checks the slices in SLICE_DIGESTS, this script checks the whole range
+(about a minute):
 
     PYTHONPATH=src python tests/curve_values.py
 """
@@ -25,11 +27,11 @@ K_RANGE = range(-200, 300)
 # (exact, M_max) -> (admissible curves with M <= M_max, SHA-256 of their values)
 DIGESTS = {
     (True, 20): (9123, "956ca0d2156140c85a3e99cffcc166a6649951114e123ca698474e6ec7bfea4e"),
-    (False, 20): (9123, "e8300be84d90f997dca8725c0f3253c7fcc986856bcee489acd73faa9906feb5"),
+    (False, 20): (9123, "95577c826370f9ce7ae7d29057cd8bf8cbd0ea88314e1961c3b79cbb095580b4"),
 }
 SLICE_DIGESTS = {
     (True, 3): (1271, "dc4ab2c7318d6c5c2899783229acb397353ba4b8c1cab4cee8400b30377727ae"),
-    (False, 6): (2411, "4049da6f84d9d41c71fe055acc057943ded7225238225ce985d4a8d6095dc86d"),
+    (False, 6): (2411, "f1521dc36a90d445480b8e9cdf5b4f8789662397714edededab619eb64c4a75b"),
 }
 
 
@@ -42,8 +44,11 @@ def curve_values(c):
     M = c.M
     vals = [S.eigen_beta_closed(c, l) for l in range(2 * M + 1)]
     vals += [S.beta_tilde_on_curve(c), S.beta_on_curve(c)]
-    vals += [x for row in S.reduced_matrix(S.build_system(c)) for x in row]
     out = [_token(v) for v in vals]
+    try:
+        out += [_token(x) for row in S.reduced_matrix(S.build_system(c)) for x in row]
+    except ValueError as exc:
+        out.append(f"raise:{type(exc).__name__}:{exc}")
     if M + 3 * c.gamma != 0:
         for l in range(0, 2 * M + 1, 2):
             try:

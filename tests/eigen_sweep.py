@@ -7,27 +7,27 @@ Run as a script (pytest does not collect it; it takes several seconds):
 
     PYTHONPATH=src python tests/eigen_sweep.py
 
-It fails (exit 1) when eigen_solve fails on any exact curve, when an exact
-curve's eigenvalues miss the closed beta_l (even l) by more than 1e-10
-max(1, max |beta_l|), when an exact curve's proved Fractions are not
-exactly the closed beta_l, sorted, when select_beta_tilde on a certified curve, exact
-or float, disagrees with beta_tilde_on_curve beyond criterion 4's scale
-1e-9 max(1, max |beta_l|), or when it returns another value or refusal
-than the Clenshaw selection it replaced (test_eigen's frozen reference).
-Float failures are counted, not pinned: which curves fail depends on LAPACK.
-Past the swept range it fails when eigen_solve refuses a sampled curve or
-when that curve's proved Fractions are not exactly the closed beta_l,
-sorted.
+build_system reads a float gamma as the dyadic rational it equals, so
+exact and float curves are gated alike.  It fails (exit 1) when eigen_solve
+refuses any curve, when a curve's eigenvalues miss the closed beta_l (even
+l) at the gamma its system holds (k/48, or the dyadic rational of the
+float) by more than 1e-10 max(1, max |beta_l|), when its proved Fractions
+are not exactly those closed beta_l, sorted, when select_beta_tilde
+disagrees with beta_tilde_on_curve on the curve as given (exact, or the
+float closed beta~) beyond criterion 4's scale 1e-9 max(1, max |beta_l|),
+or when it returns another value or refusal than the Clenshaw selection
+it replaced (test_eigen's frozen reference).  Past the swept range it fails
+when eigen_solve refuses a sampled curve or when that curve's proved
+Fractions are not exactly the closed beta_l, sorted.
 
-It also prints, without gating them, how many eigenvalues of the exact
-curves were proved by exact division, how many curves have a repeated
-eigenvalue, the largest bit length of a proved eigenvalue's denominator,
-how many exact curves switched the root search to the squarefree part,
-the most passes (primes) the search took on one exact curve, how many
-exact curves took any vector from the SVD instead of the exact
-recurrence, the largest vector residual on the exact and on the float
-curves, and, past the swept range, the curves solved and the median solve
-time at each M.
+It also prints, without gating them, for the exact and the float curves:
+how many eigenvalues were proved by exact division, how many curves have a
+repeated eigenvalue, the largest bit length of a proved eigenvalue's
+denominator, how many curves switched the root search to the squarefree
+part, the most passes (primes) the search took on one curve, how many
+curves took any vector from the SVD instead of the exact recurrence, and
+the largest vector residual; and, past the swept range, the curves solved
+and the median solve time at each M.
 """
 import statistics
 import sys
@@ -49,13 +49,13 @@ def _outcome(select, res, c):
 
 
 def sweep(exact=True):
-    """(curves, failures, problems, stats): problems lists what breaks the
-    guard; stats holds the largest vector residual and, on the exact curves
-    only, the eigenvalues proved by division, the curves with a repeated
-    eigenvalue, the largest denominator bit length, the curves whose
-    search switched to the squarefree part, the most passes of one search
-    and the curves on which eigen_solve called the SVD."""
-    curves, failures, problems = 0, 0, []
+    """(curves, refusals, problems, stats): problems lists what breaks the
+    guard, refusals included; stats holds the eigenvalues proved by
+    division, the curves with a repeated eigenvalue, the largest
+    denominator bit length, the curves whose search switched to the
+    squarefree part, the most passes of one search, the curves on which
+    eigen_solve called the SVD and the largest vector residual."""
+    curves, refusals, problems = 0, 0, []
     stats = dict.fromkeys(("proved", "repeated", "den_bits", "squarefree", "passes",
                            "svd_curves", "residual"), 0)
     for M in range(1, 21):
@@ -74,29 +74,29 @@ def sweep(exact=True):
                                           wraps=S.eigen._squarefree) as squarefree:
                     res = S.eigen_solve(S.reduced_matrix(sysM))
             except S.EigenCertificationError as exc:
-                failures += 1
-                if exact:
-                    problems.append(f"(M={M}, k={k}): eigen_solve failed: {exc}"[:200])
+                refusals += 1
+                problems.append(f"(M={M}, k={k}): eigen_solve failed: {exc}"[:200])
                 continue
-            betas = sorted(S.eigen_beta_closed(c, l) for l in range(0, 2 * M + 1, 2))
+            # the closed beta_l at the gamma the system holds
+            held = S.CurveParams(M, sysM.gamma)
+            betas = sorted(S.eigen_beta_closed(held, l) for l in range(0, 2 * M + 1, 2))
             closed = [float(v) for v in betas]
             scale = max(1.0, max(abs(v) for v in closed))
             stats["residual"] = max(stats["residual"], float(res.residuals.max()))
-            if exact:
-                stats["svd_curves"] += svd.called
-                stats["squarefree"] += squarefree.called
-                stats["passes"] = max(stats["passes"], passes.call_count)
-                stats["proved"] += len(res.exact_values)
-                if list(res.exact_values) != betas:
-                    problems.append(f"(M={M}, k={k}): the proved Fractions are not "
-                                    f"the closed beta_l")
-                stats["repeated"] += len(set(res.values)) < len(res.values)
-                stats["den_bits"] = max([stats["den_bits"]] + [
-                    x.denominator.bit_length() for x in res.exact_values])
-                dev = max(abs(a - b) for a, b in zip(res.values, closed))
-                if len(res.values) != len(closed) or dev > 1e-10 * scale:
-                    problems.append(f"(M={M}, k={k}): eigenvalues off the closed "
-                                    f"beta_l by {dev:.3e}")
+            stats["svd_curves"] += svd.called
+            stats["squarefree"] += squarefree.called
+            stats["passes"] = max(stats["passes"], passes.call_count)
+            stats["proved"] += len(res.exact_values)
+            if list(res.exact_values) != betas:
+                problems.append(f"(M={M}, k={k}): the proved Fractions are not "
+                                f"the closed beta_l")
+            stats["repeated"] += len(set(res.values)) < len(res.values)
+            stats["den_bits"] = max([stats["den_bits"]] + [
+                x.denominator.bit_length() for x in res.exact_values])
+            dev = max(abs(a - b) for a, b in zip(res.values, closed))
+            if len(res.values) != len(closed) or dev > 1e-10 * scale:
+                problems.append(f"(M={M}, k={k}): eigenvalues off the closed "
+                                f"beta_l by {dev:.3e}")
             bt = _outcome(S.select_beta_tilde, res, c)
             if bt != _outcome(_clenshaw_select_beta_tilde, res, c):
                 problems.append(f"(M={M}, k={k}): selection differs from the Clenshaw "
@@ -107,7 +107,7 @@ def sweep(exact=True):
             want = float(S.beta_tilde_on_curve(c))
             if abs(bt - want) > 1e-9 * scale:
                 problems.append(f"(M={M}, k={k}): selected {bt}, closed {want}")
-    return curves, failures, problems, stats
+    return curves, refusals, problems, stats
 
 
 def past_the_sweep():
@@ -140,20 +140,18 @@ def past_the_sweep():
 
 def main() -> int:
     bad = 0
-    for exact, known in ((True, "none allowed"), (False, "not pinned")):
-        curves, failures, problems, stats = sweep(exact)
-        print(f"eigen sweep: {curves} {'exact' if exact else 'float'} curves, "
-              f"{failures} failures ({known}), {len(problems)} problems")
-        if exact:
-            print(f"eigen sweep (printed, not gated): {stats['proved']} eigenvalues "
-                  f"proved by exact division, each the closed beta_l (gated); {stats['repeated']} "
-                  f"curves with a repeated eigenvalue; largest denominator "
-                  f"{stats['den_bits']} bits; {stats['squarefree']} curves searched "
-                  f"the squarefree part; at most {stats['passes']} passes on one curve; "
-                  f"{stats['svd_curves']} exact curves took SVD vectors, the rest the "
-                  f"exact recurrence")
-        print(f"eigen sweep (printed, not gated): largest vector residual on the "
-              f"{'exact' if exact else 'float'} curves {stats['residual']:.2e}")
+    for exact in (True, False):
+        kind = "exact" if exact else "float"
+        curves, refusals, problems, stats = sweep(exact)
+        print(f"eigen sweep: {curves} {kind} curves, {refusals} refused (none allowed), "
+              f"{len(problems)} problems")
+        print(f"eigen sweep (printed, not gated), {kind} curves: {stats['proved']} "
+              f"eigenvalues proved by exact division, each the closed beta_l (gated); "
+              f"{stats['repeated']} curves with a repeated eigenvalue; largest "
+              f"denominator {stats['den_bits']} bits; {stats['squarefree']} curves "
+              f"searched the squarefree part; at most {stats['passes']} passes on one "
+              f"curve; {stats['svd_curves']} curves took SVD vectors, the rest the exact "
+              f"recurrence; largest vector residual {stats['residual']:.2e}")
         for line in problems:
             print(line)
         bad += len(problems)

@@ -831,6 +831,17 @@ def test_integral_means_reads_its_radius_as_a_float(r):
     assert type(got.value.r_max) is float and _bits(got.value.r_max) == _bits(want.value.r_max)
 
 
+@pytest.mark.parametrize("r", [Fraction(10 ** 20 - 1, 10 ** 20), Fraction(1, 10 ** 400)],
+                         ids=["rounds-to-one", "rounds-to-zero"])
+def test_integral_means_checks_the_float_of_its_radius(r):
+    # both lie in (0, 1) but their floats are 1.0 and 0.0: the first raised
+    # TailCheckError "series tail at r=1.0", the second returned the r = 0
+    # value 2 pi
+    t = S.build_theta_table(1.0, 6.0, 40)
+    with pytest.raises(ValueError, match=re.escape(f"as a float, got {float(r)}")):
+        S.integral_means(t, r)
+
+
 # ---- value-first tail decision: equivalence with the |theta|-first code ----
 
 def _frozen_corner_tail(table, apw, apb):

@@ -55,7 +55,8 @@ def test_b_coef_even_in_n(g, k, n):
 def test_band_closure_on_curves():
     # curve_point's kappa = 2(M + 3g)/D closes the band, A_{-M} = 0, so
     # build_system does not check it: exactly on every admissible k/48 and
-    # to round-off on the float twins
+    # on the float twins, which build the system of the dyadic rational
+    # each float equals
     curves = 0
     for M in range(21):
         for k in range(-200, 300):
@@ -64,14 +65,13 @@ def test_band_closure_on_curves():
                     sysM = S.build_system(S.CurveParams(M, g))
                 except S.InvalidCurveError:
                     continue
-                closure = S.a_coef(-M, sysM.gamma, sysM.kappa)
-                if isinstance(g, Fraction):
-                    curves += 1
-                    assert closure == 0, (M, k)
-                else:
-                    scale = max(1.0, abs(sysM.kappa) * (M + abs(g)) ** 2)
-                    assert abs(closure) <= 1e-10 * scale, (M, k)
-    assert curves == 9123
+                assert sysM == S.build_system(S.CurveParams(M, Fraction(g)))
+                assert type(sysM.gamma) is Fraction and type(sysM.kappa) is Fraction
+                assert S.a_coef(-M, sysM.gamma, sysM.kappa) == 0, (M, k)
+                curves += 1
+    # 9123 exact curves, and their float twins but the three whose dyadic
+    # gamma lies below -M/3 (test_dyadic_gamma_below_the_curve_is_refused)
+    assert curves == 2 * 9123 - 3
 
 
 # ---- matrices ----
@@ -120,17 +120,18 @@ def _scalar_band_matrix(sysM, ns, fold):
 def test_matrices_equal_scalar_coefficient_reference(M):
     checked = 0
     for num in (1, 7, 19, 40, 77, 118, 159):
-        for g in (Fraction(num, 48), num / 48):   # the exact and the float path
+        for g in (Fraction(num, 48), num / 48):   # exact, and the float twin
             try:
                 sysM = S.build_system(S.CurveParams(M, g))
             except S.InvalidCurveError:
                 continue
             got = S.reduced_matrix(sysM)
-            want = _scalar_band_matrix(sysM, range(0, M + 1), True)
+            # the float twin's matrix is that of the dyadic rational g equals
+            dyadic = S.build_system(S.CurveParams(M, Fraction(g)))
+            want = _scalar_band_matrix(dyadic, range(0, M + 1), True)
             assert got == want
-            assert repr(got) == repr(want)   # -0.0 included
-            kind = Fraction if isinstance(g, Fraction) else float
-            assert all(type(x) is kind for row in got for x in row)
+            assert repr(got) == repr(want)
+            assert all(type(x) is Fraction for row in got for x in row)
             checked += 1
     assert checked >= 6
 
@@ -200,31 +201,54 @@ def test_eigen_solve_certifies_residuals():
     assert max(res.residuals) < 1e-12
 
 
-def test_eigen_solve_rejects_complex_spectrum():
-    with pytest.raises(S.EigenCertificationError):
-        S.eigen_solve([[0.0, -1.0], [1.0, 0.0]])
-
-
 def test_eigen_solve_reports_brackets_on_exact_input():
     # the eigenvalues 1 and 4 are proved by division: their Fractions
     res = S.eigen_solve(S.reduced_matrix(S.build_system(S.CurveParams(1, 1))))
     assert res.exact_values == (Fraction(1), Fraction(4))
     assert list(res.values) == [1.0, 4.0]
-    assert S.eigen_solve([[3.0, -2.0], [-1.0, 2.0]]).exact_values is None
+    # its float twin is read exactly and proved the same way
+    assert S.eigen_solve([[3.0, -2.0], [-1.0, 2.0]]).exact_values == res.exact_values
 
 
-def test_exact_matrix_off_the_tridiagonal_takes_float_path():
-    # exact entries alone do not make the exact path: the corner 1/2 lies off
-    # the tridiagonal, so the values are LAPACK's and carry no Fractions
-    m = [[Fraction(2), Fraction(1), Fraction(1, 2)],
-         [Fraction(1), Fraction(3), Fraction(1)],
-         [Fraction(1, 2), Fraction(1), Fraction(4)]]
-    assert S.eigen._tridiag_exact(m) is None
-    res = S.eigen_solve(m)
-    assert res.exact_values is None
-    assert np.allclose(res.values, np.linalg.eigvalsh(np.array(m, dtype=float)),
-                       rtol=0, atol=1e-12)
-    assert max(res.residuals) < 1e-12
+@pytest.mark.parametrize("kind", [Fraction, float], ids=["exact", "float"])
+def test_a_matrix_off_the_tridiagonal_is_refused(kind):
+    # the corner 1/2 lies off the tridiagonal: refused by name, exact or
+    # float (both took LAPACK's eigenvalues before)
+    m = [[kind(2), kind(1), kind(1) / 2],
+         [kind(1), kind(3), kind(1)],
+         [kind(1) / 2, kind(1), kind(4)]]
+    with pytest.raises(ValueError, match=re.escape(f"tridiagonal matrix, got {m[0][2]} at (0, 2)")):
+        S.eigen_solve(m)
+
+
+def test_float_entries_are_read_as_the_rationals_they_equal():
+    # float64, float32 and numpy-array entries are the dyadic rationals they
+    # equal: the same integer tridiagonal and proved values as their Fractions
+    tenth = np.float32(0.1)
+    for m in ([[0.1, 0.0], [0.0, 0.75]], [[tenth, 0], [0, 0.75]],
+              np.array([[0.1, 0.5], [0.0, 0.75]]), np.array([[tenth, 0.5], [0, 0.75]])):
+        twin = [[Fraction(*x.as_integer_ratio()) if isinstance(x, (float, np.floating))
+                 else Fraction(x) for x in r] for r in m]
+        assert S.eigen._tridiag_exact(m) == S.eigen._tridiag_exact(twin)
+        assert S.eigen_solve(m).exact_values == tuple(sorted((twin[0][0], twin[1][1])))
+    assert Fraction(*tenth.as_integer_ratio()) == Fraction(13421773, 2 ** 27) != Fraction(0.1)
+    # reduced_matrix reads a hand-built system the same way
+    g, k = 0.3, 1.7
+    got = S.reduced_matrix(S.TridiagSystem(3, g, np.float32(k)))
+    assert got == S.reduced_matrix(S.TridiagSystem(3, Fraction(g), Fraction(float(np.float32(k)))))
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("M,k", [(5, -80), (7, -112), (10, -160)])
+def test_dyadic_gamma_below_the_curve_is_refused(M, k):
+    # the float k/48 lies just below -M/3, so its dyadic kappa would be
+    # negative: build_system refuses the curve, while curve_point on the
+    # float, which rounds 3 gamma to -M, admits it at kappa = 0
+    g = k / 48
+    assert 3 * Fraction(g) < -M and 3 * g == -M
+    assert S.curve_point(S.CurveParams(M, g)).kappa == 0
+    with pytest.raises(S.InvalidCurveError, match="below -M/3"):
+        S.build_system(S.CurveParams(M, g))
 
 
 def test_numpy_integer_matrix_takes_exact_path():
@@ -434,15 +458,7 @@ def _ref_eigen_solve(matrix):
     """eigen_solve with one SVD and one residual norm per eigenvalue, as it
     was before the stacked SVD: the reference."""
     mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
-    exact = S.eigen._tridiag_exact(matrix)
-    if exact is None:
-        vals, _ = np.linalg.eig(mat)
-        if np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals.real))):
-            raise S.EigenCertificationError(
-                f"unexpected complex spectrum {vals} for matrix {mat.tolist()}")
-        lams = sorted(float(v) for v in vals.real)
-    else:
-        lams = [float(x) for x in S.eigen._exact_eigenvalues(*exact)]
+    lams = [float(x) for x in S.eigen._exact_eigenvalues(*S.eigen._tridiag_exact(matrix))]
     eye = np.eye(mat.shape[0])
     out_vecs, out_res = [], []
     for lam in lams:
@@ -457,16 +473,20 @@ def _ref_eigen_solve(matrix):
     return np.array(lams), np.array(out_vecs).T, np.array(out_res)
 
 
-# entries ~1e7: rounding alone leaves residuals ~1e-9, above the absolute
-# bound 1e-10, so eigen_solve raises in its residual check
-_RESIDUAL_FAILURE = [[3e7, 1e7], [1e7, -2e7]]
+# entries ~1e9, the eigenvalues 3e8 and 1e9 + 1, and a zero super-diagonal
+# (SVD vectors): rounding alone leaves the second residual ~1e-7, above the
+# absolute bound 1e-10, so eigen_solve raises in its residual check
+_RESIDUAL_FAILURE = [[1e9 + 1, 0.0], [1e9, 3e8]]
+
+
+# the exact curves with a zero super-diagonal, the only ones on SVD vectors
+_REDUCIBLE_CURVES = [(5, 60), (6, 36), (12, 96), (12, 144), (15, 72)]
 
 
 def _svd_columns(R, res):
-    """Which columns of eigen_solve's result are SVD vectors: all on float
-    input and on a zero super-diagonal, else none."""
-    exact = S.eigen._tridiag_exact(R)
-    return [exact is None or not all(exact[3])] * len(res.values)
+    """Which columns of eigen_solve's result are SVD vectors: all on a zero
+    super-diagonal, else none."""
+    return [not all(S.eigen._tridiag_exact(R)[3])] * len(res.values)
 
 
 def _sign_aligned(v, w):
@@ -474,14 +494,20 @@ def _sign_aligned(v, w):
 
 
 def test_stacked_svd_matches_per_eigenvalue_reference():
-    # values bit for bit everywhere; SVD columns (float input)
-    # and their residuals bit for bit; recurrence columns within 1e-12 of the
-    # reference's SVD vector, up to sign; the same refusals
-    matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, g)))
-                for M, k in EQUIVALENCE_CURVES
-                for g in (Fraction(k, 48), k / 48)]   # exact and float twins
+    # values bit for bit everywhere; SVD columns (the reducible curves) bit
+    # for bit; recurrence columns within 1e-12 of the reference's SVD
+    # vector, up to sign; residuals within 1e-14; the same refusals.  The
+    # float twins, which took the float path's SVD columns, build the matrix
+    # of the dyadic rational k/48 equals, which tests/eigen_sweep.py gates
+    matrices = []
+    for M, k in EQUIVALENCE_CURVES:
+        matrices.append(S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48)))))
+        assert S.reduced_matrix(S.build_system(S.CurveParams(M, k / 48))) == S.reduced_matrix(
+            S.build_system(S.CurveParams(M, Fraction(k / 48))))
+    matrices += [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
+                 for M, k in _REDUCIBLE_CURVES]
     matrices.append(_RESIDUAL_FAILURE)
-    failures = recurrence = 0
+    failures = recurrence = svd_columns = 0
     for R in matrices:
         try:
             want = _ref_eigen_solve(R)
@@ -497,12 +523,13 @@ def test_stacked_svd_matches_per_eigenvalue_reference():
         for k, svd in enumerate(_svd_columns(R, got)):
             v, w = got.vectors[:, k], want[1][:, k]
             if svd:
+                svd_columns += 1
                 assert np.array_equal(v, w)
             else:
                 recurrence += 1
                 assert np.max(np.abs(_sign_aligned(v, w) - w)) <= 1e-12
     assert 0 < failures < len(matrices)
-    assert recurrence > 0
+    assert recurrence > 0 and svd_columns > 0
 
 
 def _parent_tridiag_exact(matrix):
@@ -711,10 +738,10 @@ def test_exact_path_is_bit_identical_to_frozen_assembly():
         assert got == _outcome(lambda: _bits(_parent_eigen_solve(R)))
         refused += got[0] is S.EigenCertificationError
     assert refused == 2
-    # float twins and off-band entries take the float path in both
-    for R in ([[float(x) for x in r] for r in matrices[0]],
-              [[Fraction(2), 0, Fraction(1, 2)], [1, 3, 1], [Fraction(1, 2), 1, 4]]):
-        assert S.eigen._tridiag_exact(R) is None and _parent_tridiag_exact(R) is None
+    # a float twin is read as the dyadic rationals its entries equal
+    F = [[float(x) for x in r] for r in matrices[0]]
+    assert S.eigen._tridiag_exact(F) == _parent_tridiag_exact(
+        [[Fraction(x) for x in r] for r in F])
 
 
 def test_lifting_matches_frozen_newton_search():
@@ -741,17 +768,21 @@ def test_tridiag_exact_takes_equal_zeros_and_refuses_anything_else():
     # zeros equal to the shared one but not identical to it
     for zero in (lambda i, j: 0, lambda i, j: Fraction(0), lambda i, j: 0 if i > j else Fraction(0)):
         assert S.eigen._tridiag_exact(_with_off_band(R, zero)) == want
-    # a float zero is not exact: the float path, as before
-    assert S.eigen._tridiag_exact(_with_off_band(R, lambda i, j: 0.0)) is None
-    # one nonzero or NaN entry behind shared zeros, the corner included
+    # a float zero is the rational 0
+    assert S.eigen._tridiag_exact(_with_off_band(R, lambda i, j: 0.0)) == want
+    # one nonzero or NaN entry behind shared zeros, the corner included, is
+    # refused by name, where the frozen copy returns None (the float path)
     for i, j in ((5, 0), (0, 5), (3, 1), (0, 2), (5, 3)):
         for bad in (Fraction(1, 10 ** 30), -1, float("nan")):
             M = [list(r) for r in R]
             M[i][j] = bad
-            assert S.eigen._tridiag_exact(M) is None and _parent_tridiag_exact(M) is None
-    # every off-band entry one shared nonzero
+            assert _parent_tridiag_exact(M) is None
+            with pytest.raises(ValueError, match=re.escape(f"got {bad} at ({i}, {j})")):
+                S.eigen._tridiag_exact(M)
+    # every off-band entry one shared nonzero: the first is named
     one = Fraction(1, 3)
-    assert S.eigen._tridiag_exact(_with_off_band(R, lambda i, j: one)) is None
+    with pytest.raises(ValueError, match=re.escape("tridiagonal matrix, got 1/3 at (0, 2)")):
+        S.eigen._tridiag_exact(_with_off_band(R, lambda i, j: one))
 
 
 # 1-d and 0-d input, rows without a length, raised TypeError: object of
@@ -1134,12 +1165,13 @@ def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes,
                               f"no rational root found for the degree-{rest} rest")
     assert len(primes) == passes
     assert "irrational" not in str(exc.value)
-    # only exact input is refused: x^2 - x - 1 as floats keeps LAPACK's
-    # residual-certified golden-ratio pair
-    res = S.eigen_solve([[1.0, 1.0], [1.0, 0.0]])
-    want = [(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2]
-    assert np.allclose(res.values, want, rtol=1e-15, atol=0)
-    assert res.exact_values is None and max(res.residuals) < 1e-10
+    # a float twin that equals R is refused with the same message: x^2 - x - 1
+    # as floats no longer gets LAPACK's golden-ratio pair
+    F = [[float(x) for x in r] for r in R]
+    if F == R:
+        with pytest.raises(S.EigenCertificationError) as twin:
+            S.eigen_solve(F)
+        assert str(twin.value) == str(exc.value)
 
 
 # every hand-built exact matrix above whose search takes a pass: the refused
@@ -1297,8 +1329,11 @@ def test_selection_matches_all_profiles_reference():
     for M, k in EQUIVALENCE_CURVES:
         for g in (Fraction(k, 48), k / 48):   # exact and float twins
             c = S.CurveParams(M, g)
+            R = S.reduced_matrix(S.build_system(c))
+            # the float twin's matrix is that of the dyadic rational g equals
+            assert R == S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(g))))
             try:
-                res = S.eigen_solve(S.reduced_matrix(S.build_system(c)))
+                res = S.eigen_solve(R)
             except S.EigenCertificationError:
                 continue
             got = _select_outcome(res, c, S.select_beta_tilde)
@@ -1310,7 +1345,8 @@ def test_selection_matches_all_profiles_reference():
 def _two_level_result(values, columns):
     """A hand-built EigenResult on M = 1: psi = (psi_0, psi_1) per value."""
     return S.EigenResult(values=np.array(values), vectors=np.array(columns).T,
-                         residuals=np.zeros(len(values)))
+                         residuals=np.zeros(len(values)),
+                         exact_values=tuple(map(Fraction, values)))
 
 
 # psi = (1, 0) has the constant profile 1; psi = (0, 1) has 2 (1 - 2x),
@@ -1354,9 +1390,12 @@ def test_fixed_basis_selection_matches_clenshaw_reference(monkeypatch):
         M, k = int(rng.integers(1, 21)), int(rng.integers(1, 160))
         c = S.CurveParams(M, Fraction(k, 48) if len(cases) % 2 else k / 48)
         try:
-            cases.append((S.eigen_solve(S.reduced_matrix(S.build_system(c))), c))
+            R = S.reduced_matrix(S.build_system(c))
+            cases.append((S.eigen_solve(R), c))
         except (S.InvalidCurveError, S.EigenCertificationError):
             continue
+        # a float twin's matrix is that of the dyadic rational its gamma equals
+        assert R == S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(c.gamma))))
     assert S.eigen._profile_basis.shape[1] == 0   # built on first selection
     sixty = S.CurveParams(60, 1)
     # Clement's matrix: eigenvalues -60, -58, ..., 60, the top one's vector all

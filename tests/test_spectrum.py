@@ -313,6 +313,27 @@ def test_rational_scalars_stay_exact_in_every_module(kind):
     assert S.eigen_solve(np.array(m) if kind is not Fraction else m).exact_values is not None
 
 
+@pytest.mark.parametrize("x,want", [
+    (3, Fraction(3)), (np.int64(-2), Fraction(-2)), (Fraction(5, 6), Fraction(5, 6)),
+    (0.1, Fraction(3602879701896397, 2 ** 55)), (-0.0, Fraction(0)),
+    (np.float64(1.25), Fraction(5, 4)), (np.float32(0.1), Fraction(13421773, 2 ** 27)),
+    (np.float16(0.1), Fraction(819, 2 ** 13)), (1e300, Fraction(int(1e300))),
+], ids=lambda v: type(v).__name__)
+def test_rational_reads_a_float_as_the_fraction_it_equals(x, want):
+    got = S.spectrum._rational(x)
+    assert got == want and type(got) is Fraction and type(got.denominator) is int
+
+
+@pytest.mark.parametrize("x,err", [
+    (math.nan, ValueError), (math.inf, ValueError), (np.float32(-np.inf), ValueError),
+    (1j, TypeError), ("1", TypeError), (None, TypeError), (True, TypeError),
+    (np.True_, TypeError),
+], ids=repr)
+def test_rational_refuses_what_is_not_a_finite_rational(x, err):
+    with pytest.raises(err):
+        S.spectrum._rational(x)
+
+
 _T = S.CurveParams(2, True)
 
 
