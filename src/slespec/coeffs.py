@@ -6,16 +6,17 @@ with out-of-range entries zero.  C^{0,0} vanishes only at (1,1) for
 kappa >= 0, so the solve is always well posed.  One builder fills the
 table along anti-diagonals from the A_n, B_n, C_n arrays of
 eigen._stencil; exact gamma and kappa (spectrum._exact) build a rational
-table at any N, other inputs a float one.  The float sweep runs on float64;
-the rational sweep is fraction-free, on Python integers: the stencil times
-one integer L, and integer numerators over one denominator per
-anti-diagonal.  A table keeps what its sweep produced: an (N, N) array num,
-float64 values (float) or Python-int numerators (rational), and for a
-rational table den, the denominator of each anti-diagonal s = i + j.  A
-Fraction is made only where one is read (CoeffTable.get, and the
-CoeffTable.entries view that no reader here uses).  Every float reader
-takes float64 blocks from _floats: a float table read in place, a rational
-one as n / den[s], which Python rounds correctly, reduced or not.
+table at any N, other inputs a float one.  The float sweep runs on float64
+arrays; the rational sweep is fraction-free, on Python ints in plain lists:
+the stencil times one integer L, and integer numerators over one
+denominator per anti-diagonal.  A table keeps what its sweep produced: an
+(N, N) array num, float64 values (float) or Python-int numerators
+(rational), and for a rational table den, where den[s] is the least common
+denominator of anti-diagonal s = i + j.  A Fraction is made only where one
+is read (CoeffTable.get, and the CoeffTable.entries view that no reader
+here uses).  Every float reader takes float64 blocks from _floats: a float
+table read in place, a rational one as n / den[s], which Python rounds
+correctly, reduced or not.
 eval_theta reads a float table in 2 MB row blocks (one product up to
 N = 512), and a rational one in smaller row blocks; integral_means reads
 either in column blocks; none makes an N x N temporary.  Each forms the
@@ -71,7 +72,8 @@ class CoeffTable:
 
     num is (N, N): float64 values (float table, den None), or Python-int
     numerators (rational table) with theta_{i,j} = num[i-1, j-1] / den[i+j],
-    den a tuple of 2N+1 positive ints, one per anti-diagonal s = i + j.
+    den a tuple of 2N+1 positive ints: den[s] is the least common
+    denominator of anti-diagonal s = i + j (1 where it is all zero).
     """
     N: int
     gamma: object
@@ -119,14 +121,14 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     zero, as the stencil would give.
     Each anti-diagonal and its three stencil operands are strided slices of
     the flattened padded grid, so the sweep gathers and scatters nothing by
-    index.  Per anti-diagonal it forms its two operand sums in place and
-    solves with one divide by -C00 = (s-2)L - H_n; it searches for the band
-    edge only when an end of the anti-diagonal is zero.  The rational sweep
-    runs on Python integers: the stencil is A_n, B_n, C_n times one integer
-    L (eigen._stencil), and anti-diagonal s holds integer numerators over
-    one denominator den[s] (see _solve_diagonal), and the table keeps both
-    as they are: num is the integer grid itself and den the tuple of the
-    per-anti-diagonal denominators, with no gcd per entry.
+    index.  The float sweep forms its two operand sums in place per
+    anti-diagonal and solves with one divide by -C00 = (s-2) - H_n; it
+    searches for the band edge only when an end of the anti-diagonal is
+    zero.  The rational sweep (_rational_sweep) is one loop over Python
+    ints in lists, with no numpy call per anti-diagonal: the stencil is
+    A_n, B_n, C_n times one integer L (eigen._stencil), and anti-diagonal s
+    holds integer numerators over den[s], the least common denominator of
+    its values.  So num and den are canonical, with no gcd per entry.
     Float tables are accurate to ~1e-15 of max(1, |theta|); tiny entries
     that come out of cancellation can be off by far more, relatively (2.9e-8
     at gamma=-0.3, kappa=4, N=120).
@@ -151,16 +153,18 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     ns = range(-N, N + 2)
     L, A, B, C = _stencil(g, kap, ns)
     n = np.array(ns, dtype=A.dtype) * L   # rational: Python ints, not np.int64
-    # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
-    G = np.zeros((N + 1, N + 1), dtype=n.dtype)
-    G[1, 1] = 1
-    den = [1] * (2 * N + 1)   # rational: den[s] is anti-diagonal s's denominator
     H, K = B + C + n, -C - n   # H_n = -kappa n^2/2
     negH = -H                  # -C00 = (s-2)L - H_n, solved for in one divide
+    if rational:
+        num, den = _rational_sweep(N, L, A.tolist(), K.tolist(), negH.tolist())
+        return CoeffTable(N=N, gamma=g, kappa=kap, num=num, den=den)
+    # padded grid: row/col 0 hold the out-of-range zeros, filled by anti-diagonal
+    G = np.zeros((N + 1, N + 1))
+    G[1, 1] = 1
     A1, Ar = A[1:], A[::-1]   # A1[at] = A_{n+1}, Ar[at] = A_{1-n}
-    # kL[k + 1] = k L for k = -1..2N-2: Python ints, or float64 scalars (numpy
-    # adds those to an array faster than Python ints); (s-4)L is kL[s-3]
-    kL = list(np.arange(-1, 2 * N - 1, dtype=A.dtype) * L)
+    # kL[k + 1] = k for k = -1..2N-2, as float64 scalars (numpy adds those to
+    # an array faster than Python ints); (s-4) is kL[s-3]
+    kL = list(np.arange(-1, 2 * N - 1, dtype=float))
     # (i, s-i) sits at flat index i*N + s of G: anti-diagonal s is a step-N slice
     # d of G11, and theta(i, j-1), (i-1, j), (i-1, j-1) the same slice of G10, G01, G00
     Gf = G.reshape(-1)
@@ -177,12 +181,8 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
             far = K[at] + kL[s - 3]
             far *= G00[d]                  # anti-diagonal s-2
             c = negH[at] + kL[s - 1]       # -C00
-            if rational:
-                vals, den[s] = _solve_diagonal(near, far, c, den[s - 1], den[s - 2])
-                G11[d] = vals
-            else:
-                near += far
-                vals = np.divide(near, c, out=G11[d])
+            near += far
+            vals = np.divide(near, c, out=G11[d])
             # |i-j| = |2i-s| peaks at an end; look inside only if an end is zero
             if vals[0] and vals[-1]:
                 width = max(width, s - 2 * lo, 2 * hi - s)
@@ -190,8 +190,6 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
                 nz = vals.nonzero()[0]
                 if len(nz):
                     width = max(width, s - 2 * (lo + int(nz[0])), 2 * (lo + int(nz[-1])) - s)
-    if rational:
-        return CoeffTable(N=N, gamma=g, kappa=kap, num=G[1:, 1:], den=tuple(den))
     if not np.isfinite(G).all():
         i, j = np.nonzero(~np.isfinite(G))
         b = np.lexsort((i, i + j))[0]
@@ -201,25 +199,53 @@ def build_theta_table(gamma, kappa, N: int, backend: Optional[str] = None) -> Co
     return CoeffTable(N=N, gamma=g, kappa=kap, num=G[1:, 1:])
 
 
-def _solve_diagonal(near, far, c, d_near: int, d_far: int):
-    """One rational anti-diagonal (near/d_near + far/d_far)/c, in integers.
+def _rational_sweep(N: int, L: int, A: list, K: list, negH: list):
+    """(num, den) of the rational table: build_theta_table's sweep on Python
+    ints in plain lists, with its band rule, from L A_n, L K_n and -L H_n on
+    the offsets n = -N..N+1, at index n + N.
 
-    near, far and c = -C00 are object arrays of Python ints, and c has no zero.
-    Both operands go over lcm(d_near, d_far), the nonzero entries over the
-    lcm of their c too, and one gcd reduces numerators and denominator
-    together (fraction-free, in the spirit of Bareiss 1968).  Returns the
-    numerators and their one positive denominator.
+    The padded grid is one flat list, (i, s-i) at i*N + s as in the float
+    sweep, so each operand is a step-N list slice.  Anti-diagonal s is
+    (near/den[s-1] + far/den[s-2]) / c with c = -C00 > 0: both operands go
+    over l = lcm(den[s-1], den[s-2]), the nonzero entries t over the lcm m
+    of their c too, and one gcd r of D = l m and the t reduces them
+    together (fraction-free, in the spirit of Bareiss 1968).  So den[s] =
+    D / r is the least common denominator of the anti-diagonal's values
+    (1 if all are zero), and num and den are the canonical ones any exact
+    sweep gives.  num is an (N, N) object array of the numerators.
     """
-    l = math.lcm(d_near, d_far)
-    t = near * (l // d_near) + far * (l // d_far)
-    nz = t.nonzero()[0]
-    if not len(nz):
-        return t, 1
-    m = math.lcm(*c[nz])
-    t = t * (m // c)
-    D = l * m
-    r = math.gcd(D, *t[nz])
-    return t // r, D // r
+    A1, Ar = A[1:], A[::-1]
+    G = [0] * (N + 1) ** 2
+    G[N + 2] = 1   # theta_{1,1}
+    at_nz, nums = [N + 2], [1]   # flat indices and values of the entries written
+    den = [1] * (2 * N + 1)
+    width = 0
+    for s in range(3, 2 * N + 1):
+        lo = max(1, s - N, (s - width) // 2)
+        hi = min(N, s - 1, (s + width + 1) // 2)
+        at = slice(N + 2 * lo - s, N + 2 * hi - s + 1, 2)
+        e, f = lo * N + s, hi * N + s   # flat indices of (lo, s-lo) and (hi, s-hi)
+        dn, df = den[s - 1], den[s - 2]
+        l = math.lcm(dn, df)
+        un, uf, k4 = l // dn, l // df, (s - 4) * L
+        t = [(a1 * x + ar * y) * un + (k + k4) * z * uf for a1, ar, k, x, y, z in zip(
+            A1[at], Ar[at], K[at], G[e - 1:f:N], G[e - N - 1:f - N:N], G[e - N - 2:f - N - 1:N])]
+        nz = [i for i, v in enumerate(t) if v]
+        if not nz:
+            continue   # den[s] = 1, and the grid holds the zeros already
+        c = [h + (s - 2) * L for h in negH[at]]
+        m = math.lcm(*[c[i] for i in nz])
+        t = [v * (m // ci) for v, ci in zip(t, c)]
+        D = l * m
+        r = math.gcd(D, *t)
+        G[e:f + 1:N] = vals = [v // r for v in t]
+        at_nz.extend(range(e, f + 1, N))
+        nums += vals
+        den[s] = D // r
+        width = max(width, s - 2 * (lo + nz[0]), 2 * (lo + nz[-1]) - s)
+    num = np.zeros((N + 1) ** 2, dtype=object)   # Python int zeros
+    num[at_nz] = nums
+    return num.reshape(N + 1, N + 1)[1:, 1:], tuple(den)
 
 
 # ---- band structure ----

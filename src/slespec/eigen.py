@@ -50,25 +50,33 @@ def c_coef(n, gamma, kappa):
 def _stencil(gamma, kappa, ns):
     """(L, A, B, C): L A_n, L B_n and L C_n on the offsets ns, as arrays.
 
-    Exact gamma and kappa give object arrays of Python ints, with L > 0 the
-    least common denominator of the three quadratics' coefficients (read off
-    a_coef, b_coef and c_coef at n = 0, 1, 2); otherwise L = 1 and each is
-    one float64 call of a_coef, b_coef or c_coef on the offsets.
+    Exact gamma = a/b and kappa = c/d give object arrays of Python ints, with
+    L > 0 the least common denominator of the three quadratics' coefficients,
+    formed in integers with no Fraction: expanded, the quadratics are
+        A_n = (kappa/2) n^2 + (1 - kappa g) n + kappa g^2 - kappa g/2 - 3g,
+        B_n = -kappa n^2 - kappa g^2 + kappa g + 6g,
+        C_n = (kappa/2) n^2 - n + kappa g^2 - kappa g - 6g,
+    all nine coefficients are integers p over D = 2 b^2 d, and their least
+    common denominator is L = D / r, r = gcd(D, p...), each coefficient
+    p / r over it.  This restates a_coef, b_coef and c_coef, and a test pins
+    the two statements against each other.  Otherwise L = 1 and each array
+    is one float64 call of a_coef, b_coef or c_coef on the offsets.
     """
     g, k = _exact(gamma), _exact(kappa)
-    fs = (a_coef, b_coef, c_coef)
     if not (isinstance(g, Fraction) and isinstance(k, Fraction)):
         n = np.array(ns, dtype=float)
-        return (1, *(f(n, float(g), float(k)) for f in fs))
-    quads = []
-    for f in fs:
-        f0, f1, f2 = (f(m, g, k) for m in (0, 1, 2))
-        q2 = (f2 - 2 * f1 + f0) / 2
-        quads.append((f0, f1 - f0 - q2, q2))
-    L = math.lcm(*(c.denominator for q in quads for c in q))
+        return (1, *(f(n, float(g), float(k)) for f in (a_coef, b_coef, c_coef)))
+    a, b, c, d = g.numerator, g.denominator, k.numerator, k.denominator
+    # kappa/2, kappa g^2 - kappa g/2 and 3g, each times D; quads holds the
+    # (1, n, n^2) coefficients of A, B and C, times D
+    half, shift, tri = c * b * b, 2 * a * a * c - a * b * c, 6 * a * b * d
+    quads = ((shift - tri, 2 * b * (b * d - a * c), half),
+             (a * b * c - shift + 2 * tri, 0, -2 * half),
+             (shift - a * b * c - 2 * tri, -2 * b * b * d, half))
+    D = 2 * b * b * d
+    r = math.gcd(D, *(p for q in quads for p in q))
     n = np.array(ns, dtype=object)   # Python ints, not np.int64
-    return (L, *(int(q0 * L) + (int(q1 * L) + int(q2 * L) * n) * n
-                 for q0, q1, q2 in quads))
+    return (D // r, *(q0 // r + (q1 // r + q2 // r * n) * n for q0, q1, q2 in quads))
 
 
 @dataclass(frozen=True)

@@ -286,9 +286,10 @@ def _beta_l(M: int, g, D, l: int):
 
 
 def _betas(M: int, g, D):
-    """(beta~, beta) on an admissible curve (M, g, D): the crossing and tip rules."""
+    """(beta~, beta) on an admissible curve (M, g, D): the crossing and tip
+    rules; the tip test 2g <= -1 is exact for a float g and a Fraction alike."""
     bt = _beta_l(M, g, D, 0 if _crossing_poly(M, g) <= 0 else 2 * M)
-    return bt, (bt - 2 * g - 1 if g <= Fraction(-1, 2) else bt)
+    return bt, (bt - 2 * g - 1 if 2 * g <= -1 else bt)
 
 
 def beta_tilde_on_curve(curve: CurveParams) -> Scalar:

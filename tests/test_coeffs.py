@@ -1,5 +1,6 @@
 """Recurrence tables: exactness, banding, evaluation, asymptotics, fits."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -1496,6 +1497,48 @@ def test_rational_reads_equal_the_fraction_step(g, k, N):
     # parent's np.asarray(entries, dtype=float) read it
     old = coeffs.CoeffTable(N, t.gamma, t.kappa, num=ref, den=(1,) * (2 * N + 1))
     assert _reads(t) == _reads(old)
+
+
+# sha256 (first 32 hex digits) of repr((num.tolist(), den)) per table of
+# _RATIONAL_TABLES, recorded from the sweep on object arrays that the list
+# sweep replaced
+_RATIONAL_DIGESTS = {
+    "M0-N40": "7b4c6e08073696830d158928a2a455a6",
+    "M0-N60": "fb12b4848947ccb67183e5b2f22cfa47",
+    "M0-N120": "2846ca7f172a0a89b9ef72859805406c",
+    "M1-N40": "5d44e64a6ecc5727f5bafaeb071c88f9",
+    "M1-N60": "e6cdf9b9879205c01dad683a3b763e58",
+    "M1-N120": "37ce92480bb1ed6c3d8bd8643886861d",
+    "M2-N40": "288e214bea4527e390b499c9b307d97b",
+    "M2-N60": "ebfe1de875cb9fab4f618ebfc59dd4fc",
+    "M2-N120": "3820dc8c38c241f6864f37c8922ce894",
+    "M3-N40": "151d26c80efec7dae28c9afb2815c14b",
+    "M3-N60": "2828cb07e7294abbbe01e0811655e73a",
+    "M3-N120": "62a2cc00c240168722ef67bdb07ba0f0",
+    "offcurve-N40": "9e0f4fd2c4b886d9c576a60ab4b23f89",
+    "offcurve-N60": "c8aac89e25a03bdd840f250d30716085",
+    "negative-g-N40": "73924d31f8557dc7b8bfcdbdb49d8c23",
+    "kappa0-N40": "ae56a5625c17844a7d0f701e739391cd",
+    "N1": "9bffd73d6b465fbe878b52dea3045a60",
+    "N2": "7f1149139f7ddd478a9bf892d2316820",
+}
+
+
+@pytest.mark.parametrize("g,k,N,name", [(*t, n) for t, n in zip(_RATIONAL_TABLES, _RATIONAL_IDS)],
+                         ids=_RATIONAL_IDS)
+def test_rational_table_representation_is_pinned(g, k, N, name):
+    t = S.build_theta_table(g, k, N)
+    assert t.num.shape == (N, N) and t.num.dtype == object
+    assert all(type(v) is int for v in t.num.flat)
+    assert type(t.den) is tuple and all(type(d) is int for d in t.den)
+    # den[s] is the least common denominator of anti-diagonal s's values
+    num = t.num.tolist()
+    for s in range(2 * N + 1):
+        row = [Fraction(num[i - 1][s - i - 1], t.den[s])
+               for i in range(max(1, s - N), min(N, s - 1) + 1)]
+        assert t.den[s] == math.lcm(*(f.denominator for f in row)), s
+    got = hashlib.sha256(repr((num, t.den)).encode()).hexdigest()[:32]
+    assert got == _RATIONAL_DIGESTS[name]
 
 
 def test_library_never_builds_the_fraction_view(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import slespec as S
 from conftest import beta_from_lambda, lpsi_residual
@@ -193,6 +193,23 @@ def test_exact_stencil_is_l_times_the_fraction_values(g, k):
         assert arr.dtype == object and all(type(v) is int for v in arr)
         assert arr.tolist() == [L * f(m, g, k) for m in ns]
         assert arr.tolist() == [_ref_quad(q, m) for m in ns]
+
+
+@example(g=Fraction(-1, 2), k=Fraction(0))
+@example(g=Fraction(-3, 2), k=Fraction(7, 999983))
+@given(g=st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6),
+       k=st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=0, max_value=50, max_denominator=10 ** 6)))
+def test_integer_stencil_restates_the_coefficient_functions(g, k):
+    # _stencil forms the quadratics' integers from gamma's and kappa's
+    # numerators and denominators; a_coef, b_coef and c_coef, evaluated in
+    # Fractions, are the first statement of the same recurrence
+    ns = range(-7, 9)
+    L, *arrays = S.eigen._stencil(g, k, ns)
+    assert L == _ref_int_quadratics(g, k)[0]
+    for f, arr in zip((S.a_coef, S.b_coef, S.c_coef), arrays):
+        assert arr.dtype == object and all(type(v) is int for v in arr)
+        assert arr.tolist() == [L * f(m, g, k) for m in ns]
 
 
 def test_eigen_solve_certifies_residuals():

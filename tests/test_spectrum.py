@@ -284,6 +284,19 @@ def test_spectrum_consistency_on_curves():
         assert float(bt) == pytest.approx(want.beta_tilde, abs=1e-10)
 
 
+@pytest.mark.parametrize("g,tip", [(Fraction(-1, 2), True), (-0.5, True),
+                                   (math.nextafter(-0.5, -1), True),
+                                   (math.nextafter(-0.5, 0), False)],
+                         ids=["fraction", "float", "float-below", "float-above"])
+def test_tip_rule_at_minus_one_half(g, tip):
+    # beta = beta~ - 2g - 1 exactly when g <= -1/2; at each float here the
+    # two branches differ in the last bits, so the value shows which was taken
+    c = S.CurveParams(2, g)
+    bt = S.beta_tilde_on_curve(c)
+    assert S.beta_on_curve(c) == (bt - 2 * g - 1 if tip else bt)
+    assert type(S.beta_on_curve(c)) is type(bt)
+
+
 # ---- one exactness rule (spectrum._exact) for every module ----
 
 def _rule_results(kind):
