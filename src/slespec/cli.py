@@ -8,6 +8,7 @@ keys); fraction inputs `p/q` stay exact wherever the math is rational.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,7 +258,10 @@ def _cmd_mc(args):
 
 # ---- parser ----
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on main's first call and kept for the next ones:
+    parse_args leaves no state in it between calls."""
     p = _Parser(prog="slespec",
                 description="average integral-means spectrum toolkit for "
                             "interior whole-plane SLE")

@@ -430,10 +430,13 @@ def eigen_solve(matrix) -> EigenResult:
     reducible one takes each vector as the smallest singular vector of
     (R - lambda I), all from one stacked SVD.  The first pair failing the
     1e-10 residual bound raises EigenCertificationError carrying the
-    offending matrix.  ValueError names the rows' lengths of a matrix that
-    is empty, ragged or not square, or the input itself if 1-d or 0-d (rows
-    without a length), and the entry and its (i, j) of a non-finite entry
-    or of a nonzero one off the tridiagonal.
+    offending matrix.  The bound is absolute, not relative to the entries:
+    with entries of about 1e7 or more, float rounding alone can refuse a
+    proved pair, as at [[1e9 + 1, 0], [1e9, 3e8]] (residual 1.2e-7 at the
+    proved eigenvalue 1e9 + 1).  ValueError names the rows' lengths of a
+    matrix that is empty, ragged or not square, or the input itself if 1-d
+    or 0-d (rows without a length), and the entry and its (i, j) of a
+    non-finite entry or of a nonzero one off the tridiagonal.
     """
     try:
         lens = [len(r) for r in matrix]

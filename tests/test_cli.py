@@ -80,6 +80,29 @@ def test_missing_subcommand_exits_1(capsys):
     assert run(capsys)[0] == 1
 
 
+def test_one_parser_serves_every_call_as_fresh_ones_would(capsys):
+    # main builds its parser once: a usage error followed by a valid call,
+    # and two valid calls in a row, give the exit codes and bytes of calls
+    # that each build a fresh parser
+    calls = [("truncate", "--m", "1"), ("truncate", "--m", "1", "--gamma", "1/2"),
+             ("spectrum", "--q", "1,2", "--kappa", "2/3"),
+             ("spectrum", "--q", "1,2", "--kappa", "2/3", "--format", "json")]
+
+    def outputs(fresh):
+        cli._build_parser.cache_clear()
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            out.append(run(capsys, *argv))
+        return out, cli._build_parser.cache_info().misses
+
+    kept, built = outputs(False)
+    assert built == 1 and [code for code, _, _ in kept] == [1, 0, 0, 0]
+    assert "--gamma" in kept[0][2]
+    assert kept == outputs(True)[0]
+
+
 @pytest.mark.parametrize("argv,option", [
     (("spectrum", "--q", "1/0", "--kappa", "2"), "--q"),
     (("curves", "--gamma", "1/0"), "--gamma"),

@@ -1,6 +1,5 @@
 """Tridiagonal angular systems: matrices, eigenvalues, eigenfunctions."""
 
-import itertools
 import math
 import os
 import re
@@ -288,91 +287,7 @@ def test_tridiag_exact_refuses_bool_anywhere(R):
         S.eigen._tridiag_exact(R)
 
 
-# ---- exact division against the bracket path it replaced ----
-
-def _ref_polyval(coeffs, x):
-    acc = x * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _ref_char_poly(diag, sub, sup):
-    prev = [Fraction(1)]
-    cur = [diag[0], Fraction(-1)]
-    for k in range(1, len(diag)):
-        d, ef = diag[k], sub[k - 1] * sup[k - 1]
-        nxt = [Fraction(0)] * (len(cur) + 1)
-        for i, c in enumerate(cur):
-            nxt[i] += d * c
-            nxt[i + 1] -= c
-        for i, c in enumerate(prev):
-            nxt[i] -= ef * c
-        prev, cur = cur, nxt
-    return cur
-
-
-def _ref_exact_eigenvalues(diag, sub, sup, seeds, grid=None):
-    """Newton and sign-change brackets in Fraction arithmetic: the bracket
-    path that exact division replaced, as the reference.
-
-    With grid None, the integer path's setting: float iterates
-    x <- float(x - p/p'), stopping when that equals x.  With grid =
-    (den_bits, stop_bits, relative), the Fraction code of the grids the
-    float iterates replaced: iterates lie on 2^-(den_bits + k) and Newton
-    stops once |step| 2^stop_bits < max(2^-k, |x|), where k = 0, or with
-    relative k = min(max(0, -frexp(update)[1]), 104), so that 2^-k follows
-    an update below 1/2 down to 2^-104.  (96, 64, True) is the last grid,
-    (200, 150, False) the one before it.  Both report the step count and
-    half-width the integer path reports.
-    """
-    p = _ref_char_poly(diag, sub, sup)
-    dp = [k * c for k, c in enumerate(p)][1:]
-    out = []
-    for seed in seeds:
-        x = Fraction(seed)
-        steps = 0
-        for _ in range(8):
-            fx = _ref_polyval(p, x)
-            if fx == 0:
-                break
-            dfx = _ref_polyval(dp, x)
-            if dfx == 0:
-                raise S.EigenCertificationError(
-                    f"stationary characteristic polynomial at {float(x)}")
-            step = fx / dfx
-            last, x = x, x - step
-            steps += 1
-            if grid is None:
-                x = Fraction(float(x))
-                if x == last:
-                    break
-                continue
-            den_bits, stop_bits, relative = grid
-            k = min(max(0, -math.frexp(float(x))[1]), 104) if relative else 0
-            scale = 1 << (den_bits + k)
-            x = Fraction(round(x * scale), scale)
-            if abs(step) * (1 << stop_bits) < max(Fraction(1, 1 << k), abs(x)):
-                break
-        h = Fraction(1, 10 ** 13) * max(1, abs(x))
-        lo, hi = _ref_polyval(p, x - h), _ref_polyval(p, x + h)
-        for _ in range(3):
-            if lo != 0 and hi != 0:
-                break
-            h /= 7
-            lo, hi = _ref_polyval(p, x - h), _ref_polyval(p, x + h)
-        if lo == 0 or hi == 0 or (lo < 0) == (hi < 0):
-            raise S.EigenCertificationError(
-                f"no sign-change certificate at eigenvalue {float(x)}")
-        out.append((x, h, steps))
-    out.sort(key=lambda t: t[0])
-    for (a, ha, _), (b, hb, _) in zip(out, out[1:]):
-        if b - a <= ha + hb:
-            raise S.EigenCertificationError(
-                f"eigenvalue brackets at {float(a)} and {float(b)} overlap")
-    return ([float(x) for x, _, _ in out], [n for _, _, n in out],
-            [float(h) for _, h, _ in out])
-
+# ---- exact eigen_solve against its references ----
 
 # two gamma = k/48 per M that the bracket path certified, then curves it
 # failed on: double roots (5, 48) and (15, 150), far-off seeds (15, 8) and
@@ -389,86 +304,21 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _refusal(proved, rest):
+    """The outcome of an exact search that proves proved eigenvalues and
+    finds no rational root for a rest of degree rest."""
+    return (S.EigenCertificationError,
+            f"proved {proved} of {proved + rest} eigenvalues by exact division; "
+            f"no rational root found for the degree-{rest} rest")
+
+
 def _closed_spectrum(M, k):
     c = S.CurveParams(M, Fraction(k, 48))
     return sorted(S.eigen_beta_closed(c, l) for l in range(0, 2 * M + 1, 2))
 
 
-def _ref_tridiag(R):
-    """(diag, sub, sup) of R as Fractions, read without the code under test."""
-    n = len(R)
-    return ([Fraction(R[i][i]) for i in range(n)],
-            [Fraction(R[i + 1][i]) for i in range(n - 1)],
-            [Fraction(R[i][i + 1]) for i in range(n - 1)])
-
-
-def _reference_cases():
-    """(where, integer tridiagonal, (diag, sub, sup), seeds, spectrum) on
-    EQUIVALENCE_CURVES, (12, 144) and three small matrices; spectrum is the
-    exact one, sorted, where it is rational."""
-    # (12, 144) has the eigenvalue 0, which Newton nears from a nonzero seed;
-    # float iterates reach it only by underflow
-    matrices = [((M, k), S.reduced_matrix(
-        S.build_system(S.CurveParams(M, Fraction(k, 48)))), _closed_spectrum(M, k))
-        for M, k in EQUIVALENCE_CURVES + [(12, 144)]]
-    # roots 0 and 1e-13: the bracket path shrank the first bracket, whose end
-    # 0 + h is the other root, and then refused
-    matrices.append(("shrink", [[0, 0], [0, Fraction(1, 10 ** 13)]],
-                     [0, Fraction(1, 10 ** 13)]))
-    # eigenvalues far below 1, which a grid fixed at 2^-96 rounded to
-    # ~1e-10 relative
-    matrices.append(("tiny", [[Fraction(1, 10 ** 20)]], [Fraction(1, 10 ** 20)]))
-    matrices.append(("tiny pair", [[Fraction(-3, 10 ** 30), Fraction(1, 10 ** 10)],
-                                   [Fraction(1, 10 ** 10), 1]], None))
-    for where, R, spectrum in matrices:
-        # the seeds eigen_solve polishes: real parts, even where LAPACK's
-        # spectrum is complex
-        vals = np.linalg.eigvals(np.array([[float(x) for x in r] for r in R]))
-        yield (where, S.eigen._tridiag_exact(R), _ref_tridiag(R),
-               sorted(float(v) for v in vals.real), spectrum)
-
-
-def _matches_reference(grid):
-    """Exact division against the bracket path it replaced, on its own
-    seeds: where the reference certifies, the same number of values, each
-    within 1e-12 max(1, |x|); where it refuses, exact division certifies,
-    and every value is the exact spectrum's, proved (its Fraction).  A
-    spectrum that is not rational, which the reference bracketed, is
-    refused."""
-    refused = 0
-    for where, exact, tridiag, seeds, spectrum in _reference_cases():
-        if spectrum is None:
-            with pytest.raises(S.EigenCertificationError, match="proved 0 of 2 "):
-                S.eigen._exact_eigenvalues(*exact)
-            continue
-        fracs = S.eigen._exact_eigenvalues(*exact)
-        vals = [float(x) for x in fracs]
-        old = _outcome(lambda: _ref_exact_eigenvalues(*tridiag, seeds, grid))
-        if old[0] is S.EigenCertificationError:
-            refused += 1
-            assert fracs == spectrum, where
-            assert vals == [float(x) for x in spectrum], where
-            continue
-        assert len(vals) == len(old[0]), where
-        assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y))
-                   for x, y in zip(vals, old[0])), where
-    assert 0 < refused < len(EQUIVALENCE_CURVES)
-
-
-def test_integer_path_matches_fraction_reference():
-    # float iterates x <- float(x - p/p'), the bracket path's last setting
-    _matches_reference(None)
-
-
-def test_integer_path_matches_the_grid_it_replaced():
-    # Newton on 2^-96 to a step below 2^-64 max(1, |x|), both scaled down
-    # to an update below 1/2
-    _matches_reference((96, 64, True))
-
-
-def test_integer_path_matches_the_finer_grid_it_replaced():
-    # Newton on 2^-200 to a step below 2^-150 max(1, |x|), the grid before
-    _matches_reference((200, 150, False))
+def _curve_matrix(M, k):
+    return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
 
 
 def _ref_eigen_solve(matrix):
@@ -591,115 +441,15 @@ def _parent_recurrence_vectors(L, d, l, u, roots):
     return vecs / np.linalg.norm(vecs, axis=0)
 
 
-# The root search as it was before p-adic lifting, frozen as the reference:
-# LAPACK's eigenvalues seed float64 Newton on the integer polynomial, and the
-# continued-fraction convergents of its iterates are tried by exact division.
-_FROZEN_NEWTON_CAP = 64           # Newton steps per seed
-_FROZEN_MAX_ROOT_DEN = 1 << 30    # largest denominator tried as a rational root
-_FROZEN_WALK_TOL = 2.0 ** -30     # convergents tried within max(1, |x|) of this of x
-
-
-def _frozen_homogeneous(coeffs, a, e):
-    """(b^d p(a/b), b^(d-1) p'(a/b)) at b = 2^e, in integers."""
-    h, dh, k = coeffs[-1], 0, 0
-    for c in reversed(coeffs[:-1]):
-        k += e
-        dh = dh * a + h
-        h = h * a + (c << k)
-    return h, dh
-
-
-def _frozen_rational_root(p, x):
-    """(a, b, p / (b t - a)) for the first convergent a/b of the float x,
-    b <= 2^30 and within 2^-30 max(1, |x|) of x, that divides p; else None."""
-    num, den = x.as_integer_ratio()
-    a0, a, b0, b = 0, 1, 1, 0
-    tol = max(1.0, abs(x)) * _FROZEN_WALK_TOL
-    while den:
-        q, r = divmod(num, den)
-        a0, a, b0, b = a, q * a + a0, b, q * b + b0
-        if b > _FROZEN_MAX_ROOT_DEN:
-            return None
-        if a and abs(x - a / b) <= tol:
-            quo = S.eigen._divide(p, a, b)
-            if quo is not None:
-                return a, b, quo
-        num, den = den, r
-    return None
-
-
-def _frozen_newton(p, x):
-    """(steps, hit): float64 Newton on p from x, its iterates evaluated
-    exactly; the first iterate whose update is within the walk tolerance is
-    walked at once, and otherwise the iterate Newton stops at."""
-    steps, early = 0, True
-    while steps < _FROZEN_NEWTON_CAP:
-        a, b = x.as_integer_ratio()
-        e = b.bit_length() - 1
-        H, dH = _frozen_homogeneous(p, a, e)
-        if H == 0 or dH == 0:
-            break
-        x, last = (a * dH - H) / (dH << e), x
-        steps += 1
-        if x == last:
-            break
-        if early and abs(x - last) <= max(1.0, abs(x)) * _FROZEN_WALK_TOL:
-            early = False
-            hit = _frozen_rational_root(p, x)
-            if hit is not None:
-                return steps, hit
-    return steps, _frozen_rational_root(p, x)
-
-
-def _frozen_exact_eigenvalues(L, d, l, u):
-    """_exact_eigenvalues as it was, with LAPACK's seeds from the float
-    matrix eigen_solve built: the root 0 first, then each seed polished and
-    walked, each proved root divided out as often as it divides and the
-    seeds nearest its repeats retired.  The sorted Fractions, or the same
-    refusal with the count proved."""
-    n = len(d)
-    mat = np.zeros((n, n))
-    for start, band in ((0, d), (n, l), (1, u)):
-        mat.flat[start::n + 1] = [x / L for x in band]
-    seeds = sorted(float(v) for v in np.linalg.eigvals(mat).real)
-    p = S.eigen._char_poly(L, d, l, u)
-    zeros = next(i for i, c in enumerate(p) if c)
-    roots, p = [Fraction(0)] * zeros, p[zeros:]
-
-    def consume(r, m):
-        for _ in range(min(m, len(seeds))):
-            seeds.remove(min(seeds, key=lambda s: abs(s - r)))
-
-    consume(0.0, zeros)
-    while seeds and len(p) > 2:
-        _, hit = _frozen_newton(p, seeds.pop(0))
-        if hit is None:
-            continue
-        a, b, p = hit
-        roots.append(Fraction(a, b))
-        while (q := S.eigen._divide(p, a, b)) is not None:
-            p = q
-            roots.append(Fraction(a, b))
-            consume(a / b, 1)
-    if len(p) > 2:
-        raise S.EigenCertificationError(
-            f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
-            f"no rational root found for the degree-{len(p) - 1} rest")
-    if len(p) == 2:
-        roots.append(Fraction(-p[0], p[1]))
-    return sorted(roots)
-
-
-def _parent_eigen_solve(matrix):
-    """eigen_solve on exact tridiagonal input as it was before the one-pass
-    read, the in-place float matrix, the local recurrence and p-adic
-    lifting: the frozen _tridiag_exact, np.diag assembly,
-    _recurrence_vectors and root search.  The reference."""
+def _parent_eigen_solve(matrix, fracs):
+    """eigen_solve on exact tridiagonal input with the proved eigenvalues
+    fracs, sorted, as it was before the one-pass read, the in-place float
+    matrix and the local recurrence: the frozen _tridiag_exact, np.diag
+    assembly and _recurrence_vectors.  The reference."""
     exact = _parent_tridiag_exact(matrix)
     L, d, l, u = exact
     mat = (np.diag([x / L for x in d]) + np.diag([x / L for x in l], -1)
            + np.diag([x / L for x in u], 1))
-    fracs = _frozen_exact_eigenvalues(*exact)
     lams = [float(x) for x in fracs]
     lam = np.array(lams)
     proved = fracs if all(u) else (None,) * len(lams)
@@ -729,14 +479,19 @@ def _bits(result):
                  for v in [getattr(result, f)])
 
 
-# hand-built exact matrices: irrational roots (one 2x2, one 3x3; refused on
-# both sides), a root 0 beside 1e-13 (reducible, and by recurrence), a tiny
-# 1x1, a triple root and numpy integers
-_HAND_BUILT = [[[1, 1], [1, 0]], [[1, 1, 0], [1, 0, 1], [0, 1, 2]],
-               [[0, 0], [0, Fraction(1, 10 ** 13)]], [[0, 1], [0, Fraction(1, 10 ** 13)]],
-               [[Fraction(1, 10 ** 20)]],
-               [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]],
-               np.array([[3, -2], [-1, 2]])]
+# hand-built exact matrices, each with its search's outcome (the sorted
+# Fractions, or the refusal) and the number of passes (primes) it takes:
+# irrational roots (one 2x2, one 3x3), a root 0 beside 1e-13 ("shrink",
+# reducible, and by recurrence; no pass: a degree-1 rest), a tiny 1x1
+# ("tiny"), a triple root and numpy integers
+_HAND_BUILT = [
+    ([[1, 1], [1, 0]], _refusal(0, 2), 1),
+    ([[1, 1, 0], [1, 0, 1], [0, 1, 2]], _refusal(0, 3), 1),
+    ([[0, 0], [0, Fraction(1, 10 ** 13)]], [0, Fraction(1, 10 ** 13)], 0),
+    ([[0, 1], [0, Fraction(1, 10 ** 13)]], [0, Fraction(1, 10 ** 13)], 0),
+    ([[Fraction(1, 10 ** 20)]], [Fraction(1, 10 ** 20)], 0),
+    ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]], [-1, 2, 2, 2], 3),
+    (np.array([[3, -2], [-1, 2]]), [1, 4], 1)]
 
 # the curves of the frozen comparisons: EQUIVALENCE_CURVES, the reducible
 # (5, 60/48) and (12, 144/48), which has the eigenvalue 0
@@ -744,33 +499,25 @@ _FROZEN_CURVES = EQUIVALENCE_CURVES + [(5, 60), (12, 144)]
 
 
 def test_exact_path_is_bit_identical_to_frozen_assembly():
-    # every field bit for bit, or the same refusal, against the frozen
-    # assembly and Newton search, on the frozen curves and _HAND_BUILT
-    matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
-                for M, k in _FROZEN_CURVES] + _HAND_BUILT
+    # every field bit for bit against the frozen assembly on the proved
+    # eigenvalues (the closed spectrum on the frozen curves, the recorded
+    # outcome of _HAND_BUILT), or the search's refusal
+    cases = [(_curve_matrix(M, k), _closed_spectrum(M, k)) for M, k in _FROZEN_CURVES]
+    cases += [(R, want) for R, want, _ in _HAND_BUILT]
     refused = 0
-    for R in matrices:
+    for R, fracs in cases:
         assert S.eigen._tridiag_exact(R) == _parent_tridiag_exact(R)
         got = _outcome(lambda: _bits(S.eigen_solve(R)))
-        assert got == _outcome(lambda: _bits(_parent_eigen_solve(R)))
+        if isinstance(fracs, list):
+            assert got == _outcome(lambda: _bits(_parent_eigen_solve(R, fracs)))
+        else:   # the search's refusal
+            assert got == fracs
         refused += got[0] is S.EigenCertificationError
     assert refused == 2
     # a float twin is read as the dyadic rationals its entries equal
-    F = [[float(x) for x in r] for r in matrices[0]]
+    F = [[float(x) for x in r] for r in cases[0][0]]
     assert S.eigen._tridiag_exact(F) == _parent_tridiag_exact(
         [[Fraction(x) for x in r] for r in F])
-
-
-def test_lifting_matches_frozen_newton_search():
-    # the same Fractions, or the same refusal text with its count, as the
-    # frozen seeds, Newton and convergent walks, on the frozen curves and
-    # _HAND_BUILT
-    matrices = [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
-                for M, k in _FROZEN_CURVES] + _HAND_BUILT
-    for R in matrices:
-        exact = S.eigen._tridiag_exact(R)
-        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact))
-        assert got == _outcome(lambda: _frozen_exact_eigenvalues(*exact)), R
 
 
 def _with_off_band(R, fill):
@@ -1039,78 +786,6 @@ def test_squarefree_search_divides_each_root_out_with_its_multiplicity(monkeypat
     assert squarefree([2, -5, 4, -1]) == [-2, 3, -1]
 
 
-def _curve_matrix(M, k):
-    return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
-
-
-# ---- the search against the one it replaced: derivative lift and pass count ----
-
-def _frozen_lifted_root(p, r, q, floor):
-    """_lifted_root as it was: r lifted on the first derivative of p of which
-    it is a simple root mod q, the rebuilt a/b proved on p."""
-    f = p
-    while (h := S.eigen._horner(f, r, q * q))[1] % q == 0:
-        f = [k * c for k, c in enumerate(f)][1:]
-    m, bound = q, 2 * max(abs(p[0]), abs(p[-1])) ** 2
-    while True:
-        v, dv = h
-        r, m = (r - v * pow(dv, -1, m)) % (m * m), m * m
-        if m >= floor or m > bound:
-            r0, r1, t0, t1 = m, r, 0, 1
-            half = math.isqrt(m // 2)
-            while r1 > half:
-                k = r0 // r1
-                r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-            a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
-            if a and (quo := S.eigen._divide(p, a, b)) is not None:
-                return f is p, (a, b, quo, m)
-        if m > bound:
-            return f is p, None
-        h = S.eigen._horner(f, r, m * m)
-
-
-def _frozen_counted_eigenvalues(L, d, l, u):
-    """_exact_eigenvalues as it was: the derivative lift, the switch to the
-    squarefree part, and a refusal on an all-simple pass or on a run of
-    unproductive passes of the squarefree part past Mignotte's count."""
-    p = S.eigen._char_poly(L, d, l, u)
-    zeros = next(i for i, c in enumerate(p) if c)
-    roots, p = [Fraction(0)] * zeros, p[zeros:]
-    s = None
-    q, idle, floor = max(1009, len(p)) - 1, 0, 0
-    while len(p) > 2:
-        q = next(n for n in itertools.count(q + 1)
-                 if p[-1] % n and all(n % k for k in range(2, math.isqrt(n) + 1)))
-        found, simple = False, True
-        for r in S.eigen._roots_mod(p if s is None else s, q):
-            simple_r, hit = _frozen_lifted_root(p if s is None else s, r, q, floor)
-            simple = simple and simple_r
-            if hit is not None:
-                a, b, quo, floor = hit
-                if s is None:
-                    p = quo
-                    roots.append(Fraction(a, b))
-                else:
-                    s = quo
-                while (quo := S.eigen._divide(p, a, b)) is not None:
-                    p = quo
-                    roots.append(Fraction(a, b))
-                found = True
-                if len(p) <= 2:
-                    break
-        idle = 0 if found else idle + 1
-        if not found and not simple and s is None:
-            s, idle = S.eigen._squarefree(p), 0
-        elif not found and (simple or 9 * idle >= len(s) * (
-                max(abs(c) for c in s).bit_length() + 2)):
-            raise S.EigenCertificationError(
-                f"proved {len(roots)} of {len(d)} eigenvalues by exact division; "
-                f"no rational root found for the degree-{len(p) - 1} rest")
-    if len(p) == 2:
-        roots.append(Fraction(-p[0], p[1]))
-    return sorted(roots)
-
-
 # the exact curves with a repeated eigenvalue, all of them up to M = 20
 _REPEATED = [(5, 48), (6, 96), (15, 150), (17, 102), (19, 144)]
 
@@ -1174,12 +849,10 @@ def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes,
     # simple, at any size of a and b.  x^2 - D ends with no pass count: a
     # residue of a squarefree polynomial is not simple only at the primes
     # that divide its discriminant, here 4D
-    n = proved + rest
     primes = _roots_mod_primes(monkeypatch)
     with pytest.raises(S.EigenCertificationError) as exc:
         S.eigen_solve(R)
-    assert str(exc.value) == (f"proved {proved} of {n} eigenvalues by exact division; "
-                              f"no rational root found for the degree-{rest} rest")
+    assert (type(exc.value), str(exc.value)) == _refusal(proved, rest)
     assert len(primes) == passes
     assert "irrational" not in str(exc.value)
     # a float twin that equals R is refused with the same message: x^2 - x - 1
@@ -1191,40 +864,39 @@ def test_exact_input_without_a_rational_rest_is_refused(R, proved, rest, passes,
         assert str(twin.value) == str(exc.value)
 
 
-# every hand-built exact matrix above whose search takes a pass: the refused
-# ones, _HAND_BUILT but for the 1x1 and the two with roots 0 and 1e-13 (no
-# pass: a degree-1 rest), the irrational "tiny pair", [[2, 1], [1, 2]], the
-# roots congruent mod 1009, the large denominators, the upper bidiagonals
-# and the diagonal matrix with two double roots
-_SEARCHED = [R for R, *_ in _REFUSED] + [
-    m for m in _HAND_BUILT if len(m) > 1 and m[1][1] != Fraction(1, 10 ** 13)] + [
-    [[Fraction(-3, 10 ** 30), Fraction(1, 10 ** 10)], [Fraction(1, 10 ** 10), 1]],
-    [[2, 1], [1, 2]], [[100, 2], [0, 1109]],
-    [[Fraction(1, 3 ** 21), 1, 0, 0], [0, Fraction(-2, 5 ** 14), 1, 0],
-     [0, 0, -5, 1], [0, 0, 0, -2]],
-    *([[Fraction(i + 1) if i == j else Fraction(1, 10 ** 200) if j == i + 1 else 0
-        for j in range(n)] for i in range(n)] for n in (3, 4)),
-    [[100, 0, 0, 0], [0, 100, 0, 0], [0, 0, 1109, 0], [0, 0, 0, 1109]]]
+# the other hand-built exact matrices above, with their outcomes and passes
+# as in _HAND_BUILT: the refused ones, the irrational "tiny pair",
+# [[2, 1], [1, 2]], the roots congruent mod 1009, the large denominators,
+# the upper bidiagonals and the diagonal matrix with two double roots
+_SEARCHED = [(R, _refusal(proved, rest), passes) for R, proved, rest, passes in _REFUSED] + [
+    ([[Fraction(-3, 10 ** 30), Fraction(1, 10 ** 10)], [Fraction(1, 10 ** 10), 1]],
+     _refusal(0, 2), 1),
+    ([[2, 1], [1, 2]], [1, 3], 1), ([[100, 2], [0, 1109]], [100, 1109], 2),
+    ([[Fraction(1, 3 ** 21), 1, 0, 0], [0, Fraction(-2, 5 ** 14), 1, 0],
+      [0, 0, -5, 1], [0, 0, 0, -2]], [-5, -2, Fraction(-2, 5 ** 14), Fraction(1, 3 ** 21)], 1),
+    *(([[Fraction(i + 1) if i == j else Fraction(1, 10 ** 200) if j == i + 1 else 0
+         for j in range(n)] for i in range(n)], list(range(1, n + 1)), 1) for n in (3, 4)),
+    ([[100, 0, 0, 0], [0, 100, 0, 0], [0, 0, 1109, 0], [0, 0, 0, 1109]],
+     [100, 100, 1109, 1109], 2)]
 
 
-def test_search_matches_the_derivative_lift_and_pass_count(monkeypatch):
-    # the same Fractions, or the same refusal text, as the frozen search with
-    # the derivative lift and the Mignotte pass count: on the five curves
-    # with a repeated eigenvalue, the frozen curves, curves sampled at
-    # M = 21..60 and every hand-built exact matrix that the search reaches
+def test_exact_eigenvalues_are_the_closed_spectrum_or_the_recorded_outcome(monkeypatch):
+    # every correct proof returns the same Fractions: the closed spectrum on
+    # the five curves with a repeated eigenvalue, the frozen curves, the two
+    # curves the float Newton search refused and curves sampled at
+    # M = 21..60; the recorded Fractions or refusal text, and the number of
+    # passes, on every hand-built exact matrix
     primes = _roots_mod_primes(monkeypatch)
     curves = _REPEATED + _FROZEN_CURVES + [(24, 79), (24, 151)] + [
         (M, k) for M in (21, 24, 28, 32, 40, 60) for k in (7, 43, 85, 157)]
-    matrices = [_curve_matrix(M, k) for M, k in curves]
-    refused = 0
-    for i, R in enumerate(matrices + _SEARCHED):
+    for M, k in curves:
+        exact = S.eigen._tridiag_exact(_curve_matrix(M, k))
+        assert S.eigen._exact_eigenvalues(*exact) == _closed_spectrum(M, k), (M, k)
+    for R, want, passes in _HAND_BUILT + _SEARCHED:
         exact = S.eigen._tridiag_exact(R)
         primes.clear()
-        got = _outcome(lambda: S.eigen._exact_eigenvalues(*exact))
-        assert got == _outcome(lambda: _frozen_counted_eigenvalues(*exact)), R
-        assert primes or i < len(matrices), R
-        refused += got[0] is S.EigenCertificationError
-    assert refused == len(_REFUSED) + 3
+        assert _outcome(lambda: S.eigen._exact_eigenvalues(*exact)) == want, R
+        assert len(primes) == passes, R
 
 
 # ---- closed-form eigenvalues ----
@@ -1313,52 +985,6 @@ def _clenshaw_select_beta_tilde(result, curve):
         f"gamma={curve.gamma})")
 
 
-def _ref_select_beta_tilde(result, curve):
-    """select_beta_tilde as it was before it read only the top of the
-    spectrum: every profile tested, the largest passing value kept, then
-    checked against the spectral maximum.  The reference."""
-    x_grid = np.linspace(0.0, 1.0, 1024)
-    candidates = []
-    for k, lam in enumerate(result.values):
-        prof = _angular_profile(result.vectors[:, k], x_grid)
-        if prof[np.argmax(np.abs(prof))] < 0:
-            prof = -prof
-        if prof.min() >= -1e-10 * max(1.0, prof.max()):
-            candidates.append(float(lam))
-    if not candidates:
-        raise S.EigenCertificationError("no eigenvalue with nonnegative profile")
-    pick = max(candidates)
-    top = float(np.max(result.values))
-    if abs(pick - top) > 1e-10 * max(1.0, abs(top)):
-        raise S.EigenCertificationError("not the spectral maximum")
-    return pick
-
-
-def _select_outcome(result, curve, select):
-    try:
-        return select(result, curve)
-    except S.EigenCertificationError as exc:
-        return type(exc)
-
-
-def test_selection_matches_all_profiles_reference():
-    selected = 0
-    for M, k in EQUIVALENCE_CURVES:
-        for g in (Fraction(k, 48), k / 48):   # exact and float twins
-            c = S.CurveParams(M, g)
-            R = S.reduced_matrix(S.build_system(c))
-            # the float twin's matrix is that of the dyadic rational g equals
-            assert R == S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(g))))
-            try:
-                res = S.eigen_solve(R)
-            except S.EigenCertificationError:
-                continue
-            got = _select_outcome(res, c, S.select_beta_tilde)
-            assert got == _select_outcome(res, c, _ref_select_beta_tilde), (M, g)
-            selected += isinstance(got, float)
-    assert selected > 60
-
-
 def _two_level_result(values, columns):
     """A hand-built EigenResult on M = 1: psi = (psi_0, psi_1) per value."""
     return S.EigenResult(values=np.array(values), vectors=np.array(columns).T,
@@ -1374,7 +1000,6 @@ _FLAT, _SIGN_CHANGE = (1.0, 0.0), (0.0, 1.0)
 def test_selection_raises_when_the_top_profile_changes_sign():
     c = S.CurveParams(1, Fraction(1))
     res = _two_level_result([1.0, 2.0], [_FLAT, _SIGN_CHANGE])
-    assert _select_outcome(res, c, _ref_select_beta_tilde) is S.EigenCertificationError
     with pytest.raises(S.EigenCertificationError,
                        match=r"spectral maximum 2\.0 .*\(M=1, gamma=1\)"):
         S.select_beta_tilde(res, c)
@@ -1386,7 +1011,7 @@ def test_selection_takes_a_near_tie_below_the_top():
     c = S.CurveParams(1, Fraction(1))
     res = _two_level_result([1.0, 1.0 + 1e-12], [_FLAT, _SIGN_CHANGE])
     assert S.select_beta_tilde(res, c) == 1.0
-    assert _ref_select_beta_tilde(res, c) == 1.0
+    assert _clenshaw_select_beta_tilde(res, c) == 1.0
 
 
 def _tridiagonal(d, l, u):
@@ -1398,8 +1023,9 @@ def _tridiagonal(d, l, u):
 def test_fixed_basis_selection_matches_clenshaw_reference(monkeypatch):
     # the profiles move at round-off, the outcome does not: the same value or
     # the same refusal, message included, on seeded exact and float curves,
-    # on two exact tridiagonals with M = 60, which widen the basis built for
-    # M <= 20, and on a hand-built top profile that changes sign
+    # on EQUIVALENCE_CURVES, exact and float, on two exact tridiagonals with
+    # M = 60, which widen the basis built for M <= 20, and on a hand-built
+    # top profile that changes sign
     monkeypatch.setattr(S.eigen, "_profile_basis", np.empty((1024, 0)))
     rng = np.random.default_rng(2024)
     cases = []
@@ -1413,6 +1039,12 @@ def test_fixed_basis_selection_matches_clenshaw_reference(monkeypatch):
             continue
         # a float twin's matrix is that of the dyadic rational its gamma equals
         assert R == S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(c.gamma))))
+    for M, k in EQUIVALENCE_CURVES:
+        for g in (Fraction(k, 48), k / 48):
+            c = S.CurveParams(M, g)
+            R = S.reduced_matrix(S.build_system(c))
+            assert R == S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(g))))
+            cases.append((S.eigen_solve(R), c))
     assert S.eigen._profile_basis.shape[1] == 0   # built on first selection
     sixty = S.CurveParams(60, 1)
     # Clement's matrix: eigenvalues -60, -58, ..., 60, the top one's vector all
@@ -1436,7 +1068,8 @@ def test_fixed_basis_selection_matches_clenshaw_reference(monkeypatch):
         60.0,
         (S.EigenCertificationError,
          "the spectral maximum 2.0 has no nonnegative profile on (M=1, gamma=1)")]
-    assert sum(isinstance(x, float) for x in outcomes[:-3]) > 40
+    assert sum(isinstance(x, float) for x in outcomes[:60]) > 40
+    assert sum(isinstance(x, float) for x in outcomes[60:-3]) > 60
     # widening kept the columns built for M <= 20: the same basis as one
     # built at once to degree 60
     widened = S.eigen._profile_basis.copy()
@@ -1493,6 +1126,13 @@ def test_eigenfunction_poly_takes_curves_from_curve_point():
     with pytest.raises(ValueError, match="singular at kappa = 0") as exc:
         S.eigenfunction_poly(S.CurveParams(3, -1), 0)
     assert not isinstance(exc.value, S.InvalidCurveError)
+
+
+def _ref_polyval(coeffs, x):
+    acc = x * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _ref_polyder(coeffs):

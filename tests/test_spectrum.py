@@ -311,7 +311,7 @@ def _rule_results(kind):
             S.a_coef(3, g, k), S.b_coef(3, g, k), S.c_coef(3, g, k),
             beta_from_lambda(c, k),
             *(x for row in S.reduced_matrix(S.build_system(c)) for x in row),
-            table.gamma, table.kappa, *table.entries.flat,
+            table.gamma, table.kappa, *(table.get(i, j) for i in range(1, 7) for j in range(1, 7)),
             S.hyp2f1(kind(-2), kind(1), kind(3), kind(-1))]
 
 
