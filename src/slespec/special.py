@@ -135,7 +135,7 @@ def rho_M0(w, wbar, kappa) -> complex:
     e1 = (6+kappa)/(2 kappa), e2 = (6+kappa)^2/(8 kappa); the carried
     exponent is q = (2+kappa)(6+kappa)/(8 kappa).
     """
-    k = float(kappa)
+    k = float(_exact(kappa))
     if not 0 < k < math.inf:   # NaN too
         raise ValueError(f"the width-0 family needs a finite kappa > 0, got {kappa}")
     w = complex(w)
@@ -161,7 +161,7 @@ def rho_M1(w, wbar, gamma) -> RhoM1Value:
     Normalized to rho(0,0) = 1; carries kappa = 2(3g+1)/(2g^2+g+1),
     q = g(g+1)(g+3)/(2g^2+g+1), reported alongside the value.
     """
-    g = float(gamma)
+    g = float(_exact(gamma))
     if not -1.0 / 3.0 < g < math.inf:   # NaN too
         raise ValueError(f"gamma must be finite and exceed -1/3 on the width-1 "
                          f"family, got {gamma}")

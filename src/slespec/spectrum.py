@@ -89,7 +89,8 @@ class SLEParams:
     def __post_init__(self):
         if not self.kappa >= 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if not (math.isfinite(float(self.q)) and math.isfinite(float(self.kappa))):
+        # _exact: bool and numpy bool raise TypeError
+        if not (math.isfinite(float(_exact(self.q))) and math.isfinite(float(_exact(self.kappa)))):
             raise ValueError(f"q and kappa must be finite, got q={self.q}, "
                              f"kappa={self.kappa}")
 
@@ -161,7 +162,7 @@ def q_transition(kappa: Scalar) -> float:
 
     Rationalized so that kappa -> 0 is regular (limit 1/3) instead of 0/0.
     """
-    k = float(kappa)
+    k = float(_exact(kappa))
     if not (k >= 0.0 and math.isfinite(k)):
         raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
     s = math.sqrt(2.0 * k * k + 16.0 * k + 36.0)

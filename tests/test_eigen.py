@@ -321,25 +321,6 @@ def _curve_matrix(M, k):
     return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
 
 
-def _ref_eigen_solve(matrix):
-    """eigen_solve with one SVD and one residual norm per eigenvalue, as it
-    was before the stacked SVD: the reference."""
-    mat = np.array([[float(x) for x in row] for row in matrix], dtype=float)
-    lams = [float(x) for x in S.eigen._exact_eigenvalues(*S.eigen._tridiag_exact(matrix))]
-    eye = np.eye(mat.shape[0])
-    out_vecs, out_res = [], []
-    for lam in lams:
-        vec = np.linalg.svd(mat - lam * eye)[2][-1]
-        res = float(np.linalg.norm(mat @ vec - lam * vec))
-        if res > 1e-10:
-            raise S.EigenCertificationError(
-                f"residual {res:.3e} > 1e-10 for eigenvalue {lam} of "
-                f"matrix {mat.tolist()}")
-        out_vecs.append(vec)
-        out_res.append(res)
-    return np.array(lams), np.array(out_vecs).T, np.array(out_res)
-
-
 # entries ~1e9, the eigenvalues 3e8 and 1e9 + 1, and a zero super-diagonal
 # (SVD vectors): rounding alone leaves the second residual ~1e-7, above the
 # absolute bound 1e-10, so eigen_solve raises in its residual check
@@ -348,55 +329,6 @@ _RESIDUAL_FAILURE = [[1e9 + 1, 0.0], [1e9, 3e8]]
 
 # the exact curves with a zero super-diagonal, the only ones on SVD vectors
 _REDUCIBLE_CURVES = [(5, 60), (6, 36), (12, 96), (12, 144), (15, 72)]
-
-
-def _svd_columns(R, res):
-    """Which columns of eigen_solve's result are SVD vectors: all on a zero
-    super-diagonal, else none."""
-    return [not all(S.eigen._tridiag_exact(R)[3])] * len(res.values)
-
-
-def _sign_aligned(v, w):
-    return v if v @ w >= 0 else -v
-
-
-def test_stacked_svd_matches_per_eigenvalue_reference():
-    # values bit for bit everywhere; SVD columns (the reducible curves) bit
-    # for bit; recurrence columns within 1e-12 of the reference's SVD
-    # vector, up to sign; residuals within 1e-14; the same refusals.  The
-    # float twins, which took the float path's SVD columns, build the matrix
-    # of the dyadic rational k/48 equals, which tests/eigen_sweep.py gates
-    matrices = []
-    for M, k in EQUIVALENCE_CURVES:
-        matrices.append(S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48)))))
-        assert S.reduced_matrix(S.build_system(S.CurveParams(M, k / 48))) == S.reduced_matrix(
-            S.build_system(S.CurveParams(M, Fraction(k / 48))))
-    matrices += [S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
-                 for M, k in _REDUCIBLE_CURVES]
-    matrices.append(_RESIDUAL_FAILURE)
-    failures = recurrence = svd_columns = 0
-    for R in matrices:
-        try:
-            want = _ref_eigen_solve(R)
-        except S.EigenCertificationError as exc:
-            failures += 1
-            with pytest.raises(S.EigenCertificationError) as got:
-                S.eigen_solve(R)
-            assert str(got.value) == str(exc)
-            continue
-        got = S.eigen_solve(R)
-        assert np.array_equal(got.values, want[0])
-        assert np.max(np.abs(got.residuals - want[2])) <= 1e-14
-        for k, svd in enumerate(_svd_columns(R, got)):
-            v, w = got.vectors[:, k], want[1][:, k]
-            if svd:
-                svd_columns += 1
-                assert np.array_equal(v, w)
-            else:
-                recurrence += 1
-                assert np.max(np.abs(_sign_aligned(v, w) - w)) <= 1e-12
-    assert 0 < failures < len(matrices)
-    assert recurrence > 0 and svd_columns > 0
 
 
 def _parent_tridiag_exact(matrix):
@@ -493,31 +425,46 @@ _HAND_BUILT = [
     ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -1]], [-1, 2, 2, 2], 3),
     (np.array([[3, -2], [-1, 2]]), [1, 4], 1)]
 
-# the curves of the frozen comparisons: EQUIVALENCE_CURVES, the reducible
-# (5, 60/48) and (12, 144/48), which has the eigenvalue 0
-_FROZEN_CURVES = EQUIVALENCE_CURVES + [(5, 60), (12, 144)]
+# the curves of the frozen comparisons: EQUIVALENCE_CURVES and the reducible
+# curves, of which (12, 144/48) has the eigenvalue 0
+_FROZEN_CURVES = EQUIVALENCE_CURVES + _REDUCIBLE_CURVES
 
 
 def test_exact_path_is_bit_identical_to_frozen_assembly():
     # every field bit for bit against the frozen assembly on the proved
     # eigenvalues (the closed spectrum on the frozen curves, the recorded
-    # outcome of _HAND_BUILT), or the search's refusal
+    # outcome of _HAND_BUILT), or the search's refusal; the reducible
+    # matrices take SVD columns, the rest recurrence columns
     cases = [(_curve_matrix(M, k), _closed_spectrum(M, k)) for M, k in _FROZEN_CURVES]
     cases += [(R, want) for R, want, _ in _HAND_BUILT]
-    refused = 0
+    refused = svd = 0
     for R, fracs in cases:
-        assert S.eigen._tridiag_exact(R) == _parent_tridiag_exact(R)
+        exact = S.eigen._tridiag_exact(R)
+        assert exact == _parent_tridiag_exact(R)
         got = _outcome(lambda: _bits(S.eigen_solve(R)))
         if isinstance(fracs, list):
             assert got == _outcome(lambda: _bits(_parent_eigen_solve(R, fracs)))
         else:   # the search's refusal
             assert got == fracs
         refused += got[0] is S.EigenCertificationError
-    assert refused == 2
-    # a float twin is read as the dyadic rationals its entries equal
+        svd += not all(exact[3])
+    assert refused == 2 and svd == len(_REDUCIBLE_CURVES) + 2
+    # _RESIDUAL_FAILURE, lower triangular, so its eigenvalues are its
+    # diagonal, fails the residual check with the frozen copy's text; the
+    # frozen copy reads it as the Fractions its floats equal
+    F = [[Fraction(x) for x in r] for r in _RESIDUAL_FAILURE]
+    want = _outcome(lambda: _bits(_parent_eigen_solve(F, [Fraction(3 * 10 ** 8),
+                                                          Fraction(10 ** 9 + 1)])))
+    assert want[0] is S.EigenCertificationError
+    assert _outcome(lambda: _bits(S.eigen_solve(_RESIDUAL_FAILURE))) == want
+    # a float twin is read as the dyadic rationals its entries equal, and a
+    # float gamma k/48 builds the matrix of the rational it equals
     F = [[float(x) for x in r] for r in cases[0][0]]
     assert S.eigen._tridiag_exact(F) == _parent_tridiag_exact(
         [[Fraction(x) for x in r] for r in F])
+    for M, k in EQUIVALENCE_CURVES:
+        assert S.reduced_matrix(S.build_system(S.CurveParams(M, k / 48))) == S.reduced_matrix(
+            S.build_system(S.CurveParams(M, Fraction(k / 48))))
 
 
 def _with_off_band(R, fill):
@@ -585,7 +532,7 @@ def test_recurrence_vectors_are_exact_eigenvectors(M, k):
     # column is psi/||psi|| to rounding; (15, 150) has double eigenvalues
     R = S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
     res = S.eigen_solve(R)
-    assert not any(_svd_columns(R, res))
+    assert all(S.eigen._tridiag_exact(R)[3])   # no zero super-diagonal
     for j, lam in enumerate(res.exact_values):
         psi = _exact_recurrence(R, lam)
         assert all(sum(R[n][m] * psi[m] for m in range(len(R))) == lam * psi[n]
@@ -599,18 +546,6 @@ def test_nonzero_last_row_is_refused():
     # [[2, 1], [1, 2]] has the eigenvalues 1 and 3; at 2 the last row is -1
     with pytest.raises(S.EigenCertificationError, match="nonzero last row at eigenvalue 2"):
         S.eigen._recurrence_vectors(*S.eigen._tridiag_exact([[2, 1], [1, 2]]), [Fraction(2)])
-
-
-@pytest.mark.parametrize("R", [
-    S.reduced_matrix(S.build_system(S.CurveParams(5, Fraction(60, 48)))),
-], ids=["reducible-(5,60/48)"])
-def test_exact_input_without_exact_vectors_takes_svd_columns(R):
-    # a zero super-diagonal stops the recurrence: the reference's SVD
-    # columns bit for bit
-    got, want = S.eigen_solve(R), _ref_eigen_solve(R)
-    assert all(_svd_columns(R, got))
-    assert np.array_equal(got.values, want[0]) and np.array_equal(got.vectors, want[1])
-    assert np.max(np.abs(got.residuals - want[2])) <= 1e-14
 
 
 @pytest.mark.parametrize("R,vectors", [

@@ -249,47 +249,8 @@ def test_unit_step_major_keeps_bits(shape):
     assert rot.tobytes() == old_unit(np.ascontiguousarray(blk.T)).tobytes()
 
 
-def kernel_block(v, delta, rot, log_re, log_im):
-    """_compose's loop over one block, rot[k] rotating after step k.
-
-    The steps run latest first; the block's r multiply into R, out of place,
-    and Re log F' takes one log of |R| (2e)^m.  Returns (v, R).
-    """
-    e, c = math.exp(delta), 4.0 * math.expm1(delta)
-    R = 1.0
-    for k in range(len(rot) - 1, -1, -1):
-        v, r = S.mc._increment(v, e, c)
-        v = np.multiply(v, rot[k])
-        R = np.multiply(R, r)
-        log_im += np.arctan2(r.imag, r.real)
-    m = len(rot)
-    log_re += np.log(np.abs(R) * np.ldexp(np.power(e, m), m))
-    return v, R
-
-
-def block_starts(n_steps):
-    B = S.mc._BLOCK
-    return range((n_steps - 1) // B * B, -1, -B)
-
-
 def streamed_blocks(path):
-    return (path.inc[a:a + S.mc._BLOCK] for a in block_starts(len(path.inc)))
-
-
-def u_quotient_reference(w, path):
-    """The composition as it stood before paths carried only increments.
-
-    The driving u_k = e^{i B(t_k)} is divided back into the rotations
-    u_k / u_{k-1}, and the same exact step composes latest-first, one block
-    of steps at a time.
-    """
-    u = np.exp(1j * np.cumsum(path.inc))
-    rot = u / np.concatenate(([1.0], u[:-1]))
-    v = np.atleast_1d(np.asarray(w, dtype=complex))
-    log_re, log_im = np.zeros(v.shape), np.zeros(v.shape)
-    for a in block_starts(len(rot)):
-        v, _ = kernel_block(v, path.delta, rot[a:a + S.mc._BLOCK], log_re, log_im)
-    return v, log_re + 1j * log_im
+    return (path.inc[a:a + S.mc._BLOCK] for a in S.mc._block_starts(len(path.inc)))
 
 
 def old_increment(v, delta, log_re, log_im):
@@ -317,53 +278,56 @@ def old_increment(v, delta, log_re, log_im):
 def old_compose(w, delta, blocks):
     """_compose as it stood with old_increment, on 1-d lanes.
 
-    Also returns each lane's closest approach |v - 1| to the driving point.
+    Also returns each lane's closest approach |v - 1| to the driving point,
+    and log|R| per block and lane, R the product of the block's r.
     """
     v = np.atleast_1d(np.asarray(w, dtype=complex))
     log_re, log_im = np.zeros(v.shape), np.zeros(v.shape)
     closest = np.full(v.shape, np.inf)
+    log_R = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for blk in blocks:
             rot = old_unit(blk.T)
+            before = log_re.copy()
             for k in range(len(rot) - 1, -1, -1):
                 closest = np.minimum(closest, np.abs(v - 1.0))
                 v = old_increment(v, delta, log_re, log_im) * rot[k]
-    return v, log_re + 1j * log_im, closest
+            log_R.append(log_re - before - len(rot) * math.log(2.0 * math.exp(delta)))
+    return v, log_re + 1j * log_im, closest, np.array(log_R)
 
 
-def kernel_compose(w, delta, blocks):
-    """_compose rebuilt from kernel_block; also returns each block's R."""
+def u_quotient_reference(w, path):
+    """The composition as it stood before paths carried only increments.
+
+    The driving u_k = e^{i B(t_k)} is divided back into the rotations
+    u_k / u_{k-1}, and old_increment composes latest-first.
+    """
+    u = np.exp(1j * np.cumsum(path.inc))
+    rot = u / np.concatenate(([1.0], u[:-1]))
     v = np.atleast_1d(np.asarray(w, dtype=complex))
     log_re, log_im = np.zeros(v.shape), np.zeros(v.shape)
-    Rs = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for blk in blocks:
-            v, R = kernel_block(v, delta, old_unit(blk.T), log_re, log_im)
-            Rs.append(R)
-    return v, log_re + 1j * log_im, np.array(Rs)
+    for k in range(len(rot) - 1, -1, -1):
+        v = old_increment(v, path.delta, log_re, log_im) * rot[k]
+    return v, log_re + 1j * log_im
 
 
 def assert_one_log_per_block_keeps_bits(ws, delta, make_blocks):
     """New kernel against old_compose on the same blocks.
 
     make_blocks() returns (b_total, blocks) afresh.  z, Im log F' and B_T
-    must keep every bit; Re log F' moves by round-off only.
+    must keep every bit; Re log F' moves by round-off only.  No block's
+    running product R underflows or overflows: the block takes one log.
     """
     b_new, blocks = make_blocks()
     z, logd = S.mc._compose(ws, delta, blocks)
     b_old, blocks = make_blocks()
-    z_old, logd_old, closest = old_compose(ws, delta, blocks)
+    z_old, logd_old, closest, log_R = old_compose(ws, delta, blocks)
     assert np.sum(closest < 0.11) >= 3   # lanes near the driving point
+    assert math.log(1e-250) < np.min(log_R) and np.max(log_R) < math.log(np.finfo(float).max)
     assert z.tobytes() == z_old.tobytes()
     assert logd.imag.tobytes() == logd_old.imag.tobytes()
     assert b_new.tobytes() == b_old.tobytes()
     assert np.max(np.abs(logd.real - logd_old.real)) <= 1e-12
-    # the running products: kernel_compose is _compose bit for bit, and no
-    # block's R underflows or overflows
-    _, blocks = make_blocks()
-    z_ref, logd_ref, Rs = kernel_compose(ws, delta, blocks)
-    assert z_ref.tobytes() == z.tobytes() and logd_ref.tobytes() == logd.tobytes()
-    assert np.all(np.isfinite(Rs)) and np.min(np.abs(Rs)) > 1e-250
 
 
 # two full blocks and a partial one of 100 steps, which is drawn first
@@ -651,15 +615,15 @@ def test_batch_samples_are_pinned():
 
 
 def materialised_chunk(w, T, n_steps, kappa, seeds):
-    """The batch chunk as it stood before increments were streamed.
+    """The batch draw as it stood before increments were streamed.
 
     Every path's increments are drawn at once and held, (lanes, n_steps),
-    then composed block by block from the held array.  The draws are
-    assigned to steps in block order, latest block first, and B_T is summed
-    block by block in that order, as the streamed chunk does.
+    then composed by _compose block by block from the held array.  The
+    draws are assigned to steps in block order, latest block first, and B_T
+    is summed block by block in that order, as the streamed chunk does.
     """
     B = S.mc._BLOCK
-    starts = block_starts(n_steps)
+    starts = S.mc._block_starts(n_steps)
     delta = T / n_steps
     inc = np.empty((len(seeds), n_steps))
     for row, child in zip(inc, seeds):
@@ -669,15 +633,13 @@ def materialised_chunk(w, T, n_steps, kappa, seeds):
             m = min(B, n_steps - a)
             row[a:a + m] = draws[used:used + m]
             used += m
-    v = np.full(len(seeds), w, dtype=complex)
-    log_re, log_im = np.zeros(len(seeds)), np.zeros(len(seeds))
     b_total = np.zeros(len(seeds))
     for a in starts:
-        rot = old_unit(np.ascontiguousarray(inc[:, a:a + B].T))
-        v, _ = kernel_block(v, delta, rot, log_re, log_im)
         b_total += inc[:, a:a + B].sum(axis=1)
     assert np.max(np.abs(b_total - inc.sum(axis=1))) < 1e-13
-    return log_re + 1j * log_im, b_total
+    _, logd = S.mc._compose(np.full(len(seeds), w, dtype=complex), delta,
+                            (inc[:, a:a + B] for a in starts))
+    return logd, b_total
 
 
 def test_streamed_chunk_equals_materialised_chunk():
@@ -703,14 +665,6 @@ def test_chunk_without_im_keeps_re_bits(kappa, w):
     assert re.dtype == np.float64 and logd.dtype == np.complex128
     assert re.tobytes() == logd.real.tobytes()
     assert b_re.tobytes() == b_total.tobytes()
-    streams = [np.random.default_rng(child) for child in seeds]
-    b_ref = np.zeros(len(seeds))
-    _, logd_ref, _ = kernel_compose(
-        np.full(len(seeds), complex(w)), 10.0 / 1000,
-        (blk for _, blk in S.mc._driving_blocks(kappa, 10.0, 1000, streams, b_ref)))
-    assert re.tobytes() == logd_ref.real.tobytes()
-    assert logd.tobytes() == logd_ref.tobytes()
-    assert b_total.tobytes() == b_ref.tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0.0, 6.0])

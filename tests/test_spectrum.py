@@ -362,6 +362,8 @@ _T = S.CurveParams(2, True)
         (S.curve_point, (S.CurveParams(True, 1),)), (S.build_system, (S.CurveParams(True, 1),)),
         (S.gamma_transition, (True,)), (S.eigen_beta_closed, (S.CurveParams(1, 1), True)),
         (S.eigenfunction_poly, (S.CurveParams(1, 1), False)),
+        (S.SLEParams, (True, 2.0)), (S.SLEParams, (1.0, True)), (S.q_transition, (True,)),
+        (S.rho_M0, (0.1, 0.1, True)), (S.rho_M1, (0.1, 0.1, True)),
     ])])
 def test_bool_is_refused_at_every_entry_point(fn, args):
     with pytest.raises(TypeError, match="bool"):
@@ -375,8 +377,12 @@ def test_bool_is_refused_at_every_entry_point(fn, args):
     (S.curve_point, (S.CurveParams(np.True_, 1),)),
     (S.gamma_transition, (np.True_,)),
     (S.eigen_beta_closed, (S.CurveParams(1, 1), np.False_)),
+    (S.SLEParams, (np.True_, 2.0)), (S.SLEParams, (1.0, np.True_)),
+    (S.q_transition, (np.True_,)), (S.rho_M0, (0.1, 0.1, np.True_)),
+    (S.rho_M1, (0.1, 0.1, np.True_)),
 ], ids=["curve_point", "build_theta_table", "hyp2f1", "curve_point-M", "gamma_transition",
-        "eigen_beta_closed-l"])
+        "eigen_beta_closed-l", "SLEParams-q", "SLEParams-kappa", "q_transition", "rho_M0",
+        "rho_M1"])
 def test_numpy_bool_is_refused_like_bool(fn, args):
     with pytest.raises(TypeError, match="bool"):
         fn(*args)
