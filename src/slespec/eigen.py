@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
@@ -128,8 +129,8 @@ def reduced_matrix(sys: TridiagSystem) -> List[list]:
 @dataclass(frozen=True)
 class EigenResult:
     values: np.ndarray       # ascending, each the float of its exact value
-    vectors: np.ndarray      # column k pairs with values[k], unit 2-norm: the exact
-                             # recurrence with no zero super-diagonal, else SVD
+    vectors: np.ndarray      # column k pairs with values[k], unit 2-norm, from
+                             # the exact recurrence (_recurrence_vectors)
     residuals: np.ndarray    # ||R v - lambda v||_2 per pair
     exact_values: tuple      # per value, the Fraction proved by division
 
@@ -203,35 +204,56 @@ def _char_poly(L, d, l, u) -> list:
 
 def _recurrence_vectors(L, d, l, u, roots) -> np.ndarray:
     """Unit eigenvectors of T at its proved eigenvalues roots (Fractions),
-    one column each, from the three-term recurrence on the integer
-    tridiagonal (L, d, l, u), every super-diagonal u_n nonzero.
+    one column each, exact from the integer tridiagonal (L, d, l, u).
 
-    Row n of T psi = x psi gives psi_{n+1} = ((x - T_nn) psi_n - T_{n,n-1}
-    psi_{n-1}) / T_{n,n+1}.  Fraction-free at x = a/b: psi_n = P_n/Q_n with
-    P_0 = Q_0 = 1, Q_{n+1} = Q_n b u_n and the leading-minor recurrence
-    P_{n+1} = -(b d_n - L a) P_n - b^2 l_{n-1} u_{n-1} P_{n-1}.
-    The last row holds exactly when P_{M+1} = 0 (M + 1 the size), which
-    proves x a second time; otherwise EigenCertificationError.  Each P_n/Q_n,
-    scaled by one power of two so that the largest is near 1 and none
-    overflows, is one correctly rounded int/int division; each column is
-    then normalised to unit 2-norm.
+    A zero u_k ends a block at row k: T is block lower triangular.  Rows
+    above the last block (rows j..c) whose determinant vanishes at x are
+    zero.  On it, row i of T psi = x psi gives psi_{i+1} = ((x - T_ii) psi_i
+    - T_{i,i-1} psi_{i-1}) / T_{i,i+1}, fraction-free at x = a/b: psi_i =
+    P_i/Q_i with P_j = Q_j = 1, Q_{i+1} = Q_i b u_i and P_{i+1} = -(b d_i -
+    L a) P_i - b^2 l_{i-1} u_{i-1} P_{i-1}; P_{c+1} = 0, up to sign the
+    block's determinant, proves x a second time, and no such block raises
+    EigenCertificationError.  Below it, the adjugate's column c gives psi_r
+    = psi_c prod_{c<=t<r}(-b l_t) f_{r+1}/f_{c+1}, f_r = det(bL(T - x)) on
+    rows and columns r..n-1 (f_n = 1; f_{c+1} != 0, as no later block has
+    the eigenvalue x).  Each P_n/Q_n, scaled by one power of two so that the
+    largest is near 1 and none overflows, is one correctly rounded int/int
+    division; each column is then normalised to unit 2-norm.
     """
-    ef = [0] + [s * t for s, t in zip(l, u)]
+    n = len(d)
+    ef = [0] + [s * t for s, t in zip(l, u)] + [0]
+    ends = [k for k, un in enumerate(u) if not un][::-1]
+    # per block, the last first: its first and last row, and its d, ef and u
+    blocks = [(j, c, d[j:c + 1], ef[j:c + 1], u[j:c])
+              for j, c in zip([k + 1 for k in ends] + [0], [n - 1] + ends)]
     cols = []
     for x in roots:
         a, b = x.numerator, x.denominator
         La, bb = L * a, b * b
-        prev, p, P, Q = 0, 1, [1], [1]
-        for dn, e in zip(d, ef):
-            prev, p = p, (La - b * dn) * p - bb * e * prev
-            P.append(p)
-        if P.pop():
+        for j, c, dj, ej, uj in blocks:
+            prev, p, P, Q = 0, 1, [0] * j + [1], [1] * (j + 1)
+            for dn, e in zip(dj, ej):
+                prev, p = p, (La - b * dn) * p - bb * e * prev
+                P.append(p)
+            if not P.pop():
+                break
+        else:
             raise EigenCertificationError(
                 f"the three-term recurrence leaves a nonzero last row at eigenvalue {x}")
-        for bu in [b * un for un in u]:
+        for bu in [b * un for un in uj]:
             Q.append(Q[-1] * bu)
-        s = max(p.bit_length() - q.bit_length() for p, q in zip(P, Q))
-        cols.append([p / (q << s) if s >= 0 else (p << -s) / q for p, q in zip(P, Q)])
+        if c + 1 < n:
+            F = [0, 1]   # f_{n+1}, f_n, ..., f_{c+1}: f_{r+1} is F[n - r]
+            for r in range(n - 1, c, -1):
+                F.append((b * d[r] - La) * F[-1] - bb * ef[r + 1] * F[-2])
+            g, den = P[-1], Q[-1] * F[-1]
+            for r in range(c + 1, n):
+                g *= -b * l[r - 1]
+                P.append(g * F[n - r])
+                Q.append(den)
+        s = max(map(operator.sub, map(int.bit_length, P), map(int.bit_length, Q)))
+        cols.append([p / (q << s) for p, q in zip(P, Q)] if s >= 0 else
+                    [(p << -s) / q for p, q in zip(P, Q)])
     vecs = np.array(cols).T
     return vecs / np.linalg.norm(vecs, axis=0)
 
@@ -423,17 +445,15 @@ def eigen_solve(matrix) -> EigenResult:
     rational it equals).  Every eigenvalue is proved rational on the
     integer characteristic polynomial, with no float, by the p-adic search
     of _exact_eigenvalues, and reported with its Fraction; a rest proved to
-    have no rational root is refused, naming how many were proved.  A
-    matrix with no zero super-diagonal takes every vector from the
-    fraction-free three-term recurrence (_recurrence_vectors), whose
-    exactly vanishing last row proves each value a second time; a
-    reducible one takes each vector as the smallest singular vector of
-    (R - lambda I), all from one stacked SVD.  The first pair failing the
-    1e-10 residual bound raises EigenCertificationError carrying the
-    offending matrix.  The bound is absolute, not relative to the entries:
-    with entries of about 1e7 or more, float rounding alone can refuse a
-    proved pair, as at [[1e9 + 1, 0], [1e9, 3e8]] (residual 1.2e-7 at the
-    proved eigenvalue 1e9 + 1).  ValueError names the rows' lengths of a
+    have no rational root is refused, naming how many were proved.  Every
+    vector comes from the fraction-free three-term recurrence, block by
+    block (_recurrence_vectors), whose exactly vanishing last row proves
+    each value a second time.  The first pair failing the 1e-10 residual
+    bound raises EigenCertificationError carrying the offending matrix.
+    The bound is absolute, not relative to the entries: with entries of
+    about 1e7 or more, float rounding alone can refuse a proved pair, as
+    at [[1e9 + 1, 1e9], [0, 3e8]] (residual 8.9e-8 at the proved
+    eigenvalue 3e8).  ValueError names the rows' lengths of a
     matrix that is empty, ragged or not square, or the input itself if 1-d
     or 0-d (rows without a length), and the entry and its (i, j) of a
     non-finite entry or of a nonzero one off the tridiagonal.
@@ -453,13 +473,7 @@ def eigen_solve(matrix) -> EigenResult:
         mat.flat[start::n + 1] = [x / L for x in band]
     fracs = tuple(_exact_eigenvalues(*exact))
     lam = np.array([float(x) for x in fracs])
-    # column k of vecs pairs with lam[k], strided like the SVD's transposed
-    # rows: the residual product below then rounds as it did on the SVD alone
-    vecs = np.empty((n, n)).T
-    if all(u):
-        vecs[:] = _recurrence_vectors(*exact, fracs)
-    else:
-        vecs[:] = np.linalg.svd(mat - lam[:, None, None] * np.eye(n))[2][:, -1].T
+    vecs = _recurrence_vectors(*exact, fracs)
     res = np.linalg.norm(mat @ vecs - vecs * lam, axis=0)
     bad = np.nonzero(res > _CERT_TOL)[0]
     if len(bad):

@@ -24,18 +24,17 @@ It also prints, without gating them, for the exact and the float curves:
 how many eigenvalues were proved by exact division, how many curves have a
 repeated eigenvalue, the largest bit length of a proved eigenvalue's
 denominator, how many curves switched the root search to the squarefree
-part, the most passes (primes) the search took on one curve, how many
-curves took any vector from the SVD instead of the exact recurrence, and
-the largest vector residual; and, past the swept range, the curves solved
-and the median solve time at each M.
+part, the most passes (primes) the search took on one curve, the largest
+vector residual, and how many curves are reducible (a zero super-diagonal,
+so that some vectors come from the adjugate below a block of the exact
+recurrence) with their largest residual; and, past the swept range, the
+curves solved and the median solve time at each M.
 """
 import statistics
 import sys
 import time
 from fractions import Fraction
 from unittest import mock
-
-import numpy as np
 
 import slespec as S
 from test_eigen import _clenshaw_select_beta_tilde
@@ -53,11 +52,12 @@ def sweep(exact=True):
     guard, refusals included; stats holds the eigenvalues proved by
     division, the curves with a repeated eigenvalue, the largest
     denominator bit length, the curves whose search switched to the
-    squarefree part, the most passes of one search, the curves on which
-    eigen_solve called the SVD and the largest vector residual."""
+    squarefree part, the most passes of one search, the largest vector
+    residual, and the reducible curves (a zero super-diagonal) and their
+    largest residual."""
     curves, refusals, problems = 0, 0, []
     stats = dict.fromkeys(("proved", "repeated", "den_bits", "squarefree", "passes",
-                           "svd_curves", "residual"), 0)
+                           "residual", "reducible", "reducible_residual"), 0)
     for M in range(1, 21):
         for k in range(1, 160):
             c = S.CurveParams(M, Fraction(k, 48) if exact else k / 48)
@@ -66,13 +66,13 @@ def sweep(exact=True):
             except S.InvalidCurveError:
                 continue
             curves += 1
+            R = S.reduced_matrix(sysM)
             try:
-                with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
-                        mock.patch.object(S.eigen, "_roots_mod",
-                                          wraps=S.eigen._roots_mod) as passes, \
+                with mock.patch.object(S.eigen, "_roots_mod",
+                                       wraps=S.eigen._roots_mod) as passes, \
                         mock.patch.object(S.eigen, "_squarefree",
                                           wraps=S.eigen._squarefree) as squarefree:
-                    res = S.eigen_solve(S.reduced_matrix(sysM))
+                    res = S.eigen_solve(R)
             except S.EigenCertificationError as exc:
                 refusals += 1
                 problems.append(f"(M={M}, k={k}): eigen_solve failed: {exc}"[:200])
@@ -83,7 +83,10 @@ def sweep(exact=True):
             closed = [float(v) for v in betas]
             scale = max(1.0, max(abs(v) for v in closed))
             stats["residual"] = max(stats["residual"], float(res.residuals.max()))
-            stats["svd_curves"] += svd.called
+            if not all(R[i][i + 1] for i in range(M)):
+                stats["reducible"] += 1
+                stats["reducible_residual"] = max(stats["reducible_residual"],
+                                                  float(res.residuals.max()))
             stats["squarefree"] += squarefree.called
             stats["passes"] = max(stats["passes"], passes.call_count)
             stats["proved"] += len(res.exact_values)
@@ -150,8 +153,9 @@ def main() -> int:
               f"{stats['repeated']} curves with a repeated eigenvalue; largest "
               f"denominator {stats['den_bits']} bits; {stats['squarefree']} curves "
               f"searched the squarefree part; at most {stats['passes']} passes on one "
-              f"curve; {stats['svd_curves']} curves took SVD vectors, the rest the exact "
-              f"recurrence; largest vector residual {stats['residual']:.2e}")
+              f"curve; largest vector residual {stats['residual']:.2e}; "
+              f"{stats['reducible']} reducible curves (a zero super-diagonal), largest "
+              f"residual {stats['reducible_residual']:.2e}")
         for line in problems:
             print(line)
         bad += len(problems)

@@ -321,14 +321,51 @@ def _curve_matrix(M, k):
     return S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
 
 
-# entries ~1e9, the eigenvalues 3e8 and 1e9 + 1, and a zero super-diagonal
-# (SVD vectors): rounding alone leaves the second residual ~1e-7, above the
+# entries ~1e9, upper triangular, so its eigenvalues 1e9 + 1 and 3e8 are its
+# diagonal: rounding alone leaves the residual at 3e8 ~9e-8, above the
 # absolute bound 1e-10, so eigen_solve raises in its residual check
-_RESIDUAL_FAILURE = [[1e9 + 1, 0.0], [1e9, 3e8]]
+_RESIDUAL_FAILURE = [[1e9 + 1, 1e9], [0.0, 3e8]]
 
 
-# the exact curves with a zero super-diagonal, the only ones on SVD vectors
+# the exact curves with a zero super-diagonal ("reducible"), at i = 2, 1, 4, 6
+# and 3, which the frozen assembly gave SVD vectors
 _REDUCIBLE_CURVES = [(5, 60), (6, 36), (12, 96), (12, 144), (15, 72)]
+
+
+def _null_space(R, x):
+    """A basis of the null space of R - x I in Fractions, one vector per free
+    column, by Gauss-Jordan elimination: independent of the recurrence."""
+    n = len(R)
+    A = [[Fraction(R[i][j]) - (x if i == j else 0) for j in range(n)] for i in range(n)]
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        piv = next((i for i in range(top, n) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[top], A[piv] = A[piv], A[top]
+        A[top] = [v / A[top][col] for v in A[top]]
+        for i in range(n):
+            f = A[i][col]
+            if i != top and f:
+                A[i] = [a - f * b for a, b in zip(A[i], A[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(n)]
+        for row, col in enumerate(pivots):
+            v[col] = -A[row][free]
+        basis.append(v)
+    return basis
+
+
+def _unit(psi):
+    """The exact vector psi divided by its first nonzero entry, as floats,
+    then normalised to unit 2-norm: the sign of eigen_solve's columns, whose
+    first nonzero entry is P_j/Q_j = 1."""
+    first = next(x for x in psi if x)
+    v = np.array([float(x / first) for x in psi])
+    return v / np.linalg.norm(v)
 
 
 def _parent_tridiag_exact(matrix):
@@ -431,32 +468,58 @@ _FROZEN_CURVES = EQUIVALENCE_CURVES + _REDUCIBLE_CURVES
 
 
 def test_exact_path_is_bit_identical_to_frozen_assembly():
-    # every field bit for bit against the frozen assembly on the proved
-    # eigenvalues (the closed spectrum on the frozen curves, the recorded
-    # outcome of _HAND_BUILT), or the search's refusal; the reducible
-    # matrices take SVD columns, the rest recurrence columns
+    # on the proved eigenvalues (the closed spectrum on the frozen curves,
+    # the recorded outcome of _HAND_BUILT), or the search's refusal: every
+    # matrix without a zero super-diagonal keeps every field bit for bit
+    # against the frozen assembly.  A reducible one, where the frozen
+    # assembly took SVD columns, keeps its values; each column whose
+    # eigenspace is one-dimensional lies within 1e-14 of the SVD's, up to
+    # sign, and the largest residual is no larger than the SVD's
     cases = [(_curve_matrix(M, k), _closed_spectrum(M, k)) for M, k in _FROZEN_CURVES]
     cases += [(R, want) for R, want, _ in _HAND_BUILT]
-    refused = svd = 0
+    refused = reducible = 0
     for R, fracs in cases:
         exact = S.eigen._tridiag_exact(R)
         assert exact == _parent_tridiag_exact(R)
-        got = _outcome(lambda: _bits(S.eigen_solve(R)))
-        if isinstance(fracs, list):
-            assert got == _outcome(lambda: _bits(_parent_eigen_solve(R, fracs)))
-        else:   # the search's refusal
+        got = _outcome(lambda: S.eigen_solve(R))
+        if not isinstance(fracs, list):   # the search's refusal
             assert got == fracs
-        refused += got[0] is S.EigenCertificationError
-        svd += not all(exact[3])
-    assert refused == 2 and svd == len(_REDUCIBLE_CURVES) + 2
-    # _RESIDUAL_FAILURE, lower triangular, so its eigenvalues are its
-    # diagonal, fails the residual check with the frozen copy's text; the
-    # frozen copy reads it as the Fractions its floats equal
+            refused += 1
+            continue
+        want = _parent_eigen_solve(R, fracs)
+        if all(exact[3]):
+            assert _bits(got) == _bits(want)
+            continue
+        reducible += 1
+        assert got.exact_values == want.exact_values
+        assert got.values.tobytes() == want.values.tobytes()
+        for k, x in enumerate(fracs):
+            if len(_null_space(R, x)) == 1:
+                v, w = got.vectors[:, k], want.vectors[:, k]
+                assert min(np.max(np.abs(v - w)), np.max(np.abs(v + w))) <= 1e-14
+        assert got.residuals.max() <= want.residuals.max()
+    assert refused == 2 and reducible == len(_REDUCIBLE_CURVES) + 2
+    # diag(2, 2, 2, -1): the eigenvalue 2 takes e_3, the last block whose
+    # determinant vanishes at 2, where the SVD took any unit vector of e_1..e_3
+    got = S.eigen_solve(_HAND_BUILT[5][0])
+    assert got.exact_values == (-1, 2, 2, 2)
+    assert np.array_equal(np.abs(got.vectors[:, 1:]), np.eye(4)[:, [2, 2, 2]])
+    # _RESIDUAL_FAILURE fails the residual check with the frozen copy's
+    # text; the frozen copy reads it as the Fractions its floats equal
     F = [[Fraction(x) for x in r] for r in _RESIDUAL_FAILURE]
     want = _outcome(lambda: _bits(_parent_eigen_solve(F, [Fraction(3 * 10 ** 8),
                                                           Fraction(10 ** 9 + 1)])))
     assert want[0] is S.EigenCertificationError
+    assert want[1].startswith("residual 8.941e-08 > 1e-10 for eigenvalue 300000000.0 ")
     assert _outcome(lambda: _bits(S.eigen_solve(_RESIDUAL_FAILURE))) == want
+    # its lower triangular twin, which the SVD left at residual 1.2e-7 and
+    # refused, certifies with residual 0: the columns are e_2 and the exact
+    # (1e9 + 1 - 3e8, 1e9) normalised
+    low = S.eigen_solve([[1e9 + 1, 0.0], [1e9, 3e8]])
+    assert low.exact_values == (3 * 10 ** 8, 10 ** 9 + 1)
+    assert not low.residuals.any()
+    assert np.array_equal(low.vectors[:, 0], [0.0, 1.0])
+    assert np.max(np.abs(low.vectors[:, 1] - _unit([Fraction(7 * 10 ** 8 + 1), 10 ** 9]))) <= 1e-16
     # a float twin is read as the dyadic rationals its entries equal, and a
     # float gamma k/48 builds the matrix of the rational it equals
     F = [[float(x) for x in r] for r in cases[0][0]]
@@ -526,20 +589,72 @@ def _exact_recurrence(R, lam):
     return psi
 
 
-@pytest.mark.parametrize("M,k", [(3, 40), (10, 110), (15, 150), (20, 28)])
+@pytest.mark.parametrize("M,k", [(3, 40), (10, 110), (15, 150), (20, 28)] + _REDUCIBLE_CURVES)
 def test_recurrence_vectors_are_exact_eigenvectors(M, k):
     # (R - lambda I) psi = 0 in Fractions, last row included, and eigen_solve's
-    # column is psi/||psi|| to rounding; (15, 150) has double eigenvalues
+    # column is psi/||psi|| to rounding; (15, 150) has double eigenvalues.
+    # On the reducible curves psi is the one null vector by Gauss-Jordan
+    # elimination: every eigenspace there is one-dimensional
     R = S.reduced_matrix(S.build_system(S.CurveParams(M, Fraction(k, 48))))
     res = S.eigen_solve(R)
-    assert all(S.eigen._tridiag_exact(R)[3])   # no zero super-diagonal
+    irreducible = all(S.eigen._tridiag_exact(R)[3])   # no zero super-diagonal
+    assert irreducible == ((M, k) not in _REDUCIBLE_CURVES)
     for j, lam in enumerate(res.exact_values):
-        psi = _exact_recurrence(R, lam)
+        if irreducible:
+            psi = _exact_recurrence(R, lam)
+        else:
+            (psi,) = _null_space(R, lam)
         assert all(sum(R[n][m] * psi[m] for m in range(len(R))) == lam * psi[n]
                    for n in range(len(R)))
-        v = np.array([float(x) for x in psi])
-        assert np.max(np.abs(res.vectors[:, j] - v / np.linalg.norm(v))) <= 1e-15
+        assert np.max(np.abs(res.vectors[:, j] - _unit(psi))) <= 1e-15
         assert res.residuals[j] <= 1e-14
+
+
+def _random_tridiagonal(rng):
+    """An exact tridiagonal, n <= 7: diagonal entries from a pool of three,
+    so that they repeat, and each off-diagonal entry zero with probability
+    1/2, else a nonzero k/2, |k| <= 4."""
+    n = int(rng.integers(1, 8))
+    pool = [Fraction(int(k), 2) for k in rng.integers(-4, 5, 3)]
+    d = [pool[i] for i in rng.integers(0, 3, n)]
+    l, u = ([Fraction(int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])), 2)
+             if rng.random() < 0.5 else Fraction(0) for _ in range(n - 1)] for _ in "lu")
+    return _tridiagonal(d, l, u)
+
+
+def test_recurrence_vectors_span_the_null_space_of_random_tridiagonals():
+    # seeded exact tridiagonals with zero super- and sub-diagonals and
+    # repeated diagonal entries, at every x among their diagonal entries and
+    # k/2, |k| <= 8.  Where Gauss-Jordan elimination finds R - x I regular,
+    # the recurrence refuses x; where its null space is one line, the column
+    # is that line's vector, normalised, to 1e-15; else the column has a
+    # residual below 1e-14
+    rng = np.random.default_rng(41)
+    counts = dict.fromkeys(("regular", "line", "spans_a_block_end", "wider"), 0)
+    for _ in range(200):
+        R = _random_tridiagonal(rng)
+        exact = S.eigen._tridiag_exact(R)
+        u = exact[3]
+        for x in sorted({R[i][i] for i in range(len(R))} | {Fraction(k, 2) for k in range(-8, 9)}):
+            basis = _null_space(R, x)
+            if not basis:
+                with pytest.raises(S.EigenCertificationError, match="nonzero last row"):
+                    S.eigen._recurrence_vectors(*exact, [x])
+                counts["regular"] += 1
+                continue
+            col = S.eigen._recurrence_vectors(*exact, [x])[:, 0]
+            if len(basis) > 1:
+                T = np.array([[float(v) for v in r] for r in R])
+                assert np.max(np.abs(T @ col - float(x) * col)) <= 1e-14
+                counts["wider"] += 1
+                continue
+            (psi,) = basis
+            assert np.max(np.abs(col - _unit(psi))) <= 1e-15, (R, x)
+            counts["line"] += 1
+            # the vector crosses a zero super-diagonal: rows below its block
+            counts["spans_a_block_end"] += any(
+                not u[k] and any(psi[:k + 1]) and any(psi[k + 1:]) for k in range(len(u)))
+    assert min(counts.values()) >= 40, counts
 
 
 def test_nonzero_last_row_is_refused():
